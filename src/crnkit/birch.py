@@ -132,8 +132,9 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
     failed_newton = 0
     for it in range(1, max_iter + 1):
         g = B.T @ np.log(x / alpha)
-        if residual_of(x) <= tol:
-            return BirchSolution(tuple(x), residual_of(x), it - 1)
+        res = residual_of(x)
+        if res <= tol:
+            return BirchSolution(tuple(x), res, it - 1)
         H = B.T @ (B / x[:, None])
         use_newton = failed_newton < 3
         if use_newton:
@@ -152,12 +153,19 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
                 break
         f0 = g_alpha(x, alpha)
         slope = float(g @ step)
+        # near the minimum, g_alpha's rounding (a few ulps of f0) swamps the
+        # Armijo decrease; a step that lowers the residual is then accepted
+        flat = 4 * np.spacing(abs(f0))
         accepted = False
         while s >= 1e-18:
             xn = x + s * dx
-            if np.all(xn > 0) and g_alpha(xn, alpha) <= f0 + 1e-4 * s * slope:
-                accepted = True
-                break
+            if np.all(xn > 0):
+                fn = g_alpha(xn, alpha)
+                if fn <= f0 + 1e-4 * s * slope or (
+                    abs(fn - f0) <= flat and residual_of(xn) < res
+                ):
+                    accepted = True
+                    break
             s *= 0.5
         if accepted:
             t = t + s * step

@@ -111,12 +111,12 @@ def _distinct_sources(net: ReactionNetwork) -> list[RationalVector]:
     return out
 
 
-class _FaceChecker:
-    """Evaluates both per-direction predicates from a face's sign vector
+class _Arrangement:
+    """The arrangement's faces (LimitExceeded past the hyperplane limit),
+    with both per-direction predicates evaluated from a face's sign vector
     alone (no rational arithmetic per face)."""
 
-    def __init__(self, net: ReactionNetwork):
-        self.net = net
+    def __init__(self, net: ReactionNetwork, limit: int | None):
         self.sources = _distinct_sources(net)
         m = len(self.sources)
         self.src_of = [self.sources.index(tuple(r.source.coeffs)) for r in net.reactions]
@@ -124,7 +124,7 @@ class _FaceChecker:
         self.pair_pos = {}
         for k, (i, j) in enumerate(itertools.combinations(range(m), 2)):
             self.pair_pos[(i, j)] = self.nr + k
-        self.normals = arrangement_normals(net)
+        self.faces = enumerate_faces(arrangement_normals(net), limit=limit)
 
     def _cmp(self, signs, a: int, b: int) -> int:
         # sign of <w, source_a - source_b>
@@ -162,19 +162,25 @@ class _FaceChecker:
         return any(signs[r] < 0 and self.src_of[r] in top for r in range(self.nr))
 
 
-def _decide(net: ReactionNetwork, limit: int | None = None):
-    checker = _FaceChecker(net)
-    faces = enumerate_faces(checker.normals, limit=limit)
+def _verdicts(net: ReactionNetwork, limit: int | None, sample_fallback: bool, seed: int):
+    """(arrangement, endotactic witness, strong witness), a witness None
+    when its condition holds: exact from one face enumeration or, past the
+    hyperplane limit with sample_fallback, sampled (arrangement None)."""
+    try:
+        arr = _Arrangement(net, limit)
+    except LimitExceeded:
+        if not sample_fallback:
+            raise
+        res = sample_classify(net, seed=seed)
+        return None, res["endo_witness"], res["strong_witness"]
     endo_bad: list[RationalVector] = []
     strong_bad: list[RationalVector] = []
-    for f in faces:
-        if not checker.w_endotactic(f.signs):
+    for f in arr.faces:
+        if not arr.w_endotactic(f.signs):
             endo_bad.append(vec(primitive(f.representative)))
-        elif not checker.strong_condition(f.signs):
+        elif not arr.strong_condition(f.signs):
             strong_bad.append(vec(primitive(f.representative)))
-    endo_wit = min(endo_bad) if endo_bad else None
-    strong_wit = min(strong_bad) if strong_bad else None
-    return endo_wit, strong_wit, len(faces)
+    return arr, min(endo_bad, default=None), min(strong_bad, default=None)
 
 
 def is_endotactic(net: ReactionNetwork, limit: int | None = None,
@@ -190,13 +196,7 @@ def is_endotactic(net: ReactionNetwork, limit: int | None = None,
         With sample_fallback=True the verdict comes from the random
         sampler instead and can only be trusted when False.
     """
-    try:
-        endo_wit, _, _ = _decide(net, limit)
-    except LimitExceeded:
-        if not sample_fallback:
-            raise
-        res = sample_classify(net, seed=seed)
-        return res["endotactic"], res["endo_witness"]
+    _, endo_wit, _ = _verdicts(net, limit, sample_fallback, seed)
     return endo_wit is None, endo_wit
 
 
@@ -210,17 +210,35 @@ def is_strongly_endotactic(net: ReactionNetwork, limit: int | None = None,
 
     Returns / Raises: as is_endotactic.
     """
-    try:
-        endo_wit, strong_wit, _ = _decide(net, limit)
-    except LimitExceeded:
-        if not sample_fallback:
-            raise
-        res = sample_classify(net, seed=seed)
-        ok = res["endotactic"] and res["strongly_endotactic"]
-        return ok, res["endo_witness"] or res["strong_witness"]
-    if endo_wit is not None:
-        return False, endo_wit
-    return strong_wit is None, strong_wit
+    _, endo_wit, strong_wit = _verdicts(net, limit, sample_fallback, seed)
+    witness = endo_wit or strong_wit
+    return witness is None, witness
+
+
+def _fast_path(net: ReactionNetwork, linkage, arrangement) -> str | None:
+    """The first fast-path rule that fires (see fast_paths).  arrangement()
+    gives the _Arrangement, or None past the hyperplane limit; it is called
+    only when the face rule is reached."""
+    if not linkage.weakly_reversible or not net.reactions:
+        return None
+    if len(linkage.classes) == 1:
+        return "single_linkage_class"
+    stoich = stoichiometric_subspace(net)
+    if all(len(basis) == stoich.dimension for basis in linkage.class_subspaces):
+        return "equal_class_subspaces"
+    arr = arrangement()
+    if arr is None:
+        return None
+    cx_index = {c.coeffs: i for i, c in enumerate(net.complexes)}
+    class_of = {m: set(members) for members in linkage.classes for m in members}
+    for f in arr.faces:
+        top = arr._argmax(f.signs, list(range(len(arr.sources))))
+        top_cx = {cx_index[arr.sources[i]] for i in top}
+        # a union of linkage classes holds the whole class of each member
+        is_union = all(class_of[i] <= top_cx for i in top_cx)
+        if is_union and not arr.in_Hperp(f.signs):
+            return None
+    return "initial_support_criterion"
 
 
 def fast_paths(net: ReactionNetwork, limit: int | None = None) -> str | None:
@@ -237,33 +255,13 @@ def fast_paths(net: ReactionNetwork, limit: int | None = None) -> str | None:
 
     All three are sufficient only; None means no verdict, not a refutation.
     """
-    linkage = linkage_classes(net)
-    if not linkage.weakly_reversible or not net.reactions:
-        return None
-    if len(linkage.classes) == 1:
-        return "single_linkage_class"
-    stoich = stoichiometric_subspace(net)
-    if all(len(basis) == stoich.dimension for basis in linkage.class_subspaces):
-        return "equal_class_subspaces"
-    try:
-        checker = _FaceChecker(net)
-        faces = enumerate_faces(checker.normals, limit=limit)
-    except LimitExceeded:
-        return None
-    cx_index = {c.coeffs: i for i, c in enumerate(net.complexes)}
-    class_of = {}
-    for cid, members in enumerate(linkage.classes):
-        for m in members:
-            class_of[m] = cid
-    classes = [set(members) for members in linkage.classes]
-    for f in faces:
-        top = checker._argmax(f.signs, list(range(len(checker.sources))))
-        top_cx = {cx_index[checker.sources[i]] for i in top}
-        touched = {class_of[i] for i in top_cx}
-        is_union = set().union(*(classes[c] for c in touched)) == top_cx
-        if is_union and not checker.in_Hperp(f.signs):
+    def arrangement():
+        try:
+            return _Arrangement(net, limit)
+        except LimitExceeded:
             return None
-    return "initial_support_criterion"
+
+    return _fast_path(net, linkage_classes(net), arrangement)
 
 
 def classify(net: ReactionNetwork, limit: int | None = None,
@@ -273,43 +271,29 @@ def classify(net: ReactionNetwork, limit: int | None = None,
     Fast-path verdicts are cross-checked against the general decider
     whenever the arrangement is within limits; a disagreement raises
     AssertionError (it would mean a bug, not a property of the network).
+    Past the limit with sample_fallback, a fast-path rule decides both
+    classes and otherwise the sampler does (reported as inconclusive).
 
     Raises:
         LimitExceeded: arrangement too large and sample_fallback is False.
     """
     linkage = linkage_classes(net)
-    rule = fast_paths(net, limit=limit)
-    try:
-        endo_wit, strong_wit, n_faces = _decide(net, limit)
-    except LimitExceeded:
-        if not sample_fallback:
-            raise
-        res = sample_classify(net, seed=seed)
-        endo = res["endotactic"] if rule is None else True
-        strong = res["strongly_endotactic"] if rule is None else True
-        return ClassificationReport(
-            weakly_reversible=linkage.weakly_reversible,
-            endotactic=endo,
-            strongly_endotactic=endo and strong,
-            witness=res["endo_witness"] or res["strong_witness"],
-            fast_path=rule,
-            face_count=0,
-            inconclusive=rule is None,
-        )
+    arr, endo_wit, strong_wit = _verdicts(net, limit, sample_fallback, seed)
+    rule = _fast_path(net, linkage, lambda: arr)
     endo = endo_wit is None
     strong = endo and strong_wit is None
     if rule is not None:
-        assert endo and strong, (
-            f"fast path {rule} contradicts the general decider"
-        )
-    witness = endo_wit if not endo else (strong_wit if not strong else None)
+        if arr is not None and not strong:
+            raise AssertionError(f"fast path {rule} contradicts the general decider")
+        endo = strong = True
     return ClassificationReport(
         weakly_reversible=linkage.weakly_reversible,
         endotactic=endo,
         strongly_endotactic=strong,
-        witness=witness,
+        witness=endo_wit or strong_wit,
         fast_path=rule,
-        face_count=n_faces,
+        face_count=0 if arr is None else len(arr.faces),
+        inconclusive=arr is None and rule is None,
     )
 
 

@@ -4,8 +4,8 @@ Outputs are deterministic: identical (input, flags, seed) produce
 byte-identical JSON/CSV/SVG.  Every report embeds the tool name, version,
 schema version, and seed; nothing time- or host-dependent is emitted.
 
-Exit codes: 0 success, 1 parse/usage error, 2 arrangement limit exceeded,
-3 no convergence.
+Exit codes: 0 success, 1 parse/usage error or invalid value, 2 arrangement
+limit exceeded, 3 no convergence; every failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .birch import NoConvergence, birch_point
 from .classify import classify, is_w_endotactic
 from .dynamics import RatePolicy, find_steady_state, g_along, simulate
 from .geometry import LimitExceeded
-from .jets import JetSchedule, cutoff_scan, domination_monitor, level_and_type, make_frame
-from .network import ParseError, parse_network
+from .jets import JetSchedule, _worst_case_margin, cutoff_scan, domination_monitor, make_frame
+from .network import ParseError, _unit_tempering, parse_network, stoichiometric_subspace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,8 +123,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_birch(args) -> int:
-    from .network import stoichiometric_subspace
-
     net, _ = _load(args.file)
     stoich = stoichiometric_subspace(net)
     x0 = _parse_floats(args.x0, net.n_species, "--x0")
@@ -244,14 +242,14 @@ def _trajectory_svg(net, traj, width: int = 640, height: int = 480) -> str:
 def cmd_steady(args) -> int:
     net, tempering = _load(args.file)
     x0 = _parse_floats(args.x0, net.n_species, "--x0")
+    if tempering is None:
+        tempering = _unit_tempering(net.n_reactions)
     if args.k is not None:
         k = tuple(float(x) for x in args.k.split(","))
         if len(k) != net.n_reactions:
             raise ParseError(f"--k needs {net.n_reactions} values, got {len(k)}")
-    elif tempering is not None:
-        k = tuple(tempering.midpoints())
     else:
-        k = tuple(1.0 for _ in range(net.n_reactions))
+        k = tuple(tempering.midpoints())
     ss = find_steady_state(net, k, x0, tol=args.tol, seed=args.seed)
     payload = _envelope("steady", args.seed)
     payload["k"] = list(k)
@@ -292,13 +290,8 @@ def cmd_scan(args) -> int:
 def _scan_svg(net, tempering, report, width: int = 480, height: int = 480) -> str:
     """Direction-circle plot of the worst-case leading margin for 2-species
     networks, with near-zero clusters marked."""
-    from .jets import _worst_case_margin
-    from .network import Tempering
-
     if tempering is None:
-        tempering = Tempering(
-            tuple((Fraction(1), Fraction(1)) for _ in net.reactions)
-        )
+        tempering = _unit_tempering(net.n_reactions)
     cx, cy, r0 = width / 2, height / 2, min(width, height) / 2 - 40
     angles = np.linspace(0, 2 * np.pi, 361)
     margins = np.array(
@@ -336,10 +329,7 @@ def cmd_jets(args) -> int:
     vecs = []
     for chunk in args.frame.split(";"):
         vecs.append(_parse_floats(chunk, net.n_species, "--frame"))
-    try:
-        frame = make_frame(*vecs)
-    except ValueError as exc:
-        raise ParseError(str(exc))
+    frame = make_frame(*vecs)
     schedule = JetSchedule(beta_kind=args.schedule, theta_kind=args.theta_schedule)
     i_range = np.unique(np.rint(np.geomspace(1, args.i_max, 60)).astype(int))
     report = domination_monitor(
@@ -349,11 +339,9 @@ def cmd_jets(args) -> int:
     payload["frame"] = [[float(v) for v in w] for w in frame.vectors]
     payload["schedule"] = {"beta": args.schedule, "theta": args.theta_schedule}
     payload["reaction_classes"] = [
-        {"kind": level_and_type(r, frame).kind, "level": level_and_type(r, frame).level}
-        for r in net.reactions
+        {"kind": kind, "level": level} for kind, level in report.pop("classes")
     ]
     payload.update(report)
-    del payload["classes"]
     _emit(payload, args.out)
     return 0
 
@@ -435,6 +423,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"crnkit: parse error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # an invalid value the library rejected; numpy may wrap long arrays
+        # in the message over several lines
+        print(f"crnkit: error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 1
     except LimitExceeded as exc:
         print(f"crnkit: limit exceeded: {exc}", file=sys.stderr)

@@ -6,13 +6,21 @@ states, and free-energy evaluation along trajectories.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
 from .birch import NoConvergence, g_alpha, grad_g_alpha, _orthonormal_H
-from .network import ReactionNetwork, StoichiometryInfo, Tempering, stoichiometric_subspace
+from .network import (
+    ReactionNetwork,
+    StoichiometryInfo,
+    Tempering,
+    _unit_tempering,
+    stoichiometric_subspace,
+)
 
 _MODES = ("constant-mid", "constant-sampled", "piecewise-constant", "fixed")
 
@@ -49,19 +57,30 @@ class Trajectory:
     events: tuple[dict, ...]
 
     def rates_at(self, t: float) -> np.ndarray:
-        k = self.rate_log[0][1]
-        for t0, kk in self.rate_log:
-            if t0 <= t:
-                k = kk
-            else:
-                break
-        return np.array(k)
+        """Rates of the last segment starting at or before t (the first
+        segment's for t before it); segment starts are ascending."""
+        i = bisect_right(self.rate_log, t, key=itemgetter(0))
+        return np.array(self.rate_log[max(i - 1, 0)][1])
 
 
 @dataclass(frozen=True)
 class SteadyState:
     x: tuple[float, ...]
     residual: float
+
+
+def _monomials(net: ReactionNetwork, x: np.ndarray) -> np.ndarray:
+    """x**y_r for every source y_r (0**0 = 1); non-finite where undefined."""
+    with np.errstate(all="ignore"):
+        return np.prod(np.power(x[None, :], net.source_matrix()), axis=1)
+
+
+def _rhs(net: ReactionNetwork, k: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """The mass-action field at x, or None where a monomial is undefined."""
+    mono = _monomials(net, x)
+    if not np.all(np.isfinite(mono)):
+        return None
+    return (k * mono) @ net.flux_matrix()
 
 
 def mass_action_rhs(net: ReactionNetwork, k, x) -> np.ndarray:
@@ -71,38 +90,16 @@ def mass_action_rhs(net: ReactionNetwork, k, x) -> np.ndarray:
     monomial undefined (zeros with negative exponents, negative coordinates
     with fractional exponents) raise ValueError.
     """
-    Y = net.source_matrix()
-    F = net.flux_matrix()
-    k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        mono = np.prod(np.power(x[None, :], Y), axis=1)
-    if not np.all(np.isfinite(mono)):
+    f = _rhs(net, np.asarray(k, dtype=float), x)
+    if f is None:
         raise ValueError(f"monomials undefined at x = {x}")
-    return (k * mono) @ F
-
-
-def _rhs_factory(net: ReactionNetwork):
-    Y = net.source_matrix()
-    F = net.flux_matrix()
-
-    def rhs(k, x):
-        with np.errstate(all="ignore"):
-            mono = np.prod(np.power(x[None, :], Y), axis=1)
-        if not np.all(np.isfinite(mono)):
-            return None
-        return (k * mono) @ F
-
-    return rhs
+    return f
 
 
 def _mass_action_jacobian(net: ReactionNetwork, k, x):
-    Y = net.source_matrix()
-    F = net.flux_matrix()
-    with np.errstate(all="ignore"):
-        mono = np.prod(np.power(x[None, :], Y), axis=1)
-    w = np.asarray(k, dtype=float) * mono
-    return F.T @ (w[:, None] * (Y / x[None, :]))
+    w = np.asarray(k, dtype=float) * _monomials(net, x)
+    return net.flux_matrix().T @ (w[:, None] * (net.source_matrix() / x[None, :]))
 
 
 # Dormand-Prince 5(4) pair; the last row of A doubles as the 5th-order
@@ -168,7 +165,7 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
     if np.any(x0 <= 0):
         raise ValueError(f"x0 must be strictly positive, got {x0}")
     if tempering is None:
-        tempering = Tempering(tuple((Fraction(1), Fraction(1)) for _ in net.reactions))
+        tempering = _unit_tempering(net.n_reactions)
     if len(tempering) != net.n_reactions:
         raise ValueError("tempering length does not match reaction count")
     lo, hi = _float_bounds(tempering)
@@ -191,7 +188,6 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
     else:
         seg_edges = [0.0, t_end]
 
-    rhs = _rhs_factory(net)
     times = [0.0]
     states = [x0.copy()]
     rate_log = []
@@ -214,7 +210,7 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
         else:
             k = base_rates
         rate_log.append((seg_edges[si], tuple(float(v) for v in k)))
-        f_now = rhs(k, x)
+        f_now = _rhs(net, k, x)
         if f_now is None:
             events.append({"type": "boundary-approach", "time": t})
             stopped = True
@@ -233,7 +229,7 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
             positive = False
             for stage in range(1, 7):
                 xs = x + h_try * (_DP_A[stage] @ K[:stage])
-                fs = rhs(k, xs)
+                fs = _rhs(net, k, xs)
                 if fs is None:
                     bad = True
                     break
@@ -318,9 +314,8 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
     stoich = stoichiometric_subspace(net)
     B = _orthonormal_H(stoich)
     d = B.shape[1]
-    rhs = _rhs_factory(net)
     if d == 0:
-        f = rhs(k, x0)
+        f = _rhs(net, k, x0)
         return SteadyState(tuple(x0), float(np.linalg.norm(f)))
 
     def newton(t_start):
@@ -329,7 +324,7 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
         if np.any(x <= 0):
             return None
         for _ in range(max_iter):
-            f = rhs(k, x)
+            f = _rhs(net, k, x)
             if f is None:
                 return None
             F = B.T @ f
@@ -347,7 +342,7 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
                 tn = t + s * step
                 xn = x0 + B @ tn
                 if np.all(xn > 0):
-                    fn = rhs(k, xn)
+                    fn = _rhs(net, k, xn)
                     if fn is not None and np.linalg.norm(B.T @ fn) < nrm:
                         t, x = tn, xn
                         improved = True
@@ -364,7 +359,7 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
     for t_start in starts:
         x = newton(t_start)
         if x is not None:
-            f = rhs(k, x)
+            f = _rhs(net, k, x)
             return SteadyState(tuple(x), float(np.linalg.norm(f)))
     # last resort: ride the flow toward an attractor, then polish
     try:
@@ -376,7 +371,7 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
         if np.all(x_end > 0):
             x = newton(B.T @ (x_end - x0))
             if x is not None:
-                f = rhs(k, x)
+                f = _rhs(net, k, x)
                 return SteadyState(tuple(x), float(np.linalg.norm(f)))
     except ValueError:
         pass

@@ -16,7 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import arrangement_normals
-from .network import ReactionNetwork, Reaction, Tempering, stoichiometric_subspace
+from .geometry import LimitExceeded, enumerate_faces
+from .network import (
+    ReactionNetwork,
+    Reaction,
+    Tempering,
+    _unit_tempering,
+    stoichiometric_subspace,
+)
 from .birch import _orthonormal_H
 
 
@@ -112,22 +119,14 @@ def pull(reaction: Reaction, w, theta: float) -> float:
     return float((w @ flux) * theta ** (w @ src))
 
 
-def _log_pull(reaction: Reaction, w, log_theta: float) -> tuple[int, float]:
-    """(sign, log |pull|) so huge thetas never overflow."""
-    w = np.asarray(w, dtype=float)
-    flux = np.array([float(c) for c in reaction.flux])
-    src = np.array([float(c) for c in reaction.source.coeffs])
-    a = float(w @ flux)
-    if a == 0.0:
-        return 0, -np.inf
-    return (1 if a > 0 else -1), math.log(abs(a)) + float(w @ src) * log_theta
-
-
 def level_and_type(reaction: Reaction, frame: Frame, tol: float = 1e-10) -> ReactionJetClass:
     """Least frame level whose inner product with the reaction vector is
     nonzero decides the class: negative = sustaining, positive = draining,
     all zero = inessential."""
-    flux = np.array([float(c) for c in reaction.flux])
+    return _level_and_type(np.array([float(c) for c in reaction.flux]), frame, tol)
+
+
+def _level_and_type(flux: np.ndarray, frame: Frame, tol: float = 1e-10) -> ReactionJetClass:
     for j, w in enumerate(frame.vectors, start=1):
         d = float(np.asarray(w) @ flux)
         if abs(d) > tol:
@@ -203,16 +202,19 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
             "w1 is orthogonal to the stoichiometric subspace; "
             "pull domination may fail along this frame"
         )
-    classes = [level_and_type(r, frame) for r in net.reactions]
+    Y, F = net.source_matrix(), net.flux_matrix()
+    classes = [_level_and_type(flux, frame) for flux in F]
     sustaining = [i for i, c in enumerate(classes) if c.kind == "sustaining"]
     draining = [i for i, c in enumerate(classes) if c.kind == "draining"]
-    directions = [schedule.direction(frame, i) for i in i_list]
-    log_thetas = [schedule.log_theta(i) for i in i_list]
+    # logs[r, col] = log |pull| of reaction r at the col-th jet point, -inf
+    # where the pull vanishes (kept in log space so huge thetas never overflow)
     logs = np.full((net.n_reactions, len(i_list)), -np.inf)
-    for r_idx, r in enumerate(net.reactions):
-        for col, (w, lt) in enumerate(zip(directions, log_thetas)):
-            _, lv = _log_pull(r, w, lt)
-            logs[r_idx, col] = lv
+    for col, i in enumerate(i_list):
+        w, log_theta = schedule.direction(frame, i), schedule.log_theta(i)
+        for r_idx in range(net.n_reactions):
+            a = float(w @ F[r_idx])
+            if a != 0.0:
+                logs[r_idx, col] = math.log(abs(a)) + float(w @ Y[r_idx]) * log_theta
     entries = []
     for d in draining:
         best = None
@@ -277,18 +279,18 @@ def _worst_case_margin(net: ReactionNetwork, tempering: Tempering, w) -> float:
     over the exactly computed dominant tier (sources maximizing <w, y>),
     the largest worst-case k_r <w, flux_r>.  Negative margins mean the sum
     is eventually negative along w; zero marks the transition."""
+    w = np.asarray(w, dtype=float)
     w_exact = tuple(Fraction(float(x)) for x in w)
-    sources = [r.source.coeffs for r in net.reactions]
-    vals = [sum(a * b for a, b in zip(w_exact, y)) for y in sources]
+    vals = [sum(a * b for a, b in zip(w_exact, y)) for y in net.exact_sources()]
     top = max(vals)
-    lo, hi = tempering.lows(), tempering.highs()
+    F = net.flux_matrix()
     margin = -np.inf
-    for r_idx, r in enumerate(net.reactions):
-        if vals[r_idx] != top:
+    for r_idx, val in enumerate(vals):
+        if val != top:
             continue
-        coeff = float(np.asarray(w, dtype=float) @ net.flux_matrix()[r_idx])
-        k = hi[r_idx] if coeff > 0 else lo[r_idx]
-        margin = max(margin, k * coeff)
+        coeff = float(w @ F[r_idx])
+        lo, hi = tempering.intervals[r_idx]
+        margin = max(margin, float(hi if coeff > 0 else lo) * coeff)
     return float(margin)
 
 
@@ -323,7 +325,7 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     under-reports eligible pairs.
     """
     if tempering is None:
-        tempering = Tempering(tuple((Fraction(1), Fraction(1)) for _ in net.reactions))
+        tempering = _unit_tempering(net.n_reactions)
     x0 = np.asarray(x0, dtype=float)
     n = net.n_species
     if theta_grid is None:
@@ -336,9 +338,13 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         nrm = np.linalg.norm(v)
         if nrm > 1e-12:
             dirs.append(v / nrm)
+    try:
+        faces = enumerate_faces(arrangement_normals(net))
+    except LimitExceeded:
+        faces = []
     face_reps = []
-    for f in _face_representatives(net):
-        v = np.array([float(x) for x in f])
+    for f in faces:
+        v = np.array([float(x) for x in f.representative])
         nrm = np.linalg.norm(v)
         if nrm > 0:
             face_reps.append(v / nrm)
@@ -446,16 +452,6 @@ def _ray_crossings(a, b0: float, w, theta_grid, band: float = 1e-9,
                 hi_t = mid
         crossings.append(math.sqrt(lo_t * hi_t))
     return np.array(sorted(set(crossings)))
-
-
-def _face_representatives(net: ReactionNetwork):
-    from .geometry import LimitExceeded, enumerate_faces
-
-    try:
-        faces = enumerate_faces(arrangement_normals(net))
-    except LimitExceeded:
-        return []
-    return [f.representative for f in faces]
 
 
 def _cluster_directions(dirs, margins, gap: float):

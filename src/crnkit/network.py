@@ -2,14 +2,16 @@
 network parsing/serialization, and graph-level structure (linkage classes,
 weak reversibility, stoichiometric subspace, reactant polytope).
 
-Stoichiometric coefficients are exact rationals throughout; anything numeric
-that downstream modules need in floating point is converted there.
+Stoichiometric coefficients are exact rationals throughout.  The float
+source and flux matrices that the numeric modules work from are computed
+once per network, on first use, and returned as read-only arrays.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +93,14 @@ class Tempering:
         return np.array([float(hi) for _, hi in self.intervals])
 
 
+_UNIT_INTERVAL = (Fraction(1), Fraction(1))
+
+
+def _unit_tempering(n_reactions: int) -> Tempering:
+    """Every rate fixed at 1: the default wherever no tempering is given."""
+    return Tempering((_UNIT_INTERVAL,) * n_reactions)
+
+
 @dataclass(frozen=True)
 class ReactionNetwork:
     species: tuple[Species, ...]
@@ -132,12 +142,21 @@ class ReactionNetwork:
         return [r.flux for r in self.reactions]
 
     def source_matrix(self) -> np.ndarray:
-        """Reactions-by-species float matrix of source coefficients."""
-        return np.array([[float(c) for c in r.source.coeffs] for r in self.reactions])
+        """Reactions-by-species float matrix of source coefficients (read-only)."""
+        return self._float_matrices[0]
 
     def flux_matrix(self) -> np.ndarray:
-        """Reactions-by-species float matrix of reaction vectors."""
-        return np.array([[float(c) for c in r.flux] for r in self.reactions])
+        """Reactions-by-species float matrix of reaction vectors (read-only)."""
+        return self._float_matrices[1]
+
+    @cached_property
+    def _float_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        # cached in the instance __dict__, outside the dataclass fields
+        Y = np.array([[float(c) for c in r.source.coeffs] for r in self.reactions])
+        F = np.array([[float(c) for c in r.flux] for r in self.reactions])
+        Y.flags.writeable = False
+        F.flags.writeable = False
+        return Y, F
 
 
 @dataclass(frozen=True)
@@ -383,7 +402,7 @@ def parse_network(text: str) -> tuple[ReactionNetwork, Tempering | None]:
                 seen.add(c)
                 complexes.append(c)
         reactions.append(Reaction(src, tgt))
-        intervals_out.append(interval if interval else (Fraction(1), Fraction(1)))
+        intervals_out.append(interval if interval else _UNIT_INTERVAL)
     net = ReactionNetwork(species, tuple(complexes), tuple(reactions))
     tempering = Tempering(tuple(intervals_out)) if any_rate else None
     return net, tempering

@@ -133,6 +133,19 @@ class TestBirchPoint:
         with pytest.raises(ValueError):
             birch_point(st, (1.0, 2.0), (1.0, 1.0), tol=0.0)
 
+    def test_converges_where_rounding_stalls_armijo(self):
+        # near the minimum the full Newton step lowers the residual but
+        # raises g_alpha by rounding, which Armijo alone rejects forever
+        net, _ = load("ab_reversible")
+        st = stoichiometric_subspace(net)
+        x0, alpha = (0.604708, 1.63416), (1.16426, 0.594742)
+        sol = birch_point(st, x0, alpha)
+        assert sol.residual <= 1e-12
+        # closed form: x_A / x_B = alpha_A / alpha_B on x_A + x_B = const
+        total = sum(x0)
+        expected = (total * alpha[0] / sum(alpha), total * alpha[1] / sum(alpha))
+        assert sol.point == pytest.approx(expected, rel=1e-12)
+
     def test_iteration_cap_raises_with_state(self):
         net, _ = load("ab_reversible")
         st = stoichiometric_subspace(net)

@@ -2,6 +2,10 @@
 full arrangement decision, fast-path sufficient conditions, witnesses, and
 agreement with an independent sampling oracle."""
 
+import importlib
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +26,9 @@ from crnkit import (
 from crnkit.geometry import enumerate_faces, max_subset
 from crnkit.network import Complex, Reaction, ReactionNetwork, Species
 
-from conftest import CLASSIFICATION, load
+from conftest import CLASSIFICATION, load, network_text
+
+classify_module = importlib.import_module("crnkit.classify")
 
 
 F = Fraction
@@ -176,6 +182,38 @@ class TestFastPaths:
             if fast_paths(net) is not None:
                 assert is_strongly_endotactic(net)
 
+    def test_cross_check_survives_optimized_python(self):
+        # the check must raise where assert statements are stripped
+        script = textwrap.dedent(f"""
+            import importlib, sys
+            from crnkit import parse_network
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            module = importlib.import_module("crnkit.classify")
+            module._fast_path = lambda *args: "single_linkage_class"
+            net, _ = parse_network({network_text("endo_not_strong")!r})
+            module.classify(net)
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True)
+        assert out.returncode != 0
+        assert ("AssertionError: fast path single_linkage_class contradicts "
+                "the general decider") in out.stderr
+
+    @pytest.mark.parametrize("name", ["prism", "birth_death", "pyramid"])
+    def test_classify_enumerates_arrangement_once(self, name, monkeypatch):
+        calls = {"enumerate_faces": 0, "linkage_classes": 0}
+        for fname in calls:
+            def counted(*args, _fn=getattr(classify_module, fname), _name=fname,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(classify_module, fname, counted)
+        net, _ = load(name)
+        classify(net)
+        assert calls["enumerate_faces"] <= 1
+        assert calls["linkage_classes"] == 1
+
     def test_fast_path_decides_without_enumeration(self):
         # a one-class network needs no face enumeration even under a tiny
         # hyperplane budget
@@ -202,6 +240,25 @@ class TestLimits:
         report = classify(net, limit=2, sample_fallback=True)
         assert report.inconclusive
         assert report.endotactic and report.strongly_endotactic
+
+    @pytest.mark.parametrize(
+        "name",
+        ["reverse_lv", "endo_not_strong", "triangle_out", "a_to_b",
+         "futile_cycle", "birth_death", "pyramid"],
+    )
+    def test_sample_fallback_deciders_agree_with_classify(self, name):
+        # limit 0 sends every deciding path to the sampler; none of these
+        # networks has a fast path that fires without faces
+        net, _ = load(name)
+        report = classify(net, limit=0, sample_fallback=True, seed=5)
+        assert report.inconclusive and report.fast_path is None
+        endo, endo_w = is_endotactic(net, limit=0, sample_fallback=True, seed=5)
+        strong, strong_w = is_strongly_endotactic(net, limit=0, sample_fallback=True,
+                                                  seed=5)
+        assert endo == report.endotactic
+        assert endo_w == (None if endo else report.witness)
+        assert strong == report.strongly_endotactic
+        assert strong_w == report.witness
 
 
 class TestInvariances:

@@ -90,6 +90,36 @@ class TestExitCodes:
         out = run_cli(["classify", "/nonexistent/net.crn"])
         assert out.returncode == 1
 
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["classify", "{rlv}", "--direction=0,0"], None),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=-1"], None),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--policy=fixed",
+              "--rates=9,9,9"], None),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=1",
+              "--policy=piecewise-constant", "--dt=0"], None),
+            (["birch", "{ab}", "--x0=1,1", "--alpha=0,1"], None),
+            (["steady", "{rlv}", "--x0=0,1"], None),
+            (["jets", "{rlv}", "--frame=1,0;0,1", "--i-max=0"], None),
+            (["classify", "{prism}"], {"CRN_MAX_HYPERPLANES": "abc"}),
+        ],
+        ids=["zero-direction", "negative-t-end", "fixed-rates-outside",
+             "zero-dt", "zero-alpha", "steady-zero-x0", "zero-i-max",
+             "bad-hyperplane-env"],
+    )
+    def test_invalid_value_is_one_line_exit_one(self, argv, env, rlv_file, ab_file,
+                                                 tmp_path):
+        prism = tmp_path / "prism.crn"
+        prism.write_text(network_text("prism"))
+        files = {"rlv": rlv_file, "ab": ab_file, "prism": str(prism)}
+        out = run_cli([a.format(**files) for a in argv], env_extra=env)
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("crnkit: error: ")
+
 
 class TestClassifyCommand:
     def test_full_report(self, rlv_file):

@@ -149,6 +149,27 @@ class TestRatePolicies:
         assert tuple(traj.rates_at(0.75)) == traj.rate_log[1][1]
         assert tuple(traj.rates_at(1.9)) == traj.rate_log[3][1]
 
+    def test_rates_at_matches_linear_scan(self):
+        # reference: the last logged segment starting at or before t, or the
+        # first segment for t before every start
+        def scan(rate_log, t):
+            k = rate_log[0][1]
+            for t0, kk in rate_log:
+                if t0 > t:
+                    break
+                k = kk
+            return k
+
+        net, temp = load("reverse_lv")
+        traj = simulate(
+            net, temp, RatePolicy("piecewise-constant", seed=7, dt=0.5),
+            (1.0, 1.0), 2.0,
+        )
+        starts = [t0 for t0, _ in traj.rate_log]
+        probes = [-1.0, *starts, *np.nextafter(starts, -np.inf), 1.25, 2.0, 9.0]
+        for t in probes:
+            assert tuple(traj.rates_at(t)) == scan(traj.rate_log, t)
+
 
 class TestEvents:
     def test_finite_time_extinction_emits_boundary_event(self):

@@ -1,0 +1,74 @@
+"""Derandomized property tests: the Birch residual meets its tolerance on
+random slices of the small fixtures, and serialization round-trips
+through the parser."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from crnkit import (  # noqa: E402
+    Complex,
+    Reaction,
+    ReactionNetwork,
+    Species,
+    Tempering,
+    birch_point,
+    parse_network,
+    serialize_network,
+    stoichiometric_subspace,
+)
+
+from conftest import NETWORKS, load  # noqa: E402
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+SMALL_FIXTURES = sorted(
+    name for name in NETWORKS if 2 <= load(name)[0].n_species <= 5
+)
+
+log_coord = st.floats(min_value=-2.5, max_value=2.5)
+
+
+@PROPERTY
+@given(name=st.sampled_from(SMALL_FIXTURES), data=st.data())
+def test_birch_residual_meets_tolerance(name, data):
+    net, _ = load(name)
+    n = net.n_species
+    x0 = np.exp(data.draw(st.lists(log_coord, min_size=n, max_size=n)))
+    alpha = np.exp(data.draw(st.lists(log_coord, min_size=n, max_size=n)))
+    sol = birch_point(stoichiometric_subspace(net), x0, alpha, tol=1e-12)
+    assert sol.residual <= 1e-12
+
+
+coefficient = st.fractions(min_value=0, max_value=4, max_denominator=4)
+rate = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(1, 4))
+    side = st.tuples(*[coefficient] * n).map(Complex)
+    reactions = draw(st.lists(st.tuples(side, side).map(lambda p: Reaction(*p)),
+                              min_size=1, max_size=5))
+    complexes = []
+    for r in reactions:
+        for c in (r.source, r.target):
+            if c not in complexes:
+                complexes.append(c)
+    species = tuple(Species(f"S{i}", i) for i in range(n))
+    net = ReactionNetwork(species, tuple(complexes), tuple(reactions))
+    intervals = draw(st.none() | st.lists(
+        st.tuples(rate, rate).map(sorted).map(tuple),
+        min_size=len(reactions), max_size=len(reactions)))
+    return net, None if intervals is None else Tempering(tuple(intervals))
+
+
+@PROPERTY
+@given(networks())
+def test_parse_inverts_serialize(net_and_tempering):
+    net, tempering = net_and_tempering
+    assert parse_network(serialize_network(net, tempering)) == (net, tempering)
