@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import (
-    ArrangementFace,
     LimitExceeded,
     RationalVector,
     dot,
@@ -112,54 +111,39 @@ def _distinct_sources(net: ReactionNetwork) -> list[RationalVector]:
 
 
 class _Arrangement:
-    """The arrangement's faces (LimitExceeded past the hyperplane limit),
-    with both per-direction predicates evaluated from a face's sign vector
-    alone (no rational arithmetic per face)."""
+    """The arrangement's faces (LimitExceeded past the hyperplane limit) and
+    what _conditions finds on each, read from the sign vectors alone: the
+    flux signs, and each reaction's source rank (how many distinct sources
+    lie strictly below it along the face), which orders the sources as
+    <w, y> does.  No rational arithmetic runs per face."""
 
     def __init__(self, net: ReactionNetwork, limit: int | None):
-        self.sources = _distinct_sources(net)
-        m = len(self.sources)
-        self.src_of = [self.sources.index(tuple(r.source.coeffs)) for r in net.reactions]
-        self.nr = net.n_reactions
-        self.pair_pos = {}
-        for k, (i, j) in enumerate(itertools.combinations(range(m), 2)):
-            self.pair_pos[(i, j)] = self.nr + k
+        sources = _distinct_sources(net)
         self.faces = enumerate_faces(arrangement_normals(net), limit=limit)
+        signs = np.array([f.signs for f in self.faces], dtype=np.int64)
+        self.flux_signs = signs[:, :net.n_reactions]
+        pair_signs = signs[:, net.n_reactions:]  # sign <w, y_i - y_j> for i < j
+        i, j = np.array(list(itertools.combinations(range(len(sources)), 2)),
+                        dtype=np.intp).reshape(-1, 2).T
+        eye = np.eye(len(sources), dtype=np.int64)
+        rank = (pair_signs > 0) @ eye[i] + (pair_signs < 0) @ eye[j]
+        src_of = [sources.index(tuple(r.source.coeffs)) for r in net.reactions]
+        self.endo_fail, self.strong_fail, self.top = _conditions(
+            self.flux_signs, rank[:, src_of])
 
-    def _cmp(self, signs, a: int, b: int) -> int:
-        # sign of <w, source_a - source_b>
-        if a == b:
-            return 0
-        if a < b:
-            return signs[self.pair_pos[(a, b)]]
-        return -signs[self.pair_pos[(b, a)]]
 
-    def _argmax(self, signs, subset) -> set[int]:
-        best = [subset[0]]
-        for e in subset[1:]:
-            c = self._cmp(signs, best[0], e)
-            if c == 0:
-                best.append(e)
-            elif c < 0:
-                best = [e]
-        return set(best)
-
-    def w_endotactic(self, signs) -> bool:
-        essential = [r for r in range(self.nr) if signs[r] != 0]
-        if not essential:
-            return True
-        supp = self._argmax(signs, sorted({self.src_of[r] for r in essential}))
-        return not any(signs[r] > 0 and self.src_of[r] in supp for r in essential)
-
-    def in_Hperp(self, signs) -> bool:
-        return all(signs[r] == 0 for r in range(self.nr))
-
-    def strong_condition(self, signs) -> bool:
-        # exempt for w orthogonal to every reaction vector
-        if self.in_Hperp(signs):
-            return True
-        top = self._argmax(signs, list(range(len(self.sources))))
-        return any(signs[r] < 0 and self.src_of[r] in top for r in range(self.nr))
+def _conditions(P: np.ndarray, Q: np.ndarray):
+    """Per direction w (a row), whether the endotactic and the strong
+    condition fail, and which reactions have a maximal source.  Column r
+    needs only the sign of <w, flux_r> in P and the order of <w, y_r> within
+    the row in Q, so any ordered dtype serves."""
+    ess = P != 0
+    floor = Q.min(initial=0)  # at most every entry
+    supp = np.where(ess, Q, floor).max(axis=1, initial=floor)
+    endo_fail = np.any(ess & (P > 0) & (Q == supp[:, None]), axis=1)
+    top = Q == Q.max(axis=1, initial=floor)[:, None]
+    strong_fail = np.any(ess, axis=1) & ~np.any(top & (P < 0), axis=1)
+    return endo_fail, strong_fail, top
 
 
 def _verdicts(net: ReactionNetwork, limit: int | None, sample_fallback: bool, seed: int):
@@ -173,14 +157,12 @@ def _verdicts(net: ReactionNetwork, limit: int | None, sample_fallback: bool, se
             raise
         res = sample_classify(net, seed=seed)
         return None, res["endo_witness"], res["strong_witness"]
-    endo_bad: list[RationalVector] = []
-    strong_bad: list[RationalVector] = []
-    for f in arr.faces:
-        if not arr.w_endotactic(f.signs):
-            endo_bad.append(vec(primitive(f.representative)))
-        elif not arr.strong_condition(f.signs):
-            strong_bad.append(vec(primitive(f.representative)))
-    return arr, min(endo_bad, default=None), min(strong_bad, default=None)
+
+    def least(mask):
+        return min((vec(primitive(arr.faces[i].representative))
+                    for i in np.flatnonzero(mask)), default=None)
+
+    return arr, least(arr.endo_fail), least(arr.strong_fail & ~arr.endo_fail)
 
 
 def is_endotactic(net: ReactionNetwork, limit: int | None = None,
@@ -229,15 +211,16 @@ def _fast_path(net: ReactionNetwork, linkage, arrangement) -> str | None:
     arr = arrangement()
     if arr is None:
         return None
+    # per face and linkage class, how many members have a maximal source
     cx_index = {c.coeffs: i for i, c in enumerate(net.complexes)}
-    class_of = {m: set(members) for members in linkage.classes for m in members}
-    for f in arr.faces:
-        top = arr._argmax(f.signs, list(range(len(arr.sources))))
-        top_cx = {cx_index[arr.sources[i]] for i in top}
-        # a union of linkage classes holds the whole class of each member
-        is_union = all(class_of[i] <= top_cx for i in top_cx)
-        if is_union and not arr.in_Hperp(f.signs):
-            return None
+    top_cx = np.zeros((len(arr.faces), len(net.complexes)), dtype=bool)
+    top_cx[:, [cx_index[r.source.coeffs] for r in net.reactions]] = arr.top
+    counts = [top_cx[:, members].sum(axis=1) for members in linkage.classes]
+    # a union of linkage classes holds the whole class of each member
+    is_union = np.all([(c == 0) | (c == len(members))
+                       for c, members in zip(counts, linkage.classes)], axis=0)
+    if np.any(is_union & np.any(arr.flux_signs != 0, axis=1)):
+        return None
     return "initial_support_criterion"
 
 
@@ -330,16 +313,7 @@ def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0
         ]
     ).astype(np.int64)
     W = W[np.any(W != 0, axis=1)]
-    P = W @ F.T  # <w, flux_r>
-    Q = W @ S.T  # <w, source_r>
-    ess = P != 0
-    has_ess = np.any(ess, axis=1)
-    low = np.iinfo(np.int64).min
-    supp_val = np.where(ess, Q, low).max(axis=1)
-    viol_endo = np.any((Q == supp_val[:, None]) & ess & (P > 0), axis=1)
-    top_val = Q.max(axis=1) if Q.shape[1] else np.zeros(len(W), dtype=np.int64)
-    sustaining_top = np.any((Q == top_val[:, None]) & (P < 0), axis=1)
-    viol_strong = has_ess & ~sustaining_top
+    viol_endo, viol_strong, _ = _conditions(W @ F.T, W @ S.T)
     endo_idx = np.nonzero(viol_endo)[0]
     strong_idx = np.nonzero(viol_strong)[0]
     endo_w = vec(primitive(W[endo_idx[0]])) if len(endo_idx) else None

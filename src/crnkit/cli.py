@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -138,17 +139,15 @@ def cmd_birch(args) -> int:
     return 0
 
 
-def _policy_from_args(args) -> RatePolicy:
-    rates = None
-    if args.rates is not None:
-        rates = tuple(float(x) for x in args.rates.split(","))
-    return RatePolicy(mode=args.policy, seed=args.seed, dt=args.dt, rates=rates)
+def _rates(text: str, net, name: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in _parse_floats(text, net.n_reactions, name))
 
 
 def cmd_simulate(args) -> int:
     net, tempering = _load(args.file)
     x0 = _parse_floats(args.x0, net.n_species, "--x0")
-    policy = _policy_from_args(args)
+    rates = None if args.rates is None else _rates(args.rates, net, "--rates")
+    policy = RatePolicy(mode=args.policy, seed=args.seed, dt=args.dt, rates=rates)
     traj = simulate(net, tempering, policy, x0, args.t_end)
     alpha = None
     if args.alpha is not None:
@@ -245,9 +244,7 @@ def cmd_steady(args) -> int:
     if tempering is None:
         tempering = _unit_tempering(net.n_reactions)
     if args.k is not None:
-        k = tuple(float(x) for x in args.k.split(","))
-        if len(k) != net.n_reactions:
-            raise ParseError(f"--k needs {net.n_reactions} values, got {len(k)}")
+        k = _rates(args.k, net, "--k")
     else:
         k = tuple(tempering.midpoints())
     ss = find_steady_state(net, k, x0, tol=args.tol, seed=args.seed)
@@ -267,6 +264,8 @@ def cmd_scan(args) -> int:
         x0 = np.ones(net.n_species)
     theta_grid = None
     if args.theta_max is not None:
+        if not 1 < args.theta_max < np.inf:
+            raise ValueError(f"--theta-max must be finite and above 1, got {args.theta_max}")
         theta_grid = np.geomspace(1.5, args.theta_max, args.theta_points)
     report = cutoff_scan(
         net,
@@ -331,6 +330,8 @@ def cmd_jets(args) -> int:
         vecs.append(_parse_floats(chunk, net.n_species, "--frame"))
     frame = make_frame(*vecs)
     schedule = JetSchedule(beta_kind=args.schedule, theta_kind=args.theta_schedule)
+    if not 1 <= args.i_max < np.inf:
+        raise ValueError(f"--i-max must be finite and at least 1, got {args.i_max}")
     i_range = np.unique(np.rint(np.geomspace(1, args.i_max, 60)).astype(int))
     report = domination_monitor(
         net, frame, schedule, i_range=i_range, threshold=args.threshold
@@ -416,9 +417,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a vector; a value such as '-1,0' would otherwise
+# be read as an unknown option
+_VECTOR_OPTIONS = frozenset({"--direction", "--x0", "--alpha", "--rates", "--k", "--frame"})
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_negative_vectors(argv: list[str]) -> list[str]:
+    """'--x0 -1,1' becomes '--x0=-1,1'."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_vectors(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

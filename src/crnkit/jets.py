@@ -188,10 +188,15 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
     evidence, not a proof.  When w_1 is orthogonal to the stoichiometric
     subspace a warning is attached (domination can legitimately fail
     there).
+
+    Raises:
+        ValueError: i_range empty, or an index below 1 or not finite.
     """
     if i_range is None:
         i_range = np.unique(np.rint(np.geomspace(1, 5000, 60)).astype(int))
     i_list = [float(i) for i in i_range]
+    if not i_list or not all(1 <= i < math.inf for i in i_list):
+        raise ValueError(f"i_range must be nonempty, finite and at least 1, got {i_range}")
     stoich = stoichiometric_subspace(net)
     B = _orthonormal_H(stoich)
     w1 = frame.w1
@@ -323,6 +328,9 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     by bisection (the grid alone almost never lands on the measure-zero
     crossing); with two or more laws a relative-miss band is used, which
     under-reports eligible pairs.
+
+    Raises:
+        ValueError: theta_grid empty, or a theta at most 1 or not finite.
     """
     if tempering is None:
         tempering = _unit_tempering(net.n_reactions)
@@ -331,6 +339,8 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     if theta_grid is None:
         theta_grid = np.geomspace(1.5, 1e6, 50)
     theta_grid = np.asarray(sorted(theta_grid), dtype=float)
+    if not len(theta_grid) or not np.all((theta_grid > 1) & np.isfinite(theta_grid)):
+        raise ValueError(f"theta_grid must be nonempty, finite and above 1, got {theta_grid}")
     rng = np.random.default_rng(seed)
     dirs = []
     while len(dirs) < direction_samples:

@@ -26,10 +26,11 @@ from .geometry import (
 
 
 class ParseError(ValueError):
-    """Syntax or semantic error in a network file, with 1-based position."""
+    """Syntax or semantic error in a network file, with 1-based position
+    (line None for a command-line value, which has none)."""
 
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int | None = None, column: int = 1):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
 

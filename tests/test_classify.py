@@ -100,6 +100,34 @@ class TestSingleDirection:
                 )
                 assert is_w_endotactic(net, w)[0] == expected
 
+    def test_restated_strong_condition_on_face_representatives(self, rng):
+        # w meets the strong condition iff it is orthogonal to every reaction
+        # vector or some reaction from a source of maximal height along w
+        # has a negative flux component; the per-face kernel must agree with
+        # this in exact arithmetic, and with is_w_endotactic
+        for _ in range(20):
+            net = random_network(rng)
+            try:
+                arr = classify_module._Arrangement(net, None)
+            except LimitExceeded:
+                continue
+            for i, face in enumerate(arr.faces):
+                w = face.representative
+                heights = [
+                    sum(a * b for a, b in zip(w, r.source.coeffs))
+                    for r in net.reactions
+                ]
+                comps = [
+                    sum(a * b for a, b in zip(w, r.flux)) for r in net.reactions
+                ]
+                top = [h == max(heights) for h in heights]
+                strong = all(c == 0 for c in comps) or any(
+                    c < 0 and t for c, t in zip(comps, top)
+                )
+                assert list(arr.top[i]) == top
+                assert bool(arr.strong_fail[i]) is not strong
+                assert bool(arr.endo_fail[i]) is not is_w_endotactic(net, w)[0]
+
 
 class TestClassificationTable:
     @pytest.mark.parametrize("name", sorted(CLASSIFICATION))

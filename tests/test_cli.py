@@ -90,6 +90,32 @@ class TestExitCodes:
         out = run_cli(["classify", "/nonexistent/net.crn"])
         assert out.returncode == 1
 
+    def test_boundary_point_is_not_a_steady_state(self, tmp_path):
+        p = tmp_path / "a_to_b.crn"
+        p.write_text(network_text("a_to_b"))
+        out = run_cli(["steady", str(p), "--x0", "1,1"])
+        assert out.returncode == 3
+        assert out.stderr.startswith("crnkit: no convergence: ")
+        assert len(out.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--policy=fixed",
+             "--rates=1,1"],
+            ["steady", "{rlv}", "--x0=2,2", "--k=1,1"],
+            ["classify", "{rlv}", "--direction=1"],
+            ["birch", "{rlv}", "--x0=1,x", "--alpha=1,1"],
+        ],
+        ids=["rates-count", "k-count", "direction-count", "unparsable-x0"],
+    )
+    def test_bad_vector_is_one_line_parse_error(self, argv, rlv_file):
+        out = run_cli([a.format(rlv=rlv_file) for a in argv])
+        assert out.returncode == 1
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("crnkit: parse error: ")
+
     @pytest.mark.parametrize(
         "argv, env",
         [
@@ -103,10 +129,18 @@ class TestExitCodes:
             (["steady", "{rlv}", "--x0=0,1"], None),
             (["jets", "{rlv}", "--frame=1,0;0,1", "--i-max=0"], None),
             (["classify", "{prism}"], {"CRN_MAX_HYPERPLANES": "abc"}),
+            (["jets", "{rlv}", "--frame=1,0;0,1", "--i-max=-5"], None),
+            (["jets", "{rlv}", "--frame=1,0;0,1", "--i-max=0.5"], None),
+            (["scan", "{rlv}", "--theta-max=1e3", "--theta-points=0"], None),
+            (["scan", "{rlv}", "--theta-max=0.5"], None),
+            (["steady", "{rlv}", "--x0", "-1,1"], None),
+            (["steady", "{rlv}", "--x0=2,2", "--k", "-1,1,1"], None),
         ],
         ids=["zero-direction", "negative-t-end", "fixed-rates-outside",
              "zero-dt", "zero-alpha", "steady-zero-x0", "zero-i-max",
-             "bad-hyperplane-env"],
+             "bad-hyperplane-env", "negative-i-max", "fractional-i-max",
+             "zero-theta-points", "theta-max-below-one", "negative-x0-value",
+             "negative-k"],
     )
     def test_invalid_value_is_one_line_exit_one(self, argv, env, rlv_file, ab_file,
                                                  tmp_path):
@@ -138,6 +172,11 @@ class TestClassifyCommand:
         assert doc["w_endotactic"] is True
         assert doc["violating_reaction"] is None
 
+    def test_negative_direction_after_a_space(self, rlv_file):
+        out = run_cli(["classify", rlv_file, "--direction", "-1,0"])
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["direction"] == ["-1", "0"]
+
     def test_witness_direction_reported(self, tmp_path):
         p = tmp_path / "ab.crn"
         p.write_text("species: A B\nA -> B rate [1]\n")
@@ -161,6 +200,14 @@ class TestBirchAndSteady:
         )
         assert doc["x"][0] == pytest.approx(1.0, abs=1e-9)
         assert doc["x"][1] == pytest.approx(1.0, abs=1e-9)
+        assert doc["residual"] < 1e-10
+
+
+    def test_rational_rates(self, rlv_file):
+        doc = json.loads(
+            run_cli(["steady", rlv_file, "--x0", "2,2", "--k", "1/2,1,1"]).stdout
+        )
+        assert doc["k"] == [0.5, 1.0, 1.0]
         assert doc["residual"] < 1e-10
 
 
@@ -254,6 +301,11 @@ class TestJetsCommand:
         assert doc["all_dominated"] is True
         assert doc["warning"] is None
         assert all(e["dominated"] for e in doc["entries"])
+
+    def test_negative_frame_after_a_space(self, rlv_file):
+        out = run_cli(["jets", rlv_file, "--frame", "-1,0;0,-1", "--i-max", "10"])
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["frame"] == [[-1.0, 0.0], [0.0, -1.0]]
 
     def test_warning_surfaces_in_output(self, tmp_path):
         p = tmp_path / "ab.crn"

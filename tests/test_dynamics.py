@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import crnkit.dynamics
 from crnkit import (
+    NoConvergence,
     RatePolicy,
     Trajectory,
     conservation_residual,
@@ -210,6 +212,19 @@ class TestEvents:
         assert kinds == ["step-limit"]
         assert traj.times[-1] == pytest.approx(0.01)
 
+    def test_segments_beyond_step_limit_rejected(self):
+        # 20 segments need at least 19 steps: rejected before any segment is
+        # built; 10 segments of one step each still finish
+        net, _ = load("reverse_lv")
+        with pytest.raises(ValueError, match="max_steps"):
+            simulate(net, None, RatePolicy("piecewise-constant", dt=0.05), (1.0, 1.0),
+                     1.0, fixed_h=0.05, max_steps=10)
+        traj = simulate(net, None, RatePolicy("piecewise-constant", dt=0.1), (1.0, 1.0),
+                        1.0, fixed_h=0.1, max_steps=10)
+        assert traj.events == ()
+        assert len(traj.rate_log) == 10
+        assert traj.times[-1] == pytest.approx(1.0)
+
     def test_input_validation(self):
         net, _ = load("reverse_lv")
         with pytest.raises(ValueError):
@@ -235,6 +250,56 @@ class TestSteadyState:
         out = find_steady_state(net, (1.0, 1.0, 1.0, 1.0, 1.0, 1.0), (1.0, 0.8, 1.2))
         f = mass_action_rhs(net, (1.0, 1.0, 1.0, 1.0, 1.0, 1.0), out.x)
         assert np.linalg.norm(f, np.inf) <= max(out.residual, 1e-10) * 1.001
+
+
+    @staticmethod
+    def _cancellation(net, k, x):
+        # ||f|| as a share of the gross flux sum_r k_r x^y_r ||y'_r - y_r||
+        x = np.asarray(x)
+        terms = np.asarray(k) * np.prod(x ** net.source_matrix(), axis=1)
+        gross = terms @ np.linalg.norm(net.flux_matrix(), axis=1)
+        return np.linalg.norm(mass_action_rhs(net, k, x)) / gross
+
+    def test_boundary_point_is_not_a_steady_state(self):
+        # A -> B has no positive steady state; next to the boundary ||f|| is
+        # tiny, but it equals the gross flux there
+        net, _ = load("a_to_b")
+        with pytest.raises(NoConvergence):
+            find_steady_state(net, (1.0,), (1.0, 1.0))
+
+    def test_tetrahedron_reaction_terms_cancel(self):
+        net, _ = load("tetrahedron")
+        rng = np.random.default_rng(99)
+        for _ in range(5):
+            k = rng.uniform(0.5, 2.0, net.n_reactions)
+            x0 = rng.uniform(0.5, 2.0, net.n_species)
+            out = find_steady_state(net, k, x0)
+            assert self._cancellation(net, k, out.x) <= 1e-3
+            assert min(out.x) > 0.1
+
+    def test_last_resort_runs_at_the_given_rates(self, monkeypatch):
+        # every Newton start from this x0 ends next to the boundary, so the
+        # flow is integrated, with the rates pinned at k
+        net, _ = load("tetrahedron")
+        k = (1.59, 1.32, 1.9, 1.72)
+        tempers = []
+
+        def recorded(net, tempering, *args, **kwargs):
+            tempers.append(tempering)
+            return simulate(net, tempering, *args, **kwargs)
+
+        monkeypatch.setattr(crnkit.dynamics, "simulate", recorded)
+        out = find_steady_state(net, k, (0.5, 1.79, 0.55))
+        assert [t.intervals for t in tempers] == [
+            tuple((Fraction(v), Fraction(v)) for v in k)
+        ]
+        assert self._cancellation(net, k, out.x) <= 1e-3
+
+    @pytest.mark.parametrize("k", [(1.0, 1.0), (1.0, 0.0, 1.0), (1.0, np.inf, 1.0)])
+    def test_rates_must_be_positive_per_reaction(self, k):
+        net, _ = load("reverse_lv")
+        with pytest.raises(ValueError, match="positive rates"):
+            find_steady_state(net, k, (2.0, 2.0))
 
 
 class TestFreeEnergyAlong:

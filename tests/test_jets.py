@@ -231,6 +231,14 @@ class TestDominationMonitor:
             assert max(scaled) / min(scaled) < 3.0
 
 
+    @pytest.mark.parametrize("i_range", [[], [0, 1, 2], [0.5, 2.0], [1.0, np.inf]])
+    def test_rejects_indices_below_one(self, i_range):
+        net, _ = load("reverse_lv")
+        fr = make_frame((0.0, -1.0), (-1.0, 0.0))
+        with pytest.raises(ValueError, match="i_range"):
+            domination_monitor(net, fr, JetSchedule(), i_range=i_range)
+
+
 class TestWorstCaseMargin:
     def test_exceptional_directions_have_exact_zero_margin(self):
         net, temp = load("reverse_lv")
@@ -280,6 +288,12 @@ class TestCutoffScan:
         net, _ = load("reverse_lv")
         out = cutoff_scan(net, None, (1.0, 1.0), seed=0)
         assert out["theta_hat"] is not None
+
+    @pytest.mark.parametrize("grid", [[], [0.5, 2.0], [1.0, 10.0], [2.0, np.nan]])
+    def test_rejects_thetas_at_most_one(self, grid):
+        net, temp = load("reverse_lv")
+        with pytest.raises(ValueError, match="theta_grid"):
+            cutoff_scan(net, temp, (1.0, 1.0), theta_grid=grid)
 
 
 class TestUnitJetExtraction:

@@ -1,6 +1,6 @@
 """Derandomized property tests: the Birch residual meets its tolerance on
-random slices of the small fixtures, and serialization round-trips
-through the parser."""
+random slices of the small fixtures, serialization round-trips through the
+parser, and every sampler witness is a genuine violation."""
 
 from fractions import Fraction
 
@@ -17,10 +17,13 @@ from crnkit import (  # noqa: E402
     Species,
     Tempering,
     birch_point,
+    is_w_endotactic,
     parse_network,
+    sample_classify,
     serialize_network,
     stoichiometric_subspace,
 )
+from crnkit.geometry import dot  # noqa: E402
 
 from conftest import NETWORKS, load  # noqa: E402
 
@@ -72,3 +75,23 @@ def networks(draw):
 def test_parse_inverts_serialize(net_and_tempering):
     net, tempering = net_and_tempering
     assert parse_network(serialize_network(net, tempering)) == (net, tempering)
+
+
+@PROPERTY
+@given(networks(), st.integers(0, 2**16))
+def test_sampler_witnesses_replay_as_violations(net_and_tempering, seed):
+    net, _ = net_and_tempering
+    sampled = sample_classify(net, n_samples=2000, seed=seed)
+    w = sampled["endo_witness"]
+    assert sampled["endotactic"] is (w is None)
+    if w is not None:
+        assert not is_w_endotactic(net, w)[0]
+    w = sampled["strong_witness"]
+    assert sampled["strongly_endotactic"] is (w is None)
+    if w is not None:
+        # some reaction vector is not orthogonal to w, and no reaction from a
+        # source of maximal height along w points down
+        heights = [dot(w, r.source.coeffs) for r in net.reactions]
+        comps = [dot(w, r.flux) for r in net.reactions]
+        assert any(c != 0 for c in comps)
+        assert not any(c < 0 and h == max(heights) for c, h in zip(comps, heights))
