@@ -103,14 +103,15 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
 
     Raises:
         NoConvergence: iteration cap exceeded (carries last iterate).
-        ValueError: nonpositive x0/alpha or bad tolerance.
+        ValueError: x0, alpha or tol not positive and finite.
     """
     x0 = np.asarray(x0, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(x0 <= 0) or np.any(alpha <= 0):
-        raise ValueError("x0 and alpha must be strictly positive")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (np.all((x0 > 0) & (x0 < np.inf)) and np.all((alpha > 0) & (alpha < np.inf))):
+        raise ValueError(f"x0 and alpha must be strictly positive and finite, "
+                         f"got x0 = {x0}, alpha = {alpha}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     A = stoich.Hperp_matrix()
     B = _orthonormal_H(stoich)
     d = B.shape[1]
@@ -188,7 +189,7 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
 # empirical verifiers
 
 
-def _project_onto_polyhedron(z, A, b, max_active: int | None = None):
+def _project_onto_polyhedron(z, A, b):
     """Euclidean projection onto {x >= 0, A x = b} by enumerating active
     (zeroed) coordinate sets; returns (point, distance).  Exponential in the
     dimension, meant for small systems."""

@@ -262,16 +262,13 @@ def cmd_scan(args) -> int:
         x0 = _parse_floats(args.x0, net.n_species, "--x0")
     else:
         x0 = np.ones(net.n_species)
-    theta_grid = None
-    if args.theta_max is not None:
-        if not 1 < args.theta_max < np.inf:
-            raise ValueError(f"--theta-max must be finite and above 1, got {args.theta_max}")
-        theta_grid = np.geomspace(1.5, args.theta_max, args.theta_points)
+    if not 1 < args.theta_max < np.inf:
+        raise ValueError(f"--theta-max must be finite and above 1, got {args.theta_max}")
     report = cutoff_scan(
         net,
         tempering,
         x0,
-        theta_grid=theta_grid,
+        theta_grid=np.geomspace(1.5, args.theta_max, args.theta_points),
         direction_samples=args.samples,
         seed=args.seed,
     )
@@ -289,26 +286,18 @@ def cmd_scan(args) -> int:
 def _scan_svg(net, tempering, report, width: int = 480, height: int = 480) -> str:
     """Direction-circle plot of the worst-case leading margin for 2-species
     networks, with near-zero clusters marked."""
-    if tempering is None:
-        tempering = _unit_tempering(net.n_reactions)
     cx, cy, r0 = width / 2, height / 2, min(width, height) / 2 - 40
     angles = np.linspace(0, 2 * np.pi, 361)
-    margins = np.array(
-        [
-            _worst_case_margin(net, tempering, np.array([np.cos(a), np.sin(a)]))
-            for a in angles
-        ]
-    )
+    circle = np.column_stack([np.cos(angles), np.sin(angles)])
+    margins = _worst_case_margin(net, tempering, circle)
     scale = max(1.0, float(np.abs(margins).max()))
+    radii = r0 / 2 * (1 + margins / (2 * scale))
     parts = [_svg_header(width, height)]
     parts.append(
         f'<circle cx="{cx}" cy="{cy}" r="{r0 / 2:.1f}" fill="none" '
         f'stroke="#888" stroke-dasharray="4 4"/>\n'
     )
-    pts = []
-    for a, m in zip(angles, margins):
-        rr = r0 / 2 * (1 + m / (2 * scale))
-        pts.append(f"{cx + rr * np.cos(a):.2f},{cy - rr * np.sin(a):.2f}")
+    pts = [f"{cx + rr * c:.2f},{cy - rr * s:.2f}" for rr, (c, s) in zip(radii, circle)]
     parts.append(
         f'<polyline points="{" ".join(pts)}" fill="none" stroke="#1f77b4" '
         f'stroke-width="1.5"/>\n'
@@ -400,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--x0", default=None)
     p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--theta-max", type=float, default=None)
+    p.add_argument("--theta-max", type=float, default=1e6)
     p.add_argument("--theta-points", type=int, default=50)
     p.add_argument("--format", default="json", choices=["json", "svg"])
     p.set_defaults(func=cmd_scan)

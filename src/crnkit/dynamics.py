@@ -6,10 +6,8 @@ states, and free-energy evaluation along trajectories.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
@@ -45,8 +43,8 @@ class RatePolicy:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.mode == "fixed" and self.rates is None:
             raise ValueError("fixed policy needs rates")
-        if self.mode == "piecewise-constant" and self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.mode == "piecewise-constant" and not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +54,12 @@ class Trajectory:
     rate_log: tuple[tuple[float, tuple[float, ...]], ...]
     events: tuple[dict, ...]
 
-    def rates_at(self, t: float) -> np.ndarray:
+    def rates_at(self, t) -> np.ndarray:
         """Rates of the last segment starting at or before t (the first
-        segment's for t before it); segment starts are ascending."""
-        i = bisect_right(self.rate_log, t, key=itemgetter(0))
-        return np.array(self.rate_log[max(i - 1, 0)][1])
+        segment's for t before it), one row per time for an array of times;
+        segment starts are ascending."""
+        i = np.searchsorted([t0 for t0, _ in self.rate_log], t, side="right")
+        return np.array([k for _, k in self.rate_log])[np.maximum(i - 1, 0)]
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,16 @@ class SteadyState:
 
 
 def _monomials(net: ReactionNetwork, x: np.ndarray) -> np.ndarray:
-    """x**y_r for every source y_r (0**0 = 1); non-finite where undefined."""
+    """x**y_r for every source y_r (0**0 = 1) of a state, or of each row of a
+    stack of states; non-finite where undefined."""
     with np.errstate(all="ignore"):
-        return np.prod(np.power(x[None, :], net.source_matrix()), axis=1)
+        return np.prod(np.power(x[..., None, :], net.source_matrix()), axis=-1)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, broadcast over the others; each is
+    the 1-D a @ b to the bit (np.sum(a * b, -1) and einsum round otherwise)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _rhs(net: ReactionNetwork, k: np.ndarray, x: np.ndarray) -> np.ndarray | None:
@@ -155,16 +161,17 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
     given as (lo, hi) arrays, logs entered-set / left-set events.
 
     Raises:
-        ValueError: t_end <= 0, bad tolerances, nonpositive x0, or a
-        piecewise-constant run with more segments than max_steps allows.
+        ValueError: t_end, a tolerance or an x0 entry not positive and
+        finite, or a piecewise-constant run with more segments than
+        max_steps allows.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not 0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not (0 < rtol < np.inf and 0 < atol < np.inf):
+        raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
     x0 = np.asarray(x0, dtype=float)
-    if np.any(x0 <= 0):
-        raise ValueError(f"x0 must be strictly positive, got {x0}")
+    if not np.all((x0 > 0) & (x0 < np.inf)):
+        raise ValueError(f"x0 must be strictly positive and finite, got {x0}")
     if tempering is None:
         tempering = _unit_tempering(net.n_reactions)
     if len(tempering) != net.n_reactions:
@@ -319,13 +326,16 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
     reaction terms cancel (see _CANCELLATION), not where they are all small.
 
     Raises:
-        ValueError: nonpositive x0, or k not a positive rate per reaction.
+        ValueError: x0 or tol not positive and finite, or k not a finite
+        positive rate per reaction.
         NoConvergence: no positive steady state found (legitimately
         possible, e.g. any network whose rhs never vanishes).
     """
     x0 = np.asarray(x0, dtype=float)
-    if np.any(x0 <= 0):
-        raise ValueError(f"x0 must be strictly positive, got {x0}")
+    if not np.all((x0 > 0) & (x0 < np.inf)):
+        raise ValueError(f"x0 must be strictly positive and finite, got {x0}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     k = np.asarray(k, dtype=float)
     if k.shape != (net.n_reactions,) or not np.all(np.isfinite(k) & (k > 0)):
         raise ValueError(f"k must be {net.n_reactions} finite positive rates, got {k}")
@@ -400,12 +410,25 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
 
 def g_along(traj: Trajectory, net: ReactionNetwork, alpha=None) -> np.ndarray:
     """Per-sample free energy and its instantaneous derivative: rows
-    (t, g(x(t)), <log(x/alpha), f(x(t))>), alpha defaulting to all ones."""
-    n = traj.states.shape[1]
-    alpha = np.ones(n) if alpha is None else np.asarray(alpha, dtype=float)
-    out = np.empty((len(traj.times), 3))
-    for i, (t, x) in enumerate(zip(traj.times, traj.states)):
-        kk = traj.rates_at(t)
-        f = mass_action_rhs(net, kk, x)
-        out[i] = (t, g_alpha(x, alpha), float(grad_g_alpha(x, alpha) @ f))
-    return out
+    (t, g(x(t)), <log(x/alpha), f(x(t))>), alpha defaulting to all ones and
+    f taken at the rates of the segment holding t (Trajectory.rates_at).
+
+    Raises:
+        ValueError: at the first sample where g_alpha, grad_g_alpha or
+        mass_action_rhs would raise (a coordinate at most 0, alpha not
+        positive, an undefined monomial).
+    """
+    X = traj.states
+    alpha = np.ones(X.shape[1]) if alpha is None else np.asarray(alpha, dtype=float)
+    k = traj.rates_at(traj.times)
+    mono = _monomials(net, X)
+    bad = ~np.all(np.isfinite(mono), axis=1) | np.any(X <= 0, axis=1) | np.any(alpha <= 0)
+    if np.any(bad):
+        i = np.argmax(bad)
+        # the per-sample checks, in their order, raise for the first bad sample
+        mass_action_rhs(net, k[i], X[i]), g_alpha(X[i], alpha), grad_g_alpha(X[i], alpha)
+    # one vector @ matrix product per sample, as _rhs computes f
+    f = ((k * mono)[:, None, :] @ net.flux_matrix())[:, 0, :]
+    log_ratio = np.log(X / alpha)
+    g = -X.sum(axis=1) + np.sum(X * log_ratio, axis=1)
+    return np.column_stack([traj.times, g, _rowdot(log_ratio, f)])

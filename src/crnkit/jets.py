@@ -25,6 +25,7 @@ from .network import (
     stoichiometric_subspace,
 )
 from .birch import _orthonormal_H
+from .dynamics import _rowdot
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,20 @@ def jets_fundamental_check(Q, frame: Frame, schedule: JetSchedule,
     }
 
 
+def _pull_terms(net: ReactionNetwork, tempering: Tempering | None, W):
+    """The pull data of every direction row of W, each (directions x
+    reactions): heights <w, y_r>, coefficients <w, flux_r>, and the
+    tempering's worst-case rates (hi where the coefficient is positive, lo
+    elsewhere; unit rates without a tempering).  Each entry is the 1-D dot
+    product a single direction would give."""
+    if tempering is None:
+        tempering = _unit_tempering(net.n_reactions)
+    W = np.asarray(W, dtype=float)[:, None, :]
+    heights = _rowdot(W, net.source_matrix())
+    coeffs = _rowdot(W, net.flux_matrix())
+    return heights, coeffs, np.where(coeffs > 0, tempering.highs(), tempering.lows())
+
+
 def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule,
                        i_range=None, threshold: float = 1e3) -> dict:
     """For every draining reaction, look for a sustaining reaction whose
@@ -190,13 +205,16 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
     there).
 
     Raises:
-        ValueError: i_range empty, or an index below 1 or not finite.
+        ValueError: i_range empty, or an index below 1 or not finite; a
+        threshold not positive and finite.
     """
     if i_range is None:
         i_range = np.unique(np.rint(np.geomspace(1, 5000, 60)).astype(int))
     i_list = [float(i) for i in i_range]
     if not i_list or not all(1 <= i < math.inf for i in i_list):
         raise ValueError(f"i_range must be nonempty, finite and at least 1, got {i_range}")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     stoich = stoichiometric_subspace(net)
     B = _orthonormal_H(stoich)
     w1 = frame.w1
@@ -207,36 +225,20 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
             "w1 is orthogonal to the stoichiometric subspace; "
             "pull domination may fail along this frame"
         )
-    Y, F = net.source_matrix(), net.flux_matrix()
-    classes = [_level_and_type(flux, frame) for flux in F]
+    classes = [_level_and_type(flux, frame) for flux in net.flux_matrix()]
     sustaining = [i for i, c in enumerate(classes) if c.kind == "sustaining"]
     draining = [i for i, c in enumerate(classes) if c.kind == "draining"]
+    heights, coeffs, _ = _pull_terms(
+        net, None, [schedule.direction(frame, i) for i in i_list])
+    log_theta = np.array([schedule.log_theta(i) for i in i_list])
     # logs[r, col] = log |pull| of reaction r at the col-th jet point, -inf
     # where the pull vanishes (kept in log space so huge thetas never overflow)
-    logs = np.full((net.n_reactions, len(i_list)), -np.inf)
-    for col, i in enumerate(i_list):
-        w, log_theta = schedule.direction(frame, i), schedule.log_theta(i)
-        for r_idx in range(net.n_reactions):
-            a = float(w @ F[r_idx])
-            if a != 0.0:
-                logs[r_idx, col] = math.log(abs(a)) + float(w @ Y[r_idx]) * log_theta
+    with np.errstate(divide="ignore"):
+        logs = (np.log(np.abs(coeffs)) + heights * log_theta[:, None]).T
+    late = np.array(i_list) >= i_list[-1] / 10
     entries = []
     for d in draining:
-        best = None
-        for s in sustaining:
-            with np.errstate(invalid="ignore"):
-                series = logs[s] - logs[d]
-            # both pulls underflowing to zero gives an indeterminate ratio;
-            # record it as such rather than claiming growth
-            series = np.where(np.isinf(logs[s]) & np.isinf(logs[d]), np.nan, series)
-            key = series[-1]
-            if (
-                best is None
-                or (np.isnan(best[1][-1]) and not np.isnan(key))
-                or (not np.isnan(key) and key > best[1][-1])
-            ):
-                best = (s, series)
-        if best is None:
+        if not sustaining:
             entries.append(
                 {
                     "draining": d,
@@ -248,19 +250,23 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
                 }
             )
             continue
-        s_idx, series = best
-        log10r = np.clip(series / math.log(10), -1e300, 1e300)
-        i_max = i_list[-1]
-        last = [c for c, i in enumerate(i_list) if i >= i_max / 10]
-        increasing = all(
-            log10r[last[j + 1]] > log10r[last[j]] for j in range(len(last) - 1)
-        )
+        with np.errstate(invalid="ignore"):
+            series = logs[sustaining] - logs[d]
+        # both pulls underflowing to zero gives an indeterminate ratio;
+        # record it as such rather than claiming growth
+        series[np.isinf(logs[sustaining]) & np.isinf(logs[d])] = np.nan
+        # the partner: the first largest determinate terminal ratio, else the
+        # first sustaining reaction
+        ok = np.flatnonzero(~np.isnan(series[:, -1]))
+        j = ok[np.argmax(series[ok, -1])] if len(ok) else 0
+        log10r = np.clip(series[j] / math.log(10), -1e300, 1e300)
+        increasing = np.all(np.diff(log10r[late]) > 0)
         terminal = float(log10r[-1])
         entries.append(
             {
                 "draining": d,
-                "partner": s_idx,
-                "series": [[i_list[c], float(log10r[c])] for c in range(len(i_list))],
+                "partner": sustaining[j],
+                "series": [[i, float(v)] for i, v in zip(i_list, log10r)],
                 "increasing_last_decade": bool(increasing),
                 "terminal_ratio_log10": terminal,
                 "dominated": bool(increasing and terminal > math.log10(threshold)),
@@ -279,24 +285,31 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
 # worst-case sum of pulls
 
 
-def _worst_case_margin(net: ReactionNetwork, tempering: Tempering, w) -> float:
+def _worst_case_margin(net: ReactionNetwork, tempering: Tempering | None, W):
     """Leading-order margin of the worst-case sum of pulls as theta grows:
     over the exactly computed dominant tier (sources maximizing <w, y>),
     the largest worst-case k_r <w, flux_r>.  Negative margins mean the sum
-    is eventually negative along w; zero marks the transition."""
-    w = np.asarray(w, dtype=float)
-    w_exact = tuple(Fraction(float(x)) for x in w)
-    vals = [sum(a * b for a, b in zip(w_exact, y)) for y in net.exact_sources()]
-    top = max(vals)
-    F = net.flux_matrix()
-    margin = -np.inf
-    for r_idx, val in enumerate(vals):
-        if val != top:
-            continue
-        coeff = float(w @ F[r_idx])
-        lo, hi = tempering.intervals[r_idx]
-        margin = max(margin, float(hi if coeff > 0 else lo) * coeff)
-    return float(margin)
+    is eventually negative along w; zero marks the transition.
+
+    W is one direction (a float comes back) or a matrix of direction rows
+    (an array comes back).  Float heights only shortlist the tier; exact
+    heights of the float direction decide it among the shortlisted sources.
+    """
+    W = np.asarray(W, dtype=float)
+    rows = W.reshape(-1, net.n_species)
+    heights, coeffs, k_worst = _pull_terms(net, tempering, rows)
+    # far wider than the rounding of a height, so the exact tier is inside
+    slack = 1e-9 * (1 + np.abs(rows) @ np.abs(net.source_matrix()).T).max(axis=1)
+    tier = heights >= (heights.max(axis=1) - slack)[:, None]
+    sources = net.exact_sources()
+    for d in np.nonzero(tier.sum(axis=1) > 1)[0]:
+        w = [Fraction(float(x)) for x in rows[d]]
+        shortlist = np.nonzero(tier[d])[0]
+        vals = [sum(a * b for a, b in zip(w, sources[r])) for r in shortlist]
+        top = max(vals)
+        tier[d, shortlist] = [v == top for v in vals]
+    margins = np.max(np.where(tier, k_worst * coeffs, -np.inf), axis=1)
+    return margins if W.ndim == 2 else float(margins[0])
 
 
 def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
@@ -324,16 +337,15 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     transition directions.
 
     Membership of theta**w in the invariant polyhedron is trivial without
-    conservation laws; with exactly one law the crossing theta is refined
-    by bisection (the grid alone almost never lands on the measure-zero
-    crossing); with two or more laws a relative-miss band is used, which
-    under-reports eligible pairs.
+    conservation laws; with exactly one law <a, theta**w> = b0 the crossing
+    theta is refined by bisection between grid points (the grid alone
+    almost never lands on the measure-zero crossing); with two or more laws
+    a relative-miss band is used, which under-reports eligible pairs.
 
     Raises:
-        ValueError: theta_grid empty, or a theta at most 1 or not finite.
+        ValueError: theta_grid empty, or a theta at most 1 or not finite;
+        direction_samples negative.
     """
-    if tempering is None:
-        tempering = _unit_tempering(net.n_reactions)
     x0 = np.asarray(x0, dtype=float)
     n = net.n_species
     if theta_grid is None:
@@ -341,6 +353,8 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     theta_grid = np.asarray(sorted(theta_grid), dtype=float)
     if not len(theta_grid) or not np.all((theta_grid > 1) & np.isfinite(theta_grid)):
         raise ValueError(f"theta_grid must be nonempty, finite and above 1, got {theta_grid}")
+    if direction_samples < 0:
+        raise ValueError(f"direction_samples must be nonnegative, got {direction_samples}")
     rng = np.random.default_rng(seed)
     dirs = []
     while len(dirs) < direction_samples:
@@ -358,44 +372,49 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         nrm = np.linalg.norm(v)
         if nrm > 0:
             face_reps.append(v / nrm)
-    all_dirs = face_reps + dirs
-    stoich = stoichiometric_subspace(net)
-    A = stoich.Hperp_matrix()
+    W = np.array(face_reps + dirs).reshape(-1, n)
+    A = stoichiometric_subspace(net).Hperp_matrix()
     b = A @ x0 if A.shape[0] else np.zeros(0)
-    Y = net.source_matrix()
-    F = net.flux_matrix()
-    lo, hi = tempering.lows(), tempering.highs()
-
-    def sum_of_pulls(w, thetas):
-        wy = Y @ w
-        coeff = F @ w
-        k_worst = np.where(coeff > 0, hi, lo)
-        with np.errstate(over="ignore"):
-            return np.asarray(thetas)[:, None] ** wy[None, :] @ (k_worst * coeff)
-
+    heights, coeffs, k_worst = _pull_terms(net, tempering, W)
+    pulls = k_worst * coeffs
     # bad_theta[di] = largest theta at which the worst-case sum is >= 0 at
-    # an eligible point along direction di (-inf if none)
-    bad_theta = np.full(len(all_dirs), -np.inf)
-    for di, w in enumerate(all_dirs):
-        if A.shape[0] == 0:
-            thetas = theta_grid
-        elif A.shape[0] == 1:
-            thetas = _ray_crossings(A[0], float(b[0]), w, theta_grid)
-        else:
-            with np.errstate(over="ignore"):
-                Z = theta_grid[:, None] ** w[None, :]
+    # an eligible point along direction di (-inf if none); one theta at a
+    # time, so no directions x thetas array is built
+    bad_theta = np.full(len(W), -np.inf)
+    phis = []  # one law: <a, theta**w> - b0 per grid theta, inf on overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for theta in theta_grid:
+            Z = theta ** W
             finite = np.all(np.isfinite(Z), axis=1)
-            miss = np.full(len(theta_grid), np.inf)
-            miss[finite] = np.linalg.norm(
-                Z[finite] @ A.T - b, axis=1
-            ) / (1 + np.linalg.norm(Z[finite], axis=1))
-            thetas = theta_grid[miss <= membership_band]
-        if len(thetas) == 0:
-            continue
-        S = sum_of_pulls(w, thetas)
-        hit = np.isfinite(S) & (S >= 0)
-        if np.any(hit):
-            bad_theta[di] = float(np.max(np.asarray(thetas)[hit]))
+            if A.shape[0] == 0:
+                eligible = True
+            elif A.shape[0] == 1:
+                phis.append(np.where(finite, _rowdot(Z, A[0]) - b[0], np.inf))
+                eligible = np.abs(phis[-1]) <= 1e-9 * (1 + abs(b[0]))
+            else:
+                miss = np.linalg.norm(Z @ A.T - b, axis=1) / (1 + np.linalg.norm(Z, axis=1))
+                eligible = finite & (miss <= membership_band)
+            S = _rowdot(theta ** heights, pulls)
+            bad_theta[eligible & (S >= 0) & (S < np.inf)] = theta
+        if phis:
+            # bisect every sign change of phi between neighbouring grid thetas
+            va, vb = np.array(phis[:-1]), np.array(phis[1:])
+            ti, di = np.nonzero(np.isfinite(va) & np.isfinite(vb) & (va != 0) & (vb != 0)
+                                & ~(va * vb > 0))
+            lo, hi, f_lo = theta_grid[ti], theta_grid[ti + 1], va[ti, di]
+            for _ in range(80):
+                mid = np.sqrt(lo * hi)
+                Z = mid[:, None] ** W[di]
+                f_mid = np.where(np.all(np.isfinite(Z), axis=1), _rowdot(Z, A[0]) - b[0], np.inf)
+                # a root hit exactly pins lo = hi = mid from then on
+                same = (f_lo < 0) == (f_mid < 0)
+                lo = np.where(same | (f_mid == 0), mid, lo)
+                hi = np.where(same & (f_mid != 0), hi, mid)
+                f_lo = np.where(same, f_mid, f_lo)
+            cross = np.sqrt(lo * hi)
+            S = _rowdot(cross[:, None] ** heights[di], pulls[di])
+            hit = (S >= 0) & (S < np.inf)
+            np.maximum.at(bad_theta, di[hit], cross[hit])
     worst = float(np.max(bad_theta))
     theta_max = float(theta_grid[-1])
     violating = []
@@ -403,95 +422,37 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         theta_hat = float(theta_grid[0])
     elif worst >= theta_max / 100:
         theta_hat = None
-        for di in np.nonzero(bad_theta >= theta_max / 100)[0]:
-            violating.append([float(v) for v in all_dirs[di]])
+        violating = [[float(v) for v in w] for w in W[bad_theta >= theta_max / 100]]
     else:
         theta_hat = float(theta_grid[np.searchsorted(theta_grid, worst, "right")])
-    margins = np.array([_worst_case_margin(net, tempering, w) for w in all_dirs])
-    near = [di for di in range(len(all_dirs)) if margins[di] >= -near_zero_delta]
-    clusters = _cluster_directions([all_dirs[di] for di in near],
-                                   [margins[di] for di in near], cluster_gap)
+    margins = _worst_case_margin(net, tempering, W)
+    near = margins >= -near_zero_delta
     return {
         "theta_hat": theta_hat,
         "violating_directions": violating,
-        "near_zero_clusters": clusters,
-        "n_directions": len(all_dirs),
+        "near_zero_clusters": _cluster_directions(W[near], margins[near], cluster_gap),
+        "n_directions": len(W),
         "theta_grid": [float(t) for t in theta_grid],
         "margin_delta": near_zero_delta,
     }
 
 
-def _ray_crossings(a, b0: float, w, theta_grid, band: float = 1e-9,
-                   bisect_steps: int = 80) -> np.ndarray:
-    """Thetas in [grid min, grid max] where <a, theta**w> = b0, located by
-    sign-change bisection over the grid (plus grid points already on the
-    hyperplane to relative tolerance band)."""
-    a = np.asarray(a, dtype=float)
-    w = np.asarray(w, dtype=float)
-
-    def phi(theta):
-        with np.errstate(over="ignore"):
-            z = theta ** w
-        if not np.all(np.isfinite(z)):
-            return np.inf
-        return float(a @ z) - b0
-
-    vals = np.array([phi(t) for t in theta_grid])
-    crossings = []
-    scale = 1.0 + abs(b0)
-    for ti, v in enumerate(vals):
-        if np.isfinite(v) and abs(v) <= band * scale:
-            crossings.append(float(theta_grid[ti]))
-    for ti in range(len(theta_grid) - 1):
-        va, vb = vals[ti], vals[ti + 1]
-        if not (np.isfinite(va) and np.isfinite(vb)):
-            continue
-        if va == 0.0 or vb == 0.0 or va * vb > 0:
-            continue
-        lo_t, hi_t = float(theta_grid[ti]), float(theta_grid[ti + 1])
-        f_lo = va
-        for _ in range(bisect_steps):
-            mid = math.sqrt(lo_t * hi_t)
-            f_mid = phi(mid)
-            if f_mid == 0.0:
-                lo_t = hi_t = mid
-                break
-            if (f_lo < 0) == (f_mid < 0):
-                lo_t, f_lo = mid, f_mid
-            else:
-                hi_t = mid
-        crossings.append(math.sqrt(lo_t * hi_t))
-    return np.array(sorted(set(crossings)))
-
-
-def _cluster_directions(dirs, margins, gap: float):
-    """Group unit directions by angular proximity; each cluster reports the
-    member with the largest margin as its center."""
-    if not dirs:
-        return []
-    D = np.array(dirs)
-    m = len(dirs)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            cosang = float(np.clip(D[i] @ D[j], -1.0, 1.0))
-            if math.acos(cosang) <= gap:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
+def _cluster_directions(dirs: np.ndarray, margins: np.ndarray, gap: float):
+    """Group unit direction rows into the connected components of the
+    angle <= gap graph; each cluster reports the member with the largest
+    margin as its center."""
+    close = np.arccos(np.clip(dirs @ dirs.T, -1.0, 1.0)) <= gap
+    label = np.full(len(dirs), -1)
     out = []
-    for members in groups.values():
-        center = max(members, key=lambda i: margins[i])
+    while np.any(label < 0):
+        # breadth-first search from the first direction not yet in a cluster
+        c = np.argmax(label < 0)
+        frontier = [c]
+        while len(frontier):
+            label[frontier] = c
+            frontier = np.nonzero(close[frontier].any(axis=0) & (label < 0))[0]
+        members = np.nonzero(label == c)[0]
+        center = members[np.argmax(margins[members])]
         out.append(
             {
                 "center": [float(v) for v in dirs[center]],

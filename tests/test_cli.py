@@ -135,12 +135,29 @@ class TestExitCodes:
             (["scan", "{rlv}", "--theta-max=0.5"], None),
             (["steady", "{rlv}", "--x0", "-1,1"], None),
             (["steady", "{rlv}", "--x0=2,2", "--k", "-1,1,1"], None),
+            (["scan", "{rlv}", "--theta-points", "0"], None),
+            (["scan", "{rlv}", "--theta-points=-3"], None),
+            (["scan", "{rlv}", "--samples=-5"], None),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=nan"], None),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=inf"], None),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=1",
+              "--policy=piecewise-constant", "--dt=nan"], None),
+            (["birch", "{ab}", "--x0=1,1", "--alpha=1,1", "--tol=nan"], None),
+            (["steady", "{rlv}", "--x0=2,2", "--tol=-1"], None),
+            (["steady", "{rlv}", "--x0=2,2", "--tol=nan"], None),
+            (["jets", "{rlv}", "--frame=1,0;0,1", "--threshold=0"], None),
+            (["jets", "{rlv}", "--frame=1,0;0,1", "--threshold=-1"], None),
+            (["jets", "{rlv}", "--frame=1,0;0,1", "--threshold=nan"], None),
         ],
         ids=["zero-direction", "negative-t-end", "fixed-rates-outside",
              "zero-dt", "zero-alpha", "steady-zero-x0", "zero-i-max",
              "bad-hyperplane-env", "negative-i-max", "fractional-i-max",
              "zero-theta-points", "theta-max-below-one", "negative-x0-value",
-             "negative-k"],
+             "negative-k", "zero-theta-points-default-max",
+             "negative-theta-points-default-max", "negative-samples", "nan-t-end",
+             "infinite-t-end", "nan-dt", "nan-birch-tol", "negative-steady-tol",
+             "nan-steady-tol", "zero-threshold", "negative-threshold",
+             "nan-threshold"],
     )
     def test_invalid_value_is_one_line_exit_one(self, argv, env, rlv_file, ab_file,
                                                  tmp_path):

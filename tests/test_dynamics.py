@@ -15,6 +15,8 @@ from crnkit import (
     conservation_residual,
     find_steady_state,
     g_along,
+    g_alpha,
+    grad_g_alpha,
     mass_action_rhs,
     parse_network,
     simulate,
@@ -318,6 +320,36 @@ class TestFreeEnergyAlong:
         assert out.shape == (1, 3)
         assert out[0, 1] == pytest.approx(-1.0, abs=1e-12)
         assert out[0, 2] == pytest.approx(1.0 - e * e, abs=1e-12)
+
+    def test_one_pass_matches_per_sample_formula(self):
+        net, temp = load("reverse_lv")
+        traj = simulate(
+            net, temp, RatePolicy("piecewise-constant", seed=3, dt=0.25), (2.0, 0.5), 6.0,
+        )
+        assert len(traj.rate_log) > 20
+        alpha = np.array([1.5, 0.75])
+        want = np.array([
+            (t, g_alpha(x, alpha),
+             grad_g_alpha(x, alpha) @ mass_action_rhs(net, traj.rates_at(t), x))
+            for t, x in zip(traj.times, traj.states)
+        ])
+        assert np.array_equal(g_along(traj, net, alpha=alpha), want)
+
+    @pytest.mark.parametrize("x, alpha, match", [
+        ((1.0, 0.0), (1.0, 1.0), "gradient needs x > 0"),
+        ((1.0, -1.0), (1.0, 1.0), "x must be nonnegative"),
+        ((1.0, 1.0), (1.0, 0.0), "alpha must be positive"),
+    ])
+    def test_first_bad_sample_raises_the_per_sample_error(self, x, alpha, match):
+        net, _ = load("reverse_lv")
+        traj = Trajectory(
+            times=np.array([0.0, 1.0, 2.0]),
+            states=np.array([[1.0, 1.0], x, [1.0, -2.0]]),
+            rate_log=((0.0, (1.0, 1.0, 1.0)),),
+            events=(),
+        )
+        with pytest.raises(ValueError, match=match):
+            g_along(traj, net, alpha=alpha)
 
     def test_along_simulated_trajectory(self):
         net, _ = load("reverse_lv")

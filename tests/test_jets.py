@@ -20,10 +20,11 @@ from crnkit import (
     parse_network,
     pull,
 )
-from crnkit.geometry import gram_schmidt, super_chain
-from crnkit.jets import _worst_case_margin
+from crnkit.classify import arrangement_normals
+from crnkit.geometry import LimitExceeded, enumerate_faces, gram_schmidt, super_chain
+from crnkit.jets import _cluster_directions, _worst_case_margin
 
-from conftest import HEXAGON, HEXAGON_Q2_INDEX, load
+from conftest import HEXAGON, HEXAGON_Q2_INDEX, NETWORKS, load
 
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -231,6 +232,13 @@ class TestDominationMonitor:
             assert max(scaled) / min(scaled) < 3.0
 
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_threshold_not_positive_and_finite(self, threshold):
+        net, _ = load("reverse_lv")
+        fr = make_frame((0.0, -1.0), (-1.0, 0.0))
+        with pytest.raises(ValueError, match="threshold"):
+            domination_monitor(net, fr, JetSchedule(), threshold=threshold)
+
     @pytest.mark.parametrize("i_range", [[], [0, 1, 2], [0.5, 2.0], [1.0, np.inf]])
     def test_rejects_indices_below_one(self, i_range):
         net, _ = load("reverse_lv")
@@ -248,6 +256,37 @@ class TestWorstCaseMargin:
     def test_generic_direction_is_strictly_negative(self):
         net, temp = load("reverse_lv")
         assert _worst_case_margin(net, temp, np.array([0.6, -0.8])) < 0.0
+
+    def test_batched_margins_match_exact_restatement(self, rng):
+        # over the sources of exactly maximal height along the float direction,
+        # the largest k_r <w, flux_r> with k_r the interval end that makes it
+        # largest; face representatives (raw and normalized) supply the ties
+        ties = 0
+        for name in sorted(NETWORKS):
+            net, temp = load(name)
+            intervals = temp.intervals if temp else [(1, 1)] * net.n_reactions
+            try:
+                reps = [f.representative for f in enumerate_faces(arrangement_normals(net))]
+            except LimitExceeded:
+                reps = []
+            reps = [np.array([float(c) for c in v]) for v in reps if any(v)]
+            W = np.array(reps + [v / np.linalg.norm(v) for v in reps]
+                         + list(rng.standard_normal((40, net.n_species))))
+            got = _worst_case_margin(net, temp, W)
+            assert got.shape == (len(W),)
+            for w, margin in zip(W, got):
+                we = [Fraction(x) for x in w]
+                heights = [sum(a * b for a, b in zip(we, r.source.coeffs))
+                           for r in net.reactions]
+                tier = [i for i, h in enumerate(heights) if h == max(heights)]
+                ties += len({net.reactions[i].source for i in tier}) > 1
+                worst = []
+                for i in tier:
+                    c = sum(a * b for a, b in zip(we, net.reactions[i].flux))
+                    lo, hi = intervals[i]
+                    worst.append((hi if c > 0 else lo) * c)
+                assert margin == pytest.approx(float(max(worst)), rel=1e-12, abs=1e-10), name
+        assert ties > 0
 
 
 class TestCutoffScan:
@@ -288,6 +327,41 @@ class TestCutoffScan:
         net, _ = load("reverse_lv")
         out = cutoff_scan(net, None, (1.0, 1.0), seed=0)
         assert out["theta_hat"] is not None
+
+    def test_rejects_negative_direction_samples(self):
+        net, temp = load("reverse_lv")
+        with pytest.raises(ValueError, match="direction_samples"):
+            cutoff_scan(net, temp, (1.0, 1.0), direction_samples=-5)
+
+    def test_clusters_are_the_components_of_the_angle_graph(self, rng):
+        # reference: union-find over every pair closer than the gap, each
+        # cluster centered at its first member of largest margin
+        D = rng.standard_normal((150, 3))
+        D /= np.linalg.norm(D, axis=1, keepdims=True)
+        margins = np.round(rng.uniform(-1, 1, len(D)), 1)
+        parent = list(range(len(D)))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        for i in range(len(D)):
+            for j in range(i + 1, len(D)):
+                if math.acos(float(np.clip(D[i] @ D[j], -1.0, 1.0))) <= 0.3:
+                    parent[find(i)] = find(j)
+        groups = {}
+        for i in range(len(D)):
+            groups.setdefault(find(i), []).append(i)
+        want = []
+        for members in groups.values():
+            center = max(members, key=lambda i: margins[i])
+            want.append({"center": list(D[center]), "size": len(members),
+                         "max_margin": margins[center]})
+        want.sort(key=lambda c: c["center"])
+        got = _cluster_directions(D, margins, 0.3)
+        assert got == want
+        assert any(c["size"] > 1 for c in got) and len(got) > 1
 
     @pytest.mark.parametrize("grid", [[], [0.5, 2.0], [1.0, 10.0], [2.0, np.nan]])
     def test_rejects_thetas_at_most_one(self, grid):

@@ -1,6 +1,7 @@
 """Derandomized property tests: the Birch residual meets its tolerance on
 random slices of the small fixtures, serialization round-trips through the
-parser, and every sampler witness is a genuine violation."""
+parser, every sampler witness is a genuine violation, and rate-weighted pulls
+sum to the mass-action field along toric rays."""
 
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from crnkit import (  # noqa: E402
     Tempering,
     birch_point,
     is_w_endotactic,
+    mass_action_rhs,
     parse_network,
+    pull,
     sample_classify,
     serialize_network,
     stoichiometric_subspace,
@@ -95,3 +98,18 @@ def test_sampler_witnesses_replay_as_violations(net_and_tempering, seed):
         comps = [dot(w, r.flux) for r in net.reactions]
         assert any(c != 0 for c in comps)
         assert not any(c < 0 and h == max(heights) for c, h in zip(comps, heights))
+
+
+@PROPERTY
+@given(networks(), st.data())
+def test_pulls_sum_to_the_rhs_along_the_ray(net_and_tempering, data):
+    # sum_r k_r pull(r, w, theta) = <w, f(theta**w)>: theta**w has monomials
+    # theta**<w, y_r>
+    net, _ = net_and_tempering
+    n, m = net.n_species, net.n_reactions
+    w = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    theta = data.draw(st.floats(1.01, 10))
+    k = np.array(data.draw(st.lists(st.floats(0.25, 4), min_size=m, max_size=m)))
+    terms = [kr * pull(r, w, theta) for kr, r in zip(k, net.reactions)]
+    rhs = float(w @ mass_action_rhs(net, k, theta ** w))
+    assert sum(terms) == pytest.approx(rhs, rel=1e-9, abs=1e-12 * (1 + sum(map(abs, terms))))
