@@ -159,8 +159,8 @@ def _verdicts(net: ReactionNetwork, limit: int | None, sample_fallback: bool, se
         return None, res["endo_witness"], res["strong_witness"]
 
     def least(mask):
-        return min((vec(primitive(arr.faces[i].representative))
-                    for i in np.flatnonzero(mask)), default=None)
+        return min((arr.faces[i].representative for i in np.flatnonzero(mask)),
+                   default=None)
 
     return arr, least(arr.endo_fail), least(arr.strong_fail & ~arr.endo_fail)
 

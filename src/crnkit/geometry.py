@@ -2,7 +2,8 @@
 linear programming, central hyperplane-arrangement face enumeration, and the
 maximal-subset / Super-chain primitives used by classification and jets.
 
-No floating point is used anywhere in this module.
+No floating point is used anywhere in this module: face enumeration closes
+int8 sign rows and sums conformal cocircuits in Python-int arrays.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 RationalVector = tuple[Fraction, ...]
-RationalMatrix = tuple[RationalVector, ...]
 SignVector = tuple[int, ...]
 
 DEFAULT_HYPERPLANE_LIMIT = 20
@@ -338,46 +340,46 @@ class ArrangementFace:
     representative: RationalVector
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+_BLOCK = 1 << 18  # int8 entries per composition block, so memory per block is fixed
 
 
-def _compose_witness(hypers, w_x, w_c):
-    # exact witness for the face composition X o C: M*w_x + w_c with M large
-    # enough that every nonzero sign of w_x survives
-    M = 1 + max(abs(sum(h[k] * w_c[k] for k in range(len(w_c)))) for h in hypers)
-    out = tuple(M * a + c for a, c in zip(w_x, w_c))
-    g = math.gcd(*(abs(x) for x in out))
-    return tuple(x // g for x in out) if g > 1 else out
+def _keys(S: np.ndarray) -> np.ndarray:
+    # one np.void per sign row: rows sort, unique and set-compare whole
+    return np.ascontiguousarray(S).view(np.dtype((np.void, S.shape[1])))[:, 0]
 
 
-def _cocircuits(hypers, r):
-    """Cocircuits (minimal-support covectors) of an essential arrangement.
+def _cocircuits(hypers: np.ndarray):
+    """Cocircuits of an essential arrangement (K x r Python-int normals of
+    rank r) from the nullspaces of rank-(r-1) subsets, in both orientations:
+    distinct sign rows (int8) and their primitive generators (Python ints)."""
+    r = hypers.shape[1]
+    Z = np.array([primitive(ns[0]) for rows in itertools.combinations(hypers.tolist(), r - 1)
+                  if len(ns := nullspace(rows, r)) == 1], dtype=object).reshape(-1, r)
+    Z = np.vstack([Z, -Z])
+    C = np.sign(Z @ hypers.T).astype(np.int8)
+    _, first = np.unique(_keys(C), return_index=True)
+    return C[first], Z[first]
 
-    hypers: integer normals in Z^r of full rank r.  Generators come from
-    nullspaces of rank-(r-1) subsets; both orientations are kept.
-    """
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    if r == 1:
-        gens = [(1,)]
-    else:
-        gens = []
-        found = set()
-        for subset in itertools.combinations(range(len(hypers)), r - 1):
-            rows = [list(map(Fraction, hypers[i])) for i in subset]
-            ns = nullspace(rows, r)
-            if len(ns) != 1:
-                continue
-            z = primitive(ns[0])
-            key = z if z > tuple(-x for x in z) else tuple(-x for x in z)
-            if key not in found:
-                found.add(key)
-                gens.append(key)
-    for z in gens:
-        for w in (z, tuple(-x for x in z)):
-            sig = tuple(_sign(sum(h[k] * w[k] for k in range(r))) for h in hypers)
-            seen.setdefault(sig, w)
-    return seen
+
+def _closure(C: np.ndarray) -> np.ndarray:
+    """Every nonzero covector, as distinct int8 rows composed from the
+    cocircuit sign rows C.  A face of dimension above 1 is G o c for a facet
+    G of it and a cocircuit c conformal to it, which opposes no sign of G;
+    so each round composes the new rows that have a zero with the
+    cocircuits opposing none of their signs (rows without one are final)."""
+    K = C.shape[1]
+    step = max(1, _BLOCK // C.size)
+    seen = frontier = np.unique(_keys(C))
+    while len(frontier):
+        F = frontier.view(np.int8).reshape(-1, K)
+        F = F[np.any(F == 0, axis=1), None, :]
+        fresh = []
+        for B in (F[i:i + step] for i in range(0, len(F), step)):
+            composed = np.where(B != 0, B, C)[~np.any(B * C < 0, axis=2)]
+            fresh.append(np.setdiff1d(_keys(composed), seen))
+        frontier = np.unique(np.concatenate([seen[:0], *fresh]))
+        seen = np.union1d(seen, frontier)
+    return seen.view(np.int8).reshape(-1, K)
 
 
 def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
@@ -388,6 +390,11 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
     the all-zero sign vector: when the common lineality is a line, both rays
     get a face of their own (the two orientations are genuinely different
     directions); higher-dimensional linealities get a single face.
+
+    In essential coordinates (the row space of the normals) a face is a
+    pointed cone whose extreme rays are its conformal cocircuits, so their
+    primitive sum, mapped back, represents it whatever order the closure
+    took.  Products whose size depends on the input are Python ints.
 
     Duplicate and parallel normals share a hyperplane internally; zero
     normals contribute a constant 0 sign.  Faces come back sorted by sign
@@ -410,11 +417,11 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
 
     hyper_index: dict[tuple[int, ...], int] = {}
     hypers: list[tuple[int, ...]] = []
-    where: list[tuple[int, int] | None] = []  # per input normal: (hyperplane, orientation)
+    where: list[tuple[int, int]] = []  # per input normal: (hyperplane, orientation 0 if zero)
     for a in normals:
         p = primitive(a)
         if all(x == 0 for x in p):
-            where.append(None)
+            where.append((0, 0))
             continue
         canon = _canonical_hyperplane(p)
         orient = 1 if p == canon else -1
@@ -429,31 +436,23 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
             f"(set CRN_MAX_HYPERPLANES to raise it)"
         )
 
-    faces: dict[SignVector, tuple[int, ...]] = {}
-    if K:
-        # essential coordinates: restrict to the row space of the normals
-        P = row_space_basis([list(h) for h in hypers], n)  # r x n, integer
-        r = len(P)
-        ghypers = [tuple(int(dot(h, p)) for p in P) for h in hypers]
-        cocircs = _cocircuits(ghypers, r)
-        queue = list(cocircs.items())
-        closure = dict(cocircs)
-        while queue:
-            sig_x, w_x = queue.pop()
-            for sig_c, w_c in cocircs.items():
-                sig_z = tuple(a if a else b for a, b in zip(sig_x, sig_c))
-                if sig_z == sig_x or sig_z in closure:
-                    continue
-                closure[sig_z] = _compose_witness(ghypers, w_x, w_c)
-                queue.append((sig_z, closure[sig_z]))
-        for sig, u in closure.items():
-            w = tuple(sum(u[j] * P[j][k] for j in range(r)) for k in range(n))
-            faces[sig] = primitive(w)
-
     out = []
-    for sig in sorted(faces):
-        full = tuple(0 if loc is None else loc[1] * sig[loc[0]] for loc in where)
-        out.append(ArrangementFace(full, vec(faces[sig])))
+    if K:
+        # essential coordinates: restrict to the row space of the normals (r x n)
+        P = np.array([list(map(int, p)) for p in row_space_basis(hypers, n)], dtype=object)
+        C, Z = _cocircuits(np.array(hypers, dtype=object) @ P.T)
+        S = _closure(C)
+        # each face's representative: the sum of its conformal cocircuits
+        # (s.c == |c|_1), block by block, mapped back and made primitive
+        Ct, step = C.T.astype(np.int32), max(1, _BLOCK // C.size)
+        U = [np.add.reduceat(Z[cc], np.flatnonzero(np.diff(face, prepend=-1)))
+             for face, cc in (np.nonzero(S[i:i + step] @ Ct == np.abs(Ct).sum(axis=0))
+                              for i in range(0, len(S), step))]
+        W = np.concatenate(U) @ P
+        W //= np.gcd.reduce(W, axis=1, initial=0)[:, None]
+        col, orient = np.array(where).T
+        out = [ArrangementFace(tuple(sig), vec(w))
+               for sig, w in zip((S[:, col] * orient).tolist(), W.tolist())]
     # lineality: directions on which every normal vanishes
     lin = nullspace([list(h) for h in hypers], n) if K else nullspace([], n)
     zero_sig = tuple(0 for _ in normals)

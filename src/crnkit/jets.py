@@ -343,10 +343,13 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     a relative-miss band is used, which under-reports eligible pairs.
 
     Raises:
-        ValueError: theta_grid empty, or a theta at most 1 or not finite;
-        direction_samples negative.
+        ValueError: x0 not positive and finite; theta_grid empty, or a theta
+        at most 1 or not finite; direction_samples negative; no directions
+        (no face representatives and no samples).
     """
     x0 = np.asarray(x0, dtype=float)
+    if not np.all((x0 > 0) & np.isfinite(x0)):
+        raise ValueError(f"x0 must be positive and finite, got {x0}")
     n = net.n_species
     if theta_grid is None:
         theta_grid = np.geomspace(1.5, 1e6, 50)
@@ -366,13 +369,11 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         faces = enumerate_faces(arrangement_normals(net))
     except LimitExceeded:
         faces = []
-    face_reps = []
-    for f in faces:
-        v = np.array([float(x) for x in f.representative])
-        nrm = np.linalg.norm(v)
-        if nrm > 0:
-            face_reps.append(v / nrm)
-    W = np.array(face_reps + dirs).reshape(-1, n)
+    # every face representative is nonzero
+    R = np.array([f.representative for f in faces], dtype=float).reshape(-1, n)
+    W = np.vstack([R / np.sqrt(_rowdot(R, R))[:, None], np.reshape(dirs, (-1, n))])
+    if not len(W):
+        raise ValueError("the scan has no directions")
     A = stoichiometric_subspace(net).Hperp_matrix()
     b = A @ x0 if A.shape[0] else np.zeros(0)
     heights, coeffs, k_worst = _pull_terms(net, tempering, W)

@@ -148,6 +148,8 @@ class TestExitCodes:
             (["jets", "{rlv}", "--frame=1,0;0,1", "--threshold=0"], None),
             (["jets", "{rlv}", "--frame=1,0;0,1", "--threshold=-1"], None),
             (["jets", "{rlv}", "--frame=1,0;0,1", "--threshold=nan"], None),
+            (["scan", "{outward}", "--x0=-1,-1", "--samples=50"], None),
+            (["scan", "{outward}", "--x0=0,0", "--samples=50"], None),
         ],
         ids=["zero-direction", "negative-t-end", "fixed-rates-outside",
              "zero-dt", "zero-alpha", "steady-zero-x0", "zero-i-max",
@@ -157,19 +159,28 @@ class TestExitCodes:
              "negative-theta-points-default-max", "negative-samples", "nan-t-end",
              "infinite-t-end", "nan-dt", "nan-birch-tol", "negative-steady-tol",
              "nan-steady-tol", "zero-threshold", "negative-threshold",
-             "nan-threshold"],
+             "nan-threshold", "negative-scan-x0", "zero-scan-x0"],
     )
     def test_invalid_value_is_one_line_exit_one(self, argv, env, rlv_file, ab_file,
                                                  tmp_path):
         prism = tmp_path / "prism.crn"
         prism.write_text(network_text("prism"))
-        files = {"rlv": rlv_file, "ab": ab_file, "prism": str(prism)}
+        outward = tmp_path / "outward.crn"
+        outward.write_text("species: A B\nA -> B rate [1,2]\n")
+        files = {"rlv": rlv_file, "ab": ab_file, "prism": str(prism),
+                 "outward": str(outward)}
         out = run_cli([a.format(**files) for a in argv], env_extra=env)
         assert out.returncode == 1
         assert "Traceback" not in out.stderr
         lines = out.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("crnkit: error: ")
+
+    def test_scan_without_directions_says_so(self, ab_file):
+        out = run_cli(["scan", ab_file, "--samples", "0"],
+                      env_extra={"CRN_MAX_HYPERPLANES": "0"})
+        assert out.returncode == 1
+        assert out.stderr == "crnkit: error: the scan has no directions\n"
 
 
 class TestClassifyCommand:

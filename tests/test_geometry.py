@@ -245,6 +245,43 @@ class TestEnumerateFaces:
         assert isinstance(faces[0], ArrangementFace)
 
 
+class TestConformalSums:
+    """Representatives are the primitive sums of the conformal cocircuits,
+    exact at any coefficient size.  The face counts of the seeded
+    arrangements are frozen values."""
+
+    @pytest.mark.parametrize("scale", [10**3, 10**5, 10**7])
+    def test_exact_at_large_coefficients(self, scale):
+        # seven generic normals in R^4 cut 84 + 224 + 210 + 70 = 588 faces;
+        # cocircuit entries reach scale**3, their products with the
+        # normals overflow int64 from 10**5 on
+        rng = np.random.default_rng(7)
+        normals = [tuple(int(v) for v in rng.integers(-scale, scale + 1, 4))
+                   for _ in range(7)]
+        faces = enumerate_faces(normals)
+        assert len(faces) == 588
+        for f in faces:
+            assert tuple(_sign(sum(a * b for a, b in zip(h, f.representative)))
+                         for h in normals) == f.signs
+
+    @pytest.mark.parametrize("m, count", [(10, 1876), (12, 3332)])
+    def test_closure_matches_frozen_counts_and_conformal_sums(self, m, count):
+        rng = np.random.default_rng(m)
+        normals = [tuple(int(v) for v in rng.integers(-3, 4, 4)) for _ in range(m)]
+        assert rank(normals) == 4  # essential: the row-space basis is the identity
+        faces = enumerate_faces(normals)
+        assert len(faces) == count
+        lines = {primitive(ns[0]) for sub in itertools.combinations(normals, 3)
+                 if len(ns := nullspace(list(sub), 4)) == 1}
+        Z = np.array(sorted(lines | {tuple(-x for x in z) for z in lines}))
+        N = np.array(normals)
+        C = np.sign(Z @ N.T)
+        S = np.array([f.signs for f in faces])
+        conformal = np.all((C[None] == 0) | (C[None] == S[:, None]), axis=2)
+        for f, row in zip(faces, conformal):
+            assert f.representative == primitive(Z[row].sum(axis=0).tolist())
+
+
 class TestRealizeIteratedMax:
     # hexagon with rationalized height 13/15 standing in for sqrt(3)/2;
     # the switching threshold for this variant is delta = 45/26

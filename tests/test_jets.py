@@ -369,6 +369,15 @@ class TestCutoffScan:
         with pytest.raises(ValueError, match="theta_grid"):
             cutoff_scan(net, temp, (1.0, 1.0), theta_grid=grid)
 
+    @pytest.mark.parametrize("x0", [(-1.0, -1.0), (0.0, 0.0), (1.0, 0.0),
+                                    (np.nan, 1.0), (np.inf, 1.0)])
+    def test_rejects_x0_not_positive_and_finite(self, x0):
+        # x0 must lie in the open positive orthant; outside it (-1,-1 and
+        # 0,0) no theta**w is eligible and the scan read that as a cutoff
+        net, temp = parse_network("species: A B\nA -> B rate [1,2]\n")
+        with pytest.raises(ValueError, match="x0"):
+            cutoff_scan(net, temp, x0, direction_samples=50)
+
 
 class TestUnitJetExtraction:
     def test_constant_sequence_is_level_one(self):
