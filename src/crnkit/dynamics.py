@@ -6,6 +6,7 @@ states, and free-energy evaluation along trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,22 +109,23 @@ def _mass_action_jacobian(net: ReactionNetwork, k, x):
     return net.flux_matrix().T @ (w[:, None] * (net.source_matrix() / x[None, :]))
 
 
-# Dormand-Prince 5(4) pair; the last row of A doubles as the 5th-order
-# weights (FSAL), BHAT is the embedded 4th-order estimate.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+# Dormand-Prince 5(4) pair: row i of A weights the stages before stage i; the
+# last row doubles as the 5th-order weights (FSAL), and E is it minus the 4th-
+# order weights.  Within a segment the system is autonomous: no nodes c_i.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
+_DP_E = _DP_A[6] - np.array(
+    [5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+
+# an adaptive run stops at the boundary once a rejected step shrinks below this
+_H_MIN = 1e-12
 
 
 def _float_bounds(tempering: Tempering):
@@ -141,159 +143,147 @@ def _float_bounds(tempering: Tempering):
     return lo, hi
 
 
-def _sample_rates(lo, hi, rng) -> np.ndarray:
-    return lo + rng.random(len(lo)) * (hi - lo)
+def _positive_rates(k, n: int, name: str) -> np.ndarray:
+    """k as floats, or ValueError unless it is n finite positive rates."""
+    k = np.asarray(k, dtype=float)
+    if k.shape != (n,) or not np.all(np.isfinite(k) & (k > 0)):
+        raise ValueError(f"{name} must be {n} finite positive rates, got {k}")
+    return k
+
+
+def _segments(policy: RatePolicy, tempering: Tempering, t_end: float, max_steps: int):
+    """(start, end, rates) of each segment of the policy, drawn lazily after
+    the policy's checks (see simulate): one segment on [0, t_end] but for
+    piecewise-constant, whose segment i starts at i * dt (np.arange(0,
+    t_end, dt) to the bit; a last start that rounds onto t_end is dropped)
+    and draws fresh uniform rates."""
+    if policy.mode == "fixed":
+        rates = _positive_rates(policy.rates, len(tempering), "fixed rates")
+        if not tempering.contains(rates):
+            raise ValueError(f"fixed rates {policy.rates} outside the tempering")
+        yield 0.0, t_end, rates
+        return
+    if policy.mode == "constant-mid":
+        yield 0.0, t_end, tempering.midpoints()
+        return
+    lo, hi = _float_bounds(tempering)
+    rng = np.random.default_rng(np.random.SeedSequence(policy.seed))
+    if policy.mode == "constant-sampled":
+        yield 0.0, t_end, lo + rng.random(len(lo)) * (hi - lo)
+        return
+    dt = policy.dt
+    # every segment but the last takes a step (one shorter than the end
+    # tolerance of simulate needs dt < 1e-13 t_end), so such a run could
+    # only end at the step limit
+    if t_end / dt - 2 > max_steps:
+        raise ValueError(f"piecewise-constant run of {t_end / dt:.3g} segments "
+                         f"exceeds max_steps = {max_steps}")
+    n = math.ceil(t_end / dt)  # np.arange's count
+    for i in range(n):
+        end = min((i + 1) * dt, t_end) if i + 1 < n else t_end
+        yield i * dt, end, lo + rng.random(len(lo)) * (hi - lo)
+        if end == t_end:
+            return
+
+
+def _dp_step(net: ReactionNetwork, k: np.ndarray, x: np.ndarray, f: np.ndarray, h: float):
+    """The 5th-order point of one Dormand-Prince step of size h from x (f the
+    field there) and the step's stages, or None unless every stage is
+    defined and the point is positive and finite."""
+    K = np.empty((7, len(x)))
+    K[0] = f
+    for i in range(1, 7):
+        fs = _rhs(net, k, x + h * (_DP_A[i, :i] @ K[:i]))
+        if fs is None:
+            return None
+        K[i] = fs
+    x_new = x + h * (_DP_A[6] @ K)
+    return (x_new, K) if np.all((x_new > 0) & (x_new < np.inf)) else None
 
 
 def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePolicy,
              x0, t_end: float, rtol: float = 1e-8, atol: float = 1e-10,
-             h_min: float = 1e-12, fixed_h: float | None = None,
-             watch_box=None, max_steps: int = 5_000_000) -> Trajectory:
+             fixed_h: float | None = None, watch_box=None,
+             max_steps: int = 5_000_000) -> Trajectory:
     """Integrate the mass-action system with rates selected by the policy.
 
     Embedded 5(4) pair with adaptive steps; a step is rejected when the
-    error estimate exceeds one or when it would make any coordinate
-    nonpositive.  When no positive step above h_min works, a
-    boundary-approach event is emitted and integration stops (states are
-    never clamped).  Rates are constant within each policy segment and
-    logged per segment.  fixed_h disables adaptivity (error control and
-    rejection are skipped, positivity still stops the run).  watch_box, if
-    given as (lo, hi) arrays, logs entered-set / left-set events.
+    error estimate exceeds one or when a stage is undefined or the new
+    point is not positive and finite.  When a rejected step has shrunk
+    below 1e-12, a boundary-approach event is emitted and integration stops
+    (states are never clamped).  Rates are constant within each policy
+    segment, the segments are drawn lazily as integration reaches them, and
+    each is logged with its start.  fixed_h disables adaptivity (error
+    control and rejection are skipped, positivity still stops the run).
+    watch_box, if given as (lo, hi) arrays, logs entered-set / left-set
+    events.
 
     Raises:
         ValueError: t_end, a tolerance or an x0 entry not positive and
-        finite, or a piecewise-constant run with more segments than
-        max_steps allows.
+        finite; fixed rates not one finite positive rate per reaction or
+        outside the tempering; a piecewise-constant run with more segments
+        than max_steps allows.
     """
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all((x0 > 0) & (x0 < np.inf)):
-        raise ValueError(f"x0 must be strictly positive and finite, got {x0}")
+    x = np.asarray(x0, dtype=float)
+    if not np.all((x > 0) & (x < np.inf)):
+        raise ValueError(f"x0 must be strictly positive and finite, got {x}")
     if tempering is None:
         tempering = _unit_tempering(net.n_reactions)
     if len(tempering) != net.n_reactions:
         raise ValueError("tempering length does not match reaction count")
-    lo, hi = _float_bounds(tempering)
-    rng = np.random.default_rng(np.random.SeedSequence(policy.seed))
-    if policy.mode == "fixed":
-        base_rates = np.asarray(policy.rates, dtype=float)
-        if not tempering.contains([Fraction(float(r)) for r in base_rates]):
-            raise ValueError(f"fixed rates {policy.rates} outside the tempering")
-    elif policy.mode == "constant-mid":
-        base_rates = tempering.midpoints()
-    elif policy.mode == "constant-sampled":
-        base_rates = _sample_rates(lo, hi, rng)
-    else:
-        base_rates = None  # resampled per segment
 
-    if policy.mode == "piecewise-constant":
-        # every segment but the last takes a step (one shorter than the end
-        # tolerance below needs dt < 1e-13 t_end), so such a run could only
-        # end at the step limit
-        if t_end / policy.dt - 2 > max_steps:
-            raise ValueError(f"piecewise-constant run of {t_end / policy.dt:.3g} segments "
-                             f"exceeds max_steps = {max_steps}")
-        seg_edges = list(np.arange(0.0, t_end, policy.dt)) + [t_end]
-        if seg_edges[-2] >= t_end:
-            seg_edges.pop(-2)
-    else:
-        seg_edges = [0.0, t_end]
-
-    times = [0.0]
-    states = [x0.copy()]
-    rate_log = []
-    events = []
-    x = x0.copy()
     t = 0.0
     h = fixed_h if fixed_h is not None else min(1e-3, t_end / 10)
+    times, states, rate_log, events = [], [], [], []
+    box = None if watch_box is None else [np.asarray(watch_box[i], float) for i in (0, 1)]
+    inside = False
+
+    def record(t, x):
+        nonlocal inside
+        times.append(t)
+        states.append(x)
+        if box is not None:
+            now_in = bool(np.all(x >= box[0]) and np.all(x <= box[1]))
+            if now_in != inside:
+                events.append({"type": "entered-set" if now_in else "left-set", "time": t})
+            inside = now_in
+
+    record(t, x)
     steps = 0
-    inside = None
-    if watch_box is not None:
-        blo, bhi = (np.asarray(watch_box[0], float), np.asarray(watch_box[1], float))
-        inside = bool(np.all(x >= blo) and np.all(x <= bhi))
-        if inside:
-            events.append({"type": "entered-set", "time": 0.0})
-    stopped = False
-    for si in range(len(seg_edges) - 1):
-        t_seg_end = seg_edges[si + 1]
-        if policy.mode == "piecewise-constant":
-            k = _sample_rates(lo, hi, rng)
-        else:
-            k = base_rates
-        rate_log.append((seg_edges[si], tuple(float(v) for v in k)))
-        f_now = _rhs(net, k, x)
-        if f_now is None:
-            events.append({"type": "boundary-approach", "time": t})
-            stopped = True
-            break
-        while t < t_seg_end - 1e-14 * max(1.0, t_seg_end):
+    stop = None
+    for start, end, k in _segments(policy, tempering, t_end, max_steps):
+        rate_log.append((start, tuple(float(v) for v in k)))
+        f = _rhs(net, k, x)
+        if f is None:
+            stop = "boundary-approach"
+        while stop is None and t < end - 1e-14 * max(1.0, end):
             steps += 1
             if steps > max_steps:
-                events.append({"type": "step-limit", "time": t})
-                stopped = True
+                stop = "step-limit"
                 break
-            h_try = min(h, t_seg_end - t)
-            K = np.empty((7, len(x)))
-            K[0] = f_now
-            bad = False
-            err = np.inf
-            positive = False
-            for stage in range(1, 7):
-                xs = x + h_try * (_DP_A[stage] @ K[:stage])
-                fs = _rhs(net, k, xs)
-                if fs is None:
-                    bad = True
-                    break
-                K[stage] = fs
-            if not bad:
-                x_new = x + h_try * (_DP_B5 @ K)
-                err_vec = h_try * ((_DP_B5 - _DP_B4) @ K)
-                sc = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-                err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-                positive = bool(np.all(x_new > 0) and np.all(np.isfinite(x_new)))
-            if fixed_h is not None:
-                if bad or not positive:
-                    events.append({"type": "boundary-approach", "time": t})
-                    stopped = True
-                    break
-                accept = True
-            else:
-                accept = (not bad) and positive and err <= 1.0
+            h_try = min(h, end - t)
+            step = _dp_step(net, k, x, f, h_try)
+            if step is not None:
+                x_new, K = step
+                sc = atol + rtol * np.maximum(x, x_new)
+                err = float(np.sqrt(np.mean((h_try * (_DP_E @ K) / sc) ** 2)))
+            accept = step is not None and (fixed_h is not None or err <= 1.0)
             if accept:
-                t = t + h_try
-                x = x_new
-                f_now = K[6]  # FSAL: last stage is f at the accepted point
-                times.append(t)
-                states.append(x.copy())
-                if inside is not None:
-                    now_in = bool(np.all(x >= blo) and np.all(x <= bhi))
-                    if now_in and not inside:
-                        events.append({"type": "entered-set", "time": t})
-                    elif inside and not now_in:
-                        events.append({"type": "left-set", "time": t})
-                    inside = now_in
-                if fixed_h is None:
-                    h = h_try * float(np.clip(0.9 * err ** -0.2 if err > 0 else 5.0, 0.2, 5.0))
-            else:
-                if bad or not positive:
-                    h = h_try * 0.5
-                else:
-                    h = h_try * float(np.clip(0.9 * err ** -0.2, 0.2, 5.0))
-                if h < h_min:
-                    events.append({"type": "boundary-approach", "time": t})
-                    stopped = True
-                    break
-        if stopped:
+                t, x, f = t + h_try, x_new, K[6]  # FSAL: the last stage is f at x_new
+                record(t, x)
+            if fixed_h is None:
+                h = h_try * ((min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0)
+                             if step is not None else 0.5)
+            if not accept and (fixed_h is not None or h < _H_MIN):
+                stop = "boundary-approach"
+        if stop is not None:
+            events.append({"type": stop, "time": t})
             break
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        rate_log=tuple(rate_log),
-        events=tuple(events),
-    )
+    return Trajectory(np.array(times), np.array(states), tuple(rate_log), tuple(events))
 
 
 def conservation_residual(traj: Trajectory, stoich: StoichiometryInfo) -> float:
@@ -336,9 +326,7 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
         raise ValueError(f"x0 must be strictly positive and finite, got {x0}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    k = np.asarray(k, dtype=float)
-    if k.shape != (net.n_reactions,) or not np.all(np.isfinite(k) & (k > 0)):
-        raise ValueError(f"k must be {net.n_reactions} finite positive rates, got {k}")
+    k = _positive_rates(k, net.n_reactions, "k")
     stoich = stoichiometric_subspace(net)
     B = _orthonormal_H(stoich)
     d = B.shape[1]

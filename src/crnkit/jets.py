@@ -331,10 +331,11 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     theta_hat is the least grid theta from which on every eligible sample
     is negative.  Violations that persist into the top two decades of the
     grid mean no cutoff was found in range: theta_hat None, with the
-    violating directions listed.  Near-zero direction clusters are
-    detected through the leading-order margin (see _worst_case_margin)
-    rather than the raw sum, which stays bounded away from zero even along
-    transition directions.
+    violating directions listed.  With no eligible (direction, theta)
+    point at all there is nothing to bound: theta_hat None, no violating
+    directions.  Near-zero direction clusters are detected through the
+    leading-order margin (see _worst_case_margin) rather than the raw sum,
+    which stays bounded away from zero even along transition directions.
 
     Membership of theta**w in the invariant polyhedron is trivial without
     conservation laws; with exactly one law <a, theta**w> = b0 the crossing
@@ -382,6 +383,7 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     # an eligible point along direction di (-inf if none); one theta at a
     # time, so no directions x thetas array is built
     bad_theta = np.full(len(W), -np.inf)
+    seen = False  # any eligible point at all
     phis = []  # one law: <a, theta**w> - b0 per grid theta, inf on overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for theta in theta_grid:
@@ -395,6 +397,7 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
             else:
                 miss = np.linalg.norm(Z @ A.T - b, axis=1) / (1 + np.linalg.norm(Z, axis=1))
                 eligible = finite & (miss <= membership_band)
+            seen |= bool(np.any(eligible))
             S = _rowdot(theta ** heights, pulls)
             bad_theta[eligible & (S >= 0) & (S < np.inf)] = theta
         if phis:
@@ -402,6 +405,7 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
             va, vb = np.array(phis[:-1]), np.array(phis[1:])
             ti, di = np.nonzero(np.isfinite(va) & np.isfinite(vb) & (va != 0) & (vb != 0)
                                 & ~(va * vb > 0))
+            seen |= len(di) > 0
             lo, hi, f_lo = theta_grid[ti], theta_grid[ti + 1], va[ti, di]
             for _ in range(80):
                 mid = np.sqrt(lo * hi)
@@ -419,7 +423,9 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     worst = float(np.max(bad_theta))
     theta_max = float(theta_grid[-1])
     violating = []
-    if worst == -np.inf:
+    if not seen:
+        theta_hat = None
+    elif worst == -np.inf:
         theta_hat = float(theta_grid[0])
     elif worst >= theta_max / 100:
         theta_hat = None

@@ -288,6 +288,16 @@ class TestSimulateCommand:
         c = run_cli(args[:-1] + ["12"])
         assert a.stdout != c.stdout
 
+    def test_rejected_trial_steps_leave_stderr_empty(self, tmp_path):
+        # from (1, 1, 30) tetrahedron's early trial steps leave the orthant or
+        # overflow; they are rejected before their error norm is formed
+        p = tmp_path / "tetrahedron.crn"
+        p.write_text(network_text("tetrahedron"))
+        out = run_cli(["simulate", str(p), "--x0=1,1,30", "--t-end", "5"])
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert json.loads(out.stdout)["times"][-1] == 5.0
+
     def test_fixed_policy_requires_rates_inside_tempering(self, rlv_file):
         out = run_cli(
             [

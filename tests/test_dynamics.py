@@ -109,6 +109,16 @@ class TestRatePolicies:
                 (1.0, 1.0), 0.5,
             )
 
+    @pytest.mark.parametrize("rates", [(1.0,), (np.inf, 1.0, 1.0), (np.nan, 1.0, 1.0),
+                                       (0.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)])
+    def test_fixed_rates_are_one_finite_positive_rate_per_reaction(self, rates):
+        # the rule and wording of find_steady_state's k check: a single rate is
+        # not broadcast, and an infinite one is rejected before the exact
+        # containment test
+        net, _ = load("reverse_lv")
+        with pytest.raises(ValueError, match="fixed rates must be 3 finite positive rates"):
+            simulate(net, None, RatePolicy("fixed", rates=rates), (1.0, 1.0), 1.0)
+
     def test_none_tempering_means_unit_rates(self):
         net, _ = load("reverse_lv")
         traj = simulate(
@@ -143,6 +153,22 @@ class TestRatePolicies:
             (1.0, 1.0), 2.0,
         )
         assert runs[0].rate_log != other.rate_log
+
+    @pytest.mark.parametrize("t_end, dt, n", [(0.1 + 0.2, 0.1, 3), (0.7, 0.1, 7),
+                                              (0.05, 0.1, 1), (2.0, 1 / 3, 6)])
+    def test_segment_starts_follow_arange(self, t_end, dt, n):
+        # segment i starts at np.arange(0, t_end, dt)[i]; a last start that
+        # rounds onto t_end is dropped (3 * 0.1 == 0.1 + 0.2, so arange's
+        # fourth start there begins no segment)
+        net, temp = load("reverse_lv")
+        traj = simulate(net, temp, RatePolicy("piecewise-constant", seed=2, dt=dt),
+                        (1.0, 1.0), t_end, fixed_h=dt)
+        starts = [t0 for t0, _ in traj.rate_log]
+        assert starts == list(np.arange(0.0, t_end, dt)[:n])
+        assert len(starts) == n
+        assert len(traj.times) == n + 1  # one fixed step per segment
+        assert traj.times[-1] == pytest.approx(t_end, abs=1e-15)
+        assert traj.events == ()
 
     def test_rates_at_lookup(self):
         net, temp = load("reverse_lv")

@@ -378,6 +378,15 @@ class TestCutoffScan:
         with pytest.raises(ValueError, match="x0"):
             cutoff_scan(net, temp, x0, direction_samples=50)
 
+    def test_no_eligible_point_reports_no_cutoff(self):
+        # A + B = 2e-9 is conserved, and every theta**w on the grid (theta >=
+        # 1.5, w a unit vector) has a coordinate above 1e-5: no point is
+        # eligible, so there is no cutoff to report and nothing violates
+        net, temp = parse_network("species: A B\nA -> B rate [1,2]\n")
+        out = cutoff_scan(net, temp, (1e-9, 1e-9), direction_samples=50)
+        assert out["theta_hat"] is None
+        assert out["violating_directions"] == []
+
 
 class TestUnitJetExtraction:
     def test_constant_sequence_is_level_one(self):
