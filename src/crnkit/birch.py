@@ -74,19 +74,6 @@ def grad_g_alpha(x, alpha) -> np.ndarray:
     return np.log(x / alpha)
 
 
-def _orthonormal_H(stoich: StoichiometryInfo) -> np.ndarray:
-    """n x d matrix with orthonormal columns spanning H (d may be 0)."""
-    k = len(stoich.H_basis)
-    n = len(stoich.Hperp_basis[0]) if stoich.Hperp_basis else (
-        len(stoich.H_basis[0]) if k else 0
-    )
-    if k == 0:
-        return np.zeros((n, 0))
-    M = stoich.H_matrix().T  # n x k
-    Q, _ = np.linalg.qr(M)
-    return Q[:, :k]
-
-
 def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
                 start_t=None, max_iter: int = 200) -> BirchSolution:
     """The unique point of (x0 + H) in the open orthant where log(x/alpha)
@@ -113,12 +100,13 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     A = stoich.Hperp_matrix()
-    B = _orthonormal_H(stoich)
+    B = stoich.orthonormal_H()
     d = B.shape[1]
 
     def residual_of(x):
-        r1 = np.linalg.norm(B.T @ np.log(x / alpha)) if d else 0.0
-        r2 = np.linalg.norm(A @ (x - x0)) if A.shape[0] else 0.0
+        with np.errstate(over="ignore"):  # a norm past the float range reads inf
+            r1 = np.linalg.norm(B.T @ np.log(x / alpha)) if d else 0.0
+            r2 = np.linalg.norm(A @ (x - x0)) if A.shape[0] else 0.0
         return max(r1, r2)
 
     if d == 0:
@@ -241,7 +229,7 @@ def _unit(v):
 
 def _direction_samples(stoich: StoichiometryInfo, n: int, count: int, rng):
     """Unit directions in and near H^perp (plus a few generic ones)."""
-    B = _orthonormal_H(stoich)
+    B = stoich.orthonormal_H()
     Aperp = stoich.Hperp_matrix()
     if Aperp.shape[0]:
         Qperp, _ = np.linalg.qr(Aperp.T)
@@ -265,10 +253,13 @@ def _direction_samples(stoich: StoichiometryInfo, n: int, count: int, rng):
     return out
 
 
-def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha,
-                          samples: int = 100, theta_max: float = 1e6,
-                          o_radius: float = 0.5, seed: int = 0,
-                          tol: float = 1e-10) -> dict:
+# toric rays run over theta in [1, _THETA_MAX]; Birch points solved to _VERIFY_TOL
+_THETA_MAX = 1e6
+_VERIFY_TOL = 1e-10
+
+
+def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha, samples: int = 100,
+                          o_radius: float = 0.5, seed: int = 0) -> dict:
     """Empirically check that toric rays from alpha in directions near
     H^perp stay away from the invariant polyhedron outside a ball O around
     the Birch point.
@@ -285,11 +276,11 @@ def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha,
     x0 = np.asarray(x0, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     n = len(x0)
-    xhat = np.array(birch_point(stoich, x0, alpha, tol=tol).point)
+    xhat = np.array(birch_point(stoich, x0, alpha, tol=_VERIFY_TOL).point)
     A = stoich.Hperp_matrix()
     b = A @ x0 if A.shape[0] else np.zeros(0)
     rng = np.random.default_rng(seed)
-    thetas = np.geomspace(1.0, theta_max, 40)
+    thetas = np.geomspace(1.0, _THETA_MAX, 40)
     per_direction = []
     violations = []
     for w in _direction_samples(stoich, n, max(1, samples), rng):
@@ -319,8 +310,7 @@ def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha,
 
 
 def estimate_mu(stoich: StoichiometryInfo, x0, alpha, o_radius: float,
-                samples: int = 400, theta_max: float = 1e6,
-                seed: int = 0, membership_band: float = 1e-3) -> float:
+                samples: int = 400, seed: int = 0, membership_band: float = 1e-3) -> float:
     """Lower-bound estimate of the uniform projection bound: the minimum of
     ||P_H w|| over sampled unit directions whose toric ray from alpha meets
     the invariant polyhedron outside the ball O of the given radius around
@@ -337,9 +327,9 @@ def estimate_mu(stoich: StoichiometryInfo, x0, alpha, o_radius: float,
     xhat = np.array(birch_point(stoich, x0, alpha).point)
     A = stoich.Hperp_matrix()
     b = A @ x0 if A.shape[0] else np.zeros(0)
-    B = _orthonormal_H(stoich)
+    B = stoich.orthonormal_H()
     rng = np.random.default_rng(seed)
-    thetas = np.geomspace(1.0, theta_max, 200)
+    thetas = np.geomspace(1.0, _THETA_MAX, 200)
     mu = np.inf
     for w in _direction_samples(stoich, n, samples, rng):
         Z = alpha[None, :] * thetas[:, None] ** w[None, :]

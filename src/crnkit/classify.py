@@ -284,14 +284,19 @@ def classify(net: ReactionNetwork, limit: int | None = None,
 # randomized falsification oracle
 
 
+# sampled directions have integer entries in [-_W_MAX, _W_MAX]
+_W_MAX = 60
+
+
 def _integer_scaled(vectors: list[RationalVector]) -> np.ndarray:
+    """The vectors over one common denominator: int64 rows when every <w, v>
+    of a sampled direction fits in int64, else exact Python ints."""
     if not vectors:
         return np.zeros((0, 0), dtype=np.int64)
-    lcm = 1
-    for v in vectors:
-        for x in v:
-            lcm = math.lcm(lcm, Fraction(x).denominator)
-    return np.array([[int(Fraction(x) * lcm) for x in v] for v in vectors], dtype=np.int64)
+    lcm = math.lcm(*(Fraction(x).denominator for v in vectors for x in v))
+    rows = [[int(Fraction(x) * lcm) for x in v] for v in vectors]
+    exact = _W_MAX * max(sum(map(abs, r)) for r in rows) >= 2**63
+    return np.array(rows, dtype=object if exact else np.int64)
 
 
 def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0) -> dict:
@@ -309,7 +314,7 @@ def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0
     W = np.vstack(
         [
             rng.integers(-9, 10, size=(half, n)),
-            rng.integers(-60, 61, size=(n_samples - half, n)),
+            rng.integers(-_W_MAX, _W_MAX + 1, size=(n_samples - half, n)),
         ]
     ).astype(np.int64)
     W = W[np.any(W != 0, axis=1)]

@@ -321,7 +321,8 @@ def cmd_jets(args) -> int:
     schedule = JetSchedule(beta_kind=args.schedule, theta_kind=args.theta_schedule)
     if not 1 <= args.i_max < np.inf:
         raise ValueError(f"--i-max must be finite and at least 1, got {args.i_max}")
-    i_range = np.unique(np.rint(np.geomspace(1, args.i_max, 60)).astype(int))
+    with np.errstate(over="ignore"):  # geomspace overflows inside near the float max
+        i_range = np.unique(np.rint(np.geomspace(1, args.i_max, 60)))
     report = domination_monitor(
         net, frame, schedule, i_range=i_range, threshold=args.threshold
     )

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .birch import NoConvergence, g_alpha, grad_g_alpha, _orthonormal_H
+from .birch import NoConvergence, g_alpha, grad_g_alpha
 from .network import (
     ReactionNetwork,
     StoichiometryInfo,
@@ -219,8 +219,8 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
     events.
 
     Raises:
-        ValueError: t_end, a tolerance or an x0 entry not positive and
-        finite; fixed rates not one finite positive rate per reaction or
+        ValueError: t_end, a tolerance, fixed_h or an x0 entry not positive
+        and finite; fixed rates not one finite positive rate per reaction or
         outside the tempering; a piecewise-constant run with more segments
         than max_steps allows.
     """
@@ -228,6 +228,8 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
+    if fixed_h is not None and not 0 < fixed_h < np.inf:
+        raise ValueError(f"fixed_h must be positive and finite, got {fixed_h}")
     x = np.asarray(x0, dtype=float)
     if not np.all((x > 0) & (x < np.inf)):
         raise ValueError(f"x0 must be strictly positive and finite, got {x}")
@@ -303,10 +305,12 @@ def conservation_residual(traj: Trajectory, stoich: StoichiometryInfo) -> float:
 # at most 4e-6, points where every term is merely small (next to the
 # boundary) 0.11 or more
 _CANCELLATION = 1e-3
+# damped Newton steps per start of find_steady_state
+_NEWTON_STEPS = 80
 
 
 def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
-                      max_iter: int = 80, seed: int = 0) -> SteadyState:
+                      seed: int = 0) -> SteadyState:
     """Positive steady state in the stoichiometric class of x0.
 
     Damped Newton on the reduced system B^T f(x0 + B t) = 0 (B an
@@ -327,8 +331,7 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     k = _positive_rates(k, net.n_reactions, "k")
-    stoich = stoichiometric_subspace(net)
-    B = _orthonormal_H(stoich)
+    B = stoichiometric_subspace(net).orthonormal_H()
     d = B.shape[1]
     if d == 0:
         f = _rhs(net, k, x0)
@@ -339,7 +342,7 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
         x = x0 + B @ t
         if np.any(x <= 0):
             return None
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             f = _rhs(net, k, x)
             if f is None:
                 return None
@@ -377,9 +380,10 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
         return SteadyState(tuple(x), residual) if residual <= _CANCELLATION * gross else None
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(d)]
-    for _ in range(8):
-        starts.append(rng.standard_normal(d) * 0.3 * float(np.linalg.norm(x0)))
+    with np.errstate(over="ignore"):  # inf past about 1e154: then no random restarts
+        size = float(np.linalg.norm(x0))
+    starts = [np.zeros(d)] + [rng.standard_normal(d) * 0.3 * size
+                              for _ in range(8 if size < np.inf else 0)]
     for t_start in starts:
         found = accepted(newton(t_start))
         if found is not None:

@@ -20,12 +20,30 @@ from .geometry import LimitExceeded, enumerate_faces
 from .network import (
     ReactionNetwork,
     Reaction,
+    StoichiometryInfo,
     Tempering,
     _unit_tempering,
     stoichiometric_subspace,
 )
-from .birch import _orthonormal_H
 from .dynamics import _rowdot
+
+# the orthonormal basis of H, for callers that import it from here
+_orthonormal_H = StoichiometryInfo.orthonormal_H
+
+# |<w_j, flux>| up to _LEVEL_TOL counts as zero at frame level j; values
+# within _TIE_TOL * max(1, largest |value|) of the maximum tie for the argmax
+_LEVEL_TOL = 1e-10
+_TIE_TOL = 1e-9
+# cutoff_scan: margins from -_NEAR_ZERO_DELTA up are near zero; with two or
+# more laws a point is eligible within the relative miss _MEMBERSHIP_BAND;
+# near-zero directions within _CLUSTER_GAP radians share a cluster
+_NEAR_ZERO_DELTA = 0.02
+_MEMBERSHIP_BAND = 1e-3
+_CLUSTER_GAP = 0.1
+# extract_unit_jet: residuals and coefficients up to _ZERO_TOL count as zero,
+# and every level needs _MIN_PER_LEVEL usable indices
+_ZERO_TOL = 1e-9
+_MIN_PER_LEVEL = 5
 
 
 @dataclass(frozen=True)
@@ -84,7 +102,8 @@ class JetSchedule:
     def beta(self, j: int, i: float) -> float:
         if self.beta_kind == "power":
             return float(i) ** (-(j - 1))
-        return math.exp(-(j - 1) * float(i) ** 2)
+        # 0.0 for j > 1 from i = 28 on: capping i keeps i^2 finite
+        return math.exp(-(j - 1) * min(float(i), 1e10) ** 2)
 
     def log_theta(self, i: float) -> float:
         if self.theta_kind == "exp":
@@ -120,23 +139,22 @@ def pull(reaction: Reaction, w, theta: float) -> float:
     return float((w @ flux) * theta ** (w @ src))
 
 
-def level_and_type(reaction: Reaction, frame: Frame, tol: float = 1e-10) -> ReactionJetClass:
+def level_and_type(reaction: Reaction, frame: Frame) -> ReactionJetClass:
     """Least frame level whose inner product with the reaction vector is
     nonzero decides the class: negative = sustaining, positive = draining,
     all zero = inessential."""
-    return _level_and_type(np.array([float(c) for c in reaction.flux]), frame, tol)
+    return _level_and_type(np.array([float(c) for c in reaction.flux]), frame)
 
 
-def _level_and_type(flux: np.ndarray, frame: Frame, tol: float = 1e-10) -> ReactionJetClass:
+def _level_and_type(flux: np.ndarray, frame: Frame) -> ReactionJetClass:
     for j, w in enumerate(frame.vectors, start=1):
         d = float(np.asarray(w) @ flux)
-        if abs(d) > tol:
+        if abs(d) > _LEVEL_TOL:
             return ReactionJetClass("sustaining" if d < 0 else "draining", j)
     return ReactionJetClass("inessential", None)
 
 
-def jets_fundamental_check(Q, frame: Frame, schedule: JetSchedule,
-                           i_range, tie_tol: float = 1e-9) -> dict:
+def jets_fundamental_check(Q, frame: Frame, schedule: JetSchedule, i_range) -> dict:
     """Check that the argmax of <w(i), .> over Q stabilizes to the iterated
     maximal subset along the frame.
 
@@ -153,7 +171,7 @@ def jets_fundamental_check(Q, frame: Frame, schedule: JetSchedule,
         vals = [float(np.asarray(w) @ np.array(q)) for q in expected]
         top = max(vals)
         scale = max(1.0, max(abs(v) for v in vals))
-        expected = [q for q, v in zip(expected, vals) if top - v <= tie_tol * scale]
+        expected = [q for q, v in zip(expected, vals) if top - v <= _TIE_TOL * scale]
     expected_idx = {i for i, q in enumerate(Q) if q in [tuple(e) for e in expected]}
     argmax_sets = []
     i_list = list(i_range)
@@ -163,7 +181,7 @@ def jets_fundamental_check(Q, frame: Frame, schedule: JetSchedule,
         vals = V @ v
         top = float(vals.max())
         scale = max(1.0, float(np.abs(vals).max()))
-        idx = {int(j) for j in np.nonzero(top - vals <= tie_tol * scale)[0]}
+        idx = {int(j) for j in np.nonzero(top - vals <= _TIE_TOL * scale)[0]}
         argmax_sets.append((i, idx))
     stabilized_at = None
     for pos in range(len(argmax_sets)):
@@ -209,14 +227,13 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
         threshold not positive and finite.
     """
     if i_range is None:
-        i_range = np.unique(np.rint(np.geomspace(1, 5000, 60)).astype(int))
+        i_range = np.unique(np.rint(np.geomspace(1, 5000, 60)))
     i_list = [float(i) for i in i_range]
     if not i_list or not all(1 <= i < math.inf for i in i_list):
         raise ValueError(f"i_range must be nonempty, finite and at least 1, got {i_range}")
     if not 0 < threshold < math.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    stoich = stoichiometric_subspace(net)
-    B = _orthonormal_H(stoich)
+    B = stoichiometric_subspace(net).orthonormal_H()
     w1 = frame.w1
     proj = float(np.linalg.norm(B.T @ w1)) if B.shape[1] else 0.0
     warning = None
@@ -232,8 +249,9 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
         net, None, [schedule.direction(frame, i) for i in i_list])
     log_theta = np.array([schedule.log_theta(i) for i in i_list])
     # logs[r, col] = log |pull| of reaction r at the col-th jet point, -inf
-    # where the pull vanishes (kept in log space so huge thetas never overflow)
-    with np.errstate(divide="ignore"):
+    # where the pull vanishes (kept in log space so huge thetas never overflow;
+    # log thetas near the float limit still give inf or nan)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         logs = (np.log(np.abs(coeffs)) + heights * log_theta[:, None]).T
     late = np.array(i_list) >= i_list[-1] / 10
     entries = []
@@ -313,9 +331,7 @@ def _worst_case_margin(net: ReactionNetwork, tempering: Tempering | None, W):
 
 
 def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
-                theta_grid=None, direction_samples: int = 400, seed: int = 0,
-                near_zero_delta: float = 0.02, membership_band: float = 1e-3,
-                cluster_gap: float = 0.1) -> dict:
+                theta_grid=None, direction_samples: int = 400, seed: int = 0) -> dict:
     """Scan directions for a uniform cutoff theta beyond which the
     worst-case sum of pulls is negative.
 
@@ -396,7 +412,7 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
                 eligible = np.abs(phis[-1]) <= 1e-9 * (1 + abs(b[0]))
             else:
                 miss = np.linalg.norm(Z @ A.T - b, axis=1) / (1 + np.linalg.norm(Z, axis=1))
-                eligible = finite & (miss <= membership_band)
+                eligible = finite & (miss <= _MEMBERSHIP_BAND)
             seen |= bool(np.any(eligible))
             S = _rowdot(theta ** heights, pulls)
             bad_theta[eligible & (S >= 0) & (S < np.inf)] = theta
@@ -433,14 +449,14 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     else:
         theta_hat = float(theta_grid[np.searchsorted(theta_grid, worst, "right")])
     margins = _worst_case_margin(net, tempering, W)
-    near = margins >= -near_zero_delta
+    near = margins >= -_NEAR_ZERO_DELTA
     return {
         "theta_hat": theta_hat,
         "violating_directions": violating,
-        "near_zero_clusters": _cluster_directions(W[near], margins[near], cluster_gap),
+        "near_zero_clusters": _cluster_directions(W[near], margins[near], _CLUSTER_GAP),
         "n_directions": len(W),
         "theta_grid": [float(t) for t in theta_grid],
-        "margin_delta": near_zero_delta,
+        "margin_delta": _NEAR_ZERO_DELTA,
     }
 
 
@@ -475,40 +491,38 @@ def _cluster_directions(dirs: np.ndarray, margins: np.ndarray, gap: float):
 # unit-jet extraction
 
 
-def extract_unit_jet(sequence, dim: int | None = None, zero_tol: float = 1e-9,
-                     min_per_level: int = 5) -> tuple[list[int], Frame]:
+def extract_unit_jet(sequence) -> tuple[list[int], Frame]:
     """Extract an approximate unit jet (subsequence + frame) from a finite
     sequence of unit vectors.
 
     Mirrors the accumulation-point recursion: take the latest direction as
     the level's limit, keep indices with a positive component along it,
     project the kept residuals onto its orthogonal complement, and recurse
-    until the residuals vanish (or dim levels are found).  The surviving
+    until the residuals vanish (or n levels are found).  The surviving
     indices are then greedily thinned so every consecutive coefficient
     ratio beta_j / beta_{j+1} is strictly increasing.
 
     Raises:
-        ValueError: fewer than min_per_level usable indices at some level.
+        ValueError: fewer than five usable indices at some level.
     """
     W = [np.asarray(w, dtype=float) for w in sequence]
     if not W:
         raise ValueError("empty sequence")
     n = len(W[0])
-    dim = n if dim is None else dim
     active = list(range(len(W)))
     residuals = {i: W[i].copy() for i in active}
     frame_vecs: list[np.ndarray] = []
-    while len(frame_vecs) < dim:
-        nonzero = [i for i in active if np.linalg.norm(residuals[i]) > zero_tol]
+    while len(frame_vecs) < n:
+        nonzero = [i for i in active if np.linalg.norm(residuals[i]) > _ZERO_TOL]
         if not nonzero:
             break
         anchor = residuals[nonzero[-1]]
         anchor = anchor / np.linalg.norm(anchor)
-        keep = [i for i in nonzero if float(residuals[i] @ anchor) > zero_tol]
-        if len(keep) < min_per_level:
+        keep = [i for i in nonzero if float(residuals[i] @ anchor) > _ZERO_TOL]
+        if len(keep) < _MIN_PER_LEVEL:
             raise ValueError(
                 f"only {len(keep)} usable directions at level "
-                f"{len(frame_vecs) + 1}; need at least {min_per_level}"
+                f"{len(frame_vecs) + 1}; need at least {_MIN_PER_LEVEL}"
             )
         frame_vecs.append(anchor)
         active = keep
@@ -523,7 +537,7 @@ def extract_unit_jet(sequence, dim: int | None = None, zero_tol: float = 1e-9,
     kept: list[int] = []
     for i in active:
         b = betas[i]
-        if np.any(b[:ell] <= zero_tol):
+        if np.any(b[:ell] <= _ZERO_TOL):
             continue
         if kept:
             prev = betas[kept[-1]]
@@ -533,9 +547,9 @@ def extract_unit_jet(sequence, dim: int | None = None, zero_tol: float = 1e-9,
             if not ratios_ok:
                 continue
         kept.append(i)
-    if len(kept) < min_per_level:
+    if len(kept) < _MIN_PER_LEVEL:
         raise ValueError(
             f"only {len(kept)} indices survive the ratio monotonicity thinning; "
-            f"need at least {min_per_level}"
+            f"need at least {_MIN_PER_LEVEL}"
         )
     return kept, make_frame(*frame_vecs)

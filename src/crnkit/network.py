@@ -2,9 +2,9 @@
 network parsing/serialization, and graph-level structure (linkage classes,
 weak reversibility, stoichiometric subspace, reactant polytope).
 
-Stoichiometric coefficients are exact rationals throughout.  The float
-source and flux matrices that the numeric modules work from are computed
-once per network, on first use, and returned as read-only arrays.
+Stoichiometric coefficients are exact rationals throughout.  Derived
+structure (float matrices, the stoichiometric subspace, linkage classes) is
+computed once per network on first use and shared; arrays are read-only.
 """
 
 from __future__ import annotations
@@ -152,18 +152,45 @@ class ReactionNetwork:
 
     @cached_property
     def _float_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        # cached in the instance __dict__, outside the dataclass fields
         Y = np.array([[float(c) for c in r.source.coeffs] for r in self.reactions])
         F = np.array([[float(c) for c in r.flux] for r in self.reactions])
-        Y.flags.writeable = False
-        F.flags.writeable = False
+        Y.flags.writeable = F.flags.writeable = False
         return Y, F
+
+    @cached_property
+    def _stoichiometry(self) -> StoichiometryInfo:
+        fluxes, n = [list(f) for f in self.exact_fluxes()], self.n_species
+        H = tuple(row_space_basis(fluxes, n))
+        return StoichiometryInfo(H, tuple(vec(v) for v in nullspace(fluxes, n)), len(H))
+
+    @cached_property
+    def _linkage(self) -> LinkageInfo:
+        n, index = len(self.complexes), {c: i for i, c in enumerate(self.complexes)}
+        edges = [(index[r.source], index[r.target]) for r in self.reactions]
+        # one Warshall closure of both, on bitset rows: bit j of row i says i reaches j
+        directed, linked = reach = [[1 << i for i in range(n)] for _ in range(2)]
+        for rows, arcs in zip(reach, (edges, edges + [(b, a) for a, b in edges])):
+            for a, b in arcs:
+                rows[a] |= 1 << b
+        for k in range(n):
+            for rows in reach:
+                for i, row in enumerate(rows):
+                    if row >> k & 1:
+                        rows[i] = row | rows[k]
+        classes = [tuple(j for j in range(n) if row >> j & 1)
+                   for i, row in enumerate(linked) if row & -row == 1 << i]  # i least
+        # the directed closure is symmetric iff every target reaches its source
+        return LinkageInfo(tuple(classes), all(directed[b] >> a & 1 for a, b in edges),
+                           tuple(tuple(row_space_basis(
+                               [list(r.flux) for r, (a, _) in zip(self.reactions, edges)
+                                if a in members], self.n_species)) for members in classes))
 
 
 @dataclass(frozen=True)
 class StoichiometryInfo:
     """Exact bases for the stoichiometric subspace H and its orthogonal
-    complement (the conservation laws)."""
+    complement (the conservation laws); their float matrices and an
+    orthonormal basis of H are built once per instance, read-only."""
 
     H_basis: tuple[RationalVector, ...]
     Hperp_basis: tuple[RationalVector, ...]
@@ -177,14 +204,23 @@ class StoichiometryInfo:
         return 0
 
     def H_matrix(self) -> np.ndarray:
-        return np.array(
-            [[float(x) for x in v] for v in self.H_basis], dtype=float
-        ).reshape(len(self.H_basis), self.n_species)
+        return self._float_bases[0]
 
     def Hperp_matrix(self) -> np.ndarray:
-        return np.array(
-            [[float(x) for x in v] for v in self.Hperp_basis], dtype=float
-        ).reshape(len(self.Hperp_basis), self.n_species)
+        return self._float_bases[1]
+
+    def orthonormal_H(self) -> np.ndarray:
+        """n x d matrix with orthonormal columns spanning H (d may be 0)."""
+        return self._float_bases[2]
+
+    @cached_property
+    def _float_bases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, k = self.n_species, len(self.H_basis)
+        H, Hperp = (np.array([[float(x) for x in v] for v in basis], dtype=float)
+                    .reshape(len(basis), n) for basis in (self.H_basis, self.Hperp_basis))
+        Q = np.linalg.qr(H.T)[0][:, :k] if k else np.zeros((n, 0))
+        H.flags.writeable = Hperp.flags.writeable = Q.flags.writeable = False
+        return H, Hperp, Q
 
 
 @dataclass(frozen=True)
@@ -441,72 +477,17 @@ def serialize_network(net: ReactionNetwork, tempering: Tempering | None = None) 
 
 
 def stoichiometric_subspace(net: ReactionNetwork) -> StoichiometryInfo:
-    """Exact bases for H = span of the reaction vectors and for H-perp.
-
-    dim(H) + |Hperp_basis| = n always (rank-nullity over the rationals).
-    """
-    n = net.n_species
-    fluxes = [list(f) for f in net.exact_fluxes()]
-    H = row_space_basis(fluxes, n)
-    Hperp = [vec(v) for v in nullspace(fluxes, n)]
-    return StoichiometryInfo(tuple(H), tuple(Hperp), len(H))
+    """Exact bases for H = span of the reaction vectors and for H-perp, with
+    dim(H) + |Hperp_basis| = n (rank-nullity over the rationals).  Computed
+    once per network: every call returns the same object."""
+    return net._stoichiometry
 
 
 def linkage_classes(net: ReactionNetwork) -> LinkageInfo:
-    """Linkage classes (weakly connected components of the reaction graph),
-    weak reversibility (every class strongly connected), and each class's
-    stoichiometric subspace."""
-    n_cx = len(net.complexes)
-    index = {c: i for i, c in enumerate(net.complexes)}
-    out_edges: list[set[int]] = [set() for _ in range(n_cx)]
-    und: list[set[int]] = [set() for _ in range(n_cx)]
-    for r in net.reactions:
-        a, b = index[r.source], index[r.target]
-        out_edges[a].add(b)
-        und[a].add(b)
-        und[b].add(a)
-
-    comp = [-1] * n_cx
-    classes: list[list[int]] = []
-    for start in range(n_cx):
-        if comp[start] != -1:
-            continue
-        cid = len(classes)
-        stack, members = [start], []
-        comp[start] = cid
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for v in und[u]:
-                if comp[v] == -1:
-                    comp[v] = cid
-                    stack.append(v)
-        classes.append(sorted(members))
-
-    def strongly_connected(members: list[int]) -> bool:
-        mset = set(members)
-        for s in members:
-            reached = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in out_edges[u]:
-                    if v in mset and v not in reached:
-                        reached.add(v)
-                        stack.append(v)
-            if reached != mset:
-                return False
-        return True
-
-    wr = all(strongly_connected(m) for m in classes)
-    subspaces = []
-    for cid, members in enumerate(classes):
-        mset = set(members)
-        fluxes = [list(r.flux) for r in net.reactions if index[r.source] in mset]
-        subspaces.append(tuple(row_space_basis(fluxes, net.n_species)))
-    return LinkageInfo(
-        tuple(tuple(m) for m in classes), wr, tuple(subspaces)
-    )
+    """Linkage classes (weak components of the reaction graph, ascending, by
+    least complex), weak reversibility (a symmetric reachability closure) and
+    each class's subspace; once per network: every call returns one object."""
+    return net._linkage
 
 
 def reactant_polytope_vertices(net: ReactionNetwork) -> list[Complex]:
@@ -519,12 +500,9 @@ def reactant_polytope_vertices(net: ReactionNetwork) -> list[Complex]:
     """
     if not net.reactions:
         raise ValueError("network has no reactions")
-    sources: list[Complex] = []
-    for r in net.reactions:
-        if r.source not in sources:
-            sources.append(r.source)
+    sources = list(dict.fromkeys(r.source for r in net.reactions))
     if len(sources) == 1:
-        return list(sources)
+        return sources
     verts = []
     for i, p in enumerate(sources):
         others = [q for j, q in enumerate(sources) if j != i]

@@ -6,11 +6,19 @@ frozen from hand analysis of each network's reactant geometry.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crnkit import parse_network
+
+# child processes (the CLI and python -O tests) import crnkit from src too,
+# with or without PYTHONPATH set for pytest itself
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 NETWORKS = {
     # 2X -> X, 0 -> Y, 2Y -> X + Y: strongly endotactic, not weakly reversible

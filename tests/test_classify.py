@@ -364,6 +364,41 @@ class TestSampler:
         assert not is_w_endotactic(net, w)[0]
 
 
+# one common denominator puts these coefficients past int64: converting the
+# first raised OverflowError, and <w, v> wrapped silently on the second
+WIDE_COEFFICIENT_NETWORKS = [
+    "species: A B\n1/99991A -> 1/99989B\n1/99971B -> 1/99961A\n1/99929A -> 1/99923B\n",
+    "species: A B\n1/1009A -> 1/1013B\n1/1019A + 1/1021B -> 1/1031A\n"
+    "1/1033B -> A + B\n0 -> 2A\n",
+]
+
+
+class TestSamplerPastInt64:
+    @pytest.mark.parametrize("text", WIDE_COEFFICIENT_NETWORKS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_witnesses_replay_exactly(self, text, seed):
+        net, _ = parse_network(text)
+        sampled = sample_classify(net, n_samples=2000, seed=seed)
+        assert not sampled["endotactic"]
+        assert not is_w_endotactic(net, sampled["endo_witness"])[0]
+        w = sampled["strong_witness"]
+        assert w is not None
+        comps = [sum(a * b for a, b in zip(w, r.flux)) for r in net.reactions]
+        top = set(max_subset([r.source.coeffs for r in net.reactions], w))
+        assert any(c != 0 for c in comps)
+        assert not any(c < 0 and r.source.coeffs in top
+                       for c, r in zip(comps, net.reactions))
+
+    def test_int64_unless_a_product_could_overflow(self):
+        # 60 |v|_1 of the scaled flux of 1/1033B -> A + B passes 2^63, while
+        # every scaled source stays below it
+        net, _ = parse_network(WIDE_COEFFICIENT_NETWORKS[1])
+        assert classify_module._integer_scaled(net.exact_fluxes()).dtype == object
+        assert classify_module._integer_scaled(net.exact_sources()).dtype == np.int64
+        net, _ = load("triangle_out")
+        assert classify_module._integer_scaled(net.exact_fluxes()).dtype == np.int64
+
+
 class TestArrangement:
     def test_normal_count(self):
         net, _ = load("reverse_lv")

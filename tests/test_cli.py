@@ -176,6 +176,37 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("crnkit: error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["steady", "{rlv}", "--x0", "1e300,1e300"],
+            ["birch", "{ab}", "--x0", "1e300,1", "--alpha", "1,1"],
+        ],
+        ids=["steady-x0-1e300", "birch-x0-1e300"],
+    )
+    def test_overflowing_norm_is_one_line_exit_three(self, argv, rlv_file, tmp_path):
+        # the norms of such points overflow: numpy's warnings used to come first
+        ab = tmp_path / "ab_reversible.crn"
+        ab.write_text(network_text("ab_reversible"))
+        out = run_cli([a.format(rlv=rlv_file, ab=str(ab)) for a in argv])
+        assert out.returncode == 3
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("crnkit: no convergence: ")
+
+    @pytest.mark.parametrize("i_max", ["1e19", "1e155", "1.7976931348623157e308"])
+    @pytest.mark.parametrize("schedule", ["power", "decaying"])
+    def test_any_finite_i_max_gives_a_report(self, i_max, schedule, rlv_file):
+        # past 2^63 the int cast of the indices wrapped to -2^63 (exit 1 on an
+        # index never given), and the decaying schedule squared i past the
+        # float range
+        out = run_cli(["jets", rlv_file, "--frame", "1,0;0,1", "--i-max", i_max,
+                       "--schedule", schedule])
+        assert out.returncode == 0
+        assert out.stderr == ""
+        series = [i for e in json.loads(out.stdout)["entries"] for i, _ in e["series"]]
+        assert min(series) == 1 and max(series) == float(i_max)
+
     def test_scan_without_directions_says_so(self, ab_file):
         out = run_cli(["scan", ab_file, "--samples", "0"],
                       env_extra={"CRN_MAX_HYPERPLANES": "0"})
@@ -211,6 +242,24 @@ class TestClassifyCommand:
         doc = json.loads(run_cli(["classify", str(p)]).stdout)
         assert doc["endotactic"] is False
         assert doc["witness"] == ["-1", "1"]
+
+
+    @pytest.mark.parametrize("text, limit", [
+        ("species: A B\n1/99991A -> 1/99989B\n1/99971B -> 1/99961A\n"
+         "1/99929A -> 1/99923B\n", "0"),
+        ("species: A B\n1/1009A -> 1/1013B\n1/1019A + 1/1021B -> 1/1031A\n"
+         "1/1033B -> A + B\n0 -> 2A\n", "1"),
+    ], ids=["int64-overflow", "int64-wrap"])
+    def test_sampled_witness_past_int64_replays(self, text, limit, tmp_path):
+        p = tmp_path / "wide.crn"
+        p.write_text(text)
+        out = run_cli(["classify", str(p), "--sample-fallback"],
+                      env_extra={"CRN_MAX_HYPERPLANES": limit})
+        assert out.returncode == 0 and out.stderr == ""
+        doc = json.loads(out.stdout)
+        assert doc["inconclusive"] and not doc["endotactic"]
+        check = run_cli(["classify", str(p), "--direction=" + ",".join(doc["witness"])])
+        assert json.loads(check.stdout)["w_endotactic"] is False
 
 
 class TestBirchAndSteady:

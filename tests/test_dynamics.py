@@ -119,6 +119,15 @@ class TestRatePolicies:
         with pytest.raises(ValueError, match="fixed rates must be 3 finite positive rates"):
             simulate(net, None, RatePolicy("fixed", rates=rates), (1.0, 1.0), 1.0)
 
+    @pytest.mark.parametrize("fixed_h", [0.0, -0.1, np.nan, np.inf])
+    def test_fixed_step_must_be_positive_and_finite(self, fixed_h):
+        # 0 used to repeat t = 0 up to the step limit, -0.1 integrated
+        # backwards and NaN stopped at once
+        net, _ = parse_network("species: A B\nA -> B\n")
+        with pytest.raises(ValueError, match="fixed_h must be positive and finite"):
+            simulate(net, None, RatePolicy("constant-mid"), (1.0, 1.0), 1.0,
+                     fixed_h=fixed_h, max_steps=100)
+
     def test_none_tempering_means_unit_rates(self):
         net, _ = load("reverse_lv")
         traj = simulate(

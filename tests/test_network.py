@@ -12,6 +12,9 @@ from crnkit import (
     InvariantPolyhedron,
     ParseError,
     Reaction,
+    ReactionNetwork,
+    Species,
+    StoichiometryInfo,
     Tempering,
     linkage_classes,
     parse_network,
@@ -240,6 +243,64 @@ class TestLinkage:
         st = stoichiometric_subspace(net)
         combined = [v for basis in info.class_subspaces for v in basis]
         assert rank(combined) == st.dimension
+
+
+class TestStructureOnce:
+    def test_same_objects_on_every_call(self):
+        net, _ = load("futile_cycle")
+        st = stoichiometric_subspace(net)
+        assert stoichiometric_subspace(net) is st
+        assert linkage_classes(net) is linkage_classes(net)
+
+    @pytest.mark.parametrize("name", ["futile_cycle", "reverse_lv", "a_to_b"])
+    def test_float_bases_built_once_and_read_only(self, name):
+        net, _ = load(name)
+        st = stoichiometric_subspace(net)
+        # the same arrays for an instance built directly from the bases
+        direct = StoichiometryInfo(st.H_basis, st.Hperp_basis, st.dimension)
+        for info in (st, direct):
+            for get in (info.H_matrix, info.Hperp_matrix, info.orthonormal_H):
+                M = get()
+                assert get() is M
+                assert not M.flags.writeable
+                with pytest.raises(ValueError):
+                    M[...] = 0
+        Q = st.orthonormal_H()
+        assert Q.shape == (net.n_species, st.dimension)
+        assert np.allclose(Q.T @ Q, np.eye(st.dimension))
+        assert direct.orthonormal_H().tobytes() == Q.tobytes()
+
+    def test_closure_matches_graph_components(self, rng):
+        # scipy's weak and strong components as the oracle: weakly
+        # reversible iff every linkage class is one strong component
+        from scipy.sparse.csgraph import connected_components
+
+        pool = [Complex((F(a), F(b))) for a in range(3) for b in range(3)]
+        wr = 0
+        for _ in range(300):
+            picks = rng.choice(len(pool), size=(int(rng.integers(1, 7)), 2))
+            reactions = [Reaction(pool[a], pool[b]) for a, b in picks]
+            if rng.random() < 0.5:
+                reactions += [Reaction(r.target, r.source) for r in reactions
+                              if rng.random() < 0.8]
+            complexes = tuple(dict.fromkeys(c for r in reactions
+                                            for c in (r.source, r.target)))
+            net = ReactionNetwork(tuple(Species(s, i) for i, s in enumerate("AB")),
+                                  complexes, tuple(reactions))
+            index = {c: i for i, c in enumerate(complexes)}
+            adj = np.zeros((len(complexes),) * 2)
+            for r in reactions:
+                adj[index[r.source], index[r.target]] = 1
+            n_weak, weak = connected_components(adj, connection="weak")
+            n_strong, _ = connected_components(adj, connection="strong")
+            groups = {}
+            for i, label in enumerate(weak):
+                groups.setdefault(label, []).append(i)
+            info = linkage_classes(net)
+            assert info.classes == tuple(sorted(tuple(g) for g in groups.values()))
+            assert info.weakly_reversible == (n_strong == n_weak)
+            wr += info.weakly_reversible
+        assert 50 < wr < 250
 
 
 class TestReactantPolytope:
