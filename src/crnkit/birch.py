@@ -74,6 +74,9 @@ def grad_g_alpha(x, alpha) -> np.ndarray:
     return np.log(x / alpha)
 
 
+# far from alpha, x / alpha and g_alpha leave the float range (log 0 is -inf,
+# products overflow); a step to such a point fails the Armijo and residual tests
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
                 start_t=None, max_iter: int = 200) -> BirchSolution:
     """The unique point of (x0 + H) in the open orthant where log(x/alpha)
@@ -104,9 +107,8 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
     d = B.shape[1]
 
     def residual_of(x):
-        with np.errstate(over="ignore"):  # a norm past the float range reads inf
-            r1 = np.linalg.norm(B.T @ np.log(x / alpha)) if d else 0.0
-            r2 = np.linalg.norm(A @ (x - x0)) if A.shape[0] else 0.0
+        r1 = np.linalg.norm(B.T @ np.log(x / alpha)) if d else 0.0
+        r2 = np.linalg.norm(A @ (x - x0)) if A.shape[0] else 0.0
         return max(r1, r2)
 
     if d == 0:

@@ -11,6 +11,7 @@ limit exceeded, 3 no convergence; every failure prints one line to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -340,6 +341,7 @@ def cmd_jets(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crnkit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"crnkit {__version__}")

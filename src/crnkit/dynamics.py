@@ -309,6 +309,9 @@ _CANCELLATION = 1e-3
 _NEWTON_STEPS = 80
 
 
+# far from 1 the search's products and norms overflow, or meet as inf - inf;
+# a start or step with such a value fails the tests it meets
+@np.errstate(over="ignore", invalid="ignore")
 def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
                       seed: int = 0) -> SteadyState:
     """Positive steady state in the stoichiometric class of x0.
@@ -380,8 +383,7 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
         return SteadyState(tuple(x), residual) if residual <= _CANCELLATION * gross else None
 
     rng = np.random.default_rng(seed)
-    with np.errstate(over="ignore"):  # inf past about 1e154: then no random restarts
-        size = float(np.linalg.norm(x0))
+    size = float(np.linalg.norm(x0))  # inf past about 1e154: then no random restarts
     starts = [np.zeros(d)] + [rng.standard_normal(d) * 0.3 * size
                               for _ in range(8 if size < np.inf else 0)]
     for t_start in starts:
@@ -400,6 +402,7 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
     raise NoConvergence(f"no positive steady state found from x0 = {x0}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf (or nan) past the float range
 def g_along(traj: Trajectory, net: ReactionNetwork, alpha=None) -> np.ndarray:
     """Per-sample free energy and its instantaneous derivative: rows
     (t, g(x(t)), <log(x/alpha), f(x(t))>), alpha defaulting to all ones and

@@ -1,10 +1,10 @@
-"""Exact rational geometry: linear algebra over Fraction, strict-feasibility
-linear programming, central hyperplane-arrangement face enumeration, and the
-maximal-subset / Super-chain primitives used by classification and jets.
+"""Exact rational geometry: fraction-free integer elimination (rank, spans,
+nullspaces), strict-feasibility linear programming over Fraction, central
+hyperplane-arrangement faces, and the maximal-subset / Super-chain
+primitives used by classification and jets.
 
-No floating point is used anywhere in this module: face enumeration closes
-int8 sign rows and sums conformal cocircuits in Python-int arrays.
-"""
+No floating point is used anywhere in this module: elimination runs on
+Python ints, face enumeration on int8 sign rows and Python-int cocircuits."""
 
 from __future__ import annotations
 
@@ -54,84 +54,84 @@ def is_zero(u) -> bool:
 
 def primitive(u) -> tuple[int, ...]:
     """Scale a rational vector to integer entries with gcd 1, preserving
-    direction.  The zero vector maps to itself."""
-    u = [Fraction(a) for a in u]
-    if all(a == 0 for a in u):
-        return tuple(0 for _ in u)
-    denom_lcm = math.lcm(*(a.denominator for a in u))
-    ints = [int(a * denom_lcm) for a in u]
-    g = math.gcd(*ints)
-    return tuple(a // g for a in ints)
+    direction (Python ints are not turned into Fractions on the way).  The
+    zero vector maps to itself."""
+    u = tuple(u)
+    if not all(type(a) is int for a in u):
+        q = [Fraction(a) for a in u]
+        den = math.lcm(*(a.denominator for a in q))
+        u = tuple(int(a.numerator) * (den // a.denominator) for a in q)
+    g = math.gcd(*u)
+    return tuple(a // g for a in u) if g > 1 else u
 
 
 def _canonical_hyperplane(u) -> tuple[int, ...]:
     # primitive vector with first nonzero entry positive (keys a hyperplane,
     # forgetting orientation)
     p = primitive(u)
-    for a in p:
-        if a != 0:
-            return p if a > 0 else tuple(-x for x in p)
-    return p
+    return p if next((a for a in p if a), 0) >= 0 else tuple(-x for x in p)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
-
-    Returns:
-        (R, pivots) where R is the echelon matrix (same shape) and pivots
-        lists the pivot column of each nonzero row.
-    """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+def _echelon(rows) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Reduced row echelon form, fraction-free (Bareiss 1968): each row is
+    made primitive once, then eliminated by cross-multiplication and one gcd
+    per updated row.  Returns its nonzero rows, each primitive with a
+    positive pivot and zeros in the other pivot columns, and their pivots."""
+    M = [primitive(row) for row in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
+    for c in range(len(M[0]) if M else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if p is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        a = M[p] if M[p][c] > 0 else tuple(-x for x in M[p])
+        M[p], M[r] = M[r], a
+        for i, row in enumerate(M):
+            if i != r and row[c]:
+                g = math.gcd(a[c], row[c])
+                M[i] = primitive(a[c] // g * x - row[c] // g * y for x, y in zip(row, a))
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(pivots) == len(M):
             break
-    return mat, pivots
+    return M[:len(pivots)], pivots
+
+
+def _null_generators(R, pivots, ncols: int) -> list[tuple[int, ...]]:
+    """Primitive integer generators of the nullspace of a reduced echelon
+    form R, one per free column, positive there; that column is the
+    generator's last nonzero entry (each row is zero before its pivot)."""
+    gens = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        d = math.lcm(*(row[p] for row, p in zip(R, pivots) if row[f]))
+        v = [d if c == f else 0 for c in range(ncols)]
+        for row, p in zip(R, pivots):
+            v[p] = -row[f] * (d // row[p])
+        gens.append(primitive(v))
+    return gens
+
+
+def _subspaces(rows, ncols: int) -> tuple[list[RationalVector], list[RationalVector]]:
+    """row_space_basis and nullspace of the rows from one reduction."""
+    R, pivots = _echelon(rows)
+    null = [tuple(Fraction(x, next(y for y in reversed(v) if y)) for x in v)
+            for v in _null_generators(R, pivots, ncols)]
+    return [vec(row) for row in R], null
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(list(rows))[1])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows, ncols: int) -> list[RationalVector]:
-    """Exact basis of {x : M x = 0} for the matrix with the given rows."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    mat, pivots = rref(list(rows))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -mat[r][f]
-        basis.append(tuple(v))
-    return basis
+    """Exact basis of {x : M x = 0} for the matrix with the given rows: one
+    vector per free column, 1 there."""
+    return _subspaces(rows, ncols)[1]
 
 
 def row_space_basis(rows, ncols: int) -> list[RationalVector]:
-    """Basis of the row space, as gcd-reduced integer vectors."""
-    if not rows:
-        return []
-    mat, pivots = rref(list(rows))
-    return [vec(primitive(mat[i])) for i in range(len(pivots))]
+    """Basis of the row space, as gcd-reduced integer vectors (the rows of
+    the reduced echelon form)."""
+    return [vec(row) for row in _echelon(rows)[0]]
 
 
 def gram_schmidt(vectors) -> list[RationalVector]:
@@ -353,8 +353,9 @@ def _cocircuits(hypers: np.ndarray):
     rank r) from the nullspaces of rank-(r-1) subsets, in both orientations:
     distinct sign rows (int8) and their primitive generators (Python ints)."""
     r = hypers.shape[1]
-    Z = np.array([primitive(ns[0]) for rows in itertools.combinations(hypers.tolist(), r - 1)
-                  if len(ns := nullspace(rows, r)) == 1], dtype=object).reshape(-1, r)
+    Z = np.array([ns[0] for rows in itertools.combinations(hypers.tolist(), r - 1)
+                  if len(ns := _null_generators(*_echelon(rows), r)) == 1],
+                 dtype=object).reshape(-1, r)
     Z = np.vstack([Z, -Z])
     C = np.sign(Z @ hypers.T).astype(np.int8)
     _, first = np.unique(_keys(C), return_index=True)
@@ -416,19 +417,12 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
     n = len(normals[0])
 
     hyper_index: dict[tuple[int, ...], int] = {}
-    hypers: list[tuple[int, ...]] = []
-    where: list[tuple[int, int]] = []  # per input normal: (hyperplane, orientation 0 if zero)
-    for a in normals:
-        p = primitive(a)
-        if all(x == 0 for x in p):
-            where.append((0, 0))
-            continue
+    where = []  # per input normal: (hyperplane, orientation 0 if zero)
+    for p in map(primitive, normals):
         canon = _canonical_hyperplane(p)
-        orient = 1 if p == canon else -1
-        if canon not in hyper_index:
-            hyper_index[canon] = len(hypers)
-            hypers.append(canon)
-        where.append((hyper_index[canon], orient))
+        where.append((hyper_index.setdefault(canon, len(hyper_index)), 1 if p == canon else -1)
+                     if any(p) else (0, 0))
+    hypers = list(hyper_index)
     K = len(hypers)
     if K > limit:
         raise LimitExceeded(
@@ -437,9 +431,10 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
         )
 
     out = []
+    # essential coordinates: the row space of the normals (r x n)
+    R, pivots = _echelon(hypers)
     if K:
-        # essential coordinates: restrict to the row space of the normals (r x n)
-        P = np.array([list(map(int, p)) for p in row_space_basis(hypers, n)], dtype=object)
+        P = np.array(R, dtype=object)
         C, Z = _cocircuits(np.array(hypers, dtype=object) @ P.T)
         S = _closure(C)
         # each face's representative: the sum of its conformal cocircuits
@@ -453,15 +448,13 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
         col, orient = np.array(where).T
         out = [ArrangementFace(tuple(sig), vec(w))
                for sig, w in zip((S[:, col] * orient).tolist(), W.tolist())]
-    # lineality: directions on which every normal vanishes
-    lin = nullspace([list(h) for h in hypers], n) if K else nullspace([], n)
+    # lineality: directions on which every normal vanishes, the nullspace
+    lin = _null_generators(R, pivots, n)
     zero_sig = tuple(0 for _ in normals)
-    if len(lin) == 1:
-        z = primitive(lin[0])
-        out.append(ArrangementFace(zero_sig, vec(z)))
-        out.append(ArrangementFace(zero_sig, vec(tuple(-x for x in z))))
-    elif len(lin) >= 2:
-        out.append(ArrangementFace(zero_sig, vec(primitive(lin[0]))))
+    if lin:
+        out.append(ArrangementFace(zero_sig, vec(lin[0])))
+    if len(lin) == 1:  # a line: both rays
+        out.append(ArrangementFace(zero_sig, vec(-x for x in lin[0])))
     out.sort(key=lambda f: (f.signs, tuple(f.representative)))
     return out
 

@@ -55,7 +55,7 @@ class Frame:
     def __post_init__(self):
         V = np.array(self.vectors)
         G = V @ V.T
-        if np.max(np.abs(G - np.eye(len(V)))) > 1e-12:
+        if not np.max(np.abs(G - np.eye(len(V)))) <= 1e-12:  # nan fails too
             raise ValueError("frame vectors must be orthonormal to 1e-12")
 
     def __len__(self):
@@ -66,6 +66,8 @@ class Frame:
         return np.array(self.vectors[0])
 
 
+# past the float range a norm reads inf, so the Frame check rejects the result
+@np.errstate(over="ignore", invalid="ignore")
 def make_frame(*vectors) -> Frame:
     """Normalize, orthogonalize (stably), and wrap the given directions."""
     out = []

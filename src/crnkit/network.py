@@ -18,10 +18,9 @@ import numpy as np
 
 from .geometry import (
     RationalVector,
+    _subspaces,
     lp_feasible_nonneg,
-    nullspace,
     row_space_basis,
-    vec,
 )
 
 
@@ -159,9 +158,8 @@ class ReactionNetwork:
 
     @cached_property
     def _stoichiometry(self) -> StoichiometryInfo:
-        fluxes, n = [list(f) for f in self.exact_fluxes()], self.n_species
-        H = tuple(row_space_basis(fluxes, n))
-        return StoichiometryInfo(H, tuple(vec(v) for v in nullspace(fluxes, n)), len(H))
+        H, Hperp = _subspaces(self.exact_fluxes(), self.n_species)
+        return StoichiometryInfo(tuple(H), tuple(Hperp), len(H))
 
     @cached_property
     def _linkage(self) -> LinkageInfo:

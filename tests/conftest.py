@@ -15,10 +15,13 @@ import pytest
 from crnkit import parse_network
 
 # child processes (the CLI and python -O tests) import crnkit from src too,
-# with or without PYTHONPATH set for pytest itself
+# with or without PYTHONPATH set for pytest itself, and fail on a
+# RuntimeWarning as pytest does
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+os.environ["PYTHONWARNINGS"] = ",".join(
+    w for w in (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning") if w)
 
 NETWORKS = {
     # 2X -> X, 0 -> Y, 2Y -> X + Y: strongly endotactic, not weakly reversible

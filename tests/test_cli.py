@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from conftest import network_text
+from crnkit import cli
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -53,6 +54,19 @@ class TestEnvelope:
         out = run_cli(["--version"])
         assert out.returncode == 0
         assert "crnkit" in out.stdout
+
+    def test_parser_built_once_per_process(self, rlv_file, capsys):
+        cli.build_parser.cache_clear()
+        assert cli.main(["classify", rlv_file, "--direction=1,0"]) == 0
+        usage = ["simulate", rlv_file, "--policy", "warp"]
+        for argv, code in ((usage, 1), (["--version"], 0)):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(argv)
+            assert exit_.value.code == code
+        assert cli.build_parser.cache_info().misses == 1
+        out, err = capsys.readouterr()
+        assert out.endswith(run_cli(["--version"]).stdout)
+        assert err == run_cli(usage).stderr
 
     def test_keys_in_fixed_order(self, rlv_file):
         out = run_cli(["classify", rlv_file])
@@ -193,6 +207,34 @@ class TestExitCodes:
         lines = out.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("crnkit: no convergence: ")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["steady", "{tetrahedron}", "--x0=1e-320,1,1"], 0),
+            (["steady", "{rlv}", "--x0=1,1", "--k=1e308,1e308,1e308"], 0),
+            (["steady", "{rlv}", "--x0=1,1", "--k=1e-320,1,1"], 3),
+            (["birch", "{ab}", "--alpha=1,1", "--x0=1e307,1"], 3),
+            (["birch", "{ab}", "--alpha=1,1", "--x0=1e-320,1"], 3),
+            (["jets", "{rlv}", "--frame=1e308,1e308"], 1),
+            (["jets", "{rlv}", "--frame=1,1;1.7e308,1.7e308"], 1),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--alpha=1e-320,1",
+              "--format=csv"], 0),
+        ],
+        ids=["steady-subnormal-x0", "steady-huge-k", "steady-subnormal-k",
+             "birch-huge-x0", "birch-subnormal-x0", "jets-huge-frame", "jets-nan-frame",
+             "simulate-subnormal-alpha"],
+    )
+    def test_extreme_value_prints_at_most_one_line(self, argv, code, rlv_file, tmp_path):
+        # values past the float range made numpy print its warnings first
+        files = {"rlv": rlv_file}
+        for key, name in (("tetrahedron", "tetrahedron"), ("ab", "ab_reversible")):
+            path = tmp_path / f"{name}.crn"
+            path.write_text(network_text(name))
+            files[key] = str(path)
+        out = run_cli([a.format(**files) for a in argv])
+        assert out.returncode == code
+        assert len(out.stderr.splitlines()) <= 1
 
     @pytest.mark.parametrize("i_max", ["1e19", "1e155", "1.7976931348623157e308"])
     @pytest.mark.parametrize("schedule", ["power", "decaying"])

@@ -3,6 +3,7 @@ maxima.  Expected values are either trivial consequences of definitions or
 derived by hand on small instances noted inline."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,57 @@ class TestLinearAlgebra:
     def test_gram_schmidt_drops_dependent(self):
         ortho = gram_schmidt([fvec(1, 2), fvec(2, 4), fvec(0, 1)])
         assert len(ortho) == 2
+
+
+BIG = 2**64 + 13  # past int64
+PRIME = 1_000_003
+ELIMINATION_CASES = {
+    "no-rows": ([], 3),
+    "zero-rows": ([[0, 0], [0, 0]], 2),
+    "past-2^63": ([[BIG, 1, -BIG], [2 * BIG, 3, 5], [BIG + 1, 0, BIG**2]], 3),
+    "prime-denominators": ([[F(1, PRIME), F(2, 99991), 1], [F(3, 99991), 0, F(-1, PRIME)]], 3),
+    "dependent": ([[1, 2, 3, 0], [2, 4, 6, 0], [0, 1, 1, 5], [1, 3, 4, 5]], 4),
+    "strings-and-floats": ([["1/2", 0.25, "-3"], [0.5, "7/3", 1.0], ["1", 0.5, "-6"]], 3),
+}
+
+
+def _seeded_matrices(count=150):
+    rng = np.random.default_rng(9)
+    for i in range(count):
+        m, n = int(rng.integers(0, 6)), int(rng.integers(1, 6))
+        scale = [1, BIG, PRIME][i % 3]
+        rows = [[F(int(rng.integers(-4, 5)) * scale, int(rng.choice([1, 2, 99991, PRIME])))
+                 for _ in range(n)] for _ in range(m)]
+        if m >= 2:  # the last row depends on the first two
+            rows[-1] = [3 * a - b for a, b in zip(rows[0], rows[1])]
+        yield rows, n
+
+
+class TestExactElimination:
+    """rank, nullspace and row_space_basis agree with one another and with
+    the definitions, whatever the size of the entries."""
+
+    @staticmethod
+    def check(rows, ncols):
+        exact = [[F(a) for a in row] for row in rows]
+        null, basis = nullspace(rows, ncols), row_space_basis(rows, ncols)
+        assert rank(rows) + len(null) == ncols
+        assert len(basis) == rank(rows) == rank(exact + basis)
+        for v in null:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in exact + basis)
+        pivots = [next(j for j, a in enumerate(b) if a) for b in basis]
+        for b, p in zip(basis, pivots):
+            assert all(a.denominator == 1 for a in b)
+            assert math.gcd(*map(int, b)) == 1 and b[p] > 0
+            assert all(b[q] == 0 for q in pivots if q != p)
+
+    @pytest.mark.parametrize("name", list(ELIMINATION_CASES))
+    def test_case(self, name):
+        self.check(*ELIMINATION_CASES[name])
+
+    def test_seeded_matrices(self):
+        for rows, ncols in _seeded_matrices():
+            self.check(rows, ncols)
 
 
 class TestMaxSubset:
