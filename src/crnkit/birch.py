@@ -138,10 +138,6 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
             step = -g
         dx = B @ step
         s = 1.0
-        while np.any(x + s * dx <= 0):
-            s *= 0.5
-            if s < 1e-18:
-                break
         f0 = g_alpha(x, alpha)
         slope = float(g @ step)
         # near the minimum, g_alpha's rounding (a few ulps of f0) swamps the

@@ -1,5 +1,5 @@
 """Exact deciders for w-endotactic, endotactic, and strongly endotactic
-networks, with rational witness directions, weak-reversibility fast paths,
+networks, with integer witness directions, weak-reversibility fast paths,
 and a randomized falsification oracle.
 
 The quantifier "for every direction w" is reduced to finitely many faces of
@@ -43,7 +43,7 @@ class ClassificationReport:
     weakly_reversible: bool
     endotactic: bool
     strongly_endotactic: bool
-    witness: RationalVector | None
+    witness: tuple[int, ...] | None
     fast_path: str | None
     face_count: int
     inconclusive: bool = False
@@ -321,8 +321,8 @@ def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0
     viol_endo, viol_strong, _ = _conditions(W @ F.T, W @ S.T)
     endo_idx = np.nonzero(viol_endo)[0]
     strong_idx = np.nonzero(viol_strong)[0]
-    endo_w = vec(primitive(W[endo_idx[0]])) if len(endo_idx) else None
-    strong_w = vec(primitive(W[strong_idx[0]])) if len(strong_idx) else None
+    endo_w = primitive(W[endo_idx[0]].tolist()) if len(endo_idx) else None
+    strong_w = primitive(W[strong_idx[0]].tolist()) if len(strong_idx) else None
     return {
         "endotactic": endo_w is None,
         "endo_witness": endo_w,

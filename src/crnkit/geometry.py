@@ -1,10 +1,12 @@
 """Exact rational geometry: fraction-free integer elimination (rank, spans,
-nullspaces), strict-feasibility linear programming over Fraction, central
+nullspaces), a fraction-free simplex for strict feasibility, central
 hyperplane-arrangement faces, and the maximal-subset / Super-chain
 primitives used by classification and jets.
 
-No floating point is used anywhere in this module: elimination runs on
-Python ints, face enumeration on int8 sign rows and Python-int cocircuits."""
+No floating point is used anywhere in this module.  Elimination and the
+simplex run on Python-int rows with one row operation (_eliminate), face
+enumeration on int8 sign rows and Python-int cocircuits; Fractions are built
+only for rational results (nullspace and row-space vectors, LP points)."""
 
 from __future__ import annotations
 
@@ -72,6 +74,13 @@ def _canonical_hyperplane(u) -> tuple[int, ...]:
     return p if next((a for a in p if a), 0) >= 0 else tuple(-x for x in p)
 
 
+def _eliminate(row, a, c: int) -> tuple[int, ...]:
+    """The primitive integer row row * a[c] - a * row[c] (a[c] > 0), zero in
+    column c: a positive multiple of what Gauss-Jordan leaves in row."""
+    g = math.gcd(a[c], row[c])
+    return primitive(a[c] // g * x - row[c] // g * y for x, y in zip(row, a))
+
+
 def _echelon(rows) -> tuple[list[tuple[int, ...]], list[int]]:
     """Reduced row echelon form, fraction-free (Bareiss 1968): each row is
     made primitive once, then eliminated by cross-multiplication and one gcd
@@ -88,8 +97,7 @@ def _echelon(rows) -> tuple[list[tuple[int, ...]], list[int]]:
         M[p], M[r] = M[r], a
         for i, row in enumerate(M):
             if i != r and row[c]:
-                g = math.gcd(a[c], row[c])
-                M[i] = primitive(a[c] // g * x - row[c] // g * y for x, y in zip(row, a))
+                M[i] = _eliminate(row, a, c)
         pivots.append(c)
         if len(pivots) == len(M):
             break
@@ -198,85 +206,78 @@ def super_chain(Q, frame, tol=0):
 
 
 def _simplex(A, b, c):
-    """min c.z  s.t.  A z = b, z >= 0, all entries Fraction.
+    """min c.z  s.t.  A z = b, z >= 0, for rational A, b, c.
 
-    Two-phase simplex with Bland's rule (no cycling).  Returns
-    (status, z, value) with status in {"optimal", "unbounded", "infeasible"}.
+    Two-phase simplex with Bland's rule (no cycling) on integer rows, the
+    objective row included: each is a positive multiple of its Gauss-Jordan
+    row, so every sign and ratio is the same.  Returns (status, z, value)
+    with status in {"optimal", "unbounded", "infeasible"}.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    A = [[Fraction(x) for x in row] for row in A]
-    b = [Fraction(x) for x in b]
+    # rows [A_i | e_i | b_i], negated but for e_i where b_i < 0; artificial
+    # variables n..n+m-1 start in the basis
+    T = []
     for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-
-    # tableau with artificial variables n..n+m-1
-    T = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+        p = primitive([*A[i], 1, b[i]])
+        s = -1 if p[-1] < 0 else 1
+        T.append([s * x for x in p[:n]] + [p[n] if j == i else 0 for j in range(m)] + [s * p[-1]])
     basis = list(range(n, n + m))
 
-    def pivot(row, col):
-        piv = T[row][col]
-        T[row] = [x / piv for x in T[row]]
-        for i in range(len(T)):
-            if i != row and T[i][col] != 0:
-                f = T[i][col]
-                T[i] = [x - f * y for x, y in zip(T[i], T[row])]
-        basis[row] = col
+    def pivot(r, col):
+        basis[r] = col
+        for i, row in enumerate(T):
+            if i != r and row[col]:
+                T[i] = _eliminate(row, T[r], col)
 
-    def run_phase(cost):
-        # Bland's rule: smallest entering index, ties on leaving broken by
-        # smallest basic index; cost covers the current columns minus rhs
-        while True:
-            red = cost[:]
-            for i, bi in enumerate(basis):
-                if red[bi] != 0:
-                    f = red[bi]
-                    red = [x - f * y for x, y in zip(red, T[i][:-1])]
-            entering = next((j for j, x in enumerate(red) if x < 0), None)
-            if entering is None:
-                val = sum(cost[bi] * T[i][-1] for i, bi in enumerate(basis))
-                return "optimal", val
-            ratios = [
-                (T[i][-1] / T[i][entering], basis[i], i)
-                for i in range(len(T))
-                if T[i][entering] > 0
-            ]
-            if not ratios:
-                return "unbounded", None
-            _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-            pivot(leave, entering)
+    def run_phase(cost) -> bool:
+        # the objective row ends the tableau; Bland's rule: smallest entering
+        # index, ties on the ratio broken by the smallest basic index
+        T.append(primitive([*cost, 0]))
+        for i, bi in enumerate(basis):
+            if T[-1][bi]:
+                T[-1] = _eliminate(T[-1], T[i], bi)
+        while (e := next((j for j, x in enumerate(T[-1][:-1]) if x < 0), None)) is not None:
+            rows = [i for i, row in enumerate(T[:-1]) if row[e] > 0]
+            if not rows:
+                break
+            leave = rows[0]
+            for i in rows[1:]:
+                if (T[i][-1] * T[leave][e], basis[i]) < (T[leave][-1] * T[i][e], basis[leave]):
+                    leave = i
+            pivot(leave, e)
+        T.pop()
+        return e is None
 
-    phase1_cost = [Fraction(0)] * n + [Fraction(1)] * m
-    status, val = run_phase(phase1_cost)
-    if val != 0:
+    run_phase([0] * n + [1] * m)
+    if any(bi >= n and row[-1] for row, bi in zip(T, basis)):
         return "infeasible", None, None
     # drive artificials out of the basis; rows where none of the original
     # columns can pivot are redundant and dropped
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j] != 0), None)
+            col = next((j for j in range(n) if T[i][j]), None)
             if col is not None:
+                if T[i][col] < 0:  # the row's rhs is 0
+                    T[i] = [-x for x in T[i]]
                 pivot(i, col)
-    keep_rows = [i for i in range(m) if basis[i] < n]
-    T[:] = [T[i] for i in keep_rows]
-    basis[:] = [basis[i] for i in keep_rows]
-    keep = list(range(n)) + [n + m]
-    T[:] = [[row[j] for j in keep] for row in T]
-    cost2 = [Fraction(x) for x in c]
-    status, val = run_phase(cost2)
+    keep = [i for i in range(m) if basis[i] < n]
+    T[:] = [T[i][:n] + T[i][-1:] for i in keep]
+    basis[:] = [basis[i] for i in keep]
+    bounded = run_phase(c)
     z = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        z[bi] = T[i][-1]
-    return status, z, val
+    for row, bi in zip(T, basis):
+        z[bi] = Fraction(row[-1], row[bi])
+    if not bounded:
+        return "unbounded", z, None
+    return "optimal", z, sum(Fraction(c[bi]) * z[bi] for bi in basis)
 
 
 def lp_feasible_nonneg(A, b) -> tuple[bool, list[Fraction] | None]:
     """Feasibility of {A z = b, z >= 0} by phase-1 simplex (exact)."""
     if not A:
         return True, []
-    status, z, _ = _simplex(A, b, [Fraction(0)] * len(A[0]))
+    status, z, _ = _simplex(A, b, [0] * len(A[0]))
     if status == "infeasible":
         return False, None
     return True, z
@@ -301,20 +302,16 @@ def lp_strict_feasible(equalities, strict):
     # variables: x = u - v with u, v >= 0 (2n), t, surplus per strict row,
     # slack for the cap t <= 1
     ns = len(strict)
-    width = 2 * n + 1 + ns + 1
     A, b = [], []
     for a, r in equalities:
-        A.append(list(a) + [-x for x in a] + [Fraction(0)] * (1 + ns + 1))
+        A.append([*a, *(-x for x in a)] + [0] * (ns + 2))
         b.append(r)
     for i, (a, r) in enumerate(strict):
-        row = list(a) + [-x for x in a] + [Fraction(-1)]
-        row += [Fraction(-int(i == j)) for j in range(ns)] + [Fraction(0)]
-        A.append(row)
+        A.append([*a, *(-x for x in a), -1, *(-int(i == j) for j in range(ns)), 0])
         b.append(r)
-    A.append([Fraction(0)] * (2 * n) + [Fraction(1)] + [Fraction(0)] * ns + [Fraction(1)])
-    b.append(Fraction(1))
-    cost = [Fraction(0)] * width
-    cost[2 * n] = Fraction(-1)  # maximize t
+    A.append([0] * (2 * n) + [1] + [0] * ns + [1])
+    b.append(1)
+    cost = [0] * (2 * n) + [-1] + [0] * (ns + 1)  # maximize t
     status, z, _ = _simplex(A, b, cost)
     if status == "infeasible":
         return False, None
@@ -334,10 +331,10 @@ def lp_strict_feasible(equalities, strict):
 @dataclass(frozen=True)
 class ArrangementFace:
     """A face of a central arrangement: its sign vector over the input
-    normals and an exact nonzero representative realizing those signs."""
+    normals and a primitive nonzero integer vector realizing those signs."""
 
     signs: SignVector
-    representative: RationalVector
+    representative: tuple[int, ...]
 
 
 _BLOCK = 1 << 18  # int8 entries per composition block, so memory per block is fixed
@@ -387,7 +384,7 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
     """All faces of the central arrangement of the given hyperplanes.
 
     Every realizable sign vector of w -> (sign<normal_i, w>)_i over nonzero w
-    is returned exactly once with an exact rational representative, except
+    is returned exactly once with an exact integer representative, except
     the all-zero sign vector: when the common lineality is a line, both rays
     get a face of their own (the two orientations are genuinely different
     directions); higher-dimensional linealities get a single face.
@@ -399,7 +396,7 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
 
     Duplicate and parallel normals share a hyperplane internally; zero
     normals contribute a constant 0 sign.  Faces come back sorted by sign
-    vector, representatives gcd-reduced.
+    vector, representatives primitive integer tuples.
 
     Args:
         normals: rational vectors, all of the same length n >= 1.
@@ -409,16 +406,16 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
     Raises:
         LimitExceeded: more distinct hyperplanes than the limit.
     """
-    normals = [vec(a) for a in normals]
+    normals = [primitive(a) for a in normals]
     if limit is None:
         limit = int(os.environ.get("CRN_MAX_HYPERPLANES", DEFAULT_HYPERPLANE_LIMIT))
     if not normals:
-        return [ArrangementFace((), (Fraction(1),))]
+        return [ArrangementFace((), (1,))]
     n = len(normals[0])
 
     hyper_index: dict[tuple[int, ...], int] = {}
     where = []  # per input normal: (hyperplane, orientation 0 if zero)
-    for p in map(primitive, normals):
+    for p in normals:
         canon = _canonical_hyperplane(p)
         where.append((hyper_index.setdefault(canon, len(hyper_index)), 1 if p == canon else -1)
                      if any(p) else (0, 0))
@@ -446,16 +443,16 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
         W = np.concatenate(U) @ P
         W //= np.gcd.reduce(W, axis=1, initial=0)[:, None]
         col, orient = np.array(where).T
-        out = [ArrangementFace(tuple(sig), vec(w))
+        out = [ArrangementFace(tuple(sig), tuple(w))
                for sig, w in zip((S[:, col] * orient).tolist(), W.tolist())]
     # lineality: directions on which every normal vanishes, the nullspace
     lin = _null_generators(R, pivots, n)
     zero_sig = tuple(0 for _ in normals)
     if lin:
-        out.append(ArrangementFace(zero_sig, vec(lin[0])))
+        out.append(ArrangementFace(zero_sig, lin[0]))
     if len(lin) == 1:  # a line: both rays
-        out.append(ArrangementFace(zero_sig, vec(-x for x in lin[0])))
-    out.sort(key=lambda f: (f.signs, tuple(f.representative)))
+        out.append(ArrangementFace(zero_sig, tuple(-x for x in lin[0])))
+    out.sort(key=lambda f: (f.signs, f.representative))
     return out
 
 

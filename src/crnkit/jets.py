@@ -3,8 +3,10 @@
 check, domination monitoring for draining reactions, the worst-case
 sum-of-pulls cutoff scan, and unit-jet extraction from direction sequences.
 
-All quantities here are floating point; exact cross-checks live in the
-geometry module (max_subset / super_chain on rationals).
+All quantities here are floating point, except the exact Fraction test
+that picks the worst-case margin's dominant tier; the argmax stabilization
+is cross-checked in the tests against the exact iterated maximal subsets of
+geometry.super_chain.
 """
 
 from __future__ import annotations

@@ -505,8 +505,8 @@ def reactant_polytope_vertices(net: ReactionNetwork) -> list[Complex]:
     for i, p in enumerate(sources):
         others = [q for j, q in enumerate(sources) if j != i]
         A = [[q.coeffs[k] for q in others] for k in range(net.n_species)]
-        A.append([Fraction(1)] * len(others))
-        b = list(p.coeffs) + [Fraction(1)]
+        A.append([1] * len(others))
+        b = [*p.coeffs, 1]
         feasible, _ = lp_feasible_nonneg(A, b)
         if not feasible:
             verts.append(p)

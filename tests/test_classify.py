@@ -183,6 +183,32 @@ class TestClassificationTable:
         assert d["endotactic"] is True
 
 
+def _int_tuple(v):
+    return type(v) is tuple and all(type(x) is int for x in v)
+
+
+class TestIntegerVectors:
+    """Face representatives and witnesses are tuples of Python ints."""
+
+    @pytest.mark.parametrize("name", sorted(CLASSIFICATION))
+    def test_fixture_faces_and_witnesses(self, name):
+        net, _ = load(name)
+        assert all(_int_tuple(f.representative)
+                   for f in enumerate_faces(arrangement_normals(net)))
+        report = classify(net)
+        assert report.witness is None or _int_tuple(report.witness)
+        sampled = sample_classify(net, n_samples=2000, seed=1)
+        for key in ("endo_witness", "strong_witness"):
+            assert sampled[key] is None or _int_tuple(sampled[key])
+
+    def test_seeded_arrangement_and_rational_normals(self):
+        rng = np.random.default_rng(41)
+        normals = [tuple(F(int(v), 3) for v in rng.integers(-3, 4, 4)) for _ in range(9)]
+        faces = enumerate_faces(normals)
+        assert len(faces) > 100 and all(_int_tuple(f.representative) for f in faces)
+        assert all(_int_tuple(f.representative) for f in enumerate_faces([]))
+
+
 class TestFastPaths:
     def test_single_linkage_class(self):
         net, _ = load("chain_cycle")

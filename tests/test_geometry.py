@@ -12,6 +12,7 @@ import pytest
 from crnkit.geometry import (
     ArrangementFace,
     LimitExceeded,
+    _simplex,
     enumerate_faces,
     gram_schmidt,
     lp_feasible_nonneg,
@@ -25,7 +26,9 @@ from crnkit.geometry import (
     super_chain,
 )
 
-from conftest import HEXAGON, HEXAGON_Q2_INDEX
+from crnkit.network import Complex, Reaction, ReactionNetwork, Species, reactant_polytope_vertices
+
+from conftest import HEXAGON, HEXAGON_Q2_INDEX, NETWORKS, load
 
 
 F = Fraction
@@ -204,6 +207,159 @@ class TestStrictLP:
         # (-1, 0) is not a nonnegative combination of (1,0), (1,2)
         A = [fvec(1, 1), fvec(0, 2)]
         assert not lp_feasible_nonneg(A, fvec(-1, 0))[0]
+
+
+def _entry(rng, kind):
+    # integer, fractional, or sparse with the odd large integer
+    if kind == 0:
+        return F(int(rng.integers(-4, 5)))
+    if kind == 1:
+        return F(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+    return F(int(rng.choice([0, 0, 1, -1, int(rng.integers(-10**6, 10**6))])))
+
+
+def _seeded_lps(count=150):
+    """(A, b, c) with 1-5 rows and 1-7 columns; some with a dependent last
+    row, half with b = A z0 for a z0 >= 0 (feasible), some with c >= 0."""
+    rng = np.random.default_rng(23)
+    for i in range(count):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        A = [[_entry(rng, i % 3) for _ in range(n)] for _ in range(m)]
+        if m >= 2 and i % 4 == 0:
+            A[-1] = [2 * x - y for x, y in zip(A[0], A[1])]
+        if i % 2:
+            z0 = [F(int(rng.choice([0, 0, 1, 2])), int(rng.integers(1, 4))) for _ in range(n)]
+            b = [sum(a * z for a, z in zip(row, z0)) for row in A]
+        else:
+            b = [_entry(rng, i % 3) for _ in range(m)]
+        c = [_entry(rng, i % 3) for _ in range(n)]
+        yield A, b, [abs(x) for x in c] if i % 5 == 0 else c
+
+
+def _linprog(c, **kw):
+    from scipy.optimize import linprog
+
+    return linprog(np.array(c, dtype=float), method="highs", **kw)
+
+
+def _exact_dot(a, x):
+    return sum((F(u) * F(v) for u, v in zip(a, x)), F(0))
+
+
+class TestLPOracle:
+    """The exact simplex against scipy's HiGHS as an oracle: the verdicts
+    agree, and every point returned satisfies its system exactly."""
+
+    def test_simplex_status_point_and_value(self):
+        statuses = set()
+        for A, b, c in _seeded_lps():
+            status, z, value = _simplex(A, b, c)
+            ref = _linprog(c, A_eq=np.array(A, dtype=float), b_eq=np.array(b, dtype=float),
+                           bounds=(0, None))
+            assert status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+            statuses.add(status)
+            if status == "infeasible":
+                assert z is None and value is None
+                continue
+            assert all(type(x) is F and x >= 0 for x in z)
+            assert all(_exact_dot(row, z) == bi for row, bi in zip(A, b))
+            if status == "optimal":
+                assert value == _exact_dot(c, z)
+                assert math.isclose(value, ref.fun, rel_tol=1e-9, abs_tol=1e-9)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_feasible_nonneg_points_are_exact(self):
+        verdicts = set()
+        for A, b, _ in _seeded_lps():
+            feasible, z = lp_feasible_nonneg(A, b)
+            ref = _linprog([0] * len(A[0]), A_eq=np.array(A, dtype=float),
+                           b_eq=np.array(b, dtype=float), bounds=(0, None))
+            assert feasible == (ref.status == 0)
+            verdicts.add(feasible)
+            if feasible:
+                assert all(x >= 0 for x in z)
+                assert all(_exact_dot(row, z) == bi for row, bi in zip(A, b))
+        assert verdicts == {True, False}
+
+    def test_strict_witnesses_are_exact(self):
+        rng = np.random.default_rng(29)
+        verdicts = set()
+        for i in range(150):
+            n = int(rng.integers(1, 5))
+            # one system in six has equalities only, often more than unknowns
+            ns = 0 if i % 6 == 0 else int(rng.integers(1, 6))
+            ne = int(rng.integers(1, n + 2)) if ns == 0 else int(rng.integers(0, 3))
+            eq = [([_entry(rng, i % 3) for _ in range(n)], F(0) if i % 2 else _entry(rng, i % 3))
+                  for _ in range(ne)]
+            strict = [([_entry(rng, i % 3) for _ in range(n)], _entry(rng, i % 3) if i % 4 else F(0))
+                      for _ in range(ns)]
+            feasible, x = lp_strict_feasible(eq, strict)
+            # oracle: maximize t <= 1 subject to <a, x> - t >= r on the strict rows
+            kw = {"bounds": [(None, None)] * n + [(None, 1)]}
+            if eq:
+                kw.update(A_eq=np.array([[*a, 0] for a, _ in eq], dtype=float),
+                          b_eq=np.array([r for _, r in eq], dtype=float))
+            if strict:
+                kw.update(A_ub=np.array([[*(-v for v in a), 1] for a, _ in strict], dtype=float),
+                          b_ub=np.array([-r for _, r in strict], dtype=float))
+            ref = _linprog([0] * n + [-1], **kw)
+            assert ref.status in (0, 2)
+            assert feasible == (ref.status == 0 and -ref.fun > 1e-9)
+            verdicts.add((feasible, ns > 0))
+            if feasible:
+                assert all(_exact_dot(a, x) == r for a, r in eq)
+                assert all(_exact_dot(a, x) > r for a, r in strict)
+            else:
+                assert x is None
+        assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def _hull_vertex_oracle(points):
+    """Indices of the points that are no convex combination of the others."""
+    out = []
+    for i, p in enumerate(points):
+        others = [q for j, q in enumerate(points) if j != i]
+        ref = _linprog([0] * len(others),
+                       A_eq=np.array([*zip(*others), [1] * len(others)], dtype=float),
+                       b_eq=np.array([*p, 1], dtype=float), bounds=(0, None))
+        assert ref.status in (0, 2)
+        if ref.status == 2:
+            out.append(i)
+    return out
+
+
+class TestReactantPolytopeOracle:
+    @staticmethod
+    def network(sources):
+        n = len(sources[0])
+        sink = Complex(tuple(F(7) for _ in range(n)))
+        reactions = tuple(Reaction(Complex(tuple(map(F, s))), sink) for s in sources)
+        complexes = tuple(dict.fromkeys(c for r in reactions for c in (r.source, r.target)))
+        species = tuple(Species(f"S{i}", i) for i in range(n))
+        return ReactionNetwork(species, complexes, reactions)
+
+    def check(self, net):
+        sources = list(dict.fromkeys(r.source for r in net.reactions))
+        if len(sources) > 1:
+            sources = [sources[i] for i in _hull_vertex_oracle([s.coeffs for s in sources])]
+        assert reactant_polytope_vertices(net) == sources
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_fixtures(self, name):
+        net, _ = load(name)
+        if net.reactions:
+            self.check(net)
+
+    def test_seeded_point_sets_with_repeats_and_collinear_points(self):
+        rng = np.random.default_rng(31)
+        for i in range(60):
+            n = int(rng.integers(2, 4))
+            pts = [tuple(int(v) for v in rng.integers(9, 13, n)) for _ in range(int(rng.integers(2, 7)))]
+            pts.append(pts[0])  # a repeated source
+            if i % 2:  # collinear: on the line through pts[0] and pts[1]
+                d = tuple(b - a for a, b in zip(pts[0], pts[1]))
+                pts += [tuple(a + k * x for a, x in zip(pts[0], d)) for k in (-1, 2, F(1, 2))]
+            self.check(self.network(pts))
 
 
 def _sign(x):
