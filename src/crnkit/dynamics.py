@@ -71,9 +71,10 @@ class SteadyState:
 
 def _monomials(net: ReactionNetwork, x: np.ndarray) -> np.ndarray:
     """x**y_r for every source y_r (0**0 = 1) of a state, or of each row of a
-    stack of states; non-finite where undefined."""
-    with np.errstate(all="ignore"):
-        return np.prod(np.power(x[..., None, :], net.source_matrix()), axis=-1)
+    stack of states; non-finite where undefined.  Its callers' entry points
+    (mass_action_rhs, simulate, find_steady_state, g_along) hold
+    np.errstate(all="ignore"), so an undefined monomial warns nowhere."""
+    return np.power(x[..., None, :], net.source_matrix()).prod(axis=-1)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,11 +86,12 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _rhs(net: ReactionNetwork, k: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     """The mass-action field at x, or None where a monomial is undefined."""
     mono = _monomials(net, x)
-    if not np.all(np.isfinite(mono)):
+    if not np.isfinite(mono).all():
         return None
     return (k * mono) @ net.flux_matrix()
 
 
+@np.errstate(all="ignore")
 def mass_action_rhs(net: ReactionNetwork, k, x) -> np.ndarray:
     """Sum over reactions of k_r * x**source_r * (target_r - source_r).
 
@@ -123,6 +125,8 @@ _DP_A = np.array([
 ])
 _DP_E = _DP_A[6] - np.array(
     [5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+# stage i's weights _DP_A[i, :i], sliced once
+_DP_ROWS = tuple(_DP_A[i, :i] for i in range(7))
 
 # an adaptive run stops at the boundary once a rejected step shrinks below this
 _H_MIN = 1e-12
@@ -189,18 +193,22 @@ def _segments(policy: RatePolicy, tempering: Tempering, t_end: float, max_steps:
 def _dp_step(net: ReactionNetwork, k: np.ndarray, x: np.ndarray, f: np.ndarray, h: float):
     """The 5th-order point of one Dormand-Prince step of size h from x (f the
     field there) and the step's stages, or None unless every stage is
-    defined and the point is positive and finite."""
+    finite and the point is positive and finite.
+
+    The stages are formed unchecked under simulate's error state and tested
+    together with the point, once per step: an undefined monomial makes its
+    stage non-finite (inf * 0 is nan), so one test finds it."""
     K = np.empty((7, len(x)))
     K[0] = f
+    F = net.flux_matrix()
     for i in range(1, 7):
-        fs = _rhs(net, k, x + h * (_DP_A[i, :i] @ K[:i]))
-        if fs is None:
-            return None
-        K[i] = fs
+        K[i] = (k * _monomials(net, x + h * (_DP_ROWS[i] @ K[:i]))) @ F
     x_new = x + h * (_DP_A[6] @ K)
-    return (x_new, K) if np.all((x_new > 0) & (x_new < np.inf)) else None
+    ok = np.isfinite(K).all() and ((x_new > 0) & (x_new < np.inf)).all()
+    return (x_new, K) if ok else None
 
 
+@np.errstate(all="ignore")
 def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePolicy,
              x0, t_end: float, rtol: float = 1e-8, atol: float = 1e-10,
              fixed_h: float | None = None, watch_box=None,
@@ -209,14 +217,17 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
 
     Embedded 5(4) pair with adaptive steps; a step is rejected when the
     error estimate exceeds one or when a stage is undefined or the new
-    point is not positive and finite.  When a rejected step has shrunk
-    below 1e-12, a boundary-approach event is emitted and integration stops
-    (states are never clamped).  Rates are constant within each policy
-    segment, the segments are drawn lazily as integration reaches them, and
-    each is logged with its start.  fixed_h disables adaptivity (error
-    control and rejection are skipped, positivity still stops the run).
-    watch_box, if given as (lo, hi) arrays, logs entered-set / left-set
-    events.
+    point is not positive and finite (_dp_step tests all of that once per
+    step).  The whole run holds np.errstate(all="ignore"), entered once and
+    restored on every exit, so no stage enters an error state of its own
+    and an undefined or overflowing value warns nowhere.  When a rejected
+    step has shrunk below 1e-12, a boundary-approach event is emitted and
+    integration stops (states are never clamped).  Rates are constant
+    within each policy segment, the segments are drawn lazily as
+    integration reaches them, and each is logged with its start.  fixed_h
+    disables adaptivity (error control and rejection are skipped,
+    positivity still stops the run).  watch_box, if given as (lo, hi)
+    arrays, logs entered-set / left-set events.
 
     Raises:
         ValueError: t_end, a tolerance, fixed_h or an x0 entry not positive
@@ -272,7 +283,7 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
             if step is not None:
                 x_new, K = step
                 sc = atol + rtol * np.maximum(x, x_new)
-                err = float(np.sqrt(np.mean((h_try * (_DP_E @ K) / sc) ** 2)))
+                err = float(np.sqrt(((h_try * (_DP_E @ K) / sc) ** 2).mean()))
             accept = step is not None and (fixed_h is not None or err <= 1.0)
             if accept:
                 t, x, f = t + h_try, x_new, K[6]  # FSAL: the last stage is f at x_new
@@ -309,9 +320,9 @@ _CANCELLATION = 1e-3
 _NEWTON_STEPS = 80
 
 
-# far from 1 the search's products and norms overflow, or meet as inf - inf;
-# a start or step with such a value fails the tests it meets
-@np.errstate(over="ignore", invalid="ignore")
+# far from 1 the search's monomials, products and norms overflow, or meet as
+# inf - inf; a start or step with such a value fails the tests it meets
+@np.errstate(all="ignore")
 def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
                       seed: int = 0) -> SteadyState:
     """Positive steady state in the stoichiometric class of x0.
@@ -402,7 +413,9 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10,
     raise NoConvergence(f"no positive steady state found from x0 = {x0}")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf (or nan) past the float range
+# inf (or nan) past the float range, and monomials undefined at samples that
+# the per-sample checks then reject
+@np.errstate(all="ignore")
 def g_along(traj: Trajectory, net: ReactionNetwork, alpha=None) -> np.ndarray:
     """Per-sample free energy and its instantaneous derivative: rows
     (t, g(x(t)), <log(x/alpha), f(x(t))>), alpha defaulting to all ones and

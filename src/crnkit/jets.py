@@ -42,6 +42,10 @@ _TIE_TOL = 1e-9
 _NEAR_ZERO_DELTA = 0.02
 _MEMBERSHIP_BAND = 1e-3
 _CLUSTER_GAP = 0.1
+# cutoff_scan takes at most this many direction samples: the clustering
+# builds a dense near-zero-by-near-zero angle matrix, whose peak RSS on
+# A -> B (half its directions near zero) is 444 MB at the cap, 1.6 GB at twice it
+_MAX_DIRECTION_SAMPLES = 10_000
 # extract_unit_jet: residuals and coefficients up to _ZERO_TOL count as zero,
 # and every level needs _MIN_PER_LEVEL usable indices
 _ZERO_TOL = 1e-9
@@ -365,8 +369,8 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
 
     Raises:
         ValueError: x0 not positive and finite; theta_grid empty, or a theta
-        at most 1 or not finite; direction_samples negative; no directions
-        (no face representatives and no samples).
+        at most 1 or not finite; direction_samples negative or above
+        10,000; no directions (no face representatives and no samples).
     """
     x0 = np.asarray(x0, dtype=float)
     if not np.all((x0 > 0) & np.isfinite(x0)):
@@ -379,6 +383,9 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         raise ValueError(f"theta_grid must be nonempty, finite and above 1, got {theta_grid}")
     if direction_samples < 0:
         raise ValueError(f"direction_samples must be nonnegative, got {direction_samples}")
+    if direction_samples > _MAX_DIRECTION_SAMPLES:
+        raise ValueError(f"direction_samples must be at most {_MAX_DIRECTION_SAMPLES}, "
+                         f"got {direction_samples}")
     rng = np.random.default_rng(seed)
     dirs = []
     while len(dirs) < direction_samples:

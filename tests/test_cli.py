@@ -398,6 +398,19 @@ class TestSimulateCommand:
         )
         assert out.returncode == 1
 
+    def test_csv_identical_under_optimized_python(self, rlv_file):
+        # asserts stripped by -O must not guard anything the integrator needs
+        args = ["-m", "crnkit.cli", "simulate", rlv_file, "--x0=0.05,20",
+                "--t-end=20", "--policy=piecewise-constant", "--seed=3", "--format=csv"]
+        plain, optimized = [subprocess.run([sys.executable, *flags, *args],
+                                           capture_output=True)
+                            for flags in ([], ["-O"])]
+        for out in (plain, optimized):
+            assert out.returncode == 0
+            assert out.stderr == b""
+        assert optimized.stdout == plain.stdout
+        assert plain.stdout.startswith(b"t,")
+
 
 class TestScanCommand:
     def test_json_shape(self, rlv_file):
@@ -410,6 +423,13 @@ class TestScanCommand:
     def test_byte_identical_reruns(self, rlv_file):
         args = ["scan", rlv_file, "--x0", "1,1", "--samples", "100"]
         assert run_cli(args).stdout == run_cli(args).stdout
+
+    def test_samples_above_cap_is_one_line_exit_one(self, rlv_file):
+        out = run_cli(["scan", rlv_file, "--x0", "1,1", "--samples", "10001"])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == ("crnkit: error: direction_samples must be at most "
+                              "10000, got 10001\n")
 
     def test_svg_margin_chart(self, rlv_file):
         out = run_cli(

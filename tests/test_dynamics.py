@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crnkit.dynamics
 from crnkit import (
@@ -23,7 +24,7 @@ from crnkit import (
     stoichiometric_subspace,
 )
 
-from conftest import load
+from conftest import NETWORKS, load
 
 
 class TestRightHandSide:
@@ -392,3 +393,112 @@ class TestFreeEnergyAlong:
         out = g_along(traj, net)
         assert out.shape == (len(traj.times), 3)
         assert np.array_equal(out[:, 0], traj.times)
+
+
+def _per_stage_dp_step(net, k, x, f, h):
+    """Reference for _dp_step: each stage's monomials are tested as soon as
+    they are formed, and the step ends at the first undefined one."""
+    A = crnkit.dynamics._DP_A
+    K = np.empty((7, len(x)))
+    K[0] = f
+    for i in range(1, 7):
+        xs = x + h * (A[i, :i] @ K[:i])
+        mono = np.prod(np.power(xs[..., None, :], net.source_matrix()), axis=-1)
+        if not np.all(np.isfinite(mono)):
+            return None
+        K[i] = (k * mono) @ net.flux_matrix()
+    x_new = x + h * (A[6] @ K)
+    return (x_new, K) if np.all((x_new > 0) & (x_new < np.inf)) else None
+
+
+# the fixtures, and a half-order source: a stage that turns a coordinate
+# negative makes its monomial undefined (nan), not merely negative
+STEP_NETWORKS = [*NETWORKS.values(), "species: A B\n1/2A -> B\nB -> A\n"]
+coordinate = st.one_of(
+    st.floats(1e-3, 1e3),  # interior
+    st.floats(5e-324, 1e-30),  # next to the boundary
+    st.floats(1e20, 1e50),  # far out: large stages overflow
+    st.floats(1e300, 1e308),  # at the float max: a product alone can overflow
+)
+step_size = st.one_of(st.floats(1e-6, 1.0), st.floats(1.0, 1e4))
+
+
+def _assert_same_step(net, k, x, h):
+    """Whether the step from x is accepted, after asserting that _dp_step
+    and the reference agree to the byte; None where the field at x is
+    undefined (simulate stops there before it steps)."""
+    k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        f = crnkit.dynamics._rhs(net, k, x)
+        if f is None:
+            return None
+        want = _per_stage_dp_step(net, k, x, f, h)
+        got = crnkit.dynamics._dp_step(net, k, x, f, h)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+    return want is not None
+
+
+class TestStepOracle:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(text=st.sampled_from(STEP_NETWORKS), data=st.data())
+    def test_step_matches_per_stage_reference(self, text, data):
+        net, _ = parse_network(text)
+        m, n = net.n_reactions, net.n_species
+        _assert_same_step(
+            net,
+            data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)),
+            data.draw(st.lists(coordinate, min_size=n, max_size=n)),
+            data.draw(step_size))
+
+    @pytest.mark.parametrize("text, x, h, accepted", [
+        ("species: A B\nA -> B\n", (1.0, 1.0), 3.0, True),
+        # the new point: negative; +inf, every stage finite
+        ("species: A B\nA -> B\n", (1.0, 1.0), 6.0, False),
+        ("species: A B\nA -> B\n", (1e307, 1.79e308), 0.5, False),
+        # a stage: negative under a half-order source (nan); overflowing (inf)
+        ("species: A B\n1/2A -> B\nB -> A\n", (1e-3, 1.0), 10.0, False),
+        ("species: A B\n2A -> B\nB -> A\n", (1e100, 1.0), 1e-3, False),
+    ])
+    def test_step_matches_per_stage_reference_at_each_outcome(self, text, x, h, accepted):
+        net, _ = parse_network(text)
+        assert _assert_same_step(net, np.ones(net.n_reactions), x, h) == accepted
+
+
+class TestErrorState:
+    # tier-1 turns RuntimeWarnings into errors: a call that left numpy's
+    # error state changed would hide the warnings of every later test
+    @pytest.mark.parametrize("call, raises", [
+        (lambda net, temp: simulate(net, temp, RatePolicy("constant-mid"), (1.0, 1.0), 1.0),
+         None),
+        (lambda net, temp: simulate(net, temp, RatePolicy("piecewise-constant", dt=0.05),
+                                    (1.0, 1.0), 1.0, fixed_h=0.05, max_steps=10),
+         "max_steps"),
+        (lambda net, temp: simulate(net, temp, RatePolicy("fixed", rates=(9.0, 1.0, 1.0)),
+                                    (1.0, 1.0), 1.0),
+         "outside the tempering"),
+        (lambda net, temp: mass_action_rhs(net, (1.0, 1.0, 1.0), (2.0, 0.5)), None),
+        (lambda net, temp: mass_action_rhs(parse_network("species: A\n1/2A -> 0\n")[0],
+                                           (1.0,), (-1.0,)),
+         "undefined"),
+        (lambda net, temp: find_steady_state(net, (1.0, 1.0, 1.0), (2.0, 2.0)), None),
+        (lambda net, temp: g_along(simulate(net, temp, RatePolicy("constant-mid"),
+                                            (2.0, 0.5), 1.0), net),
+         None),
+    ], ids=["simulate", "simulate-past-max-steps", "simulate-rates-outside",
+            "mass-action-rhs", "mass-action-rhs-undefined", "find-steady-state",
+            "g-along"])
+    def test_call_restores_the_error_state(self, call, raises):
+        net, temp = load("reverse_lv")
+        with np.errstate(divide="raise", over="warn", under="warn", invalid="raise"):
+            before = np.geterr()
+            if raises is None:
+                call(net, temp)
+            else:
+                with pytest.raises(ValueError, match=raises):
+                    call(net, temp)
+            assert np.geterr() == before

@@ -333,6 +333,15 @@ class TestCutoffScan:
         with pytest.raises(ValueError, match="direction_samples"):
             cutoff_scan(net, temp, (1.0, 1.0), direction_samples=-5)
 
+    def test_rejects_direction_samples_above_cap_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("directions drawn")
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        net, temp = load("reverse_lv")
+        for count in (10_001, 100_000_000_000):
+            with pytest.raises(ValueError, match="at most 10000"):
+                cutoff_scan(net, temp, (1.0, 1.0), direction_samples=count)
+
     def test_clusters_are_the_components_of_the_angle_graph(self, rng):
         # reference: union-find over every pair closer than the gap, each
         # cluster centered at its first member of largest margin
