@@ -5,8 +5,9 @@ primitives used by classification and jets.
 
 No floating point is used anywhere in this module.  Elimination and the
 simplex run on Python-int rows with one row operation (_eliminate), face
-enumeration on int8 sign rows and Python-int cocircuits; Fractions are built
-only for rational results (nullspace and row-space vectors, LP points)."""
+enumeration on sign rows packed into uint64 bit words and Python-int
+cocircuits; Fractions are built only for rational results (nullspace and
+row-space vectors, LP points)."""
 
 from __future__ import annotations
 
@@ -337,12 +338,16 @@ class ArrangementFace:
     representative: tuple[int, ...]
 
 
-_BLOCK = 1 << 18  # int8 entries per composition block, so memory per block is fixed
+# bytes per block temporary: the closure pairs as many rows with every
+# cocircuit at once as fit one (words, rows, cocircuits) uint64 array, the
+# representative pass as many sign rows as fit one int8 per (row, cocircuit,
+# hyperplane)
+_BLOCK = 1 << 18
 
 
 def _keys(S: np.ndarray) -> np.ndarray:
-    # one np.void per sign row: rows sort, unique and set-compare whole
-    return np.ascontiguousarray(S).view(np.dtype((np.void, S.shape[1])))[:, 0]
+    # one np.void per row: rows sort, unique and set-compare whole
+    return np.ascontiguousarray(S).view(np.dtype((np.void, S.shape[1] * S.itemsize)))[:, 0]
 
 
 def _cocircuits(hypers: np.ndarray):
@@ -361,23 +366,47 @@ def _cocircuits(hypers: np.ndarray):
 
 def _closure(C: np.ndarray) -> np.ndarray:
     """Every nonzero covector, as distinct int8 rows composed from the
-    cocircuit sign rows C.  A face of dimension above 1 is G o c for a facet
-    G of it and a cocircuit c conformal to it, which opposes no sign of G;
-    so each round composes the new rows that have a zero with the
-    cocircuits opposing none of their signs (rows without one are final)."""
-    K = C.shape[1]
-    step = max(1, _BLOCK // C.size)
-    seen = frontier = np.unique(_keys(C))
-    while len(frontier):
-        F = frontier.view(np.int8).reshape(-1, K)
-        F = F[np.any(F == 0, axis=1), None, :]
+    distinct cocircuit sign rows C.
+
+    A row is held as bit words, ceil(K/64) uint64 for its positive set and
+    as many for its negative set.  A face F of dimension above 1 is G o c
+    for a facet G of it and a cocircuit c conformal to F: c opposes no sign
+    of G and is nonzero somewhere G is zero.  So each round pairs the new
+    rows with a zero only with such cocircuits, and G o c is the bitwise or
+    of the two rows.  Every other pair gives G itself or a face that some
+    facet of it reaches with a conformal cocircuit, so no face is lost."""
+    n, K = C.shape
+    W = -(-K // 64)
+    words = np.zeros((n, 2, 8 * W), dtype=np.uint8)
+    words[:, :, :-(-K // 8)] = np.packbits(C[:, None, :] == np.array([[1], [-1]]),
+                                           axis=2, bitorder="little")
+    Cw = words.view("<u8").reshape(n, 2 * W)
+    # word planes, (words, cocircuits): the block tests reduce a leading axis
+    Cx = np.concatenate((Cw[:, W:].T, Cw[:, :W].T))  # signs swapped
+    Cs = Cx[:W] | Cx[W:]  # supports
+    # every hyperplane: an essential arrangement has no hyperplane holding all cocircuits
+    full = np.bitwise_or.reduce(Cs, axis=1)
+    step = max(1, _BLOCK // Cw.nbytes)
+    seen = frontier = _keys(Cw)
+    while True:
+        F = frontier.view("<u8").reshape(-1, 2 * W)
+        Fs = F[:, :W] | F[:, W:]
+        open_ = (Fs != full).any(axis=1)  # rows with a zero; the others are final
+        F, Fs = F[open_], Fs[open_].T
+        if not len(F):
+            break
         fresh = []
-        for B in (F[i:i + step] for i in range(0, len(F), step)):
-            composed = np.where(B != 0, B, C)[~np.any(B * C < 0, axis=2)]
-            fresh.append(np.setdiff1d(_keys(composed), seen))
-        frontier = np.unique(np.concatenate([seen[:0], *fresh]))
-        seen = np.union1d(seen, frontier)
-    return seen.view(np.int8).reshape(-1, K)
+        for i in range(0, len(F), step):
+            G, Gs = F[i:i + step].T[:, :, None], Fs[:, i:i + step, None]
+            row, col = np.nonzero(~(G & Cx[:, None]).any(axis=0)
+                                  & (Cs[:, None] & ~Gs).any(axis=0))
+            fresh.append(F[i + row] | Cw[col])
+        keys = np.unique(_keys(np.concatenate(fresh)))
+        frontier = keys[~np.isin(keys, seen, assume_unique=True)]
+        seen = np.concatenate([seen, frontier])
+    bits = np.unpackbits(seen.view(np.uint8).reshape(-1, 2, 8 * W), axis=2,
+                         count=K, bitorder="little").view(np.int8)
+    return bits[:, 0] - bits[:, 1]
 
 
 def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:

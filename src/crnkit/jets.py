@@ -72,7 +72,9 @@ class Frame:
         return np.array(self.vectors[0])
 
 
-# past the float range a norm reads inf, so the Frame check rejects the result
+# a norm past the float range reads inf: the direction is first divided by
+# its largest |entry|; one that is not finite stays nan, which the Frame
+# check rejects
 @np.errstate(over="ignore", invalid="ignore")
 def make_frame(*vectors) -> Frame:
     """Normalize, orthogonalize (stably), and wrap the given directions."""
@@ -82,6 +84,9 @@ def make_frame(*vectors) -> Frame:
         for u in out:
             v = v - (v @ u) * u
         nrm = np.linalg.norm(v)
+        if np.isinf(nrm):
+            v = v / np.abs(v).max()
+            nrm = np.linalg.norm(v)
         if nrm < 1e-12:
             raise ValueError("frame directions are linearly dependent")
         out.append(v / nrm)

@@ -216,7 +216,7 @@ class TestExitCodes:
             (["steady", "{rlv}", "--x0=1,1", "--k=1e-320,1,1"], 3),
             (["birch", "{ab}", "--alpha=1,1", "--x0=1e307,1"], 3),
             (["birch", "{ab}", "--alpha=1,1", "--x0=1e-320,1"], 3),
-            (["jets", "{rlv}", "--frame=1e308,1e308"], 1),
+            (["jets", "{rlv}", "--frame=1e308,1e308"], 0),
             (["jets", "{rlv}", "--frame=1,1;1.7e308,1.7e308"], 1),
             (["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--alpha=1e-320,1",
               "--format=csv"], 0),
@@ -455,6 +455,15 @@ class TestJetsCommand:
         out = run_cli(["jets", rlv_file, "--frame", "-1,0;0,-1", "--i-max", "10"])
         assert out.returncode == 0
         assert json.loads(out.stdout)["frame"] == [[-1.0, 0.0], [0.0, -1.0]]
+
+    @pytest.mark.parametrize("frame", ["1e154,1e154", "1e308,1e308"])
+    def test_frame_past_the_float_range_reports_as_its_direction(self, frame, rlv_file):
+        # the norm of such a vector overflows: it used to read inf and the
+        # frame failed its orthonormality check (exit 1)
+        out = run_cli(["jets", rlv_file, f"--frame={frame}"])
+        unit = run_cli(["jets", rlv_file, "--frame=1,1"])
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == unit.stdout
 
     def test_warning_surfaces_in_output(self, tmp_path):
         p = tmp_path / "ab.crn"

@@ -12,6 +12,10 @@ import pytest
 from crnkit.geometry import (
     ArrangementFace,
     LimitExceeded,
+    _canonical_hyperplane,
+    _closure,
+    _cocircuits,
+    _echelon,
     _simplex,
     enumerate_faces,
     gram_schmidt,
@@ -472,7 +476,7 @@ class TestConformalSums:
             assert tuple(_sign(sum(a * b for a, b in zip(h, f.representative)))
                          for h in normals) == f.signs
 
-    @pytest.mark.parametrize("m, count", [(10, 1876), (12, 3332)])
+    @pytest.mark.parametrize("m, count", [(10, 1876), (12, 3332), (15, 6908)])
     def test_closure_matches_frozen_counts_and_conformal_sums(self, m, count):
         rng = np.random.default_rng(m)
         normals = [tuple(int(v) for v in rng.integers(-3, 4, 4)) for _ in range(m)]
@@ -488,6 +492,95 @@ class TestConformalSums:
         conformal = np.all((C[None] == 0) | (C[None] == S[:, None]), axis=2)
         for f, row in zip(faces, conformal):
             assert f.representative == primitive(Z[row].sum(axis=0).tolist())
+
+
+_INT8_BLOCK = 1 << 18  # int8 entries per composition block, so memory per block is fixed
+
+
+def _int8_keys(S: np.ndarray) -> np.ndarray:
+    # one np.void per sign row: rows sort, unique and set-compare whole
+    return np.ascontiguousarray(S).view(np.dtype((np.void, S.shape[1])))[:, 0]
+
+
+def _closure_int8(C: np.ndarray) -> np.ndarray:
+    """Every nonzero covector, as distinct int8 rows composed from the
+    cocircuit sign rows C.  A face of dimension above 1 is G o c for a facet
+    G of it and a cocircuit c conformal to it, which opposes no sign of G;
+    so each round composes the new rows that have a zero with the
+    cocircuits opposing none of their signs (rows without one are final)."""
+    K = C.shape[1]
+    step = max(1, _INT8_BLOCK // C.size)
+    seen = frontier = np.unique(_int8_keys(C))
+    while len(frontier):
+        F = frontier.view(np.int8).reshape(-1, K)
+        F = F[np.any(F == 0, axis=1), None, :]
+        fresh = []
+        for B in (F[i:i + step] for i in range(0, len(F), step)):
+            composed = np.where(B != 0, B, C)[~np.any(B * C < 0, axis=2)]
+            fresh.append(np.setdiff1d(_int8_keys(composed), seen))
+        frontier = np.unique(np.concatenate([seen[:0], *fresh]))
+        seen = np.union1d(seen, frontier)
+    return seen.view(np.int8).reshape(-1, K)
+
+
+def _cocircuit_signs(normals) -> np.ndarray:
+    # the cocircuit sign rows enumerate_faces closes: one per distinct
+    # hyperplane, in the essential coordinates of the normals' row space
+    hypers = list(dict.fromkeys(_canonical_hyperplane(p) for p in normals if any(p)))
+    R, _ = _echelon(hypers)
+    return _cocircuits(np.array(hypers, dtype=object) @ np.array(R, dtype=object).T)[0]
+
+
+def _seeded_arrangements(count=60):
+    # 2-5 dimensions, 1-14 normals (1-10 in 5-D, where the int8 closure
+    # takes seconds past that), entries -2..2, so zero, duplicate and
+    # parallel normals are common; every third one spans a proper subspace,
+    # so its lineality is a line or more
+    rng = np.random.default_rng(2024)
+    for i in range(count):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 15 if n < 5 else 11))
+        span = np.eye(n, dtype=int)
+        if i % 3 == 0:
+            span = rng.integers(-2, 3, (int(rng.integers(1, n)), n))
+        normals = [tuple(int(x) for x in rng.integers(-2, 3, len(span)) @ span)
+                   for _ in range(m)]
+        # a duplicate, an antiparallel and a zero normal, as many as drawn
+        extra = [normals[0], tuple(-2 * x for x in normals[-1]), (0,) * n]
+        normals += extra[:int(rng.integers(0, 4))]
+        yield normals
+    # 14 hyperplanes on the moment curve, in R^3 and with a line of lineality in R^4
+    yield [(1, a, a * a) for a in range(-7, 7)]
+    yield [(1, a, a * a, 0) for a in range(-7, 7)]
+
+
+class TestBitWordClosure:
+    """The closure on bit words against the int8 closure it replaced."""
+
+    def test_same_sign_rows_as_int8_closure(self):
+        lineal = 0
+        for normals in _seeded_arrangements():
+            if not any(any(p) for p in normals):
+                continue
+            lineal += rank(normals) < len(normals[0])
+            C = _cocircuit_signs(normals)
+            S = _closure(C)
+            assert S.dtype == np.int8 and S.shape[1] == C.shape[1]
+            rows = {r.tobytes() for r in S}
+            assert len(rows) == len(S)
+            assert rows == {r.tobytes() for r in _closure_int8(C)}
+        assert lineal >= 10
+
+    @pytest.mark.parametrize("m", [64, 65, 70])
+    def test_across_word_boundaries(self, m):
+        # m distinct lines through the origin of the plane cut 2m rays and
+        # 2m sectors; past 64 hyperplanes a sign set takes a second word
+        normals = [(a, a * a + 1) for a in range(1, m + 1)]
+        faces = enumerate_faces(normals, limit=100)
+        assert len(faces) == 4 * m
+        for f in faces:
+            assert tuple(_sign(sum(a * b for a, b in zip(h, f.representative)))
+                         for h in normals) == f.signs
 
 
 class TestRealizeIteratedMax:
