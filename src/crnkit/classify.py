@@ -286,6 +286,9 @@ def classify(net: ReactionNetwork, limit: int | None = None,
 
 # sampled directions have integer entries in [-_W_MAX, _W_MAX]
 _W_MAX = 60
+# most sampled directions drawn and tested at once, so memory stays one
+# block whatever n_samples is
+_BLOCK_ROWS = 4096
 
 
 def _integer_scaled(vectors: list[RationalVector]) -> np.ndarray:
@@ -303,26 +306,39 @@ def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0
     """Probe the endotactic and strong conditions with random integer
     directions and exact integer arithmetic.
 
+    The directions are n_samples // 2 draws from [-9, 9]^n, then the rest
+    from [-60, 60]^n.  They are drawn and tested in blocks of 64 rows,
+    growing fourfold up to 4,096, and drawing stops once both conditions
+    have a witness; blocked draws are the numbers one draw of all would
+    give, so each witness is the first violating direction of the whole
+    sequence, as if every direction were drawn and tested.  A zero
+    direction violates neither condition.
+
     A returned False is a proof (the witness direction falsifies the
     property); a returned True only means no counterexample was sampled.
+
+    Raises:
+        ValueError: n_samples is negative.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     rng = np.random.default_rng(seed)
     n = net.n_species
     F = _integer_scaled([r.flux for r in net.reactions])  # R x n
     S = _integer_scaled([r.source.coeffs for r in net.reactions])
     half = n_samples // 2
-    W = np.vstack(
-        [
-            rng.integers(-9, 10, size=(half, n)),
-            rng.integers(-_W_MAX, _W_MAX + 1, size=(n_samples - half, n)),
-        ]
-    ).astype(np.int64)
-    W = W[np.any(W != 0, axis=1)]
-    viol_endo, viol_strong, _ = _conditions(W @ F.T, W @ S.T)
-    endo_idx = np.nonzero(viol_endo)[0]
-    strong_idx = np.nonzero(viol_strong)[0]
-    endo_w = primitive(W[endo_idx[0]].tolist()) if len(endo_idx) else None
-    strong_w = primitive(W[strong_idx[0]].tolist()) if len(strong_idx) else None
+    endo_w = strong_w = None
+    for bound, left in ((9, half), (_W_MAX, n_samples - half)):
+        rows = 64
+        while left and (endo_w is None or strong_w is None):
+            W = rng.integers(-bound, bound + 1, size=(min(rows, left), n))
+            left -= len(W)
+            rows = min(4 * rows, _BLOCK_ROWS)
+            viol_endo, viol_strong, _ = _conditions(W @ F.T, W @ S.T)
+            if endo_w is None and viol_endo.any():
+                endo_w = primitive(W[viol_endo.argmax()].tolist())
+            if strong_w is None and viol_strong.any():
+                strong_w = primitive(W[viol_strong.argmax()].tolist())
     return {
         "endotactic": endo_w is None,
         "endo_witness": endo_w,

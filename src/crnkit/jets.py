@@ -392,19 +392,22 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         raise ValueError(f"direction_samples must be at most {_MAX_DIRECTION_SAMPLES}, "
                          f"got {direction_samples}")
     rng = np.random.default_rng(seed)
-    dirs = []
+    # one draw of the rows still missing, a row of norm at most 1e-12
+    # dropped and redrawn after the others: the directions of one
+    # standard_normal(n) call per sample
+    dirs = np.zeros((0, n))
     while len(dirs) < direction_samples:
-        v = rng.standard_normal(n)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            dirs.append(v / nrm)
+        V = rng.standard_normal((direction_samples - len(dirs), n))
+        nrm = np.sqrt(_rowdot(V, V))
+        keep = nrm > 1e-12
+        dirs = np.concatenate([dirs, V[keep] / nrm[keep, None]])
     try:
         faces = enumerate_faces(arrangement_normals(net))
     except LimitExceeded:
         faces = []
     # every face representative is nonzero
     R = np.array([f.representative for f in faces], dtype=float).reshape(-1, n)
-    W = np.vstack([R / np.sqrt(_rowdot(R, R))[:, None], np.reshape(dirs, (-1, n))])
+    W = np.vstack([R / np.sqrt(_rowdot(R, R))[:, None], dirs])
     if not len(W):
         raise ValueError("the scan has no directions")
     A = stoichiometric_subspace(net).Hperp_matrix()

@@ -3,6 +3,7 @@ full arrangement decision, fast-path sufficient conditions, witnesses, and
 agreement with an independent sampling oracle."""
 
 import importlib
+import itertools
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnkit import (
     LimitExceeded,
@@ -23,7 +25,7 @@ from crnkit import (
     sample_classify,
     stoichiometric_subspace,
 )
-from crnkit.geometry import enumerate_faces, max_subset
+from crnkit.geometry import enumerate_faces, max_subset, primitive
 from crnkit.network import Complex, Reaction, ReactionNetwork, Species
 
 from conftest import CLASSIFICATION, load, network_text
@@ -423,6 +425,125 @@ class TestSamplerPastInt64:
         assert classify_module._integer_scaled(net.exact_sources()).dtype == np.int64
         net, _ = load("triangle_out")
         assert classify_module._integer_scaled(net.exact_fluxes()).dtype == np.int64
+
+
+def _sample_classify_oneshot(net, n_samples=10_000, seed=0):
+    """The sampler as it was before it drew in blocks: every direction in
+    one draw, zero rows filtered out, then the first violation of each
+    condition."""
+    rng = np.random.default_rng(seed)
+    n = net.n_species
+    F = classify_module._integer_scaled([r.flux for r in net.reactions])  # R x n
+    S = classify_module._integer_scaled([r.source.coeffs for r in net.reactions])
+    half = n_samples // 2
+    W = np.vstack(
+        [
+            rng.integers(-9, 10, size=(half, n)),
+            rng.integers(-classify_module._W_MAX, classify_module._W_MAX + 1,
+                         size=(n_samples - half, n)),
+        ]
+    ).astype(np.int64)
+    W = W[np.any(W != 0, axis=1)]
+    viol_endo, viol_strong, _ = classify_module._conditions(W @ F.T, W @ S.T)
+    endo_idx = np.nonzero(viol_endo)[0]
+    strong_idx = np.nonzero(viol_strong)[0]
+    endo_w = primitive(W[endo_idx[0]].tolist()) if len(endo_idx) else None
+    strong_w = primitive(W[strong_idx[0]].tolist()) if len(strong_idx) else None
+    return {
+        "endotactic": endo_w is None,
+        "endo_witness": endo_w,
+        "strongly_endotactic": strong_w is None,
+        "strong_witness": strong_w,
+    }
+
+
+# sample counts on either side of the first blocks (64, 256, 1,024 and
+# 4,096 rows per phase) and of odd totals, whose second phase is one longer
+BLOCK_EDGES = [0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 639, 640, 641, 2689, 2690,
+               2691, 10_000, 10_001, 19_999, 20_000]
+
+
+class TestBlockedSampler:
+    """The sampler that draws in blocks and stops at its first witnesses
+    against the one-shot sampler it replaced."""
+
+    @pytest.mark.parametrize("n_samples", [4000, 10_000, 129, 65])
+    def test_same_result_as_oneshot_on_fixtures(self, n_samples):
+        for seed, name in enumerate(sorted(CLASSIFICATION)):
+            net, _ = load(name)
+            assert (sample_classify(net, n_samples=n_samples, seed=seed)
+                    == _sample_classify_oneshot(net, n_samples=n_samples, seed=seed)), name
+
+    def test_same_result_as_oneshot_on_criterion_2_networks(self):
+        rng = np.random.default_rng(20260823)
+        for i in range(200):
+            net = random_network(rng)
+            assert (sample_classify(net, n_samples=10_000, seed=i)
+                    == _sample_classify_oneshot(net, n_samples=10_000, seed=i)), i
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1),
+           n_samples=st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(0, 20_000)),
+           seed=st.integers(0, 10**6))
+    def test_same_result_as_oneshot_on_a_stream(self, net_seed, n_samples, seed):
+        net = random_network(np.random.default_rng(net_seed), max_species=4,
+                             max_reactions=6)
+        assert (sample_classify(net, n_samples=n_samples, seed=seed)
+                == _sample_classify_oneshot(net, n_samples=n_samples, seed=seed))
+
+    @pytest.mark.parametrize("n_samples", [65, 2000, 10_001])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_result_as_oneshot_on_object_rows(self, n_samples, seed):
+        net, _ = parse_network(WIDE_COEFFICIENT_NETWORKS[1])
+        assert classify_module._integer_scaled(net.exact_fluxes()).dtype == object
+        assert (sample_classify(net, n_samples=n_samples, seed=seed)
+                == _sample_classify_oneshot(net, n_samples=n_samples, seed=seed))
+
+    @pytest.mark.parametrize("bound", [9, classify_module._W_MAX])
+    def test_blocked_draws_equal_one_draw(self, bound):
+        # the sampler relies on this numpy behaviour for its exact results
+        for seed in range(40):
+            for n in range(1, 6):
+                total = 5000 + seed
+                whole = np.random.default_rng(seed).integers(-bound, bound + 1, size=(total, n))
+                rng = np.random.default_rng(seed)
+                sizes = [64, 256, 1 + seed, 1024, 4096]
+                parts, left = [], total
+                for size in itertools.cycle(sizes):
+                    if not left:
+                        break
+                    parts.append(rng.integers(-bound, bound + 1, size=(min(size, left), n)))
+                    left -= len(parts[-1])
+                assert np.array_equal(np.vstack(parts), whole), (seed, n)
+
+    def test_stops_after_the_first_block_with_both_witnesses(self, monkeypatch):
+        blocks = []
+        default_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                out = self._rng.integers(*args, **kwargs)
+                blocks.append(out.shape)
+                return out
+
+        monkeypatch.setattr(classify_module.np.random, "default_rng", Spy)
+        net, _ = load("a_to_b")
+        sampled = sample_classify(net, n_samples=10_000, seed=0)
+        assert not sampled["endotactic"] and not sampled["strongly_endotactic"]
+        assert blocks == [(64, 2)]
+
+    def test_huge_sample_count_returns_at_once(self):
+        net, _ = load("a_to_b")
+        assert (sample_classify(net, n_samples=10**12, seed=1)
+                == sample_classify(net, n_samples=10_000, seed=1))
+
+    def test_rejects_negative_sample_count(self):
+        net, _ = load("a_to_b")
+        with pytest.raises(ValueError, match="n_samples must be nonnegative, got -3"):
+            sample_classify(net, n_samples=-3)
 
 
 class TestArrangement:

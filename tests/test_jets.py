@@ -2,6 +2,7 @@
 stabilization check, the pull-domination monitor, worst-case sum-of-pulls
 scans, and unit-jet extraction from direction sequences."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from crnkit.geometry import LimitExceeded, enumerate_faces, gram_schmidt, super_
 from crnkit.jets import _cluster_directions, _worst_case_margin
 
 from conftest import HEXAGON, HEXAGON_Q2_INDEX, NETWORKS, load
+
+jets_module = importlib.import_module("crnkit.jets")
 
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -341,6 +344,49 @@ class TestCutoffScan:
         for count in (10_001, 100_000_000_000):
             with pytest.raises(ValueError, match="at most 10000"):
                 cutoff_scan(net, temp, (1.0, 1.0), direction_samples=count)
+
+    def test_directions_are_the_per_sample_draws_after_a_zero_row(self, monkeypatch):
+        # the directions of one standard_normal(n) call per sample, each
+        # redrawn while its norm is at most 1e-12
+        def loop_directions(rng, count, n):
+            dirs = []
+            while len(dirs) < count:
+                v = rng.standard_normal(n)
+                nrm = np.linalg.norm(v)
+                if nrm > 1e-12:
+                    dirs.append(v / nrm)
+            return np.array(dirs)
+
+        default_rng = np.random.default_rng
+
+        class ZeroFirstRow:
+            """seed's stream with its first row of n numbers zeroed"""
+            def __init__(self, seed, n=3):
+                self._rng, self._n, self._fresh = default_rng(seed), n, True
+
+            def standard_normal(self, size):
+                out = self._rng.standard_normal(size)
+                if self._fresh:
+                    out.reshape(-1, self._n)[0] = 0.0
+                    self._fresh = False
+                return out
+
+        scanned = []
+        pull_terms = jets_module._pull_terms
+
+        def spy(net, tempering, W):
+            scanned.append(W.copy())
+            return pull_terms(net, tempering, W)
+
+        monkeypatch.setattr(jets_module, "_pull_terms", spy)
+        monkeypatch.setattr(np.random, "default_rng", ZeroFirstRow)
+        net, temp = parse_network("species: A B C\nA -> B rate [1,2]\nB + C -> A\n")
+        out = cutoff_scan(net, temp, (1.0, 1.0, 1.0), direction_samples=50, seed=3)
+        want = loop_directions(ZeroFirstRow(3), 50, 3)
+        assert out["n_directions"] == len(scanned[0])
+        assert np.array_equal(scanned[0][-50:], want)
+        second = default_rng(3).standard_normal((2, 3))[1]
+        assert np.array_equal(want[0], second / np.linalg.norm(second))
 
     def test_clusters_are_the_components_of_the_angle_graph(self, rng):
         # reference: union-find over every pair closer than the gap, each
