@@ -13,23 +13,11 @@ representative per face.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (
-    LimitExceeded,
-    RationalVector,
-    dot,
-    enumerate_faces,
-    is_zero,
-    max_subset,
-    primitive,
-    vec,
-    vsub,
-)
+from .geometry import LimitExceeded, enumerate_faces, primitive, vec
 from .network import (
     Reaction,
     ReactionNetwork,
@@ -74,16 +62,19 @@ def is_w_endotactic(net: ReactionNetwork, w) -> tuple[bool, Reaction | None]:
     Raises:
         ValueError: w is zero.
     """
-    w = vec(w)
-    if is_zero(w):
+    w = primitive(vec(w))  # a positive multiple: every sign and order is kept
+    if not any(w):
         raise ValueError("direction w must be nonzero")
-    essential = [r for r in net.reactions if dot(w, r.flux) != 0]
+    _, sources, fluxes, _, _ = net._exact
+    comps = [sum(a * b for a, b in zip(w, flux)) for flux in fluxes]
+    heights = [sum(a * b for a, b in zip(w, source)) for source in sources]
+    essential = [r for r, c in enumerate(comps) if c]
     if not essential:
         return True, None
-    supp = set(max_subset([r.source.coeffs for r in essential], w))
+    top = max(heights[r] for r in essential)
     for r in essential:
-        if tuple(r.source.coeffs) in supp and dot(w, r.flux) > 0:
-            return False, r
+        if heights[r] == top and comps[r] > 0:
+            return False, net.reactions[r]
     return True, None
 
 
@@ -91,23 +82,14 @@ def is_w_endotactic(net: ReactionNetwork, w) -> tuple[bool, Reaction | None]:
 # arrangement reduction
 
 
-def arrangement_normals(net: ReactionNetwork) -> list[RationalVector]:
-    """Normals whose sign pattern determines both deciders: all reaction
-    vectors, then all differences of distinct source complexes."""
-    normals = [r.flux for r in net.reactions]
-    distinct = _distinct_sources(net)
-    for a, b in itertools.combinations(distinct, 2):
-        normals.append(vsub(a, b))
-    return normals
-
-
-def _distinct_sources(net: ReactionNetwork) -> list[RationalVector]:
-    out: list[RationalVector] = []
-    for r in net.reactions:
-        c = tuple(r.source.coeffs)
-        if c not in out:
-            out.append(c)
-    return out
+def arrangement_normals(net: ReactionNetwork) -> list[tuple[int, ...]]:
+    """Normals whose sign pattern determines both deciders, as integer
+    tuples: all reaction vectors, then all differences of distinct source
+    complexes (in order of first appearance), each a positive multiple of
+    the rational vector."""
+    _, _, fluxes, _, distinct = net._exact
+    return [*fluxes, *(tuple(x - y for x, y in zip(a, b))
+                       for a, b in itertools.combinations(distinct, 2))]
 
 
 class _Arrangement:
@@ -118,18 +100,16 @@ class _Arrangement:
     <w, y> does.  No rational arithmetic runs per face."""
 
     def __init__(self, net: ReactionNetwork, limit: int | None):
-        sources = _distinct_sources(net)
+        _, _, _, source_of, distinct = net._exact
         self.faces = enumerate_faces(arrangement_normals(net), limit=limit)
         signs = np.array([f.signs for f in self.faces], dtype=np.int64)
         self.flux_signs = signs[:, :net.n_reactions]
         pair_signs = signs[:, net.n_reactions:]  # sign <w, y_i - y_j> for i < j
-        i, j = np.array(list(itertools.combinations(range(len(sources)), 2)),
-                        dtype=np.intp).reshape(-1, 2).T
-        eye = np.eye(len(sources), dtype=np.int64)
+        i, j = np.triu_indices(len(distinct), 1)  # the pairs in combinations order
+        eye = np.eye(len(distinct), dtype=np.int64)
         rank = (pair_signs > 0) @ eye[i] + (pair_signs < 0) @ eye[j]
-        src_of = [sources.index(tuple(r.source.coeffs)) for r in net.reactions]
         self.endo_fail, self.strong_fail, self.top = _conditions(
-            self.flux_signs, rank[:, src_of])
+            self.flux_signs, rank[:, list(source_of)])
 
 
 def _conditions(P: np.ndarray, Q: np.ndarray):
@@ -212,9 +192,8 @@ def _fast_path(net: ReactionNetwork, linkage, arrangement) -> str | None:
     if arr is None:
         return None
     # per face and linkage class, how many members have a maximal source
-    cx_index = {c.coeffs: i for i, c in enumerate(net.complexes)}
     top_cx = np.zeros((len(arr.faces), len(net.complexes)), dtype=bool)
-    top_cx[:, [cx_index[r.source.coeffs] for r in net.reactions]] = arr.top
+    top_cx[:, [a for a, _ in net._exact[0]]] = arr.top
     counts = [top_cx[:, members].sum(axis=1) for members in linkage.classes]
     # a union of linkage classes holds the whole class of each member
     is_union = np.all([(c == 0) | (c == len(members))
@@ -291,13 +270,11 @@ _W_MAX = 60
 _BLOCK_ROWS = 4096
 
 
-def _integer_scaled(vectors: list[RationalVector]) -> np.ndarray:
-    """The vectors over one common denominator: int64 rows when every <w, v>
-    of a sampled direction fits in int64, else exact Python ints."""
-    if not vectors:
+def _integer_scaled(rows) -> np.ndarray:
+    """Integer rows as int64 when every <w, v> of a sampled direction fits
+    in int64, else as exact Python ints."""
+    if not rows:
         return np.zeros((0, 0), dtype=np.int64)
-    lcm = math.lcm(*(Fraction(x).denominator for v in vectors for x in v))
-    rows = [[int(Fraction(x) * lcm) for x in v] for v in vectors]
     exact = _W_MAX * max(sum(map(abs, r)) for r in rows) >= 2**63
     return np.array(rows, dtype=object if exact else np.int64)
 
@@ -324,8 +301,9 @@ def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     rng = np.random.default_rng(seed)
     n = net.n_species
-    F = _integer_scaled([r.flux for r in net.reactions])  # R x n
-    S = _integer_scaled([r.source.coeffs for r in net.reactions])
+    _, sources, fluxes, _, _ = net._exact
+    F = _integer_scaled(fluxes)  # R x n
+    S = _integer_scaled(sources)
     half = n_samples // 2
     endo_w = strong_w = None
     for bound, left in ((9, half), (_W_MAX, n_samples - half)):

@@ -3,7 +3,7 @@
 check, domination monitoring for draining reactions, the worst-case
 sum-of-pulls cutoff scan, and unit-jet extraction from direction sequences.
 
-All quantities here are floating point, except the exact Fraction test
+All quantities here are floating point, except the exact integer test
 that picks the worst-case margin's dominant tier; the argmax stabilization
 is cross-checked in the tests against the exact iterated maximal subsets of
 geometry.super_chain.
@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .classify import arrangement_normals
-from .geometry import LimitExceeded, enumerate_faces
+from .geometry import LimitExceeded, enumerate_faces, primitive
 from .network import (
     ReactionNetwork,
     Reaction,
@@ -38,13 +37,13 @@ _LEVEL_TOL = 1e-10
 _TIE_TOL = 1e-9
 # cutoff_scan: margins from -_NEAR_ZERO_DELTA up are near zero; with two or
 # more laws a point is eligible within the relative miss _MEMBERSHIP_BAND;
-# near-zero directions within _CLUSTER_GAP radians share a cluster
+# near-zero directions within _CLUSTER_GAP radians share a cluster, found
+# from the angles of at most _CLUSTER_BLOCK directions to all others at once
 _NEAR_ZERO_DELTA = 0.02
 _MEMBERSHIP_BAND = 1e-3
 _CLUSTER_GAP = 0.1
-# cutoff_scan takes at most this many direction samples: the clustering
-# builds a dense near-zero-by-near-zero angle matrix, whose peak RSS on
-# A -> B (half its directions near zero) is 444 MB at the cap, 1.6 GB at twice it
+_CLUSTER_BLOCK = 256
+# cutoff_scan takes at most this many direction samples
 _MAX_DIRECTION_SAMPLES = 10_000
 # extract_unit_jet: residuals and coefficients up to _ZERO_TOL count as zero,
 # and every level needs _MIN_PER_LEVEL usable indices
@@ -332,9 +331,9 @@ def _worst_case_margin(net: ReactionNetwork, tempering: Tempering | None, W):
     # far wider than the rounding of a height, so the exact tier is inside
     slack = 1e-9 * (1 + np.abs(rows) @ np.abs(net.source_matrix()).T).max(axis=1)
     tier = heights >= (heights.max(axis=1) - slack)[:, None]
-    sources = net.exact_sources()
+    sources = net._exact[1]
     for d in np.nonzero(tier.sum(axis=1) > 1)[0]:
-        w = [Fraction(float(x)) for x in rows[d]]
+        w = primitive(rows[d].tolist())  # a positive multiple, as the sources are
         shortlist = np.nonzero(tier[d])[0]
         vals = [sum(a * b for a, b in zip(w, sources[r])) for r in shortlist]
         top = max(vals)
@@ -483,16 +482,21 @@ def _cluster_directions(dirs: np.ndarray, margins: np.ndarray, gap: float):
     """Group unit direction rows into the connected components of the
     angle <= gap graph; each cluster reports the member with the largest
     margin as its center."""
-    close = np.arccos(np.clip(dirs @ dirs.T, -1.0, 1.0)) <= gap
     label = np.full(len(dirs), -1)
     out = []
     while np.any(label < 0):
-        # breadth-first search from the first direction not yet in a cluster
+        # breadth-first search from the first direction not yet in a cluster;
+        # each direction's angle row is formed once, when it is in the frontier
         c = np.argmax(label < 0)
         frontier = [c]
         while len(frontier):
             label[frontier] = c
-            frontier = np.nonzero(close[frontier].any(axis=0) & (label < 0))[0]
+            reached = np.zeros(len(dirs), dtype=bool)
+            for i in range(0, len(frontier), _CLUSTER_BLOCK):
+                angle = dirs[frontier[i:i + _CLUSTER_BLOCK]] @ dirs.T
+                np.arccos(np.clip(angle, -1.0, 1.0, out=angle), out=angle)
+                reached |= (angle <= gap).any(axis=0)
+            frontier = np.nonzero(reached & (label < 0))[0]
         members = np.nonzero(label == c)[0]
         center = members[np.argmax(margins[members])]
         out.append(

@@ -3,12 +3,14 @@ network parsing/serialization, and graph-level structure (linkage classes,
 weak reversibility, stoichiometric subspace, reactant polytope).
 
 Stoichiometric coefficients are exact rationals throughout.  Derived
-structure (float matrices, the stoichiometric subspace, linkage classes) is
-computed once per network on first use and shared; arrays are read-only.
+structure (integer rows and distinct sources for every exact decider, float
+matrices, the stoichiometric subspace, linkage classes) is computed once per
+network on first use and shared; arrays are read-only.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,12 +137,6 @@ class ReactionNetwork:
     def species_names(self) -> list[str]:
         return [s.name for s in self.species]
 
-    def exact_sources(self) -> list[RationalVector]:
-        return [r.source.coeffs for r in self.reactions]
-
-    def exact_fluxes(self) -> list[RationalVector]:
-        return [r.flux for r in self.reactions]
-
     def source_matrix(self) -> np.ndarray:
         """Reactions-by-species float matrix of source coefficients (read-only)."""
         return self._float_matrices[0]
@@ -157,17 +153,33 @@ class ReactionNetwork:
         return Y, F
 
     @cached_property
+    def _exact(self):
+        """(edges, sources, fluxes, source_of, distinct): each reaction's
+        (source, target) complex index; the source rows and the reaction
+        vectors as Python-int tuples, each matrix times the lcm of its own
+        denominators (a positive multiple, so every sign and order of
+        <w, row> is kept); each reaction's index into distinct, the distinct
+        source rows in order of first appearance."""
+        index = {c: i for i, c in enumerate(self.complexes)}
+        edges = tuple((index[r.source], index[r.target]) for r in self.reactions)
+        sources = _over_lcm([r.source.coeffs for r in self.reactions])
+        fluxes = _over_lcm([r.flux for r in self.reactions])
+        distinct: dict[tuple[int, ...], int] = {}
+        source_of = tuple(distinct.setdefault(row, len(distinct)) for row in sources)
+        return edges, sources, fluxes, source_of, tuple(distinct)
+
+    @cached_property
     def _stoichiometry(self) -> StoichiometryInfo:
-        H, Hperp = _subspaces(self.exact_fluxes(), self.n_species)
+        H, Hperp = _subspaces(self._exact[2], self.n_species)
         return StoichiometryInfo(tuple(H), tuple(Hperp), len(H))
 
     @cached_property
     def _linkage(self) -> LinkageInfo:
-        n, index = len(self.complexes), {c: i for i, c in enumerate(self.complexes)}
-        edges = [(index[r.source], index[r.target]) for r in self.reactions]
+        n = len(self.complexes)
+        edges, _, fluxes, _, _ = self._exact
         # one Warshall closure of both, on bitset rows: bit j of row i says i reaches j
         directed, linked = reach = [[1 << i for i in range(n)] for _ in range(2)]
-        for rows, arcs in zip(reach, (edges, edges + [(b, a) for a, b in edges])):
+        for rows, arcs in zip(reach, (edges, edges + tuple((b, a) for a, b in edges))):
             for a, b in arcs:
                 rows[a] |= 1 << b
         for k in range(n):
@@ -180,8 +192,13 @@ class ReactionNetwork:
         # the directed closure is symmetric iff every target reaches its source
         return LinkageInfo(tuple(classes), all(directed[b] >> a & 1 for a, b in edges),
                            tuple(tuple(row_space_basis(
-                               [list(r.flux) for r, (a, _) in zip(self.reactions, edges)
-                                if a in members], self.n_species)) for members in classes))
+                               [row for row, (a, _) in zip(fluxes, edges) if a in members],
+                               self.n_species)) for members in classes))
+
+
+def _over_lcm(rows) -> tuple[tuple[int, ...], ...]:
+    lcm = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(int(x * lcm) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -491,23 +508,20 @@ def linkage_classes(net: ReactionNetwork) -> LinkageInfo:
 def reactant_polytope_vertices(net: ReactionNetwork) -> list[Complex]:
     """Source complexes that are vertices of the convex hull of all sources
     (decided exactly: a point is a vertex iff it is not a convex combination
-    of the other sources).
+    of the other sources, so a lone source is one).
 
     Raises:
         ValueError: network with no reactions.
     """
     if not net.reactions:
         raise ValueError("network has no reactions")
-    sources = list(dict.fromkeys(r.source for r in net.reactions))
-    if len(sources) == 1:
-        return sources
+    edges, _, _, source_of, distinct = net._exact
+    complex_of = dict(zip(source_of, (a for a, _ in edges)))
     verts = []
-    for i, p in enumerate(sources):
-        others = [q for j, q in enumerate(sources) if j != i]
-        A = [[q.coeffs[k] for q in others] for k in range(net.n_species)]
-        A.append([1] * len(others))
-        b = [*p.coeffs, 1]
-        feasible, _ = lp_feasible_nonneg(A, b)
+    for i, p in enumerate(distinct):
+        others = distinct[:i] + distinct[i + 1:]
+        A = [[q[k] for q in others] for k in range(net.n_species)] + [[1] * len(others)]
+        feasible, _ = lp_feasible_nonneg(A, [*p, 1])
         if not feasible:
-            verts.append(p)
+            verts.append(net.complexes[complex_of[i]])
     return verts

@@ -4,6 +4,7 @@ agreement with an independent sampling oracle."""
 
 import importlib
 import itertools
+import math
 import subprocess
 import sys
 import textwrap
@@ -421,10 +422,10 @@ class TestSamplerPastInt64:
         # 60 |v|_1 of the scaled flux of 1/1033B -> A + B passes 2^63, while
         # every scaled source stays below it
         net, _ = parse_network(WIDE_COEFFICIENT_NETWORKS[1])
-        assert classify_module._integer_scaled(net.exact_fluxes()).dtype == object
-        assert classify_module._integer_scaled(net.exact_sources()).dtype == np.int64
+        assert classify_module._integer_scaled(net._exact[2]).dtype == object
+        assert classify_module._integer_scaled(net._exact[1]).dtype == np.int64
         net, _ = load("triangle_out")
-        assert classify_module._integer_scaled(net.exact_fluxes()).dtype == np.int64
+        assert classify_module._integer_scaled(net._exact[2]).dtype == np.int64
 
 
 def _sample_classify_oneshot(net, n_samples=10_000, seed=0):
@@ -433,8 +434,8 @@ def _sample_classify_oneshot(net, n_samples=10_000, seed=0):
     condition."""
     rng = np.random.default_rng(seed)
     n = net.n_species
-    F = classify_module._integer_scaled([r.flux for r in net.reactions])  # R x n
-    S = classify_module._integer_scaled([r.source.coeffs for r in net.reactions])
+    F = classify_module._integer_scaled(net._exact[2])  # R x n
+    S = classify_module._integer_scaled(net._exact[1])
     half = n_samples // 2
     W = np.vstack(
         [
@@ -495,7 +496,7 @@ class TestBlockedSampler:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_same_result_as_oneshot_on_object_rows(self, n_samples, seed):
         net, _ = parse_network(WIDE_COEFFICIENT_NETWORKS[1])
-        assert classify_module._integer_scaled(net.exact_fluxes()).dtype == object
+        assert classify_module._integer_scaled(net._exact[2]).dtype == object
         assert (sample_classify(net, n_samples=n_samples, seed=seed)
                 == _sample_classify_oneshot(net, n_samples=n_samples, seed=seed))
 
@@ -558,3 +559,44 @@ class TestArrangement:
         report = classify(net)
         assert report.endotactic and report.strongly_endotactic
         assert stoichiometric_subspace(net).dimension == 0
+
+
+def _fraction_view(net):
+    """The network's rows restated in Fractions: sources, fluxes, distinct
+    sources in order of first appearance, and the arrangement normals."""
+    sources = [r.source.coeffs for r in net.reactions]
+    fluxes = [tuple(t - s for s, t in zip(r.source.coeffs, r.target.coeffs))
+              for r in net.reactions]
+    distinct = list(dict.fromkeys(sources))
+    normals = fluxes + [tuple(x - y for x, y in zip(a, b))
+                        for a, b in itertools.combinations(distinct, 2)]
+    return sources, fluxes, distinct, normals
+
+
+class TestIntegerView:
+    """The network's one integer view against an in-test Fraction oracle."""
+
+    @pytest.mark.parametrize("net", [load(name)[0] for name in sorted(CLASSIFICATION)]
+                             + [parse_network(text)[0] for text in WIDE_COEFFICIENT_NETWORKS],
+                             ids=[*sorted(CLASSIFICATION), "wide0", "wide1"])
+    def test_rows_distinct_sources_and_normals(self, net):
+        edges, sources, fluxes, source_of, distinct = net._exact
+        want_sources, want_fluxes, want_distinct, want_normals = _fraction_view(net)
+        assert [(net.complexes[a], net.complexes[b]) for a, b in edges] == [
+            (r.source, r.target) for r in net.reactions]
+        for cached, rows in ((sources, want_sources), (fluxes, want_fluxes)):
+            lcm = math.lcm(*(x.denominator for row in rows for x in row))
+            assert all(_int_tuple(row) for row in cached)
+            assert list(cached) == [tuple(int(x * lcm) for x in row) for row in rows]
+        lcm = math.lcm(*(x.denominator for row in want_sources for x in row))
+        assert [tuple(F(x, lcm) for x in row) for row in distinct] == want_distinct
+        assert [distinct[k] for k in source_of] == list(sources)
+        normals = arrangement_normals(net)
+        assert len(normals) == len(want_normals)
+        for got, want in zip(normals, want_normals):
+            assert _int_tuple(got)
+            ratios = {F(g) / x for g, x in zip(got, want) if x}
+            assert all(g == 0 for g, x in zip(got, want) if not x)
+            assert len(ratios) <= 1 and all(q > 0 for q in ratios)
+        assert ([(f.signs, f.representative) for f in enumerate_faces(normals)]
+                == [(f.signs, f.representative) for f in enumerate_faces(want_normals)])

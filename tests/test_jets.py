@@ -4,6 +4,7 @@ scans, and unit-jet extraction from direction sequences."""
 
 import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -391,32 +392,60 @@ class TestCutoffScan:
     def test_clusters_are_the_components_of_the_angle_graph(self, rng):
         # reference: union-find over every pair closer than the gap, each
         # cluster centered at its first member of largest margin
-        D = rng.standard_normal((150, 3))
+        def check(D):
+            D /= np.linalg.norm(D, axis=1, keepdims=True)
+            margins = np.round(rng.uniform(-1, 1, len(D)), 1)
+            parent = list(range(len(D)))
+
+            def find(a):
+                while parent[a] != a:
+                    a = parent[a]
+                return a
+
+            for i in range(len(D)):
+                for j in range(i + 1, len(D)):
+                    if math.acos(float(np.clip(D[i] @ D[j], -1.0, 1.0))) <= 0.3:
+                        parent[find(i)] = find(j)
+            groups = {}
+            for i in range(len(D)):
+                groups.setdefault(find(i), []).append(i)
+            want = []
+            for members in groups.values():
+                center = max(members, key=lambda i: margins[i])
+                want.append({"center": list(D[center]), "size": len(members),
+                             "max_margin": margins[center]})
+            want.sort(key=lambda c: c["center"])
+            got = _cluster_directions(D, margins, 0.3)
+            assert got == want
+            assert any(c["size"] > 1 for c in got) and len(got) > 1
+            return list(groups.values())
+
+        check(rng.standard_normal((150, 3)))
+        # more directions than one block of angle rows, around five centers
+        # in shuffled order: one cluster alone is more than a block, and
+        # every cluster of two or more has members on both sides of a block edge
+        block = jets_module._CLUSTER_BLOCK
+        centers = rng.standard_normal((5, 3))
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        pick = rng.choice(5, 2 * block + 100, p=[0.6, 0.1, 0.1, 0.1, 0.1])
+        groups = check(centers[pick] + 0.08 * rng.standard_normal((len(pick), 3)))
+        assert max(map(len, groups)) > block
+        assert all(len({i // block for i in members}) > 1
+                   for members in groups if len(members) > 1)
+
+    def test_cluster_memory_grows_with_the_block_not_the_square(self):
+        # 4,000 near-identical directions form one cluster; a dense angle
+        # matrix of them takes 128 MB per temporary
+        D = np.array([1.0, 0.0, 0.0]) + 1e-3 * np.random.default_rng(5).standard_normal((4000, 3))
         D /= np.linalg.norm(D, axis=1, keepdims=True)
-        margins = np.round(rng.uniform(-1, 1, len(D)), 1)
-        parent = list(range(len(D)))
-
-        def find(a):
-            while parent[a] != a:
-                a = parent[a]
-            return a
-
-        for i in range(len(D)):
-            for j in range(i + 1, len(D)):
-                if math.acos(float(np.clip(D[i] @ D[j], -1.0, 1.0))) <= 0.3:
-                    parent[find(i)] = find(j)
-        groups = {}
-        for i in range(len(D)):
-            groups.setdefault(find(i), []).append(i)
-        want = []
-        for members in groups.values():
-            center = max(members, key=lambda i: margins[i])
-            want.append({"center": list(D[center]), "size": len(members),
-                         "max_margin": margins[center]})
-        want.sort(key=lambda c: c["center"])
-        got = _cluster_directions(D, margins, 0.3)
-        assert got == want
-        assert any(c["size"] > 1 for c in got) and len(got) > 1
+        tracemalloc.start()
+        try:
+            got = _cluster_directions(D, np.zeros(len(D)), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c["size"] for c in got] == [len(D)]
+        assert peak < 32e6
 
     @pytest.mark.parametrize("grid", [[], [0.5, 2.0], [1.0, 10.0], [2.0, np.nan]])
     def test_rejects_thetas_at_most_one(self, grid):
