@@ -248,7 +248,7 @@ def cmd_steady(args) -> int:
         k = _rates(args.k, net, "--k")
     else:
         k = tuple(tempering.midpoints())
-    ss = find_steady_state(net, k, x0, tol=args.tol, seed=args.seed)
+    ss = find_steady_state(net, k, x0, tol=args.tol)
     payload = _envelope("steady", args.seed)
     payload["k"] = list(k)
     payload["x"] = [float(v) for v in ss.x]

@@ -214,6 +214,7 @@ class TestExitCodes:
             (["steady", "{tetrahedron}", "--x0=1e-320,1,1"], 0),
             (["steady", "{rlv}", "--x0=1,1", "--k=1e308,1e308,1e308"], 0),
             (["steady", "{rlv}", "--x0=1,1", "--k=1e-320,1,1"], 3),
+            (["steady", "{triangle_out}", "--x0=1,1"], 3),
             (["birch", "{ab}", "--alpha=1,1", "--x0=1e307,1"], 3),
             (["birch", "{ab}", "--alpha=1,1", "--x0=1e-320,1"], 3),
             (["jets", "{rlv}", "--frame=1e308,1e308"], 0),
@@ -222,13 +223,14 @@ class TestExitCodes:
               "--format=csv"], 0),
         ],
         ids=["steady-subnormal-x0", "steady-huge-k", "steady-subnormal-k",
-             "birch-huge-x0", "birch-subnormal-x0", "jets-huge-frame", "jets-nan-frame",
-             "simulate-subnormal-alpha"],
+             "steady-runaway-flow", "birch-huge-x0", "birch-subnormal-x0",
+             "jets-huge-frame", "jets-nan-frame", "simulate-subnormal-alpha"],
     )
     def test_extreme_value_prints_at_most_one_line(self, argv, code, rlv_file, tmp_path):
         # values past the float range made numpy print its warnings first
         files = {"rlv": rlv_file}
-        for key, name in (("tetrahedron", "tetrahedron"), ("ab", "ab_reversible")):
+        for key, name in (("tetrahedron", "tetrahedron"), ("ab", "ab_reversible"),
+                          ("triangle_out", "triangle_out")):
             path = tmp_path / f"{name}.crn"
             path.write_text(network_text(name))
             files[key] = str(path)
@@ -398,18 +400,25 @@ class TestSimulateCommand:
         )
         assert out.returncode == 1
 
-    def test_csv_identical_under_optimized_python(self, rlv_file):
-        # asserts stripped by -O must not guard anything the integrator needs
-        args = ["-m", "crnkit.cli", "simulate", rlv_file, "--x0=0.05,20",
-                "--t-end=20", "--policy=piecewise-constant", "--seed=3", "--format=csv"]
-        plain, optimized = [subprocess.run([sys.executable, *flags, *args],
-                                           capture_output=True)
-                            for flags in ([], ["-O"])]
-        for out in (plain, optimized):
-            assert out.returncode == 0
-            assert out.stderr == b""
-        assert optimized.stdout == plain.stdout
-        assert plain.stdout.startswith(b"t,")
+    def test_csv_identical_under_optimized_python(self, rlv_file, tmp_path):
+        # asserts stripped by -O must not guard anything the integrator or
+        # the steady-state search needs
+        tetrahedron = tmp_path / "tetrahedron.crn"
+        tetrahedron.write_text(network_text("tetrahedron"))
+        for args, head in (
+            (["simulate", rlv_file, "--x0=0.05,20", "--t-end=20",
+              "--policy=piecewise-constant", "--seed=3", "--format=csv"], b"t,"),
+            (["steady", str(tetrahedron), "--x0=0.5,1.79,0.55"], b"{"),
+        ):
+            plain, optimized = [
+                subprocess.run([sys.executable, *flags, "-m", "crnkit.cli", *args],
+                               capture_output=True)
+                for flags in ([], ["-O"])]
+            for out in (plain, optimized):
+                assert out.returncode == 0
+                assert out.stderr == b""
+            assert optimized.stdout == plain.stdout
+            assert plain.stdout.startswith(head)
 
 
 class TestScanCommand:

@@ -12,6 +12,7 @@ import crnkit.dynamics
 from crnkit import (
     NoConvergence,
     RatePolicy,
+    Tempering,
     Trajectory,
     conservation_residual,
     find_steady_state,
@@ -271,6 +272,13 @@ class TestEvents:
             simulate(net, None, RatePolicy("constant-mid"), (1.0, 1.0), -1.0)
 
 
+def _pyramid_equilibrium(k):
+    # A -> B -> C -> A and 2A <-> 3B: complex balanced, so k1 A = k2 B =
+    # k3 C and k4 A^2 = k5 B^3
+    a = k[3] * k[1] ** 3 / (k[4] * k[0] ** 3)
+    return a, k[0] * a / k[1], k[0] * a / k[2]
+
+
 class TestSteadyState:
     def test_lotka_volterra_variant_interior_point(self):
         net, _ = load("reverse_lv")
@@ -315,23 +323,86 @@ class TestSteadyState:
             assert self._cancellation(net, k, out.x) <= 1e-3
             assert min(out.x) > 0.1
 
-    def test_last_resort_runs_at_the_given_rates(self, monkeypatch):
-        # every Newton start from this x0 ends next to the boundary, so the
-        # flow is integrated, with the rates pinned at k
+    def test_start_where_newton_slid_to_the_boundary(self):
+        # a Newton iteration that only accepts steps lowering ||F|| slides
+        # from this x0 toward the origin, where the field vanishes but the
+        # reaction terms do not cancel; the pseudo-transient steps follow
+        # the flow to the interior point instead
         net, _ = load("tetrahedron")
         k = (1.59, 1.32, 1.9, 1.72)
-        tempers = []
-
-        def recorded(net, tempering, *args, **kwargs):
-            tempers.append(tempering)
-            return simulate(net, tempering, *args, **kwargs)
-
-        monkeypatch.setattr(crnkit.dynamics, "simulate", recorded)
         out = find_steady_state(net, k, (0.5, 1.79, 0.55))
-        assert [t.intervals for t in tempers] == [
-            tuple((Fraction(v), Fraction(v)) for v in k)
-        ]
         assert self._cancellation(net, k, out.x) <= 1e-3
+
+    # tol bounds ||F|| absolutely, so the relative error grows where the
+    # equilibrium is small: pyramid's reach 0.06 on these starts
+    @pytest.mark.parametrize("name, closed_form, rtol", [
+        # 0 -> A, A -> 0, B -> 2B, 2B -> B
+        ("birth_death", lambda k: (k[0] / k[1], k[2] / k[3]), 1e-9),
+        # 2A -> A + B, A + B -> 2A, B -> 0, 0 -> 2B
+        ("endo_not_strong", lambda k: (k[1] * 2 * k[3] / (k[2] * k[0]), 2 * k[3] / k[2]),
+         1e-9),
+        ("pyramid", _pyramid_equilibrium, 1e-8),
+    ], ids=["birth_death", "endo_not_strong", "pyramid"])
+    def test_closed_form_equilibrium_from_seeded_starts(self, name, closed_form, rtol):
+        # rates k1..kn in file order; each network has one stoichiometric
+        # class, the whole orthant, and one positive equilibrium.  Among
+        # these starts are ones from which a search with an absolute
+        # residual test stops next to the boundary, where a coordinate is
+        # below 1e-6 and ||f|| under tol without the terms cancelling
+        net, _ = load(name)
+        rng = np.random.default_rng(2026)
+        for _ in range(20):
+            k = rng.uniform(0.5, 2.0, net.n_reactions)
+            x0 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), net.n_species))
+            out = find_steady_state(net, k, x0)
+            assert np.allclose(out.x, closed_form(k), rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("name", ["chain_cycle", "prism", "ab_reversible"])
+    def test_flow_ends_at_the_steady_state(self, name):
+        # weakly reversible and of deficiency zero, so complex balanced at
+        # every k: the trajectory from x0 converges to the one positive
+        # equilibrium of its class (the theorem this package gives a
+        # numerical account of), which find_steady_state must return
+        net, _ = load(name)
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            k = rng.uniform(0.5, 2.0, net.n_reactions)
+            x0 = rng.uniform(0.5, 2.0, net.n_species)
+            pinned = Tempering(tuple((Fraction(v), Fraction(v)) for v in k))
+            traj = simulate(net, pinned, RatePolicy("fixed", rates=tuple(k)), x0,
+                            t_end=100.0, rtol=1e-10, atol=1e-12)
+            assert traj.events == ()
+            out = find_steady_state(net, k, x0)
+            assert np.allclose(traj.states[-1], out.x, rtol=1e-8, atol=0)
+
+    def test_failure_is_bounded_and_deterministic(self, monkeypatch):
+        # triangle_out's flow from (1, 1) runs off to infinity; the search
+        # gives up after its step cap, one evaluation of the reaction terms
+        # per step
+        net, _ = load("triangle_out")
+        monomials, counts = crnkit.dynamics._monomials, []
+
+        def counted(*args):
+            counts[-1] += 1
+            return monomials(*args)
+
+        monkeypatch.setattr(crnkit.dynamics, "_monomials", counted)
+        for _ in range(2):
+            counts.append(0)
+            with pytest.raises(NoConvergence):
+                find_steady_state(net, np.ones(3), (1.0, 1.0))
+        assert counts[0] == counts[1] <= 2 * crnkit.dynamics._PTC_STEPS
+
+    def test_failure_carries_the_last_iterate(self):
+        net, _ = load("a_to_b")
+        with pytest.raises(NoConvergence) as info:
+            find_steady_state(net, (1.0,), (1.0, 1.0))
+        last, residual = np.asarray(info.value.last), info.value.residual
+        assert last.shape == (2,) and np.all(last > 0)
+        assert last.sum() == pytest.approx(2.0)  # A + B is conserved
+        B = stoichiometric_subspace(net).orthonormal_H()
+        assert residual == pytest.approx(
+            np.linalg.norm(B.T @ mass_action_rhs(net, (1.0,), last)), rel=1e-12)
 
     @pytest.mark.parametrize("k", [(1.0, 1.0), (1.0, 0.0, 1.0), (1.0, np.inf, 1.0)])
     def test_rates_must_be_positive_per_reaction(self, k):
