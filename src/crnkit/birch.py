@@ -156,7 +156,11 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
             s *= 0.5
         if accepted:
             t = t + s * step
+            # recomputed from t, a coordinate the tested xn had positive
+            # can round to 0 or below; the walk then goes on from xn
             x = x0 + B @ t
+            if not np.all(x > 0):
+                x = xn
             failed_newton = 0 if use_newton else failed_newton
         else:
             failed_newton += 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LimitExceeded, enumerate_faces, primitive, vec
+from .geometry import LimitExceeded, _as_faces, _face_arrays, _int_dtype, primitive, vec
 from .network import (
     Reaction,
     ReactionNetwork,
@@ -93,23 +93,39 @@ def arrangement_normals(net: ReactionNetwork) -> list[tuple[int, ...]]:
 
 
 class _Arrangement:
-    """The arrangement's faces (LimitExceeded past the hyperplane limit) and
-    what _conditions finds on each, read from the sign vectors alone: the
-    flux signs, and each reaction's source rank (how many distinct sources
-    lie strictly below it along the face), which orders the sources as
-    <w, y> does.  No rational arithmetic runs per face."""
+    """The arrangement's faces as arrays (LimitExceeded past the hyperplane
+    limit): sign rows and representatives, in enumerate_faces's order, and
+    what _conditions finds on each, read from the sign rows alone: the flux
+    signs, and each reaction's source rank (how many distinct sources lie
+    strictly below it along the face), which orders the sources as <w, y>
+    does.  No rational arithmetic and no object runs per face."""
 
     def __init__(self, net: ReactionNetwork, limit: int | None):
         _, _, _, source_of, distinct = net._exact
-        self.faces = enumerate_faces(arrangement_normals(net), limit=limit)
-        signs = np.array([f.signs for f in self.faces], dtype=np.int64)
-        self.flux_signs = signs[:, :net.n_reactions]
-        pair_signs = signs[:, net.n_reactions:]  # sign <w, y_i - y_j> for i < j
+        self.signs, self.reps = _face_arrays(arrangement_normals(net), limit=limit)
+        self.flux_signs = self.signs[:, :net.n_reactions]
+        pair_signs = self.signs[:, net.n_reactions:]  # sign <w, y_i - y_j> for i < j
         i, j = np.triu_indices(len(distinct), 1)  # the pairs in combinations order
         eye = np.eye(len(distinct), dtype=np.int64)
         rank = (pair_signs > 0) @ eye[i] + (pair_signs < 0) @ eye[j]
         self.endo_fail, self.strong_fail, self.top = _conditions(
             self.flux_signs, rank[:, list(source_of)])
+
+    @property
+    def faces(self):
+        """The faces as enumerate_faces returns them, built on each call."""
+        return _as_faces(self.signs, self.reps)
+
+    def least(self, mask) -> tuple[int, ...] | None:
+        """The lexicographically least representative among the rows in
+        mask (None if there is none): the rows tied on every column so far
+        are narrowed to the minimum of the next."""
+        rows = np.flatnonzero(mask)
+        if not len(rows):
+            return None
+        for column in self.reps.T:
+            rows = rows[column[rows] == column[rows].min()]
+        return tuple(self.reps[rows[0]].tolist())
 
 
 def _conditions(P: np.ndarray, Q: np.ndarray):
@@ -137,12 +153,7 @@ def _verdicts(net: ReactionNetwork, limit: int | None, sample_fallback: bool, se
             raise
         res = sample_classify(net, seed=seed)
         return None, res["endo_witness"], res["strong_witness"]
-
-    def least(mask):
-        return min((arr.faces[i].representative for i in np.flatnonzero(mask)),
-                   default=None)
-
-    return arr, least(arr.endo_fail), least(arr.strong_fail & ~arr.endo_fail)
+    return arr, arr.least(arr.endo_fail), arr.least(arr.strong_fail & ~arr.endo_fail)
 
 
 def is_endotactic(net: ReactionNetwork, limit: int | None = None,
@@ -192,7 +203,7 @@ def _fast_path(net: ReactionNetwork, linkage, arrangement) -> str | None:
     if arr is None:
         return None
     # per face and linkage class, how many members have a maximal source
-    top_cx = np.zeros((len(arr.faces), len(net.complexes)), dtype=bool)
+    top_cx = np.zeros((len(arr.signs), len(net.complexes)), dtype=bool)
     top_cx[:, [a for a, _ in net._exact[0]]] = arr.top
     counts = [top_cx[:, members].sum(axis=1) for members in linkage.classes]
     # a union of linkage classes holds the whole class of each member
@@ -254,7 +265,7 @@ def classify(net: ReactionNetwork, limit: int | None = None,
         strongly_endotactic=strong,
         witness=endo_wit or strong_wit,
         fast_path=rule,
-        face_count=0 if arr is None else len(arr.faces),
+        face_count=0 if arr is None else len(arr.signs),
         inconclusive=arr is None and rule is None,
     )
 
@@ -268,6 +279,9 @@ _W_MAX = 60
 # most sampled directions drawn and tested at once, so memory stays one
 # block whatever n_samples is
 _BLOCK_ROWS = 4096
+# most directions one call may sample: time grows linearly with n_samples
+# (about 0.3 s per million on a 2-species network), so the cap bounds it
+_MAX_SAMPLES = 1_000_000
 
 
 def _integer_scaled(rows) -> np.ndarray:
@@ -275,8 +289,7 @@ def _integer_scaled(rows) -> np.ndarray:
     in int64, else as exact Python ints."""
     if not rows:
         return np.zeros((0, 0), dtype=np.int64)
-    exact = _W_MAX * max(sum(map(abs, r)) for r in rows) >= 2**63
-    return np.array(rows, dtype=object if exact else np.int64)
+    return np.array(rows, dtype=_int_dtype(_W_MAX * max(sum(map(abs, r)) for r in rows)))
 
 
 def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0) -> dict:
@@ -295,10 +308,12 @@ def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0
     property); a returned True only means no counterexample was sampled.
 
     Raises:
-        ValueError: n_samples is negative.
+        ValueError: n_samples is negative or above 1,000,000.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
+    if n_samples > _MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at most {_MAX_SAMPLES}, got {n_samples}")
     rng = np.random.default_rng(seed)
     n = net.n_species
     _, sources, fluxes, _, _ = net._exact

@@ -4,10 +4,15 @@ hyperplane-arrangement faces, and the maximal-subset / Super-chain
 primitives used by classification and jets.
 
 No floating point is used anywhere in this module.  Elimination and the
-simplex run on Python-int rows with one row operation (_eliminate), face
-enumeration on sign rows packed into uint64 bit words and Python-int
-cocircuits; Fractions are built only for rational results (nullspace and
-row-space vectors, LP points)."""
+simplex run on Python-int rows with one row operation (_eliminate).  Face
+enumeration keeps its faces as integer arrays from the cocircuits to the
+sorted sign rows and representatives (_face_arrays): each integer stage is
+int64 when a stated bound on its values is below 2**63 and Python-int
+object arrays otherwise, the closure works on sign rows packed into uint64
+bit words, and the cocircuit, composition and representative passes work
+in blocks of at most _BLOCK bytes per temporary.
+Fractions are built only for rational results (nullspace and row-space
+vectors, LP points)."""
 
 from __future__ import annotations
 
@@ -338,11 +343,18 @@ class ArrangementFace:
     representative: tuple[int, ...]
 
 
-# bytes per block temporary: the closure pairs as many rows with every
-# cocircuit at once as fit one (words, rows, cocircuits) uint64 array, the
-# representative pass as many sign rows as fit one int8 per (row, cocircuit,
-# hyperplane)
+# bytes per block temporary: the cocircuit pass eliminates as many
+# (r-1) x r subsets at once as fit in 8 bytes an entry, the closure pairs as
+# many rows with every cocircuit at once as fit one (words, rows,
+# cocircuits) uint64 array, the representative pass as many sign rows as
+# fit one 8-byte conformality mask entry per (row, cocircuit)
 _BLOCK = 1 << 18
+
+
+def _int_dtype(bound: int):
+    # a stage's dtype from a bound on every value it forms: int64 below
+    # 2**63, else Python ints (object), with the same code either way
+    return np.int64 if bound < 2**63 else object
 
 
 def _keys(S: np.ndarray) -> np.ndarray:
@@ -350,37 +362,94 @@ def _keys(S: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(S).view(np.dtype((np.void, S.shape[1] * S.itemsize)))[:, 0]
 
 
-def _cocircuits(hypers: np.ndarray):
-    """Cocircuits of an essential arrangement (K x r Python-int normals of
-    rank r) from the nullspaces of rank-(r-1) subsets, in both orientations:
-    distinct sign rows (int8) and their primitive generators (Python ints)."""
-    r = hypers.shape[1]
-    Z = np.array([ns[0] for rows in itertools.combinations(hypers.tolist(), r - 1)
-                  if len(ns := _null_generators(*_echelon(rows), r)) == 1],
-                 dtype=object).reshape(-1, r)
+def _cross_products(A: np.ndarray) -> np.ndarray:
+    """The primitive generalised cross product (the signed maximal minors,
+    up to sign) of each (r-1) x r matrix A[i] of rank r - 1; the others are
+    dropped.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968), batched over the
+    matrices: each step pivots, per matrix, on the first row with a nonzero
+    in a column not yet pivoted, at its first such column, and clears that
+    column from every other row, dividing exactly by the previous pivot.
+    Every entry stays a minor of A[i]; at the end each pivot equals the
+    minor d on the pivot columns, so the nullspace is spanned by z with
+    z_f = d in the free column f and z_c = -A[i][t, f] where row t pivots
+    on column c (Cramer's rule)."""
+    A = A.copy()
+    B, k, r = A.shape
+    b = np.arange(B)
+    free = np.ones((B, r), dtype=bool)
+    full = np.ones(B, dtype=bool)  # rank r - 1 so far
+    prev = np.ones(B, dtype=A.dtype)
+    cols = []
+    for t in range(k):
+        cand = (A[:, t:] != 0) & free[:, None]
+        has = cand.any(axis=2)
+        full &= has.any(axis=1)
+        row = t + has.argmax(axis=1)
+        col = cand[b, row - t].argmax(axis=1)
+        A[b, t], A[b, row] = A[b, row], A[b, t]
+        pivot_row = A[b, t]
+        p = np.where(full, pivot_row[b, col], 1)
+        A = (p[:, None, None] * A - A[b, :, col][:, :, None] * pivot_row[:, None]) \
+            // prev[:, None, None]
+        A[b, t] = pivot_row
+        prev, free[b, col] = p, False
+        cols.append(col)
+    f = free.argmax(axis=1)
+    z = np.zeros((B, r), dtype=A.dtype)
+    z[b, f] = prev
+    if k:
+        z[b[:, None], np.stack(cols, axis=1)] = -A[b, :, f]
+    z = z[full]
+    return z // np.gcd.reduce(z, axis=1, initial=0)[:, None]
+
+
+def _cocircuits(H: np.ndarray):
+    """Cocircuits of an essential arrangement (K x r integer normals of
+    rank r) in both orientations, from the cross products of the
+    rank-(r-1) subsets of normals: distinct sign rows (int8) and their
+    primitive generators.  int64 when Hadamard's bound on the elimination's
+    differences of products of two minors, 2 max|h|^(2(r-1)), is below
+    2**63 (it also bounds each sign product |<z, h>| <= |z| |h|), else
+    Python ints."""
+    K, r = H.shape
+    norm2 = max(sum(x * x for x in h) for h in H.tolist())
+    H = H.astype(_int_dtype(2 * norm2 ** max(r - 1, 1)))
+    subsets = np.array(list(itertools.combinations(range(K), r - 1)), dtype=np.intp)
+    step = max(1, _BLOCK // (8 * r * r))
+    Z = np.concatenate([_cross_products(H[subsets[i:i + step]])
+                        for i in range(0, len(subsets), step)])
     Z = np.vstack([Z, -Z])
-    C = np.sign(Z @ hypers.T).astype(np.int8)
+    C = np.sign(Z @ H.T).astype(np.int8)
     _, first = np.unique(_keys(C), return_index=True)
     return C[first], Z[first]
+
+
+def _words(X: np.ndarray) -> np.ndarray:
+    """Sign rows as bit words: ceil(K/64) uint64 for each row's positive
+    set, then as many for its negative set."""
+    n, K = X.shape
+    W = -(-K // 64)
+    words = np.zeros((n, 2, 8 * W), dtype=np.uint8)
+    words[:, :, :-(-K // 8)] = np.packbits(X[:, None, :] == np.array([[1], [-1]]),
+                                           axis=2, bitorder="little")
+    return words.view("<u8").reshape(n, 2 * W)
 
 
 def _closure(C: np.ndarray) -> np.ndarray:
     """Every nonzero covector, as distinct int8 rows composed from the
     distinct cocircuit sign rows C.
 
-    A row is held as bit words, ceil(K/64) uint64 for its positive set and
-    as many for its negative set.  A face F of dimension above 1 is G o c
-    for a facet G of it and a cocircuit c conformal to F: c opposes no sign
-    of G and is nonzero somewhere G is zero.  So each round pairs the new
+    A row is held as bit words (_words).  A face F of dimension above 1 is
+    G o c for a facet G of it and a cocircuit c conformal to F: c opposes no
+    sign of G and is nonzero somewhere G is zero.  So each round pairs the new
     rows with a zero only with such cocircuits, and G o c is the bitwise or
     of the two rows.  Every other pair gives G itself or a face that some
     facet of it reaches with a conformal cocircuit, so no face is lost."""
-    n, K = C.shape
-    W = -(-K // 64)
-    words = np.zeros((n, 2, 8 * W), dtype=np.uint8)
-    words[:, :, :-(-K // 8)] = np.packbits(C[:, None, :] == np.array([[1], [-1]]),
-                                           axis=2, bitorder="little")
-    Cw = words.view("<u8").reshape(n, 2 * W)
+    K = C.shape[1]
+    Cw = _words(C)
+    W = Cw.shape[1] // 2
     # word planes, (words, cocircuits): the block tests reduce a leading axis
     Cx = np.concatenate((Cw[:, W:].T, Cw[:, :W].T))  # signs swapped
     Cs = Cx[:W] | Cx[W:]  # supports
@@ -409,37 +478,37 @@ def _closure(C: np.ndarray) -> np.ndarray:
     return bits[:, 0] - bits[:, 1]
 
 
-def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
-    """All faces of the central arrangement of the given hyperplanes.
+def _representatives(S: np.ndarray, C: np.ndarray, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Each face's representative: the primitive sum of its conformal
+    cocircuits, mapped back by the essential basis P.  Per block of sign
+    rows, one conformality mask (c's positive and negative sets inside the
+    face's, that is s.c == |c|_1, tested on bit words) and one integer
+    mask @ Z.  int64 when r (#cocircuits) max|Z| max|P| is below 2**63,
+    else Python ints."""
+    count, r = Z.shape
+    dtype = _int_dtype(r * count * int(np.abs(Z).max()) * int(np.abs(P).max()))
+    Z, P = Z.astype(dtype), P.astype(dtype)
+    Cw, Sx = _words(C).T, ~_words(S)  # Sx: where each face is not positive, not negative
+    step = max(1, _BLOCK // (8 * count))
+    U = []
+    for i in range(0, len(S), step):
+        outside = np.zeros((len(Sx[i:i + step]), count), dtype=np.uint64)
+        for c, x in zip(Cw, Sx[i:i + step].T):
+            outside |= c & x[:, None]
+        U.append((outside == 0).astype(dtype) @ Z)
+    W = np.concatenate(U) @ P
+    return W // np.gcd.reduce(W, axis=1, initial=0)[:, None]
 
-    Every realizable sign vector of w -> (sign<normal_i, w>)_i over nonzero w
-    is returned exactly once with an exact integer representative, except
-    the all-zero sign vector: when the common lineality is a line, both rays
-    get a face of their own (the two orientations are genuinely different
-    directions); higher-dimensional linealities get a single face.
 
-    In essential coordinates (the row space of the normals) a face is a
-    pointed cone whose extreme rays are its conformal cocircuits, so their
-    primitive sum, mapped back, represents it whatever order the closure
-    took.  Products whose size depends on the input are Python ints.
-
-    Duplicate and parallel normals share a hyperplane internally; zero
-    normals contribute a constant 0 sign.  Faces come back sorted by sign
-    vector, representatives primitive integer tuples.
-
-    Args:
-        normals: rational vectors, all of the same length n >= 1.
-        limit: cap on distinct hyperplanes (default 20, or the
-            CRN_MAX_HYPERPLANES environment variable).
-
-    Raises:
-        LimitExceeded: more distinct hyperplanes than the limit.
-    """
+def _face_arrays(normals, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """enumerate_faces as two arrays, in its order: the sign rows (int8,
+    faces x normals) and the representatives (faces x n, int64 or Python
+    ints)."""
     normals = [primitive(a) for a in normals]
     if limit is None:
         limit = int(os.environ.get("CRN_MAX_HYPERPLANES", DEFAULT_HYPERPLANE_LIMIT))
     if not normals:
-        return [ArrangementFace((), (1,))]
+        return np.zeros((1, 0), dtype=np.int8), np.ones((1, 1), dtype=np.int64)
     n = len(normals[0])
 
     hyper_index: dict[tuple[int, ...], int] = {}
@@ -456,33 +525,67 @@ def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
             f"(set CRN_MAX_HYPERPLANES to raise it)"
         )
 
-    out = []
     # essential coordinates: the row space of the normals (r x n)
     R, pivots = _echelon(hypers)
+    # lineality: directions on which every normal vanishes, the nullspace;
+    # a line gives both rays, in the order of their representatives
+    lin = _null_generators(R, pivots, n)
+    rays = (sorted([lin[0], tuple(-x for x in lin[0])]) if len(lin) == 1
+            else lin[:1])
+    S = np.zeros((len(rays), len(normals)), dtype=np.int8)
+    W = np.array(rays, dtype=_int_dtype(max((abs(x) for ray in rays for x in ray), default=0)))
+    W = W.reshape(len(rays), n)
     if K:
         P = np.array(R, dtype=object)
         C, Z = _cocircuits(np.array(hypers, dtype=object) @ P.T)
-        S = _closure(C)
-        # each face's representative: the sum of its conformal cocircuits
-        # (s.c == |c|_1), block by block, mapped back and made primitive
-        Ct, step = C.T.astype(np.int32), max(1, _BLOCK // C.size)
-        U = [np.add.reduceat(Z[cc], np.flatnonzero(np.diff(face, prepend=-1)))
-             for face, cc in (np.nonzero(S[i:i + step] @ Ct == np.abs(Ct).sum(axis=0))
-                              for i in range(0, len(S), step))]
-        W = np.concatenate(U) @ P
-        W //= np.gcd.reduce(W, axis=1, initial=0)[:, None]
+        faces = _closure(C)
         col, orient = np.array(where).T
-        out = [ArrangementFace(tuple(sig), tuple(w))
-               for sig, w in zip((S[:, col] * orient).tolist(), W.tolist())]
-    # lineality: directions on which every normal vanishes, the nullspace
-    lin = _null_generators(R, pivots, n)
-    zero_sig = tuple(0 for _ in normals)
-    if lin:
-        out.append(ArrangementFace(zero_sig, lin[0]))
-    if len(lin) == 1:  # a line: both rays
-        out.append(ArrangementFace(zero_sig, tuple(-x for x in lin[0])))
-    out.sort(key=lambda f: (f.signs, f.representative))
-    return out
+        S = np.concatenate([faces[:, col] * orient.astype(np.int8), S])
+        W = np.concatenate([_representatives(faces, C, Z, P), W])
+    # sign rows are distinct but for the lineality's two rays, which the
+    # stable sort keeps in the order of their representatives
+    order = np.lexsort(S.T[::-1])
+    return S[order], W[order]
+
+
+def _as_faces(signs: np.ndarray, reps: np.ndarray) -> list[ArrangementFace]:
+    return [ArrangementFace(tuple(s), tuple(w)) for s, w in zip(signs.tolist(), reps.tolist())]
+
+
+def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
+    """All faces of the central arrangement of the given hyperplanes.
+
+    Every realizable sign vector of w -> (sign<normal_i, w>)_i over nonzero w
+    is returned exactly once with an exact integer representative, except
+    the all-zero sign vector: when the common lineality is a line, both rays
+    get a face of their own (the two orientations are genuinely different
+    directions); higher-dimensional linealities get a single face.
+
+    In essential coordinates (the row space of the normals) a face is a
+    pointed cone whose extreme rays are its conformal cocircuits, so their
+    primitive sum, mapped back, represents it whatever order the closure
+    took.  The faces stay integer arrays until this function builds its
+    objects: the cocircuits are the cross products of the rank-(r-1)
+    subsets of normals, eliminated together in blocks, and each block of
+    at most _BLOCK bytes of conformality mask gives its representatives by
+    one integer matmul.
+    Every integer stage runs in int64 when a stated bound (Hadamard's on
+    the minors; r (#cocircuits) max|Z| max|P| on the sums) is below 2**63,
+    and on Python ints otherwise, with the same code.
+
+    Duplicate and parallel normals share a hyperplane internally; zero
+    normals contribute a constant 0 sign.  Faces come back sorted by sign
+    vector, representatives primitive integer tuples.
+
+    Args:
+        normals: rational vectors, all of the same length n >= 1.
+        limit: cap on distinct hyperplanes (default 20, or the
+            CRN_MAX_HYPERPLANES environment variable).
+
+    Raises:
+        LimitExceeded: more distinct hyperplanes than the limit.
+    """
+    return _as_faces(*_face_arrays(normals, limit))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import arrangement_normals
-from .geometry import LimitExceeded, enumerate_faces, primitive
+from .geometry import LimitExceeded, _face_arrays, primitive
 from .network import (
     ReactionNetwork,
     Reaction,
@@ -401,11 +401,10 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         keep = nrm > 1e-12
         dirs = np.concatenate([dirs, V[keep] / nrm[keep, None]])
     try:
-        faces = enumerate_faces(arrangement_normals(net))
+        R = _face_arrays(arrangement_normals(net))[1].astype(float)
     except LimitExceeded:
-        faces = []
+        R = np.zeros((0, n))
     # every face representative is nonzero
-    R = np.array([f.representative for f in faces], dtype=float).reshape(-1, n)
     W = np.vstack([R / np.sqrt(_rowdot(R, R))[:, None], dirs])
     if not len(W):
         raise ValueError("the scan has no directions")

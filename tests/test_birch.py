@@ -146,6 +146,27 @@ class TestBirchPoint:
         expected = (total * alpha[0] / sum(alpha), total * alpha[1] / sum(alpha))
         assert sol.point == pytest.approx(expected, rel=1e-12)
 
+    def test_wide_range_sweep_raises_nothing_but_no_convergence(self):
+        # criterion 3's generator with x0 and alpha log-uniform in
+        # [1e-3, 1e3]: on draws 23 and 377, x0 + B t recomputed after an
+        # accepted step puts a coordinate at or below 0 although the tested
+        # point was positive; the walk must go on from the tested point
+        rng = np.random.default_rng(31)
+        solved = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 6))
+            st = random_stoichiometry(rng, n)
+            x0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+            alpha = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+            try:
+                sol = birch_point(st, x0, alpha)
+            except NoConvergence:
+                continue
+            solved += 1
+            assert sol.residual <= 1e-12
+            assert min(sol.point) > 0
+        assert solved >= 300
+
     def test_iteration_cap_raises_with_state(self):
         net, _ = load("ab_reversible")
         st = stoichiometric_subspace(net)

@@ -259,7 +259,7 @@ class TestFastPaths:
 
     @pytest.mark.parametrize("name", ["prism", "birth_death", "pyramid"])
     def test_classify_enumerates_arrangement_once(self, name, monkeypatch):
-        calls = {"enumerate_faces": 0, "linkage_classes": 0}
+        calls = {"_face_arrays": 0, "linkage_classes": 0}
         for fname in calls:
             def counted(*args, _fn=getattr(classify_module, fname), _name=fname,
                         **kwargs):
@@ -268,7 +268,7 @@ class TestFastPaths:
             monkeypatch.setattr(classify_module, fname, counted)
         net, _ = load(name)
         classify(net)
-        assert calls["enumerate_faces"] <= 1
+        assert calls["_face_arrays"] <= 1
         assert calls["linkage_classes"] == 1
 
     def test_fast_path_decides_without_enumeration(self):
@@ -538,8 +538,18 @@ class TestBlockedSampler:
 
     def test_huge_sample_count_returns_at_once(self):
         net, _ = load("a_to_b")
-        assert (sample_classify(net, n_samples=10**12, seed=1)
+        assert (sample_classify(net, n_samples=classify_module._MAX_SAMPLES, seed=1)
                 == sample_classify(net, n_samples=10_000, seed=1))
+
+    def test_rejects_sample_count_above_the_cap(self):
+        # time grows linearly with the count: 10**12 would take days
+        net, _ = load("prism")
+        cap = classify_module._MAX_SAMPLES
+        assert cap > 10_000  # the CLI's, criterion 2's and the benchmark's count
+        with pytest.raises(ValueError, match=f"n_samples must be at most {cap}, got {cap + 1}"):
+            sample_classify(net, n_samples=cap + 1)
+        with pytest.raises(ValueError, match="at most"):
+            sample_classify(net, n_samples=10**12)
 
     def test_rejects_negative_sample_count(self):
         net, _ = load("a_to_b")

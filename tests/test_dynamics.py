@@ -14,6 +14,7 @@ from crnkit import (
     RatePolicy,
     Tempering,
     Trajectory,
+    birch_point,
     conservation_residual,
     find_steady_state,
     g_along,
@@ -374,6 +375,22 @@ class TestSteadyState:
             assert traj.events == ()
             out = find_steady_state(net, k, x0)
             assert np.allclose(traj.states[-1], out.x, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("name", ["chain_cycle", "prism", "ab_reversible"])
+    def test_steady_state_is_the_birch_point_of_any_equilibrium(self, name):
+        # complex balanced at every k: the positive equilibria are
+        # alpha * exp(H^perp) for any one of them (Horn & Jackson 1972), so
+        # the equilibrium in x0's class is x0's Birch point at an alpha
+        # found from a start in another class
+        net, _ = load(name)
+        st = stoichiometric_subspace(net)
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            k = rng.uniform(0.5, 2.0, net.n_reactions)
+            x0, start = np.exp(rng.uniform(np.log(0.1), np.log(10.0), (2, net.n_species)))
+            alpha = find_steady_state(net, k, start).x
+            want = birch_point(st, x0, alpha).point
+            assert np.allclose(find_steady_state(net, k, x0).x, want, rtol=1e-8, atol=0)
 
     def test_failure_is_bounded_and_deterministic(self, monkeypatch):
         # triangle_out's flow from (1, 1) runs off to infinity; the search

@@ -4,6 +4,8 @@ derived by hand on small instances noted inline."""
 
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from crnkit.geometry import (
     _closure,
     _cocircuits,
     _echelon,
+    _face_arrays,
     _simplex,
     enumerate_faces,
     gram_schmidt,
@@ -581,6 +584,88 @@ class TestBitWordClosure:
         for f in faces:
             assert tuple(_sign(sum(a * b for a, b in zip(h, f.representative)))
                          for h in normals) == f.signs
+
+
+def _reference_faces(normals):
+    """(signs, representative) of every face by the definition, on Python
+    ints and Fractions: in the coordinates of the normals' reduced row
+    echelon basis P, the primitive nullspace generator of every rank-(r-1)
+    subset of normals in both orientations, the int8 closure of their
+    signs, and per face the primitive sum of its conformal generators
+    mapped back by P, signed against the normals directly; the lineality
+    is the nullspace, a line giving both rays.  Sorted."""
+    normals = [primitive(a) for a in normals]
+    n = len(normals[0])
+    P = [primitive(row) for row in row_space_basis(normals, n)]
+    hypers = [tuple(sum(a * b for a, b in zip(h, p)) for p in P) for h in normals if any(h)]
+    lines = {primitive(ns[0]) for sub in itertools.combinations(hypers, len(P) - 1)
+             if len(ns := nullspace(list(sub), len(P))) == 1} if P else set()
+    Z = sorted(lines | {tuple(-x for x in z) for z in lines})
+    C = np.array([[_sign(sum(a * b for a, b in zip(z, h))) for h in hypers] for z in Z],
+                 dtype=np.int8).reshape(len(Z), len(hypers))
+    Z = np.array(Z, dtype=object).reshape(len(Z), len(P))  # Python ints
+    faces = []
+    for s in (_closure_int8(C) if len(Z) else ()):
+        u = Z[np.all((C == 0) | (C == s), axis=1)].sum(axis=0)
+        w = primitive([sum(a * p[j] for a, p in zip(u, P)) for j in range(n)])
+        faces.append((tuple(_sign(sum(a * b for a, b in zip(h, w))) for h in normals), w))
+    lin = [primitive(v) for v in nullspace(normals, n)]
+    rays = [lin[0], tuple(-x for x in lin[0])] if len(lin) == 1 else lin[:1]
+    return sorted(faces + [((0,) * len(normals), w) for w in rays])
+
+
+def _straddling(n, e, m=6):
+    # m normals in R^n with entries in [-2**e, 2**e): in the plane their
+    # products, in R^3 the conformal sums, pass 2**63 as e grows
+    rng = np.random.default_rng(e)
+    return [tuple(int(v) for v in rng.integers(-2**e, 2**e, n)) for _ in range(m)]
+
+
+class TestIntegerStages:
+    """Each integer stage of the face kernel runs in int64 below its stated
+    bound and on Python ints above it; either way the faces are the
+    reference's, the primitive sums of the conformal nullspace generators."""
+
+    def test_seeded_arrangements_match_the_reference(self):
+        for normals in _seeded_arrangements():
+            got = [(f.signs, f.representative) for f in enumerate_faces(normals)]
+            assert got == _reference_faces(normals)
+
+    @pytest.mark.parametrize("scale", [10**3, 10**5, 10**7])
+    def test_large_coefficients_match_the_reference(self, scale):
+        rng = np.random.default_rng(7)
+        normals = [tuple(int(v) for v in rng.integers(-scale, scale + 1, 4))
+                   for _ in range(7)]
+        got = [(f.signs, f.representative) for f in enumerate_faces(normals)]
+        assert got == _reference_faces(normals)
+
+    @pytest.mark.parametrize("n, exponents", [(2, range(28, 35)), (3, range(26, 33))])
+    def test_straddling_2_63_matches_the_reference(self, n, exponents):
+        # in the plane the 2 x 2 minors pass 2**63 as e grows and the
+        # cocircuit stage switches; in R^3 the representatives do, and the
+        # sums' stage switches
+        dtypes, largest = set(), []
+        for e in exponents:
+            normals = _straddling(n, e)
+            got = [(f.signs, f.representative) for f in enumerate_faces(normals)]
+            assert got == _reference_faces(normals)
+            if n == 2:
+                dtypes.add(_cocircuits(np.array(normals, dtype=object))[1].dtype)
+                largest.append(max(abs(a * d - b * c) for (a, b), (c, d)
+                                   in itertools.combinations(normals, 2)))
+            else:
+                dtypes.add(_face_arrays(normals)[1].dtype)
+                largest.append(max(abs(x) for _, w in got for x in w))
+        assert min(largest) < 2**63 <= max(largest)
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+    def test_same_under_optimized_python(self):
+        # nothing the kernel relies on is an assert: the class passes under -O
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestIntegerStages", "-k", "not optimized"],
+            capture_output=True, text=True)
+        assert out.returncode == 0, out.stdout[-2000:]
 
 
 class TestRealizeIteratedMax:
