@@ -1,6 +1,7 @@
-"""Pseudo-Helmholtz free energy, Birch points by strictly convex
-minimization over an affine slice of the positive orthant, and empirical
-verifiers for the behaviour of toric rays near the conservation subspace.
+"""Pseudo-Helmholtz free energy, Birch points as the one point where the
+toric fibre alpha * exp(H^perp) meets the slice x0 + H (found by strictly
+convex minimization over the fibre's coordinates), and empirical verifiers
+for the behaviour of toric rays near the conservation subspace.
 """
 
 from __future__ import annotations
@@ -74,26 +75,34 @@ def grad_g_alpha(x, alpha) -> np.ndarray:
     return np.log(x / alpha)
 
 
-# far from alpha, x / alpha and g_alpha leave the float range (log 0 is -inf,
-# products overflow); a step to such a point fails the Armijo and residual tests
+# far from the minimum, exp(Q lambda) leaves the float range (overflow to inf,
+# underflow to 0); a step to such a point fails the positivity guard
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
                 start_t=None, max_iter: int = 200) -> BirchSolution:
     """The unique point of (x0 + H) in the open orthant where log(x/alpha)
     is orthogonal to H.
 
-    Found by minimizing the strictly convex g_alpha over {x0 + Bt > 0} with
-    damped Newton steps (Armijo backtracking, halving against the
-    boundary); after three consecutive rejected Newton directions the step
-    falls back to steepest descent.  The residual reported is
+    Every iterate lies on the toric fibre x = alpha * exp(Q lambda), Q an
+    orthonormal basis of H^perp, so it is positive by construction.  The
+    point of the fibre on x0 + H minimizes the strictly convex dual
+    phi(lambda) = sum(alpha * exp(Q lambda)) - <lambda, Q^T x0>, with
+    gradient Q^T (x - x0) and Hessian Q^T diag(x) Q; it is found with damped
+    Newton steps and Armijo backtracking.  The residual reported is
     max(||P_H log(x/alpha)||, ||A (x - x0)||) with A the conservation rows.
+
+    start_t, coordinates t along the orthonormal basis B of H, starts the
+    walk from the fibre point whose log-ratio is the projection onto
+    H^perp of that of x0 + B t: lambda_0 = Q^T log((x0 + B t) / alpha).
 
     Degenerate subspaces short-circuit: with H^perp = {0} the answer is
     alpha itself, with H = {0} it is x0.
 
     Raises:
-        NoConvergence: iteration cap exceeded (carries last iterate).
-        ValueError: x0, alpha or tol not positive and finite.
+        NoConvergence: iteration cap exceeded, no step accepted or a
+            singular Hessian (carries last iterate).
+        ValueError: x0, alpha or tol not positive and finite, or x0 + B t
+            not strictly positive.
     """
     x0 = np.asarray(x0, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -104,74 +113,58 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
         raise ValueError(f"tol must be positive and finite, got {tol}")
     A = stoich.Hperp_matrix()
     B = stoich.orthonormal_H()
-    d = B.shape[1]
+    Q = stoich.orthonormal_Hperp()
 
     def residual_of(x):
-        r1 = np.linalg.norm(B.T @ np.log(x / alpha)) if d else 0.0
-        r2 = np.linalg.norm(A @ (x - x0)) if A.shape[0] else 0.0
-        return max(r1, r2)
+        return max(np.linalg.norm(B.T @ np.log(x / alpha)), np.linalg.norm(A @ (x - x0)))
 
-    if d == 0:
+    if B.shape[1] == 0:
         return BirchSolution(tuple(x0), residual_of(x0), 0)
     if A.shape[0] == 0:
         return BirchSolution(tuple(alpha), residual_of(alpha), 0)
 
-    t = np.zeros(d) if start_t is None else np.asarray(start_t, dtype=float)
-    x = x0 + B @ t
-    if np.any(x <= 0):
+    start = x0 if start_t is None else x0 + B @ np.asarray(start_t, dtype=float)
+    if np.any(start <= 0):
         raise ValueError("starting point must be strictly positive")
-    failed_newton = 0
-    for it in range(1, max_iter + 1):
-        g = B.T @ np.log(x / alpha)
+    c = Q.T @ x0
+    lam = Q.T @ (np.log(start) - np.log(alpha))
+    x = alpha * np.exp(Q @ lam)
+    for it in range(max_iter + 1):
         res = residual_of(x)
         if res <= tol:
-            return BirchSolution(tuple(x), res, it - 1)
-        H = B.T @ (B / x[:, None])
-        use_newton = failed_newton < 3
-        if use_newton:
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                step = -g
-                use_newton = False
-        else:
-            step = -g
-        dx = B @ step
-        s = 1.0
-        f0 = g_alpha(x, alpha)
+            return BirchSolution(tuple(x), res, it)
+        if it == max_iter:
+            break
+        g = Q.T @ (x - x0)
+        try:
+            step = np.linalg.solve(Q.T @ (Q * x[:, None]), -g)
+        except np.linalg.LinAlgError:
+            break
+        total, pull = x.sum(), lam @ c
+        f0 = total - pull
         slope = float(g @ step)
-        # near the minimum, g_alpha's rounding (a few ulps of f0) swamps the
-        # Armijo decrease; a step that lowers the residual is then accepted
-        flat = 4 * np.spacing(abs(f0))
-        accepted = False
+        # near the minimum, the rounding of phi's two terms (a few ulps of the
+        # larger) swamps the Armijo decrease; a step that lowers the residual
+        # is then accepted
+        flat = 4 * np.spacing(max(total, abs(pull)))
+        s = 1.0
         while s >= 1e-18:
-            xn = x + s * dx
-            if np.all(xn > 0):
-                fn = g_alpha(xn, alpha)
+            lam_n = lam + s * step
+            xn = alpha * np.exp(Q @ lam_n)
+            if np.all((xn > 0) & (xn < np.inf)):
+                fn = xn.sum() - lam_n @ c
                 if fn <= f0 + 1e-4 * s * slope or (
                     abs(fn - f0) <= flat and residual_of(xn) < res
                 ):
-                    accepted = True
                     break
             s *= 0.5
-        if accepted:
-            t = t + s * step
-            # recomputed from t, a coordinate the tested xn had positive
-            # can round to 0 or below; the walk then goes on from xn
-            x = x0 + B @ t
-            if not np.all(x > 0):
-                x = xn
-            failed_newton = 0 if use_newton else failed_newton
         else:
-            failed_newton += 1
-            if failed_newton > 6:
-                break
-    if residual_of(x) <= tol:
-        return BirchSolution(tuple(x), residual_of(x), max_iter)
+            break
+        lam, x = lam_n, xn
     raise NoConvergence(
         f"no convergence to {tol} within {max_iter} iterations",
         last=tuple(x),
-        residual=residual_of(x),
+        residual=res,
     )
 
 
@@ -232,12 +225,7 @@ def _unit(v):
 def _direction_samples(stoich: StoichiometryInfo, n: int, count: int, rng):
     """Unit directions in and near H^perp (plus a few generic ones)."""
     B = stoich.orthonormal_H()
-    Aperp = stoich.Hperp_matrix()
-    if Aperp.shape[0]:
-        Qperp, _ = np.linalg.qr(Aperp.T)
-        Qperp = Qperp[:, : Aperp.shape[0]]
-    else:
-        Qperp = np.zeros((n, 0))
+    Qperp = stoich.orthonormal_Hperp()
     out = []
     eps_grid = [0.0, 1e-3, 1e-2, 1e-1, 0.3, 1.0]
     while len(out) < count:

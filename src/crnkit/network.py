@@ -204,8 +204,9 @@ def _over_lcm(rows) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class StoichiometryInfo:
     """Exact bases for the stoichiometric subspace H and its orthogonal
-    complement (the conservation laws); their float matrices and an
-    orthonormal basis of H are built once per instance, read-only."""
+    complement (the conservation laws); their float matrices and
+    orthonormal bases of H and H^perp are built once per instance,
+    read-only."""
 
     H_basis: tuple[RationalVector, ...]
     Hperp_basis: tuple[RationalVector, ...]
@@ -228,14 +229,20 @@ class StoichiometryInfo:
         """n x d matrix with orthonormal columns spanning H (d may be 0)."""
         return self._float_bases[2]
 
+    def orthonormal_Hperp(self) -> np.ndarray:
+        """n x (n - d) matrix with orthonormal columns spanning H^perp."""
+        return self._float_bases[3]
+
     @cached_property
-    def _float_bases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n, k = self.n_species, len(self.H_basis)
+    def _float_bases(self) -> tuple[np.ndarray, ...]:
+        n = self.n_species
         H, Hperp = (np.array([[float(x) for x in v] for v in basis], dtype=float)
                     .reshape(len(basis), n) for basis in (self.H_basis, self.Hperp_basis))
-        Q = np.linalg.qr(H.T)[0][:, :k] if k else np.zeros((n, 0))
-        H.flags.writeable = Hperp.flags.writeable = Q.flags.writeable = False
-        return H, Hperp, Q
+        Q, Qperp = (np.linalg.qr(M.T)[0][:, :len(M)] if len(M) else np.zeros((n, 0))
+                    for M in (H, Hperp))
+        for M in (H, Hperp, Q, Qperp):
+            M.flags.writeable = False
+        return H, Hperp, Q, Qperp
 
 
 @dataclass(frozen=True)

@@ -146,11 +146,27 @@ class TestBirchPoint:
         expected = (total * alpha[0] / sum(alpha), total * alpha[1] / sum(alpha))
         assert sol.point == pytest.approx(expected, rel=1e-12)
 
+    def test_flat_steps_are_judged_against_the_larger_term_of_phi(self):
+        # phi = sum(x) - <lambda, Q^T x0> is about 29 here, from terms near
+        # 535 and 506: their rounding exceeds 4 ulps of phi itself, so a
+        # flat test against phi rejects steps that lower the residual and
+        # the solve stalls at 8.8e-8
+        st = StoichiometryInfo(((F(3), F(1)),), ((F(-1, 3), F(1)),), 1)
+        x0 = (0.2764059736199563, 535.6188107902218)
+        alpha = (0.0029051320009782244, 207.99464076118352)
+        sol = birch_point(st, x0, alpha)
+        assert sol.residual <= 1e-12
+        # on the slice, x_B - x_A / 3 is conserved; on the fibre,
+        # log(x / alpha) is orthogonal to H = span(3, 1)
+        (xa, xb), (aa, ab) = sol.point, alpha
+        assert xb - xa / 3 == pytest.approx(x0[1] - x0[0] / 3, rel=1e-14)
+        assert 3 * np.log(xa / aa) + np.log(xb / ab) == pytest.approx(0, abs=1e-13)
+
     def test_wide_range_sweep_raises_nothing_but_no_convergence(self):
         # criterion 3's generator with x0 and alpha log-uniform in
-        # [1e-3, 1e3]: on draws 23 and 377, x0 + B t recomputed after an
-        # accepted step puts a coordinate at or below 0 although the tested
-        # point was positive; the walk must go on from the tested point
+        # [1e-3, 1e3]; a point that is not found misses the absolute tol
+        # only through the rounding of A (x - x0), whose floor
+        # eps * ||A||_inf * max(x0) reaches 1e-12 on these inputs
         rng = np.random.default_rng(31)
         solved = 0
         for _ in range(400):
@@ -160,12 +176,25 @@ class TestBirchPoint:
             alpha = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
             try:
                 sol = birch_point(st, x0, alpha)
-            except NoConvergence:
+            except NoConvergence as exc:
+                A = st.Hperp_matrix()
+                floor = np.finfo(float).eps * np.abs(A).sum(axis=1).max() * x0.max()
+                assert np.isfinite(exc.residual)
+                assert exc.residual <= 4 * floor
                 continue
             solved += 1
             assert sol.residual <= 1e-12
             assert min(sol.point) > 0
-        assert solved >= 300
+        assert solved >= 395
+
+    def test_start_outside_the_orthant_is_rejected(self):
+        net, _ = load("ab_reversible")
+        st = stoichiometric_subspace(net)
+        # B is a unit vector along (1, -1) up to sign, so t = +-3 puts one
+        # coordinate of x0 + B t below 0
+        for t in (3.0, -3.0):
+            with pytest.raises(ValueError, match="starting point"):
+                birch_point(st, (1.0, 1.0), (1.0, 1.0), start_t=(t,))
 
     def test_iteration_cap_raises_with_state(self):
         net, _ = load("ab_reversible")

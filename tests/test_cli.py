@@ -308,12 +308,17 @@ class TestClassifyCommand:
 
 class TestBirchAndSteady:
     def test_birch_solution(self, ab_file):
-        doc = json.loads(
-            run_cli(["birch", ab_file, "--x0", "2,2", "--alpha", "1,3"]).stdout
-        )
-        assert doc["point"][0] == pytest.approx(1.0, abs=1e-9)
-        assert doc["point"][1] == pytest.approx(3.0, abs=1e-9)
-        assert doc["residual"] <= 1e-12
+        # near the second point, rounding alone swamps the Armijo decrease
+        for x0, alpha in (((2.0, 2.0), (1.0, 3.0)),
+                          ((0.604708, 1.63416), (1.16426, 0.594742))):
+            out = run_cli(["birch", ab_file, "--x0", ",".join(map(str, x0)),
+                           "--alpha", ",".join(map(str, alpha))])
+            assert out.returncode == 0
+            doc = json.loads(out.stdout)
+            # closed form: x_A / x_B = alpha_A / alpha_B on x_A + x_B = const
+            expected = [sum(x0) * a / sum(alpha) for a in alpha]
+            assert doc["point"] == pytest.approx(expected, abs=1e-9)
+            assert doc["residual"] <= 1e-12
 
     def test_steady_state(self, rlv_file):
         doc = json.loads(
