@@ -24,7 +24,8 @@ from .birch import NoConvergence, birch_point
 from .classify import classify, is_w_endotactic
 from .dynamics import RatePolicy, find_steady_state, g_along, simulate
 from .geometry import LimitExceeded
-from .jets import JetSchedule, _worst_case_margin, cutoff_scan, domination_monitor, make_frame
+from .jets import (_MAX_THETA_POINTS, JetSchedule, _worst_case_margin, cutoff_scan,
+                   domination_monitor, make_frame)
 from .network import ParseError, _unit_tempering, parse_network, stoichiometric_subspace
 
 
@@ -265,6 +266,9 @@ def cmd_scan(args) -> int:
         x0 = np.ones(net.n_species)
     if not 1 < args.theta_max < np.inf:
         raise ValueError(f"--theta-max must be finite and above 1, got {args.theta_max}")
+    if args.theta_points > _MAX_THETA_POINTS:  # before the grid it sizes is built
+        raise ValueError(f"--theta-points must be at most {_MAX_THETA_POINTS}, "
+                         f"got {args.theta_points}")
     report = cutoff_scan(
         net,
         tempering,

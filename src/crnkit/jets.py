@@ -3,10 +3,10 @@
 check, domination monitoring for draining reactions, the worst-case
 sum-of-pulls cutoff scan, and unit-jet extraction from direction sequences.
 
-All quantities here are floating point, except the exact integer test
-that picks the worst-case margin's dominant tier; the argmax stabilization
-is cross-checked in the tests against the exact iterated maximal subsets of
-geometry.super_chain.
+All quantities here are floating point, except the scan's zero-margin
+faces (classify's sign rows) and the integer test that picks a float
+direction's dominant tier; the argmax stabilization is cross-checked in the
+tests against the exact iterated maximal subsets of geometry.super_chain.
 """
 
 from __future__ import annotations
@@ -16,35 +16,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import arrangement_normals
-from .geometry import LimitExceeded, _face_arrays, primitive
+from .classify import _Arrangement
+from .geometry import _BLOCK, LimitExceeded, _words, primitive
 from .network import (
     ReactionNetwork,
     Reaction,
-    StoichiometryInfo,
     Tempering,
     _unit_tempering,
     stoichiometric_subspace,
 )
 from .dynamics import _rowdot
 
-# the orthonormal basis of H, for callers that import it from here
-_orthonormal_H = StoichiometryInfo.orthonormal_H
-
 # |<w_j, flux>| up to _LEVEL_TOL counts as zero at frame level j; values
 # within _TIE_TOL * max(1, largest |value|) of the maximum tie for the argmax
 _LEVEL_TOL = 1e-10
 _TIE_TOL = 1e-9
-# cutoff_scan: margins from -_NEAR_ZERO_DELTA up are near zero; with two or
-# more laws a point is eligible within the relative miss _MEMBERSHIP_BAND;
-# near-zero directions within _CLUSTER_GAP radians share a cluster, found
-# from the angles of at most _CLUSTER_BLOCK directions to all others at once
-_NEAR_ZERO_DELTA = 0.02
+# cutoff_scan: with two or more laws a point is eligible within the relative
+# miss _MEMBERSHIP_BAND; a scan takes at most _MAX_DIRECTION_SAMPLES samples
+# and _MAX_THETA_POINTS grid thetas (20x the CLI's default of 50)
 _MEMBERSHIP_BAND = 1e-3
-_CLUSTER_GAP = 0.1
-_CLUSTER_BLOCK = 256
-# cutoff_scan takes at most this many direction samples
 _MAX_DIRECTION_SAMPLES = 10_000
+_MAX_THETA_POINTS = 1_000
 # extract_unit_jet: residuals and coefficients up to _ZERO_TOL count as zero,
 # and every level needs _MIN_PER_LEVEL usable indices
 _ZERO_TOL = 1e-9
@@ -345,36 +337,34 @@ def _worst_case_margin(net: ReactionNetwork, tempering: Tempering | None, W):
 def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
                 theta_grid=None, direction_samples: int = 400, seed: int = 0) -> dict:
     """Scan directions for a uniform cutoff theta beyond which the
-    worst-case sum of pulls is negative.
+    worst-case sum of pulls is negative, and find the transition faces.
 
     The sum S(w, theta) = sum_r k_r theta**<w, y_r> <w, flux_r> is linear
     in each k_r, so the tempering's worst case is exact at interval
     endpoints (hi where the pull coefficient is positive, lo where it is
-    negative).  Directions are uniform unit samples plus every
-    classification-arrangement face representative (normalized); theta
-    points must put theta**w inside the invariant polyhedron of x0 (within
-    a relative band; trivially satisfied when there are no conservation
-    laws).
+    negative).  Directions are one unit row per classification-arrangement
+    face, then uniform unit samples.  A (direction, theta) point is eligible
+    when theta**w lies in the invariant polyhedron of x0: always without
+    conservation laws; with one law <a, theta**w> = b0, at the crossing
+    theta refined by bisection between grid points (the grid alone almost
+    never lands on it); with two or more, within a relative-miss band,
+    which under-reports eligible points.
 
-    theta_hat is the least grid theta from which on every eligible sample
+    theta_hat is the least grid theta from which on every eligible point
     is negative.  Violations that persist into the top two decades of the
     grid mean no cutoff was found in range: theta_hat None, with the
-    violating directions listed.  With no eligible (direction, theta)
-    point at all there is nothing to bound: theta_hat None, no violating
-    directions.  Near-zero direction clusters are detected through the
-    leading-order margin (see _worst_case_margin) rather than the raw sum,
-    which stays bounded away from zero even along transition directions.
+    violating directions listed.  With no eligible point at all there is
+    nothing to bound: theta_hat None, no violating directions.
 
-    Membership of theta**w in the invariant polyhedron is trivial without
-    conservation laws; with exactly one law <a, theta**w> = b0 the crossing
-    theta is refined by bisection between grid points (the grid alone
-    almost never lands on the measure-zero crossing); with two or more laws
-    a relative-miss band is used, which under-reports eligible pairs.
+    near_zero_clusters, the transitions, are the connected sets of faces
+    whose leading-order margin is exactly 0 (see _zero_margin_clusters), so
+    they do not depend on the samples and margin_delta is 0.0.  Past the
+    hyperplane limit there are no faces and no clusters.
 
     Raises:
-        ValueError: x0 not positive and finite; theta_grid empty, or a theta
-        at most 1 or not finite; direction_samples negative or above
-        10,000; no directions (no face representatives and no samples).
+        ValueError: x0 not positive and finite; theta_grid empty, above
+        1,000 points, or a theta at most 1 or not finite; direction_samples
+        negative or above 10,000; no directions (no faces and no samples).
     """
     x0 = np.asarray(x0, dtype=float)
     if not np.all((x0 > 0) & np.isfinite(x0)):
@@ -383,8 +373,10 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     if theta_grid is None:
         theta_grid = np.geomspace(1.5, 1e6, 50)
     theta_grid = np.asarray(sorted(theta_grid), dtype=float)
-    if not len(theta_grid) or not np.all((theta_grid > 1) & np.isfinite(theta_grid)):
-        raise ValueError(f"theta_grid must be nonempty, finite and above 1, got {theta_grid}")
+    if (not 0 < len(theta_grid) <= _MAX_THETA_POINTS
+            or not np.all((theta_grid > 1) & np.isfinite(theta_grid))):
+        raise ValueError(f"theta_grid must have 1 to {_MAX_THETA_POINTS} points, each finite "
+                         f"and above 1, got {theta_grid}")
     if direction_samples < 0:
         raise ValueError(f"direction_samples must be nonnegative, got {direction_samples}")
     if direction_samples > _MAX_DIRECTION_SAMPLES:
@@ -401,11 +393,16 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         keep = nrm > 1e-12
         dirs = np.concatenate([dirs, V[keep] / nrm[keep, None]])
     try:
-        R = _face_arrays(arrangement_normals(net))[1].astype(float)
+        arr = _Arrangement(net, None)
     except LimitExceeded:
-        R = np.zeros((0, n))
-    # every face representative is nonzero
-    W = np.vstack([R / np.sqrt(_rowdot(R, R))[:, None], dirs])
+        arr = None
+    # one unit row per face: its representative v times 1/|v| truncated to
+    # 53 - bit_length(max |v_i|) bits, so each entry, sign and tie is exact
+    R = np.zeros((0, n)) if arr is None else arr.reps.astype(float)
+    bits = np.maximum(53 - np.frexp(np.abs(R).max(axis=1))[1], 1)
+    mant, exp = np.frexp(1 / np.sqrt(_rowdot(R, R)))
+    faces = R * np.ldexp(np.floor(np.ldexp(mant, bits)), exp - bits)[:, None]
+    W = np.vstack([faces, dirs])
     if not len(W):
         raise ValueError("the scan has no directions")
     A = stoichiometric_subspace(net).Hperp_matrix()
@@ -435,7 +432,8 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
             bad_theta[eligible & (S >= 0) & (S < np.inf)] = theta
         if phis:
             # bisect every sign change of phi between neighbouring grid thetas
-            va, vb = np.array(phis[:-1]), np.array(phis[1:])
+            phis = np.array(phis)  # thetas x directions, so one theta gives no pairs
+            va, vb = phis[:-1], phis[1:]
             ti, di = np.nonzero(np.isfinite(va) & np.isfinite(vb) & (va != 0) & (vb != 0)
                                 & ~(va * vb > 0))
             seen |= len(di) > 0
@@ -465,48 +463,45 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         violating = [[float(v) for v in w] for w in W[bad_theta >= theta_max / 100]]
     else:
         theta_hat = float(theta_grid[np.searchsorted(theta_grid, worst, "right")])
-    margins = _worst_case_margin(net, tempering, W)
-    near = margins >= -_NEAR_ZERO_DELTA
     return {
         "theta_hat": theta_hat,
         "violating_directions": violating,
-        "near_zero_clusters": _cluster_directions(W[near], margins[near], _CLUSTER_GAP),
+        "near_zero_clusters": [] if arr is None else _zero_margin_clusters(arr, faces),
         "n_directions": len(W),
         "theta_grid": [float(t) for t in theta_grid],
-        "margin_delta": _NEAR_ZERO_DELTA,
+        "margin_delta": 0.0,
     }
 
 
-def _cluster_directions(dirs: np.ndarray, margins: np.ndarray, gap: float):
-    """Group unit direction rows into the connected components of the
-    angle <= gap graph; each cluster reports the member with the largest
-    margin as its center."""
-    label = np.full(len(dirs), -1)
-    out = []
-    while np.any(label < 0):
-        # breadth-first search from the first direction not yet in a cluster;
-        # each direction's angle row is formed once, when it is in the frontier
-        c = np.argmax(label < 0)
-        frontier = [c]
-        while len(frontier):
-            label[frontier] = c
-            reached = np.zeros(len(dirs), dtype=bool)
-            for i in range(0, len(frontier), _CLUSTER_BLOCK):
-                angle = dirs[frontier[i:i + _CLUSTER_BLOCK]] @ dirs.T
-                np.arccos(np.clip(angle, -1.0, 1.0, out=angle), out=angle)
-                reached |= (angle <= gap).any(axis=0)
-            frontier = np.nonzero(reached & (label < 0))[0]
-        members = np.nonzero(label == c)[0]
-        center = members[np.argmax(margins[members])]
-        out.append(
-            {
-                "center": [float(v) for v in dirs[center]],
-                "size": len(members),
-                "max_margin": float(margins[center]),
-            }
-        )
-    out.sort(key=lambda c: c["center"])
-    return out
+def _zero_margin_clusters(arr: _Arrangement, rows: np.ndarray) -> list[dict]:
+    """One cluster per connected set of faces of margin 0, centered at its
+    first face's row: a face fixes the dominant tier and each flux sign, so
+    its margin is 0 when no tier flux sign is positive and one is 0."""
+    tier = np.where(arr.top, arr.flux_signs, -1)
+    zero = np.flatnonzero(~np.any(tier > 0, axis=1) & np.any(tier == 0, axis=1))
+    roots, sizes = np.unique(_components(arr.signs[zero]), return_counts=True)
+    return sorted(({"center": rows[zero[r]].tolist(), "size": int(size), "max_margin": 0.0}
+                   for r, size in zip(roots, sizes)), key=lambda c: c["center"])
+
+
+def _components(S: np.ndarray) -> np.ndarray:
+    """Each sign row's component, labelled by its least row: F is incident
+    to G when F's positive and negative sets lie inside G's, but the
+    lineality's two all-zero rays are not.  Blocks of rows (_BLOCK bytes) are
+    tested against all, their pairs hooked into a forest of least roots."""
+    words = _words(S)
+    blank = ~words.any(axis=1)
+    parent = np.arange(len(S))
+    step = max(1, _BLOCK // max(words.nbytes, 1))
+    for i in range(0, len(S), step):
+        a, b = np.nonzero(~(words[i:i + step, None] & ~words).any(axis=2)
+                          & ~(blank[i:i + step, None] & blank))
+        a += i
+        while not np.array_equal(ra := parent[a], rb := parent[b]):
+            np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+            while not np.array_equal(parent, up := parent[parent]):
+                parent = up
+    return parent
 
 
 # ---------------------------------------------------------------------------

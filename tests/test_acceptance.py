@@ -35,7 +35,6 @@ from crnkit import (
     stoichiometric_subspace,
 )
 from crnkit.geometry import gram_schmidt, nullspace, row_space_basis, super_chain
-from crnkit.jets import _orthonormal_H
 from crnkit.network import (
     Complex,
     Reaction,
@@ -229,7 +228,7 @@ def test_criterion_07_jet_stabilization_domination_and_degenerate_frame_warning(
     for name in ("strong_not_wr", "chain_cycle", "prism", "tetrahedron"):
         net, _ = load(name)
         n = net.n_species
-        B = _orthonormal_H(stoichiometric_subspace(net))
+        B = stoichiometric_subspace(net).orthonormal_H()
         for _ in range(20):
             while True:
                 Qm, _ = np.linalg.qr(rng.standard_normal((n, n)))

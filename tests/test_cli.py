@@ -406,14 +406,17 @@ class TestSimulateCommand:
         assert out.returncode == 1
 
     def test_csv_identical_under_optimized_python(self, rlv_file, tmp_path):
-        # asserts stripped by -O must not guard anything the integrator or
-        # the steady-state search needs
+        # asserts stripped by -O must not guard anything the integrator, the
+        # steady-state search or the scan's zero-margin components need
         tetrahedron = tmp_path / "tetrahedron.crn"
         tetrahedron.write_text(network_text("tetrahedron"))
+        futile_cycle = tmp_path / "futile_cycle.crn"
+        futile_cycle.write_text(network_text("futile_cycle"))
         for args, head in (
             (["simulate", rlv_file, "--x0=0.05,20", "--t-end=20",
               "--policy=piecewise-constant", "--seed=3", "--format=csv"], b"t,"),
             (["steady", str(tetrahedron), "--x0=0.5,1.79,0.55"], b"{"),
+            (["scan", str(futile_cycle)], b"{"),
         ):
             plain, optimized = [
                 subprocess.run([sys.executable, *flags, "-m", "crnkit.cli", *args],
@@ -444,6 +447,24 @@ class TestScanCommand:
         assert out.stdout == ""
         assert out.stderr == ("crnkit: error: direction_samples must be at most "
                               "10000, got 10001\n")
+
+    def test_theta_points_above_cap_is_one_line_exit_one_before_the_grid(
+            self, rlv_file, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("theta grid built")
+        monkeypatch.setattr(cli.np, "geomspace", no_grid)
+        for count in (1001, 10**12):
+            assert cli.main(["scan", rlv_file, f"--theta-points={count}"]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == (f"crnkit: error: --theta-points must be at most 1000, "
+                               f"got {count}\n")
+
+    def test_single_theta_point_with_one_conservation_law(self, ab_file):
+        # one grid theta gives no neighbouring pair to bisect
+        doc = json.loads(run_cli(["scan", ab_file, "--theta-points=1"]).stdout)
+        assert doc["theta_grid"] == [1.5]
+        assert len(doc["near_zero_clusters"]) == 2
 
     def test_svg_margin_chart(self, rlv_file):
         out = run_cli(

@@ -5,6 +5,7 @@ scans, and unit-jet extraction from direction sequences."""
 import importlib
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +24,8 @@ from crnkit import (
     pull,
 )
 from crnkit.classify import arrangement_normals
-from crnkit.geometry import LimitExceeded, enumerate_faces, gram_schmidt, super_chain
-from crnkit.jets import _cluster_directions, _worst_case_margin
+from crnkit.geometry import LimitExceeded, _face_arrays, enumerate_faces, gram_schmidt, super_chain
+from crnkit.jets import _components, _worst_case_margin
 
 from conftest import HEXAGON, HEXAGON_Q2_INDEX, NETWORKS, load
 
@@ -32,6 +33,19 @@ jets_module = importlib.import_module("crnkit.jets")
 
 
 S2 = 1.0 / math.sqrt(2.0)
+
+
+def _random_network_text(rng):
+    """2-4 species and 1-5 reactions with coefficients 0-3, as criterion 2
+    draws them (up to 4 species)."""
+    n = int(rng.integers(2, 5))
+
+    def complex_():
+        terms = [f"{c}S{i}" for i, c in enumerate(rng.integers(0, 4, n)) if c]
+        return " + ".join(terms) or "0"
+
+    lines = [f"{complex_()} -> {complex_()}" for _ in range(int(rng.integers(1, 6)))]
+    return "\n".join(["species: " + " ".join(f"S{i}" for i in range(n)), *lines]) + "\n"
 
 
 class TestFrame:
@@ -389,68 +403,121 @@ class TestCutoffScan:
         second = default_rng(3).standard_normal((2, 3))[1]
         assert np.array_equal(want[0], second / np.linalg.norm(second))
 
-    def test_clusters_are_the_components_of_the_angle_graph(self, rng):
-        # reference: union-find over every pair closer than the gap, each
-        # cluster centered at its first member of largest margin
-        def check(D):
-            D /= np.linalg.norm(D, axis=1, keepdims=True)
-            margins = np.round(rng.uniform(-1, 1, len(D)), 1)
-            parent = list(range(len(D)))
+    def test_clusters_do_not_depend_on_the_samples(self):
+        # one cluster per connected set of zero-margin faces, of these sizes
+        # (two single faces where not listed)
+        sizes = {"reverse_lv": [1, 1, 1], "prism": [1, 1, 1], "strong_not_wr": [1],
+                 "futile_cycle": [78], "chain_cycle": [16], "tetrahedron": [16],
+                 "pyramid": [23]}
+        for name in sorted(NETWORKS):
+            net, temp = load(name)
+            x0 = [1.0] * net.n_species
+            first, *rest = [cutoff_scan(net, temp, x0, direction_samples=count, seed=seed)
+                            for count, seed in ((400, 0), (100, 3), (0, 0))]
+            clusters = first["near_zero_clusters"]
+            assert all(out["near_zero_clusters"] == clusters for out in rest), name
+            assert [c["size"] for c in clusters] == sizes.get(name, [1, 1]), name
+            assert all(c["max_margin"] == 0.0 for c in clusters)
+            assert first["margin_delta"] == 0.0
+
+    def test_centers_have_exact_zero_margin(self, rng):
+        # the margin's sign is the sign of the largest <w, flux_r> over the
+        # reactions of maximal <w, y_r>, w read as exact binary fractions
+        def top_flux(net, w):
+            wf = [Fraction(float(x)) for x in w]
+            heights = [sum(a * b for a, b in zip(wf, r.source.coeffs)) for r in net.reactions]
+            return max(sum(a * b for a, b in zip(wf, r.flux))
+                       for r, h in zip(net.reactions, heights) if h == max(heights))
+
+        nets = [load(name) for name in sorted(NETWORKS)]
+        nets += [parse_network(_random_network_text(rng)) for _ in range(300)]
+        centers = 0
+        for net, temp in nets:
+            out = cutoff_scan(net, temp, [1.0] * net.n_species, theta_grid=[2.0],
+                              direction_samples=0)
+            for c in out["near_zero_clusters"]:
+                assert math.isclose(np.linalg.norm(c["center"]), 1.0, rel_tol=1e-12)
+                assert top_flux(net, c["center"]) == 0
+                centers += 1
+        assert centers > 500
+
+    def test_clusters_match_union_find_over_enumerated_faces(self, rng, monkeypatch):
+        # reference: each face's margin sign taken exactly from its integer
+        # representative (on the network's integer-scaled sources and fluxes),
+        # then union-find over every incident pair of zero faces; checked
+        # again with one row per block of the component pass
+        def reference(net):
+            _, sources, fluxes, _, _ = net._exact
+            zero = []
+            for face in enumerate_faces(arrangement_normals(net)):
+                w = face.representative
+                heights = [sum(a * b for a, b in zip(w, y)) for y in sources]
+                top = max(sum(a * b for a, b in zip(w, f))
+                          for f, h in zip(fluxes, heights) if h == max(heights))
+                if top == 0:  # F <= G when F's (column, sign) pairs are G's
+                    zero.append({(k, x) for k, x in enumerate(face.signs) if x})
+            parent = list(range(len(zero)))
 
             def find(a):
                 while parent[a] != a:
                     a = parent[a]
                 return a
 
-            for i in range(len(D)):
-                for j in range(i + 1, len(D)):
-                    if math.acos(float(np.clip(D[i] @ D[j], -1.0, 1.0))) <= 0.3:
+            for i, f in enumerate(zero):
+                for j, g in enumerate(zero):
+                    if i != j and (f or g) and f <= g:
                         parent[find(i)] = find(j)
-            groups = {}
-            for i in range(len(D)):
-                groups.setdefault(find(i), []).append(i)
-            want = []
-            for members in groups.values():
-                center = max(members, key=lambda i: margins[i])
-                want.append({"center": list(D[center]), "size": len(members),
-                             "max_margin": margins[center]})
-            want.sort(key=lambda c: c["center"])
-            got = _cluster_directions(D, margins, 0.3)
-            assert got == want
-            assert any(c["size"] > 1 for c in got) and len(got) > 1
-            return list(groups.values())
+            return sorted(Counter(find(i) for i in range(len(zero))).values())
 
-        check(rng.standard_normal((150, 3)))
-        # more directions than one block of angle rows, around five centers
-        # in shuffled order: one cluster alone is more than a block, and
-        # every cluster of two or more has members on both sides of a block edge
-        block = jets_module._CLUSTER_BLOCK
-        centers = rng.standard_normal((5, 3))
-        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        pick = rng.choice(5, 2 * block + 100, p=[0.6, 0.1, 0.1, 0.1, 0.1])
-        groups = check(centers[pick] + 0.08 * rng.standard_normal((len(pick), 3)))
-        assert max(map(len, groups)) > block
-        assert all(len({i // block for i in members}) > 1
-                   for members in groups if len(members) > 1)
+        nets = [load(name)[0] for name in sorted(NETWORKS)]
+        nets += [parse_network(_random_network_text(rng))[0] for _ in range(60)]
+        want = [reference(net) for net in nets]
+        for block in (jets_module._BLOCK, 1):
+            monkeypatch.setattr(jets_module, "_BLOCK", block)
+            for net, sizes in zip(nets, want):
+                out = cutoff_scan(net, None, [1.0] * net.n_species, theta_grid=[2.0],
+                                  direction_samples=0)
+                assert sorted(c["size"] for c in out["near_zero_clusters"]) == sizes
 
-    def test_cluster_memory_grows_with_the_block_not_the_square(self):
-        # 4,000 near-identical directions form one cluster; a dense angle
-        # matrix of them takes 128 MB per temporary
-        D = np.array([1.0, 0.0, 0.0]) + 1e-3 * np.random.default_rng(5).standard_normal((4000, 3))
-        D /= np.linalg.norm(D, axis=1, keepdims=True)
+    def test_lineality_rays_are_not_incident_to_each_other(self):
+        # two all-zero rows (a line of lineality) and one face holding both
+        S = np.array([[0, 0], [0, 0]], dtype=np.int8)
+        assert _components(S).tolist() == [0, 1]
+        assert _components(np.vstack([S, [[1, 0]]])).tolist() == [0, 0, 0]
+
+    def test_past_the_hyperplane_limit_there_are_no_clusters(self, monkeypatch):
+        # theta_hat comes from the samples alone, as before faces were read
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "1")
+        net, temp = load("reverse_lv")
+        out = cutoff_scan(net, temp, (1.0, 1.0), seed=0)
+        assert out["near_zero_clusters"] == []
+        assert out["n_directions"] == 400
+        assert out["theta_hat"] == 1.9721799509689757
+
+    def test_component_memory_grows_with_the_block_not_the_square(self):
+        # all 1,876 faces of an essential 4-D arrangement form one component;
+        # a dense incidence test of their bit words takes 56 MB per temporary
+        normals = np.random.default_rng(5).integers(-3, 4, (10, 4))
+        S = _face_arrays(normals.tolist())[0]
         tracemalloc.start()
         try:
-            got = _cluster_directions(D, np.zeros(len(D)), 0.1)
+            labels = _components(S)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [c["size"] for c in got] == [len(D)]
-        assert peak < 32e6
+        assert len(S) == 1876 and set(labels.tolist()) == {0}
+        assert peak < 2e6
 
     @pytest.mark.parametrize("grid", [[], [0.5, 2.0], [1.0, 10.0], [2.0, np.nan]])
     def test_rejects_thetas_at_most_one(self, grid):
         net, temp = load("reverse_lv")
         with pytest.raises(ValueError, match="theta_grid"):
+            cutoff_scan(net, temp, (1.0, 1.0), theta_grid=grid)
+
+    def test_rejects_theta_grid_above_cap(self):
+        net, temp = load("reverse_lv")
+        grid = np.geomspace(1.5, 1e6, jets_module._MAX_THETA_POINTS + 1)
+        with pytest.raises(ValueError, match="1 to 1000 points"):
             cutoff_scan(net, temp, (1.0, 1.0), theta_grid=grid)
 
     @pytest.mark.parametrize("x0", [(-1.0, -1.0), (0.0, 0.0), (1.0, 0.0),
