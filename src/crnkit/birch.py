@@ -224,6 +224,8 @@ def _unit(v):
 
 def _direction_samples(stoich: StoichiometryInfo, n: int, count: int, rng):
     """Unit directions in and near H^perp (plus a few generic ones)."""
+    if n == 0:  # no unit direction exists, so the draw below would never end
+        raise ValueError("a network with no species has no direction to sample")
     B = stoich.orthonormal_H()
     Qperp = stoich.orthonormal_Hperp()
     out = []
@@ -262,6 +264,9 @@ def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha, samples: int = 1
         dict with min_distance, per_direction list, violations (samples
         landing in P outside O), and the Birch point used; verdict is
         "empirical" by construction.
+
+    Raises:
+        ValueError: a network with no species (no direction to sample).
     """
     x0 = np.asarray(x0, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -310,6 +315,9 @@ def estimate_mu(stoich: StoichiometryInfo, x0, alpha, o_radius: float,
     point, inside O), so they are excluded automatically.  The estimate is
     monotone nonincreasing in the sample count for a fixed seed and
     monotone nondecreasing in o_radius for fixed samples.
+
+    Raises:
+        ValueError: a network with no species (no direction to sample).
     """
     x0 = np.asarray(x0, dtype=float)
     alpha = np.asarray(alpha, dtype=float)

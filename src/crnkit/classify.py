@@ -7,7 +7,8 @@ the central hyperplane arrangement whose normals are the reaction vectors
 and the differences of distinct reactant complexes: both defining
 predicates depend only on the signs of <w, flux_r> and <w, y_i - y_j>, so
 they are constant on each face and it suffices to check one exact
-representative per face.
+representative per face.  The faces come from geometry.enumerate_faces
+as integer arrays, once per call; _Arrangement reads verdicts off the rows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LimitExceeded, _as_faces, _face_arrays, _int_dtype, primitive, vec
+from .geometry import LimitExceeded, _int_dtype, enumerate_faces, primitive, vec
 from .network import (
     Reaction,
     ReactionNetwork,
@@ -102,7 +103,8 @@ class _Arrangement:
 
     def __init__(self, net: ReactionNetwork, limit: int | None):
         _, _, _, source_of, distinct = net._exact
-        self.signs, self.reps = _face_arrays(arrangement_normals(net), limit=limit)
+        faces = enumerate_faces(arrangement_normals(net), limit=limit)
+        self.signs, self.reps = faces.signs, faces.representatives
         self.flux_signs = self.signs[:, :net.n_reactions]
         pair_signs = self.signs[:, net.n_reactions:]  # sign <w, y_i - y_j> for i < j
         i, j = np.triu_indices(len(distinct), 1)  # the pairs in combinations order
@@ -110,11 +112,6 @@ class _Arrangement:
         rank = (pair_signs > 0) @ eye[i] + (pair_signs < 0) @ eye[j]
         self.endo_fail, self.strong_fail, self.top = _conditions(
             self.flux_signs, rank[:, list(source_of)])
-
-    @property
-    def faces(self):
-        """The faces as enumerate_faces returns them, built on each call."""
-        return _as_faces(self.signs, self.reps)
 
     def least(self, mask) -> tuple[int, ...] | None:
         """The lexicographically least representative among the rows in

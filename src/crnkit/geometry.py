@@ -4,13 +4,13 @@ hyperplane-arrangement faces, and the maximal-subset / Super-chain
 primitives used by classification and jets.
 
 No floating point is used anywhere in this module.  Elimination and the
-simplex run on Python-int rows with one row operation (_eliminate).  Face
-enumeration keeps its faces as integer arrays from the cocircuits to the
-sorted sign rows and representatives (_face_arrays): each integer stage is
-int64 when a stated bound on its values is below 2**63 and Python-int
-object arrays otherwise, the closure works on sign rows packed into uint64
-bit words, and the cocircuit, composition and representative passes work
-in blocks of at most _BLOCK bytes per temporary.
+simplex run on Python-int rows with one row operation (_eliminate).
+enumerate_faces, the one face kernel, keeps its faces as integer arrays
+from the cocircuits to the sorted sign rows and representatives it returns
+(Faces): each integer stage is int64 when a stated bound on its values is
+below 2**63 and Python ints otherwise, the closure and the face incidence
+work on sign rows packed into uint64 bit words, and every pass works in
+blocks of at most _BLOCK bytes per temporary.
 Fractions are built only for rational results (nullspace and row-space
 vectors, LP points)."""
 
@@ -25,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 RationalVector = tuple[Fraction, ...]
-SignVector = tuple[int, ...]
 
 DEFAULT_HYPERPLANE_LIMIT = 20
 
@@ -334,20 +333,26 @@ def lp_strict_feasible(equalities, strict):
 # central hyperplane arrangement
 
 
-@dataclass(frozen=True)
-class ArrangementFace:
-    """A face of a central arrangement: its sign vector over the input
-    normals and a primitive nonzero integer vector realizing those signs."""
+@dataclass(frozen=True, eq=False)  # arrays compare elementwise, not to one bool
+class Faces:
+    """The faces of a central arrangement, sorted by sign vector: signs
+    (int8, faces x normals) holds each face's signs over the input normals,
+    representatives (faces x n, int64 or Python ints) a primitive nonzero
+    integer vector realizing them.  len() is the face count."""
 
-    signs: SignVector
-    representative: tuple[int, ...]
+    signs: np.ndarray
+    representatives: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.signs)
 
 
 # bytes per block temporary: the cocircuit pass eliminates as many
 # (r-1) x r subsets at once as fit in 8 bytes an entry, the closure pairs as
 # many rows with every cocircuit at once as fit one (words, rows,
 # cocircuits) uint64 array, the representative pass as many sign rows as
-# fit one 8-byte conformality mask entry per (row, cocircuit)
+# fit one 8-byte conformality mask entry per (row, cocircuit), the
+# incidence pass as many rows with all as fit one (rows, rows, words) array
 _BLOCK = 1 << 18
 
 
@@ -478,6 +483,26 @@ def _closure(C: np.ndarray) -> np.ndarray:
     return bits[:, 0] - bits[:, 1]
 
 
+def _components(S: np.ndarray) -> np.ndarray:
+    """Each sign row's component, labelled by its least row: F is incident
+    to G when F's positive and negative sets lie inside G's, but the
+    lineality's two all-zero rays are not.  Blocks of rows (_BLOCK bytes) are
+    tested against all, their pairs hooked into a forest of least roots."""
+    words = _words(S)
+    blank = ~words.any(axis=1)
+    parent = np.arange(len(S))
+    step = max(1, _BLOCK // max(words.nbytes, 1))
+    for i in range(0, len(S), step):
+        a, b = np.nonzero(~(words[i:i + step, None] & ~words).any(axis=2)
+                          & ~(blank[i:i + step, None] & blank))
+        a += i
+        while not np.array_equal(ra := parent[a], rb := parent[b]):
+            np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+            while not np.array_equal(parent, up := parent[parent]):
+                parent = up
+    return parent
+
+
 def _representatives(S: np.ndarray, C: np.ndarray, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Each face's representative: the primitive sum of its conformal
     cocircuits, mapped back by the essential basis P.  Per block of sign
@@ -500,15 +525,42 @@ def _representatives(S: np.ndarray, C: np.ndarray, Z: np.ndarray, P: np.ndarray)
     return W // np.gcd.reduce(W, axis=1, initial=0)[:, None]
 
 
-def _face_arrays(normals, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """enumerate_faces as two arrays, in its order: the sign rows (int8,
-    faces x normals) and the representatives (faces x n, int64 or Python
-    ints)."""
+def enumerate_faces(normals, limit: int | None = None) -> Faces:
+    """All faces of the central arrangement of the given hyperplanes.
+
+    Every realizable sign vector of w -> (sign<normal_i, w>)_i over nonzero w
+    is returned exactly once with an exact integer representative, except
+    the all-zero sign vector: when the common lineality is a line, both rays
+    get a face of their own (the two orientations are genuinely different
+    directions); higher-dimensional linealities get a single face.
+
+    In essential coordinates (the row space of the normals) a face is a
+    pointed cone whose extreme rays are its conformal cocircuits, so their
+    primitive sum, mapped back, represents it whatever order the closure
+    took.  The cocircuits are the cross products of the rank-(r-1) subsets
+    of normals, eliminated together in blocks, and each block of at most
+    _BLOCK bytes of conformality mask gives its representatives by one
+    integer matmul.  Every integer stage runs in int64 when a stated bound
+    (Hadamard's on the minors; r (#cocircuits) max|Z| max|P| on the sums)
+    is below 2**63, and on Python ints otherwise, with the same code.
+
+    Duplicate and parallel normals share a hyperplane internally; zero
+    normals contribute a constant 0 sign.  Faces come back sorted by sign
+    vector, the lineality's two rays in the order of their representatives.
+
+    Args:
+        normals: rational vectors, all of the same length n >= 1.
+        limit: cap on distinct hyperplanes (default 20, or the
+            CRN_MAX_HYPERPLANES environment variable).
+
+    Raises:
+        LimitExceeded: more distinct hyperplanes than the limit.
+    """
     normals = [primitive(a) for a in normals]
     if limit is None:
         limit = int(os.environ.get("CRN_MAX_HYPERPLANES", DEFAULT_HYPERPLANE_LIMIT))
     if not normals:
-        return np.zeros((1, 0), dtype=np.int8), np.ones((1, 1), dtype=np.int64)
+        return Faces(np.zeros((1, 0), dtype=np.int8), np.ones((1, 1), dtype=np.int64))
     n = len(normals[0])
 
     hyper_index: dict[tuple[int, ...], int] = {}
@@ -520,10 +572,8 @@ def _face_arrays(normals, limit: int | None = None) -> tuple[np.ndarray, np.ndar
     hypers = list(hyper_index)
     K = len(hypers)
     if K > limit:
-        raise LimitExceeded(
-            f"{K} distinct hyperplanes exceed the limit of {limit} "
-            f"(set CRN_MAX_HYPERPLANES to raise it)"
-        )
+        raise LimitExceeded(f"{K} distinct hyperplanes exceed the limit of {limit} "
+                            f"(set CRN_MAX_HYPERPLANES to raise it)")
 
     # essential coordinates: the row space of the normals (r x n)
     R, pivots = _echelon(hypers)
@@ -545,47 +595,7 @@ def _face_arrays(normals, limit: int | None = None) -> tuple[np.ndarray, np.ndar
     # sign rows are distinct but for the lineality's two rays, which the
     # stable sort keeps in the order of their representatives
     order = np.lexsort(S.T[::-1])
-    return S[order], W[order]
-
-
-def _as_faces(signs: np.ndarray, reps: np.ndarray) -> list[ArrangementFace]:
-    return [ArrangementFace(tuple(s), tuple(w)) for s, w in zip(signs.tolist(), reps.tolist())]
-
-
-def enumerate_faces(normals, limit: int | None = None) -> list[ArrangementFace]:
-    """All faces of the central arrangement of the given hyperplanes.
-
-    Every realizable sign vector of w -> (sign<normal_i, w>)_i over nonzero w
-    is returned exactly once with an exact integer representative, except
-    the all-zero sign vector: when the common lineality is a line, both rays
-    get a face of their own (the two orientations are genuinely different
-    directions); higher-dimensional linealities get a single face.
-
-    In essential coordinates (the row space of the normals) a face is a
-    pointed cone whose extreme rays are its conformal cocircuits, so their
-    primitive sum, mapped back, represents it whatever order the closure
-    took.  The faces stay integer arrays until this function builds its
-    objects: the cocircuits are the cross products of the rank-(r-1)
-    subsets of normals, eliminated together in blocks, and each block of
-    at most _BLOCK bytes of conformality mask gives its representatives by
-    one integer matmul.
-    Every integer stage runs in int64 when a stated bound (Hadamard's on
-    the minors; r (#cocircuits) max|Z| max|P| on the sums) is below 2**63,
-    and on Python ints otherwise, with the same code.
-
-    Duplicate and parallel normals share a hyperplane internally; zero
-    normals contribute a constant 0 sign.  Faces come back sorted by sign
-    vector, representatives primitive integer tuples.
-
-    Args:
-        normals: rational vectors, all of the same length n >= 1.
-        limit: cap on distinct hyperplanes (default 20, or the
-            CRN_MAX_HYPERPLANES environment variable).
-
-    Raises:
-        LimitExceeded: more distinct hyperplanes than the limit.
-    """
-    return _as_faces(*_face_arrays(normals, limit))
+    return Faces(S[order], W[order])
 
 
 # ---------------------------------------------------------------------------

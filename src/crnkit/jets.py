@@ -4,7 +4,8 @@ check, domination monitoring for draining reactions, the worst-case
 sum-of-pulls cutoff scan, and unit-jet extraction from direction sequences.
 
 All quantities here are floating point, except the scan's zero-margin
-faces (classify's sign rows) and the integer test that picks a float
+faces (the sign rows of classify's _Arrangement, joined into clusters by
+geometry's face incidence) and the integer test that picks a float
 direction's dominant tier; the argmax stabilization is cross-checked in the
 tests against the exact iterated maximal subsets of geometry.super_chain.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import _Arrangement
-from .geometry import _BLOCK, LimitExceeded, _words, primitive
+from .geometry import LimitExceeded, _components, primitive
 from .network import (
     ReactionNetwork,
     Reaction,
@@ -364,12 +365,15 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     Raises:
         ValueError: x0 not positive and finite; theta_grid empty, above
         1,000 points, or a theta at most 1 or not finite; direction_samples
-        negative or above 10,000; no directions (no faces and no samples).
+        negative or above 10,000; no directions (no faces and no samples);
+        a network with no species.
     """
     x0 = np.asarray(x0, dtype=float)
     if not np.all((x0 > 0) & np.isfinite(x0)):
         raise ValueError(f"x0 must be positive and finite, got {x0}")
     n = net.n_species
+    if n == 0:  # no unit direction exists, so the draw below would never end
+        raise ValueError("a network with no species has no direction to scan")
     if theta_grid is None:
         theta_grid = np.geomspace(1.5, 1e6, 50)
     theta_grid = np.asarray(sorted(theta_grid), dtype=float)
@@ -482,26 +486,6 @@ def _zero_margin_clusters(arr: _Arrangement, rows: np.ndarray) -> list[dict]:
     roots, sizes = np.unique(_components(arr.signs[zero]), return_counts=True)
     return sorted(({"center": rows[zero[r]].tolist(), "size": int(size), "max_margin": 0.0}
                    for r, size in zip(roots, sizes)), key=lambda c: c["center"])
-
-
-def _components(S: np.ndarray) -> np.ndarray:
-    """Each sign row's component, labelled by its least row: F is incident
-    to G when F's positive and negative sets lie inside G's, but the
-    lineality's two all-zero rays are not.  Blocks of rows (_BLOCK bytes) are
-    tested against all, their pairs hooked into a forest of least roots."""
-    words = _words(S)
-    blank = ~words.any(axis=1)
-    parent = np.arange(len(S))
-    step = max(1, _BLOCK // max(words.nbytes, 1))
-    for i in range(0, len(S), step):
-        a, b = np.nonzero(~(words[i:i + step, None] & ~words).any(axis=2)
-                          & ~(blank[i:i + step, None] & blank))
-        a += i
-        while not np.array_equal(ra := parent[a], rb := parent[b]):
-            np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-            while not np.array_equal(parent, up := parent[parent]):
-                parent = up
-    return parent
 
 
 # ---------------------------------------------------------------------------

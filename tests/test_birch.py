@@ -238,8 +238,19 @@ class TestBoundaryVerifier:
         for entry in out["per_direction"]:
             assert entry["min_bound"] >= 0
 
+    def test_rejects_a_network_with_no_species(self):
+        # no unit direction exists, so the sampler would draw forever
+        st = stoichiometric_subspace(parse_network("0 -> 0")[0])
+        with pytest.raises(ValueError, match="no species"):
+            verify_birch_boundary(st, (), ())
+
 
 class TestProjectionBound:
+    def test_rejects_a_network_with_no_species(self):
+        st = stoichiometric_subspace(parse_network("0 -> 0")[0])
+        with pytest.raises(ValueError, match="no species"):
+            estimate_mu(st, (), (), o_radius=0.5)
+
     def test_full_subspace_bound_is_one(self):
         # with H the whole space every unit direction projects to length one
         net, _ = load("reverse_lv")

@@ -18,6 +18,7 @@ from crnkit import (
     LimitExceeded,
     arrangement_normals,
     classify,
+    cutoff_scan,
     fast_paths,
     is_endotactic,
     is_strongly_endotactic,
@@ -32,6 +33,7 @@ from crnkit.network import Complex, Reaction, ReactionNetwork, Species
 from conftest import CLASSIFICATION, load, network_text
 
 classify_module = importlib.import_module("crnkit.classify")
+geometry_module = importlib.import_module("crnkit.geometry")
 
 
 F = Fraction
@@ -82,8 +84,7 @@ class TestSingleDirection:
                 faces = enumerate_faces(arrangement_normals(net))
             except LimitExceeded:
                 continue
-            for face in faces:
-                w = face.representative
+            for w in faces.representatives.tolist():
                 if not any(w):
                     continue
                 heights = [
@@ -114,8 +115,7 @@ class TestSingleDirection:
                 arr = classify_module._Arrangement(net, None)
             except LimitExceeded:
                 continue
-            for i, face in enumerate(arr.faces):
-                w = face.representative
+            for i, w in enumerate(arr.reps.tolist()):
                 heights = [
                     sum(a * b for a, b in zip(w, r.source.coeffs))
                     for r in net.reactions
@@ -127,6 +127,7 @@ class TestSingleDirection:
                 strong = all(c == 0 for c in comps) or any(
                     c < 0 and t for c, t in zip(comps, top)
                 )
+                assert arr.signs[i, :net.n_reactions].tolist() == [(c > 0) - (c < 0) for c in comps]
                 assert list(arr.top[i]) == top
                 assert bool(arr.strong_fail[i]) is not strong
                 assert bool(arr.endo_fail[i]) is not is_w_endotactic(net, w)[0]
@@ -190,14 +191,20 @@ def _int_tuple(v):
     return type(v) is tuple and all(type(x) is int for x in v)
 
 
+def _int_rows(faces):
+    # representatives are rows of an integer array, entries Python ints on the way out
+    R = faces.representatives
+    return R.dtype in (np.int64, object) and all(_int_tuple(tuple(w)) for w in R.tolist())
+
+
 class TestIntegerVectors:
-    """Face representatives and witnesses are tuples of Python ints."""
+    """Face representatives are rows of an integer array; witnesses are
+    tuples of Python ints."""
 
     @pytest.mark.parametrize("name", sorted(CLASSIFICATION))
     def test_fixture_faces_and_witnesses(self, name):
         net, _ = load(name)
-        assert all(_int_tuple(f.representative)
-                   for f in enumerate_faces(arrangement_normals(net)))
+        assert _int_rows(enumerate_faces(arrangement_normals(net)))
         report = classify(net)
         assert report.witness is None or _int_tuple(report.witness)
         sampled = sample_classify(net, n_samples=2000, seed=1)
@@ -208,8 +215,8 @@ class TestIntegerVectors:
         rng = np.random.default_rng(41)
         normals = [tuple(F(int(v), 3) for v in rng.integers(-3, 4, 4)) for _ in range(9)]
         faces = enumerate_faces(normals)
-        assert len(faces) > 100 and all(_int_tuple(f.representative) for f in faces)
-        assert all(_int_tuple(f.representative) for f in enumerate_faces([]))
+        assert len(faces) > 100 and _int_rows(faces)
+        assert _int_rows(enumerate_faces([]))
 
 
 class TestFastPaths:
@@ -252,14 +259,14 @@ class TestFastPaths:
             module.classify(net)
         """)
         out = subprocess.run([sys.executable, "-O", "-c", script],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, timeout=60)
         assert out.returncode != 0
         assert ("AssertionError: fast path single_linkage_class contradicts "
                 "the general decider") in out.stderr
 
     @pytest.mark.parametrize("name", ["prism", "birth_death", "pyramid"])
     def test_classify_enumerates_arrangement_once(self, name, monkeypatch):
-        calls = {"_face_arrays": 0, "linkage_classes": 0}
+        calls = {"enumerate_faces": 0, "linkage_classes": 0}
         for fname in calls:
             def counted(*args, _fn=getattr(classify_module, fname), _name=fname,
                         **kwargs):
@@ -268,7 +275,7 @@ class TestFastPaths:
             monkeypatch.setattr(classify_module, fname, counted)
         net, _ = load(name)
         classify(net)
-        assert calls["_face_arrays"] <= 1
+        assert calls["enumerate_faces"] == 1
         assert calls["linkage_classes"] == 1
 
     def test_fast_path_decides_without_enumeration(self):
@@ -570,6 +577,35 @@ class TestArrangement:
         assert report.endotactic and report.strongly_endotactic
         assert stoichiometric_subspace(net).dimension == 0
 
+    @pytest.mark.parametrize("name", ["prism", "birth_death", "pyramid", "reverse_lv"])
+    def test_every_enumeration_goes_through_enumerate_faces(self, name, monkeypatch):
+        # a wrapper bound in every crnkit module that holds enumerate_faces,
+        # as a tracer binds it, sees each enumeration and its face count
+        original = geometry_module.enumerate_faces
+        sizes = []
+
+        def counted(*args, **kwargs):
+            faces = original(*args, **kwargs)
+            sizes.append(len(faces))
+            return faces
+
+        bound = set()
+        for mod_name, module in list(sys.modules.items()):
+            if module is not None and mod_name.split(".")[0] == "crnkit":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+                        bound.add(mod_name)
+        assert {"crnkit", "crnkit.geometry", "crnkit.classify"} <= bound
+        net, temp = load(name)
+        report = classify(net)
+        assert report.face_count > 0 and sizes == [report.face_count]
+        fast_paths(net)
+        assert sizes[1:] in ([], [report.face_count])
+        sizes.clear()
+        cutoff_scan(net, temp, [1.0] * net.n_species, theta_grid=[2.0], direction_samples=0)
+        assert sizes == [report.face_count]
+
 
 def _fraction_view(net):
     """The network's rows restated in Fractions: sources, fluxes, distinct
@@ -608,5 +644,6 @@ class TestIntegerView:
             ratios = {F(g) / x for g, x in zip(got, want) if x}
             assert all(g == 0 for g, x in zip(got, want) if not x)
             assert len(ratios) <= 1 and all(q > 0 for q in ratios)
-        assert ([(f.signs, f.representative) for f in enumerate_faces(normals)]
-                == [(f.signs, f.representative) for f in enumerate_faces(want_normals)])
+        got, want = enumerate_faces(normals), enumerate_faces(want_normals)
+        assert np.array_equal(got.signs, want.signs)
+        assert got.representatives.tolist() == want.representatives.tolist()

@@ -12,6 +12,11 @@ from conftest import network_text
 from crnkit import cli
 
 
+# seconds before a CLI run counts as hung and fails its test; the slowest
+# run here takes about 2 s
+_TIMEOUT = 60
+
+
 def run_cli(args, env_extra=None, cwd=None):
     env = dict(os.environ)
     if env_extra:
@@ -22,6 +27,7 @@ def run_cli(args, env_extra=None, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        timeout=_TIMEOUT,
     )
 
 
@@ -420,7 +426,7 @@ class TestSimulateCommand:
         ):
             plain, optimized = [
                 subprocess.run([sys.executable, *flags, "-m", "crnkit.cli", *args],
-                               capture_output=True)
+                               capture_output=True, timeout=_TIMEOUT)
                 for flags in ([], ["-O"])]
             for out in (plain, optimized):
                 assert out.returncode == 0
@@ -459,6 +465,16 @@ class TestScanCommand:
             assert out.out == ""
             assert out.err == (f"crnkit: error: --theta-points must be at most 1000, "
                                f"got {count}\n")
+
+    @pytest.mark.parametrize("samples", ["400", "0"])
+    def test_no_species_is_one_line_exit_one(self, tmp_path, samples):
+        # no unit direction exists, so the scan refuses before drawing
+        empty = tmp_path / "empty.crn"
+        empty.write_text("0 -> 0\n")
+        out = run_cli(["scan", str(empty), f"--samples={samples}"])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == "crnkit: error: a network with no species has no direction to scan\n"
 
     def test_single_theta_point_with_one_conservation_law(self, ab_file):
         # one grid theta gives no neighbouring pair to bisect

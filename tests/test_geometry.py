@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from crnkit.geometry import (
-    ArrangementFace,
+    Faces,
     LimitExceeded,
     _canonical_hyperplane,
     _closure,
     _cocircuits,
     _echelon,
-    _face_arrays,
     _simplex,
     enumerate_faces,
     gram_schmidt,
@@ -373,36 +372,41 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
+def _rows(faces):
+    # each face as (signs, representative), tuples of Python ints, in order
+    return [(tuple(s), tuple(w))
+            for s, w in zip(faces.signs.tolist(), faces.representatives.tolist())]
+
+
 class TestEnumerateFaces:
     def test_single_line_in_plane(self):
         # one hyperplane x = 0 in the plane: two open sides plus the two
         # rays of the line itself
         faces = enumerate_faces([fvec(1, 0)])
         assert len(faces) == 4
-        signs = sorted(f.signs for f in faces)
+        signs = sorted(s for s, _ in _rows(faces))
         assert signs == [(-1,), (0,), (0,), (1,)]
 
     def test_two_coordinate_lines(self):
         # x = 0 and y = 0: four quadrants plus four half-axes
         faces = enumerate_faces([fvec(1, 0), fvec(0, 1)])
         assert len(faces) == 8
-        assert len({f.signs for f in faces}) == 8
+        assert len({s for s, _ in _rows(faces)}) == 8
 
     def test_point_on_line(self):
         # hyperplane 0 in one dimension: two sides, no zero face
         faces = enumerate_faces([fvec(1)])
-        assert sorted(f.signs for f in faces) == [(-1,), (1,)]
+        assert sorted(s for s, _ in _rows(faces)) == [(-1,), (1,)]
 
     def test_no_normals_single_face(self):
         faces = enumerate_faces([])
         assert len(faces) == 1
-        assert faces[0].signs == ()
+        assert faces.signs.shape == (1, 0)
 
     def test_antiparallel_normals_share_hyperplane(self):
         # w and -w cut the same line; the sign vectors stay consistent
         faces = enumerate_faces([fvec(1, 1), fvec(-2, -2)])
-        for f in faces:
-            assert f.signs[0] == -f.signs[1]
+        assert np.array_equal(faces.signs[:, 0], -faces.signs[:, 1])
         assert len(faces) == 4
 
     def test_representative_signs_match(self, rng):
@@ -415,11 +419,10 @@ class TestEnumerateFaces:
             normals = [h for h in normals if any(h)]
             if not normals:
                 continue
-            faces = enumerate_faces(normals)
-            for f in faces:
+            for signs, w in _rows(enumerate_faces(normals)):
                 for hi, h in enumerate(normals):
-                    d = sum(a * b for a, b in zip(h, f.representative))
-                    assert _sign(d) == f.signs[hi]
+                    d = sum(a * b for a, b in zip(h, w))
+                    assert _sign(d) == signs[hi]
 
     def test_random_direction_sign_vector_is_enumerated(self, rng):
         for _ in range(10):
@@ -431,7 +434,7 @@ class TestEnumerateFaces:
             normals = [h for h in normals if any(h)]
             if not normals:
                 continue
-            enumerated = {f.signs for f in enumerate_faces(normals)}
+            enumerated = {s for s, _ in _rows(enumerate_faces(normals))}
             for _ in range(50):
                 w = fvec(*(int(v) for v in rng.integers(-9, 10, n)))
                 if not any(w):
@@ -455,9 +458,10 @@ class TestEnumerateFaces:
 
     def test_faces_are_hashable_and_sorted(self):
         faces = enumerate_faces([fvec(1, 0), fvec(0, 1)])
-        assert faces == sorted(faces, key=lambda f: (f.signs, f.representative))
-        assert len({f for f in faces}) == len(faces)
-        assert isinstance(faces[0], ArrangementFace)
+        assert isinstance(faces, Faces)
+        assert faces.signs.dtype == np.int8 and faces.representatives.dtype == np.int64
+        rows = _rows(faces)
+        assert rows == sorted(rows) and len(set(rows)) == len(faces)
 
 
 class TestConformalSums:
@@ -475,9 +479,8 @@ class TestConformalSums:
                    for _ in range(7)]
         faces = enumerate_faces(normals)
         assert len(faces) == 588
-        for f in faces:
-            assert tuple(_sign(sum(a * b for a, b in zip(h, f.representative)))
-                         for h in normals) == f.signs
+        for signs, w in _rows(faces):
+            assert tuple(_sign(sum(a * b for a, b in zip(h, w))) for h in normals) == signs
 
     @pytest.mark.parametrize("m, count", [(10, 1876), (12, 3332), (15, 6908)])
     def test_closure_matches_frozen_counts_and_conformal_sums(self, m, count):
@@ -491,10 +494,10 @@ class TestConformalSums:
         Z = np.array(sorted(lines | {tuple(-x for x in z) for z in lines}))
         N = np.array(normals)
         C = np.sign(Z @ N.T)
-        S = np.array([f.signs for f in faces])
+        S = faces.signs
         conformal = np.all((C[None] == 0) | (C[None] == S[:, None]), axis=2)
-        for f, row in zip(faces, conformal):
-            assert f.representative == primitive(Z[row].sum(axis=0).tolist())
+        for (_, w), row in zip(_rows(faces), conformal):
+            assert w == primitive(Z[row].sum(axis=0).tolist())
 
 
 _INT8_BLOCK = 1 << 18  # int8 entries per composition block, so memory per block is fixed
@@ -581,9 +584,8 @@ class TestBitWordClosure:
         normals = [(a, a * a + 1) for a in range(1, m + 1)]
         faces = enumerate_faces(normals, limit=100)
         assert len(faces) == 4 * m
-        for f in faces:
-            assert tuple(_sign(sum(a * b for a, b in zip(h, f.representative)))
-                         for h in normals) == f.signs
+        for signs, w in _rows(faces):
+            assert tuple(_sign(sum(a * b for a, b in zip(h, w))) for h in normals) == signs
 
 
 def _reference_faces(normals):
@@ -628,7 +630,7 @@ class TestIntegerStages:
 
     def test_seeded_arrangements_match_the_reference(self):
         for normals in _seeded_arrangements():
-            got = [(f.signs, f.representative) for f in enumerate_faces(normals)]
+            got = _rows(enumerate_faces(normals))
             assert got == _reference_faces(normals)
 
     @pytest.mark.parametrize("scale", [10**3, 10**5, 10**7])
@@ -636,7 +638,7 @@ class TestIntegerStages:
         rng = np.random.default_rng(7)
         normals = [tuple(int(v) for v in rng.integers(-scale, scale + 1, 4))
                    for _ in range(7)]
-        got = [(f.signs, f.representative) for f in enumerate_faces(normals)]
+        got = _rows(enumerate_faces(normals))
         assert got == _reference_faces(normals)
 
     @pytest.mark.parametrize("n, exponents", [(2, range(28, 35)), (3, range(26, 33))])
@@ -647,14 +649,14 @@ class TestIntegerStages:
         dtypes, largest = set(), []
         for e in exponents:
             normals = _straddling(n, e)
-            got = [(f.signs, f.representative) for f in enumerate_faces(normals)]
+            got = _rows(enumerate_faces(normals))
             assert got == _reference_faces(normals)
             if n == 2:
                 dtypes.add(_cocircuits(np.array(normals, dtype=object))[1].dtype)
                 largest.append(max(abs(a * d - b * c) for (a, b), (c, d)
                                    in itertools.combinations(normals, 2)))
             else:
-                dtypes.add(_face_arrays(normals)[1].dtype)
+                dtypes.add(enumerate_faces(normals).representatives.dtype)
                 largest.append(max(abs(x) for _, w in got for x in w))
         assert min(largest) < 2**63 <= max(largest)
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
@@ -664,7 +666,7 @@ class TestIntegerStages:
         out = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
              f"{__file__}::TestIntegerStages", "-k", "not optimized"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stdout[-2000:]
 
 

@@ -24,12 +24,13 @@ from crnkit import (
     pull,
 )
 from crnkit.classify import arrangement_normals
-from crnkit.geometry import LimitExceeded, _face_arrays, enumerate_faces, gram_schmidt, super_chain
-from crnkit.jets import _components, _worst_case_margin
+from crnkit.geometry import LimitExceeded, _components, enumerate_faces, gram_schmidt, super_chain
+from crnkit.jets import _worst_case_margin
 
 from conftest import HEXAGON, HEXAGON_Q2_INDEX, NETWORKS, load
 
 jets_module = importlib.import_module("crnkit.jets")
+geometry_module = importlib.import_module("crnkit.geometry")
 
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -284,7 +285,7 @@ class TestWorstCaseMargin:
             net, temp = load(name)
             intervals = temp.intervals if temp else [(1, 1)] * net.n_reactions
             try:
-                reps = [f.representative for f in enumerate_faces(arrangement_normals(net))]
+                reps = enumerate_faces(arrangement_normals(net)).representatives.tolist()
             except LimitExceeded:
                 reps = []
             reps = [np.array([float(c) for c in v]) for v in reps if any(v)]
@@ -359,6 +360,16 @@ class TestCutoffScan:
         for count in (10_001, 100_000_000_000):
             with pytest.raises(ValueError, match="at most 10000"):
                 cutoff_scan(net, temp, (1.0, 1.0), direction_samples=count)
+
+    def test_rejects_a_network_with_no_species_before_drawing(self, monkeypatch):
+        # no unit direction exists, so the draw would drop every row forever
+        def no_draws(*args):
+            raise AssertionError("directions drawn")
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        net, _ = parse_network("0 -> 0")
+        for count in (400, 0):
+            with pytest.raises(ValueError, match="no species"):
+                cutoff_scan(net, None, (), direction_samples=count)
 
     def test_directions_are_the_per_sample_draws_after_a_zero_row(self, monkeypatch):
         # the directions of one standard_normal(n) call per sample, each
@@ -445,17 +456,17 @@ class TestCutoffScan:
         # reference: each face's margin sign taken exactly from its integer
         # representative (on the network's integer-scaled sources and fluxes),
         # then union-find over every incident pair of zero faces; checked
-        # again with one row per block of the component pass
+        # again with one row per block of every face pass
         def reference(net):
             _, sources, fluxes, _, _ = net._exact
             zero = []
-            for face in enumerate_faces(arrangement_normals(net)):
-                w = face.representative
+            faces = enumerate_faces(arrangement_normals(net))
+            for signs, w in zip(faces.signs.tolist(), faces.representatives.tolist()):
                 heights = [sum(a * b for a, b in zip(w, y)) for y in sources]
                 top = max(sum(a * b for a, b in zip(w, f))
                           for f, h in zip(fluxes, heights) if h == max(heights))
                 if top == 0:  # F <= G when F's (column, sign) pairs are G's
-                    zero.append({(k, x) for k, x in enumerate(face.signs) if x})
+                    zero.append({(k, x) for k, x in enumerate(signs) if x})
             parent = list(range(len(zero)))
 
             def find(a):
@@ -472,8 +483,8 @@ class TestCutoffScan:
         nets = [load(name)[0] for name in sorted(NETWORKS)]
         nets += [parse_network(_random_network_text(rng))[0] for _ in range(60)]
         want = [reference(net) for net in nets]
-        for block in (jets_module._BLOCK, 1):
-            monkeypatch.setattr(jets_module, "_BLOCK", block)
+        for block in (geometry_module._BLOCK, 1):
+            monkeypatch.setattr(geometry_module, "_BLOCK", block)
             for net, sizes in zip(nets, want):
                 out = cutoff_scan(net, None, [1.0] * net.n_species, theta_grid=[2.0],
                                   direction_samples=0)
@@ -498,7 +509,7 @@ class TestCutoffScan:
         # all 1,876 faces of an essential 4-D arrangement form one component;
         # a dense incidence test of their bit words takes 56 MB per temporary
         normals = np.random.default_rng(5).integers(-3, 4, (10, 4))
-        S = _face_arrays(normals.tolist())[0]
+        S = enumerate_faces(normals.tolist()).signs
         tracemalloc.start()
         try:
             labels = _components(S)
