@@ -3,19 +3,25 @@ nullspaces), a fraction-free simplex for strict feasibility, central
 hyperplane-arrangement faces, and the maximal-subset / Super-chain
 primitives used by classification and jets.
 
-No floating point is used anywhere in this module.  Elimination and the
-simplex run on Python-int rows with one row operation (_eliminate).
-enumerate_faces, the one face kernel, keeps its faces as integer arrays
-from the cocircuits to the sorted sign rows and representatives it returns
-(Faces): each integer stage is int64 when a stated bound on its values is
-below 2**63 and Python ints otherwise, the closure and the face incidence
-work on sign rows packed into uint64 bit words, and every pass works in
-blocks of at most _BLOCK bytes per temporary.
+Every result is exact.  Elimination and the simplex run on Python-int
+rows with one row operation (_eliminate).  enumerate_faces, the one face
+kernel, keeps its faces as integer arrays from the cocircuits to the
+sorted sign rows and representatives it returns (Faces).  Each integer
+stage is int64 when a stated bound on its values is below 2**63 and
+Python ints otherwise; the conformal sums run first in float64, a BLAS
+matmul, when their bound is below 2**53, so that every value is an
+integer float64 holds exactly (float64 -> int64 -> Python ints), and no
+other floating point is used.  The closure and the face incidence work on
+sign rows packed 32 hyperplanes to a uint64 word (positive set in the low
+half, negative set in the high half), one word per row up to 32
+hyperplanes, and every pass works in blocks of at most _BLOCK bytes per
+temporary.
 Fractions are built only for rational results (nullspace and row-space
 vectors, LP points)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -348,11 +354,11 @@ class Faces:
 
 
 # bytes per block temporary: the cocircuit pass eliminates as many
-# (r-1) x r subsets at once as fit in 8 bytes an entry, the closure pairs as
-# many rows with every cocircuit at once as fit one (words, rows,
-# cocircuits) uint64 array, the representative pass as many sign rows as
-# fit one 8-byte conformality mask entry per (row, cocircuit), the
-# incidence pass as many rows with all as fit one (rows, rows, words) array
+# (r-1) x r subsets at once as fit in 8 bytes an entry, the closure pairs
+# and the representative pass masks as many rows with every cocircuit at
+# once as fit one (rows, cocircuits) uint64 array per word (32
+# hyperplanes), the incidence pass as many rows with all as fit one (rows,
+# rows, words) array
 _BLOCK = 1 << 18
 
 
@@ -362,9 +368,11 @@ def _int_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
-def _keys(S: np.ndarray) -> np.ndarray:
-    # one np.void per row: rows sort, unique and set-compare whole
-    return np.ascontiguousarray(S).view(np.dtype((np.void, S.shape[1] * S.itemsize)))[:, 0]
+def _keys(words: np.ndarray) -> np.ndarray:
+    # one key per row of bit words, so rows sort, unique and set-compare
+    # whole: the word itself when a row is one word, else one np.void
+    return words[:, 0] if words.shape[1] == 1 else \
+        np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
 
 
 def _cross_products(A: np.ndarray) -> np.ndarray:
@@ -427,60 +435,72 @@ def _cocircuits(H: np.ndarray):
                         for i in range(0, len(subsets), step)])
     Z = np.vstack([Z, -Z])
     C = np.sign(Z @ H.T).astype(np.int8)
-    _, first = np.unique(_keys(C), return_index=True)
+    _, first = np.unique(_keys(_words(C)), return_index=True)
     return C[first], Z[first]
 
 
+_LOW = np.uint64(0xFFFFFFFF)  # a word's positive half
+
+
 def _words(X: np.ndarray) -> np.ndarray:
-    """Sign rows as bit words: ceil(K/64) uint64 for each row's positive
-    set, then as many for its negative set."""
+    """Sign rows as bit words, ceil(K/32) uint64 per row (one for K <=
+    32): word j holds hyperplanes 32j..32j+31, their positive set in its
+    low 32 bits and their negative set in its high 32 bits.  So a rotation
+    by 32 swaps the signs and (w | w >> 32) & _LOW is the support."""
     n, K = X.shape
-    W = -(-K // 64)
-    words = np.zeros((n, 2, 8 * W), dtype=np.uint8)
-    words[:, :, :-(-K // 8)] = np.packbits(X[:, None, :] == np.array([[1], [-1]]),
-                                           axis=2, bitorder="little")
-    return words.view("<u8").reshape(n, 2 * W)
+    W = -(-K // 32)
+    Y = np.zeros((n, W, 1, 32), dtype=np.int8)
+    Y.reshape(n, 32 * W)[:, :K] = X
+    bits = Y == np.array([[1], [-1]], dtype=np.int8)  # (rows, words, sign, bit)
+    return np.packbits(bits, bitorder="little").view("<u8").reshape(n, W)
+
+
+def _signs(words: np.ndarray, K: int) -> np.ndarray:
+    """The int8 sign rows over K hyperplanes of bit words: the inverse of
+    _words."""
+    n, W = words.shape
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         bitorder="little").view(np.int8).reshape(n, W, 2, 32)
+    return (bits[:, :, 0] - bits[:, :, 1]).reshape(n, 32 * W)[:, :K]
 
 
 def _closure(C: np.ndarray) -> np.ndarray:
     """Every nonzero covector, as distinct int8 rows composed from the
     distinct cocircuit sign rows C.
 
-    A row is held as bit words (_words).  A face F of dimension above 1 is
-    G o c for a facet G of it and a cocircuit c conformal to F: c opposes no
-    sign of G and is nonzero somewhere G is zero.  So each round pairs the new
-    rows with a zero only with such cocircuits, and G o c is the bitwise or
-    of the two rows.  Every other pair gives G itself or a face that some
-    facet of it reaches with a conformal cocircuit, so no face is lost."""
-    K = C.shape[1]
+    A row is held as bit words (_words), one word when K <= 32.  A face F
+    of dimension above 1 is G o c for a facet G of it and a cocircuit c
+    conformal to F: c opposes no sign of G and is nonzero somewhere G is
+    zero, that is, has a bit outside G's.  So each round pairs the new rows
+    with a zero only with such cocircuits, and G o c is the bitwise or of
+    the two rows.  Every other pair gives G itself or a face that some
+    facet of it reaches with a conformal cocircuit, so no face is lost.
+    The rows are kept next to their keys (_keys); a round's compositions
+    are deduplicated by np.unique and set against the keys seen before."""
     Cw = _words(C)
-    W = Cw.shape[1] // 2
-    # word planes, (words, cocircuits): the block tests reduce a leading axis
-    Cx = np.concatenate((Cw[:, W:].T, Cw[:, :W].T))  # signs swapped
-    Cs = Cx[:W] | Cx[W:]  # supports
+    # word planes, (words, cocircuits): the block tests or over the words
+    Ct = Cw.T
+    Cx = Ct << 32 | Ct >> 32  # signs swapped
     # every hyperplane: an essential arrangement has no hyperplane holding all cocircuits
-    full = np.bitwise_or.reduce(Cs, axis=1)
-    step = max(1, _BLOCK // Cw.nbytes)
-    seen = frontier = _keys(Cw)
-    while True:
-        F = frontier.view("<u8").reshape(-1, 2 * W)
-        Fs = F[:, :W] | F[:, W:]
-        open_ = (Fs != full).any(axis=1)  # rows with a zero; the others are final
-        F, Fs = F[open_], Fs[open_].T
-        if not len(F):
-            break
+    full = np.bitwise_or.reduce((Cw | Cw >> 32) & _LOW, axis=0)
+    step = max(1, _BLOCK // (8 * len(Cw)))
+    F, rows, seen = Cw, [Cw], _keys(Cw)
+    while len(F := F[((F | F >> 32) & _LOW != full).any(axis=1)]):  # the others are final
         fresh = []
         for i in range(0, len(F), step):
-            G, Gs = F[i:i + step].T[:, :, None], Fs[:, i:i + step, None]
-            row, col = np.nonzero(~(G & Cx[:, None]).any(axis=0)
-                                  & (Cs[:, None] & ~Gs).any(axis=0))
-            fresh.append(F[i + row] | Cw[col])
-        keys = np.unique(_keys(np.concatenate(fresh)))
-        frontier = keys[~np.isin(keys, seen, assume_unique=True)]
-        seen = np.concatenate([seen, frontier])
-    bits = np.unpackbits(seen.view(np.uint8).reshape(-1, 2, 8 * W), axis=2,
-                         count=K, bitorder="little").view(np.int8)
-    return bits[:, 0] - bits[:, 1]
+            G = F[i:i + step].T[:, :, None]
+            # per pair: the signs of G that c opposes, and c's bits outside G's
+            opposed = functools.reduce(np.bitwise_or, (g & x for g, x in zip(G, Cx)))
+            outside = functools.reduce(np.bitwise_or, (c & ~g for g, c in zip(G, Ct)))
+            pair = np.flatnonzero((opposed == 0) & (outside != 0))
+            fresh.append(F[i + pair // len(Cw)] | Cw[pair % len(Cw)])
+        fresh = np.concatenate(fresh)
+        keys, first = np.unique(_keys(fresh), return_index=True)
+        new = ~np.isin(keys, seen, assume_unique=True)
+        F = fresh[first[new]]
+        rows.append(F)
+        seen = np.concatenate([seen, keys[new]])
+    return _signs(np.concatenate(rows), C.shape[1])
 
 
 def _components(S: np.ndarray) -> np.ndarray:
@@ -507,21 +527,26 @@ def _representatives(S: np.ndarray, C: np.ndarray, Z: np.ndarray, P: np.ndarray)
     """Each face's representative: the primitive sum of its conformal
     cocircuits, mapped back by the essential basis P.  Per block of sign
     rows, one conformality mask (c's positive and negative sets inside the
-    face's, that is s.c == |c|_1, tested on bit words) and one integer
-    mask @ Z.  int64 when r (#cocircuits) max|Z| max|P| is below 2**63,
-    else Python ints."""
+    face's, that is s.c == |c|_1, tested on bit words) and one mask @ Z.
+    The sums run in float64, a BLAS matmul, when #cocircuits max|Z| is
+    below 2**53: every product and partial sum is then an integer below
+    2**53, exact whatever the order, and they are read back as int64.
+    Past that bound, and for the products by P, int64 when r (#cocircuits)
+    max|Z| max|P| is below 2**63, else Python ints."""
     count, r = Z.shape
-    dtype = _int_dtype(r * count * int(np.abs(Z).max()) * int(np.abs(P).max()))
-    Z, P = Z.astype(dtype), P.astype(dtype)
-    Cw, Sx = _words(C).T, ~_words(S)  # Sx: where each face is not positive, not negative
+    zmax = int(np.abs(Z).max())
+    dtype = _int_dtype(r * count * zmax * int(np.abs(P).max()))
+    Z = Z.astype(np.float64 if count * zmax < 2**53 else dtype)
+    P = P.astype(dtype)
+    Ct, Sx = _words(C).T, ~_words(S)  # Sx: where each face is not positive, not negative
     step = max(1, _BLOCK // (8 * count))
     U = []
     for i in range(0, len(S), step):
-        outside = np.zeros((len(Sx[i:i + step]), count), dtype=np.uint64)
-        for c, x in zip(Cw, Sx[i:i + step].T):
-            outside |= c & x[:, None]
-        U.append((outside == 0).astype(dtype) @ Z)
-    W = np.concatenate(U) @ P
+        outside = functools.reduce(np.bitwise_or, (c & x[:, None]
+                                                   for c, x in zip(Ct, Sx[i:i + step].T)))
+        U.append((outside == 0).astype(Z.dtype) @ Z)
+    U = np.concatenate(U)
+    W = (U if U.dtype == dtype else U.astype(np.int64)) @ P  # float sums back to int64
     return W // np.gcd.reduce(W, axis=1, initial=0)[:, None]
 
 
@@ -538,11 +563,15 @@ def enumerate_faces(normals, limit: int | None = None) -> Faces:
     pointed cone whose extreme rays are its conformal cocircuits, so their
     primitive sum, mapped back, represents it whatever order the closure
     took.  The cocircuits are the cross products of the rank-(r-1) subsets
-    of normals, eliminated together in blocks, and each block of at most
-    _BLOCK bytes of conformality mask gives its representatives by one
-    integer matmul.  Every integer stage runs in int64 when a stated bound
+    of normals, eliminated together in blocks; the closure composes sign
+    rows held 32 hyperplanes to a uint64 word and deduplicates them on one
+    key per row (the word itself up to 32 hyperplanes); and each block of
+    at most _BLOCK bytes of conformality mask gives its conformal sums by
+    one matmul.  Every integer stage runs in int64 when a stated bound
     (Hadamard's on the minors; r (#cocircuits) max|Z| max|P| on the sums)
-    is below 2**63, and on Python ints otherwise, with the same code.
+    is below 2**63, and on Python ints otherwise, with the same code; the
+    sums run before that in float64 (BLAS), exactly, while #cocircuits
+    max|Z| is below 2**53.
 
     Duplicate and parallel normals share a hyperplane internally; zero
     normals contribute a constant 0 sign.  Faces come back sorted by sign

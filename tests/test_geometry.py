@@ -18,7 +18,9 @@ from crnkit.geometry import (
     _closure,
     _cocircuits,
     _echelon,
+    _signs,
     _simplex,
+    _words,
     enumerate_faces,
     gram_schmidt,
     lp_feasible_nonneg,
@@ -529,12 +531,13 @@ def _closure_int8(C: np.ndarray) -> np.ndarray:
     return seen.view(np.int8).reshape(-1, K)
 
 
-def _cocircuit_signs(normals) -> np.ndarray:
-    # the cocircuit sign rows enumerate_faces closes: one per distinct
-    # hyperplane, in the essential coordinates of the normals' row space
+def _essential_cocircuits(normals):
+    # the cocircuits enumerate_faces closes, sign rows and generators: one
+    # per distinct hyperplane, in the essential coordinates of the normals'
+    # row space
     hypers = list(dict.fromkeys(_canonical_hyperplane(p) for p in normals if any(p)))
     R, _ = _echelon(hypers)
-    return _cocircuits(np.array(hypers, dtype=object) @ np.array(R, dtype=object).T)[0]
+    return _cocircuits(np.array(hypers, dtype=object) @ np.array(R, dtype=object).T)
 
 
 def _seeded_arrangements(count=60):
@@ -569,7 +572,7 @@ class TestBitWordClosure:
             if not any(any(p) for p in normals):
                 continue
             lineal += rank(normals) < len(normals[0])
-            C = _cocircuit_signs(normals)
+            C = _essential_cocircuits(normals)[0]
             S = _closure(C)
             assert S.dtype == np.int8 and S.shape[1] == C.shape[1]
             rows = {r.tobytes() for r in S}
@@ -577,15 +580,29 @@ class TestBitWordClosure:
             assert rows == {r.tobytes() for r in _closure_int8(C)}
         assert lineal >= 10
 
-    @pytest.mark.parametrize("m", [64, 65, 70])
+    @pytest.mark.parametrize("m", [32, 33, 64, 65, 70])
     def test_across_word_boundaries(self, m):
         # m distinct lines through the origin of the plane cut 2m rays and
-        # 2m sectors; past 64 hyperplanes a sign set takes a second word
+        # 2m sectors; past 32 hyperplanes a sign row takes a second word,
+        # past 64 a third
         normals = [(a, a * a + 1) for a in range(1, m + 1)]
         faces = enumerate_faces(normals, limit=100)
         assert len(faces) == 4 * m
         for signs, w in _rows(faces):
             assert tuple(_sign(sum(a * b for a, b in zip(h, w))) for h in normals) == signs
+
+    @pytest.mark.parametrize("K", [1, 31, 32, 33, 64, 65])
+    def test_words_round_trip(self, K):
+        # hyperplane k is bit k % 32 of word k // 32, positive in the low
+        # half and negative in the high half
+        k = np.arange(K)
+        unit = np.zeros((K, -(-K // 32)), dtype=np.uint64)
+        unit[k, k // 32] = np.uint64(1) << (k % 32).astype(np.uint64)
+        eye = np.eye(K, dtype=np.int8)
+        assert np.array_equal(_words(eye), unit)
+        assert np.array_equal(_words(-eye), unit << np.uint64(32))
+        X = np.random.default_rng(K).integers(-1, 2, (50, K)).astype(np.int8)
+        assert _signs(_words(X), K).tolist() == X.tolist()
 
 
 def _reference_faces(normals):
@@ -661,11 +678,27 @@ class TestIntegerStages:
         assert min(largest) < 2**63 <= max(largest)
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
+    def test_straddling_2_53_matches_the_reference(self):
+        # in R^3 the cocircuits are cross products of two normals, so
+        # #cocircuits max|Z| passes 2**53 as e grows and the conformal sums
+        # move from float64 to int64 (the sums' bound stays below 2**63);
+        # at the top, float64 sums would round
+        largest = []
+        for e in range(21, 28):
+            normals = _straddling(3, e)
+            faces = enumerate_faces(normals)
+            assert _rows(faces) == _reference_faces(normals)
+            assert faces.representatives.dtype == np.int64
+            Z = _essential_cocircuits(normals)[1]
+            largest.append(len(Z) * int(np.abs(Z).max()))
+        assert min(largest) < 2**53 <= max(largest)
+
     def test_same_under_optimized_python(self):
-        # nothing the kernel relies on is an assert: the class passes under -O
+        # nothing the kernel relies on is an assert: these classes pass under -O
         out = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{__file__}::TestIntegerStages", "-k", "not optimized"],
+             f"{__file__}::TestIntegerStages", f"{__file__}::TestBitWordClosure",
+             "-k", "not optimized"],
             capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stdout[-2000:]
 
