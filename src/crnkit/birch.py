@@ -99,8 +99,10 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
     alpha itself, with H = {0} it is x0.
 
     Raises:
-        NoConvergence: iteration cap exceeded, no step accepted or a
-            singular Hessian (carries last iterate).
+        NoConvergence: iteration cap exceeded, no step accepted, a
+            singular Hessian, or a step back to an earlier iterate (the
+            message gives the reason and the iteration; carries the last
+            iterate).
         ValueError: x0, alpha or tol not positive and finite, or x0 + B t
             not strictly positive.
     """
@@ -129,17 +131,23 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
     c = Q.T @ x0
     lam = Q.T @ (np.log(start) - np.log(alpha))
     x = alpha * np.exp(Q @ lam)
+
+    def stop(reason):
+        return NoConvergence(f"no convergence to {tol}: {reason} at iteration {it}",
+                             last=tuple(x), residual=res)
+
+    seen = {lam.tobytes()}
     for it in range(max_iter + 1):
         res = residual_of(x)
         if res <= tol:
             return BirchSolution(tuple(x), res, it)
         if it == max_iter:
-            break
+            raise stop("the iteration cap was reached")
         g = Q.T @ (x - x0)
         try:
             step = np.linalg.solve(Q.T @ (Q * x[:, None]), -g)
         except np.linalg.LinAlgError:
-            break
+            raise stop("the Hessian is singular") from None
         total, pull = x.sum(), lam @ c
         f0 = total - pull
         slope = float(g @ step)
@@ -159,13 +167,13 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
                     break
             s *= 0.5
         else:
-            break
+            raise stop("no step was accepted")
+        # at the rounding floor accepted steps can cycle; each step is a
+        # function of lambda alone, so a repeated iterate never converges
+        if lam_n.tobytes() in seen:
+            raise stop("a step returned to an earlier iterate")
+        seen.add(lam_n.tobytes())
         lam, x = lam_n, xn
-    raise NoConvergence(
-        f"no convergence to {tol} within {max_iter} iterations",
-        last=tuple(x),
-        residual=res,
-    )
 
 
 # ---------------------------------------------------------------------------

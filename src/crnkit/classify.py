@@ -94,16 +94,16 @@ def arrangement_normals(net: ReactionNetwork) -> list[tuple[int, ...]]:
 
 
 class _Arrangement:
-    """The arrangement's faces as arrays (LimitExceeded past the hyperplane
-    limit): sign rows and representatives, in enumerate_faces's order, and
-    what _conditions finds on each, read from the sign rows alone: the flux
-    signs, and each reaction's source rank (how many distinct sources lie
-    strictly below it along the face), which orders the sources as <w, y>
-    does.  No rational arithmetic and no object runs per face."""
+    """The arrangement's faces as arrays (LimitExceeded past
+    CRN_MAX_HYPERPLANES): sign rows and representatives, in enumerate_faces's
+    order, and what _conditions finds on each, read from the sign rows alone:
+    the flux signs, and each reaction's source rank (how many distinct
+    sources lie strictly below it along the face), which orders the sources
+    as <w, y> does.  No rational arithmetic and no object runs per face."""
 
-    def __init__(self, net: ReactionNetwork, limit: int | None):
+    def __init__(self, net: ReactionNetwork):
         _, _, _, source_of, distinct = net._exact
-        faces = enumerate_faces(arrangement_normals(net), limit=limit)
+        faces = enumerate_faces(arrangement_normals(net))
         self.signs, self.reps = faces.signs, faces.representatives
         self.flux_signs = self.signs[:, :net.n_reactions]
         pair_signs = self.signs[:, net.n_reactions:]  # sign <w, y_i - y_j> for i < j
@@ -139,40 +139,45 @@ def _conditions(P: np.ndarray, Q: np.ndarray):
     return endo_fail, strong_fail, top
 
 
-def _verdicts(net: ReactionNetwork, limit: int | None, sample_fallback: bool, seed: int):
+def _arrangement(net: ReactionNetwork, required: bool) -> _Arrangement | None:
+    """The network's _Arrangement, the one place it is built; past
+    CRN_MAX_HYPERPLANES, None, or LimitExceeded when it is required."""
+    try:
+        return _Arrangement(net)
+    except LimitExceeded:
+        if required:
+            raise
+        return None
+
+
+def _verdicts(net: ReactionNetwork, sample_fallback: bool = False, seed: int = 0):
     """(arrangement, endotactic witness, strong witness), a witness None
     when its condition holds: exact from one face enumeration or, past the
-    hyperplane limit with sample_fallback, sampled (arrangement None)."""
-    try:
-        arr = _Arrangement(net, limit)
-    except LimitExceeded:
-        if not sample_fallback:
-            raise
+    hyperplane cap with sample_fallback, sampled (arrangement None)."""
+    arr = _arrangement(net, required=not sample_fallback)
+    if arr is None:
         res = sample_classify(net, seed=seed)
         return None, res["endo_witness"], res["strong_witness"]
     return arr, arr.least(arr.endo_fail), arr.least(arr.strong_fail & ~arr.endo_fail)
 
 
-def is_endotactic(net: ReactionNetwork, limit: int | None = None,
-                  sample_fallback: bool = False, seed: int = 0):
-    """Decide whether the network is endotactic in every direction.
+def is_endotactic(net: ReactionNetwork):
+    """Decide exactly whether the network is endotactic in every direction.
 
     Returns:
         (flag, witness) -- witness is an exact direction falsifying the
         condition when the flag is False.
 
     Raises:
-        LimitExceeded: too many hyperplanes and sample_fallback is False.
-        With sample_fallback=True the verdict comes from the random
-        sampler instead and can only be trusted when False.
+        LimitExceeded: more distinct hyperplanes than CRN_MAX_HYPERPLANES
+            (classify with sample_fallback=True gives a sampled verdict).
     """
-    _, endo_wit, _ = _verdicts(net, limit, sample_fallback, seed)
+    _, endo_wit, _ = _verdicts(net)
     return endo_wit is None, endo_wit
 
 
-def is_strongly_endotactic(net: ReactionNetwork, limit: int | None = None,
-                           sample_fallback: bool = False, seed: int = 0):
-    """Decide the strongly endotactic property.
+def is_strongly_endotactic(net: ReactionNetwork):
+    """Decide exactly the strongly endotactic property.
 
     On top of the endotactic condition, every face representative w not
     orthogonal to the stoichiometric subspace must admit a reaction with
@@ -180,14 +185,14 @@ def is_strongly_endotactic(net: ReactionNetwork, limit: int | None = None,
 
     Returns / Raises: as is_endotactic.
     """
-    _, endo_wit, strong_wit = _verdicts(net, limit, sample_fallback, seed)
+    _, endo_wit, strong_wit = _verdicts(net)
     witness = endo_wit or strong_wit
     return witness is None, witness
 
 
 def _fast_path(net: ReactionNetwork, linkage, arrangement) -> str | None:
     """The first fast-path rule that fires (see fast_paths).  arrangement()
-    gives the _Arrangement, or None past the hyperplane limit; it is called
+    gives the _Arrangement, or None past the hyperplane cap; it is called
     only when the face rule is reached."""
     if not linkage.weakly_reversible or not net.reactions:
         return None
@@ -211,7 +216,7 @@ def _fast_path(net: ReactionNetwork, linkage, arrangement) -> str | None:
     return "initial_support_criterion"
 
 
-def fast_paths(net: ReactionNetwork, limit: int | None = None) -> str | None:
+def fast_paths(net: ReactionNetwork) -> str | None:
     """Sufficient conditions for strong endotacticity via weak reversibility.
 
     Tried in order, returning the first rule that fires:
@@ -225,30 +230,25 @@ def fast_paths(net: ReactionNetwork, limit: int | None = None) -> str | None:
 
     All three are sufficient only; None means no verdict, not a refutation.
     """
-    def arrangement():
-        try:
-            return _Arrangement(net, limit)
-        except LimitExceeded:
-            return None
-
-    return _fast_path(net, linkage_classes(net), arrangement)
+    return _fast_path(net, linkage_classes(net), lambda: _arrangement(net, required=False))
 
 
-def classify(net: ReactionNetwork, limit: int | None = None,
-             sample_fallback: bool = False, seed: int = 0) -> ClassificationReport:
+def classify(net: ReactionNetwork, sample_fallback: bool = False,
+             seed: int = 0) -> ClassificationReport:
     """Full classification with witness, fast-path rule, and face count.
 
     Fast-path verdicts are cross-checked against the general decider
-    whenever the arrangement is within limits; a disagreement raises
-    AssertionError (it would mean a bug, not a property of the network).
-    Past the limit with sample_fallback, a fast-path rule decides both
-    classes and otherwise the sampler does (reported as inconclusive).
+    whenever the arrangement is within CRN_MAX_HYPERPLANES; a disagreement
+    raises AssertionError (it would mean a bug, not a property of the
+    network).  Past the cap with sample_fallback, the one way into the
+    sampler, a fast-path rule decides both classes and otherwise
+    sample_classify(net, seed=seed) does (reported as inconclusive).
 
     Raises:
         LimitExceeded: arrangement too large and sample_fallback is False.
     """
     linkage = linkage_classes(net)
-    arr, endo_wit, strong_wit = _verdicts(net, limit, sample_fallback, seed)
+    arr, endo_wit, strong_wit = _verdicts(net, sample_fallback, seed)
     rule = _fast_path(net, linkage, lambda: arr)
     endo = endo_wit is None
     strong = endo and strong_wit is None

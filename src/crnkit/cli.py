@@ -269,6 +269,8 @@ def cmd_scan(args) -> int:
     if args.theta_points > _MAX_THETA_POINTS:  # before the grid it sizes is built
         raise ValueError(f"--theta-points must be at most {_MAX_THETA_POINTS}, "
                          f"got {args.theta_points}")
+    if args.format == "svg" and net.n_species != 2:  # before the scan it would plot
+        raise ParseError("svg scan output needs a 2-species network")
     report = cutoff_scan(
         net,
         tempering,
@@ -278,8 +280,6 @@ def cmd_scan(args) -> int:
         seed=args.seed,
     )
     if args.format == "svg":
-        if net.n_species != 2:
-            raise ParseError("svg scan output needs a 2-species network")
         _write_text(_scan_svg(net, tempering, report), args.out)
         return 0
     payload = _envelope("scan", args.seed)

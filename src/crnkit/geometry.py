@@ -1,7 +1,7 @@
 """Exact rational geometry: fraction-free integer elimination (rank, spans,
-nullspaces), a fraction-free simplex for strict feasibility, central
-hyperplane-arrangement faces, and the maximal-subset / Super-chain
-primitives used by classification and jets.
+nullspaces), central hyperplane-arrangement faces, and the maximal-subset /
+Super-chain primitives used by classification and jets; also a
+fraction-free simplex for strict feasibility that nothing in crnkit calls.
 
 Every result is exact.  Elimination and the simplex run on Python-int
 rows with one row operation (_eliminate).  enumerate_faces, the one face
@@ -213,7 +213,8 @@ def super_chain(Q, frame, tol=0):
 
 
 # ---------------------------------------------------------------------------
-# exact simplex and strict feasibility
+# exact simplex and strict feasibility, uncalled in crnkit: kept only while
+# perfbench/tracing.py binds the LP names
 
 
 def _simplex(A, b, c):
@@ -550,7 +551,7 @@ def _representatives(S: np.ndarray, C: np.ndarray, Z: np.ndarray, P: np.ndarray)
     return W // np.gcd.reduce(W, axis=1, initial=0)[:, None]
 
 
-def enumerate_faces(normals, limit: int | None = None) -> Faces:
+def enumerate_faces(normals) -> Faces:
     """All faces of the central arrangement of the given hyperplanes.
 
     Every realizable sign vector of w -> (sign<normal_i, w>)_i over nonzero w
@@ -579,15 +580,14 @@ def enumerate_faces(normals, limit: int | None = None) -> Faces:
 
     Args:
         normals: rational vectors, all of the same length n >= 1.
-        limit: cap on distinct hyperplanes (default 20, or the
-            CRN_MAX_HYPERPLANES environment variable).
 
     Raises:
-        LimitExceeded: more distinct hyperplanes than the limit.
+        LimitExceeded: more distinct hyperplanes than the cap, the
+            CRN_MAX_HYPERPLANES environment variable (default 20).
+        ValueError: CRN_MAX_HYPERPLANES is not an integer.
     """
     normals = [primitive(a) for a in normals]
-    if limit is None:
-        limit = int(os.environ.get("CRN_MAX_HYPERPLANES", DEFAULT_HYPERPLANE_LIMIT))
+    limit = int(os.environ.get("CRN_MAX_HYPERPLANES", DEFAULT_HYPERPLANE_LIMIT))
     if not normals:
         return Faces(np.zeros((1, 0), dtype=np.int8), np.ones((1, 1), dtype=np.int64))
     n = len(normals[0])

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import _Arrangement
-from .geometry import LimitExceeded, _components, primitive
+from .classify import _Arrangement, _arrangement
+from .geometry import _components, primitive
 from .network import (
     ReactionNetwork,
     Reaction,
@@ -396,10 +396,7 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         nrm = np.sqrt(_rowdot(V, V))
         keep = nrm > 1e-12
         dirs = np.concatenate([dirs, V[keep] / nrm[keep, None]])
-    try:
-        arr = _Arrangement(net, None)
-    except LimitExceeded:
-        arr = None
+    arr = _arrangement(net, required=False)
     # one unit row per face: its representative v times 1/|v| truncated to
     # 53 - bit_length(max |v_i|) bits, so each entry, sign and tie is exact
     R = np.zeros((0, n)) if arr is None else arr.reps.astype(float)

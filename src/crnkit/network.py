@@ -1,6 +1,6 @@
 """Reaction network data model: species, complexes, reactions, temperings,
 network parsing/serialization, and graph-level structure (linkage classes,
-weak reversibility, stoichiometric subspace, reactant polytope).
+weak reversibility, stoichiometric subspace).
 
 Stoichiometric coefficients are exact rationals throughout.  Derived
 structure (integer rows and distinct sources for every exact decider, float
@@ -21,7 +21,6 @@ import numpy as np
 from .geometry import (
     RationalVector,
     _subspaces,
-    lp_feasible_nonneg,
     row_space_basis,
 )
 
@@ -204,7 +203,7 @@ def _over_lcm(rows) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class StoichiometryInfo:
     """Exact bases for the stoichiometric subspace H and its orthogonal
-    complement (the conservation laws); their float matrices and
+    complement (the conservation laws); the float matrix of H^perp and
     orthonormal bases of H and H^perp are built once per instance,
     read-only."""
 
@@ -219,19 +218,16 @@ class StoichiometryInfo:
                 return len(basis[0])
         return 0
 
-    def H_matrix(self) -> np.ndarray:
-        return self._float_bases[0]
-
     def Hperp_matrix(self) -> np.ndarray:
-        return self._float_bases[1]
+        return self._float_bases[0]
 
     def orthonormal_H(self) -> np.ndarray:
         """n x d matrix with orthonormal columns spanning H (d may be 0)."""
-        return self._float_bases[2]
+        return self._float_bases[1]
 
     def orthonormal_Hperp(self) -> np.ndarray:
         """n x (n - d) matrix with orthonormal columns spanning H^perp."""
-        return self._float_bases[3]
+        return self._float_bases[2]
 
     @cached_property
     def _float_bases(self) -> tuple[np.ndarray, ...]:
@@ -240,30 +236,9 @@ class StoichiometryInfo:
                     .reshape(len(basis), n) for basis in (self.H_basis, self.Hperp_basis))
         Q, Qperp = (np.linalg.qr(M.T)[0][:, :len(M)] if len(M) else np.zeros((n, 0))
                     for M in (H, Hperp))
-        for M in (H, Hperp, Q, Qperp):
+        for M in (Hperp, Q, Qperp):
             M.flags.writeable = False
-        return H, Hperp, Q, Qperp
-
-
-@dataclass(frozen=True)
-class InvariantPolyhedron:
-    """(x0 + H) intersected with the nonnegative orthant."""
-
-    x0: tuple[float, ...]
-    stoich: StoichiometryInfo
-
-    def __post_init__(self):
-        if any(x <= 0 for x in self.x0):
-            raise ValueError(f"x0 must be strictly positive, got {self.x0}")
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -tol):
-            return False
-        A = self.stoich.Hperp_matrix()
-        if A.shape[0] == 0:
-            return True
-        return bool(np.max(np.abs(A @ (x - np.array(self.x0)))) <= tol)
+        return Hperp, Q, Qperp
 
 
 @dataclass(frozen=True)
@@ -511,24 +486,3 @@ def linkage_classes(net: ReactionNetwork) -> LinkageInfo:
     each class's subspace; once per network: every call returns one object."""
     return net._linkage
 
-
-def reactant_polytope_vertices(net: ReactionNetwork) -> list[Complex]:
-    """Source complexes that are vertices of the convex hull of all sources
-    (decided exactly: a point is a vertex iff it is not a convex combination
-    of the other sources, so a lone source is one).
-
-    Raises:
-        ValueError: network with no reactions.
-    """
-    if not net.reactions:
-        raise ValueError("network has no reactions")
-    edges, _, _, source_of, distinct = net._exact
-    complex_of = dict(zip(source_of, (a for a, _ in edges)))
-    verts = []
-    for i, p in enumerate(distinct):
-        others = distinct[:i] + distinct[i + 1:]
-        A = [[q[k] for q in others] for k in range(net.n_species)] + [[1] * len(others)]
-        feasible, _ = lp_feasible_nonneg(A, [*p, 1])
-        if not feasible:
-            verts.append(net.complexes[complex_of[i]])
-    return verts

@@ -1,6 +1,7 @@
 """Free-energy function, Birch-point solver, toric rays, and the empirical
 boundary/projection-bound verifiers."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,16 @@ def random_stoichiometry(rng, n):
     H = row_space_basis(rows, n)
     Hp = nullspace(H, n) if H else nullspace([tuple([F(0)] * n)], n)
     return StoichiometryInfo(tuple(H), tuple(Hp), len(H))
+
+
+def wide_instances(rng):
+    """Criterion 3's generator with x0 and alpha log-uniform in [1e-3, 1e3]:
+    (stoichiometry, x0, alpha) without end."""
+    while True:
+        n = int(rng.integers(2, 6))
+        st = random_stoichiometry(rng, n)
+        x0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+        yield st, x0, np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
 
 
 class TestFreeEnergy:
@@ -163,17 +174,11 @@ class TestBirchPoint:
         assert 3 * np.log(xa / aa) + np.log(xb / ab) == pytest.approx(0, abs=1e-13)
 
     def test_wide_range_sweep_raises_nothing_but_no_convergence(self):
-        # criterion 3's generator with x0 and alpha log-uniform in
-        # [1e-3, 1e3]; a point that is not found misses the absolute tol
-        # only through the rounding of A (x - x0), whose floor
-        # eps * ||A||_inf * max(x0) reaches 1e-12 on these inputs
-        rng = np.random.default_rng(31)
+        # a point that is not found misses the absolute tol only through
+        # the rounding of A (x - x0), whose floor eps * ||A||_inf * max(x0)
+        # reaches 1e-12 on these inputs
         solved = 0
-        for _ in range(400):
-            n = int(rng.integers(2, 6))
-            st = random_stoichiometry(rng, n)
-            x0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
-            alpha = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+        for st, x0, alpha in itertools.islice(wide_instances(np.random.default_rng(31)), 400):
             try:
                 sol = birch_point(st, x0, alpha)
             except NoConvergence as exc:
@@ -186,6 +191,28 @@ class TestBirchPoint:
             assert sol.residual <= 1e-12
             assert min(sol.point) > 0
         assert solved >= 395
+
+    def test_floor_failure_stops_when_an_iterate_repeats(self, monkeypatch):
+        # the first failure of the sweep above cycles between two iterates at
+        # the rounding floor; it stops there, not at max_iter's 200 solves
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        for st, x0, alpha in itertools.islice(wide_instances(np.random.default_rng(31)), 400):
+            calls.clear()
+            try:
+                birch_point(st, x0, alpha)
+            except NoConvergence as exc:
+                assert "a step returned to an earlier iterate at iteration" in str(exc)
+                break
+        else:
+            pytest.fail("the sweep has no failure")
+        assert len(calls) <= 20
 
     def test_start_outside_the_orthant_is_rejected(self):
         net, _ = load("ab_reversible")

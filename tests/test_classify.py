@@ -112,7 +112,7 @@ class TestSingleDirection:
         for _ in range(20):
             net = random_network(rng)
             try:
-                arr = classify_module._Arrangement(net, None)
+                arr = classify_module._Arrangement(net)
             except LimitExceeded:
                 continue
             for i, w in enumerate(arr.reps.tolist()):
@@ -278,30 +278,50 @@ class TestFastPaths:
         assert calls["enumerate_faces"] == 1
         assert calls["linkage_classes"] == 1
 
-    def test_fast_path_decides_without_enumeration(self):
+    def test_fast_path_decides_without_enumeration(self, monkeypatch):
         # a one-class network needs no face enumeration even under a tiny
         # hyperplane budget
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "1")
         net, _ = load("chain_cycle")
-        report = classify(net, limit=1, sample_fallback=True)
+        report = classify(net, sample_fallback=True)
         assert report.fast_path == "single_linkage_class"
         assert report.strongly_endotactic and not report.inconclusive
 
 
 class TestLimits:
-    def test_limit_exceeded_raised(self):
-        net, _ = load("prism")
-        with pytest.raises(LimitExceeded):
-            classify(net, limit=3)
-
-    def test_env_var_controls_default(self, monkeypatch):
+    def test_limit_exceeded_raised(self, monkeypatch):
+        # the cap admits exactly its own count of distinct hyperplanes
         net, _ = load("prism")
         monkeypatch.setenv("CRN_MAX_HYPERPLANES", "3")
+        with pytest.raises(LimitExceeded, match="exceed the limit of 3") as info:
+            classify(net)
+        count = str(info.value).split()[0]
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", count)
+        assert classify(net).face_count > 0
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", str(int(count) - 1))
         with pytest.raises(LimitExceeded):
             classify(net)
 
-    def test_sample_fallback_marks_inconclusive(self):
+    def test_env_var_controls_default(self, monkeypatch):
+        # CRN_MAX_HYPERPLANES is the one cap on every entry point: the
+        # exact deciders raise, the fast path and the scan go without faces
+        net, temp = load("prism")
+        assert fast_paths(net) == "initial_support_criterion"
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "3")
+        for decide in (classify, is_endotactic, is_strongly_endotactic):
+            with pytest.raises(LimitExceeded):
+                decide(net)
+        assert fast_paths(net) is None
+        scan = cutoff_scan(net, temp, (1.0, 1.0, 1.0), direction_samples=50, seed=0)
+        assert scan["near_zero_clusters"] == []
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "3.5")
+        with pytest.raises(ValueError):
+            classify(net)
+
+    def test_sample_fallback_marks_inconclusive(self, monkeypatch):
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "2")
         net, _ = load("reverse_lv")
-        report = classify(net, limit=2, sample_fallback=True)
+        report = classify(net, sample_fallback=True)
         assert report.inconclusive
         assert report.endotactic and report.strongly_endotactic
 
@@ -310,19 +330,22 @@ class TestLimits:
         ["reverse_lv", "endo_not_strong", "triangle_out", "a_to_b",
          "futile_cycle", "birth_death", "pyramid"],
     )
-    def test_sample_fallback_deciders_agree_with_classify(self, name):
-        # limit 0 sends every deciding path to the sampler; none of these
-        # networks has a fast path that fires without faces
+    def test_sample_fallback_deciders_agree_with_classify(self, name, monkeypatch):
+        # a cap of 0 sends classify to the sampler, its one sampled path,
+        # and leaves the exact deciders nothing but LimitExceeded; none of
+        # these networks has a fast path that fires without faces
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "0")
         net, _ = load(name)
-        report = classify(net, limit=0, sample_fallback=True, seed=5)
+        report = classify(net, sample_fallback=True, seed=5)
         assert report.inconclusive and report.fast_path is None
-        endo, endo_w = is_endotactic(net, limit=0, sample_fallback=True, seed=5)
-        strong, strong_w = is_strongly_endotactic(net, limit=0, sample_fallback=True,
-                                                  seed=5)
-        assert endo == report.endotactic
-        assert endo_w == (None if endo else report.witness)
-        assert strong == report.strongly_endotactic
-        assert strong_w == report.witness
+        sampled = sample_classify(net, seed=5)
+        assert report.endotactic == sampled["endotactic"]
+        assert report.strongly_endotactic == (sampled["endotactic"]
+                                              and sampled["strongly_endotactic"])
+        assert report.witness == (sampled["endo_witness"] or sampled["strong_witness"])
+        for decide in (is_endotactic, is_strongly_endotactic):
+            with pytest.raises(LimitExceeded):
+                decide(net)
 
 
 class TestInvariances:

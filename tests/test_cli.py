@@ -466,6 +466,17 @@ class TestScanCommand:
             assert out.err == (f"crnkit: error: --theta-points must be at most 1000, "
                                f"got {count}\n")
 
+    def test_svg_needs_two_species_before_the_scan(self, tmp_path, monkeypatch, capsys):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan run")
+        monkeypatch.setattr(cli, "cutoff_scan", no_scan)
+        src, out = tmp_path / "chain_cycle.crn", tmp_path / "scan.svg"
+        src.write_text(network_text("chain_cycle"))
+        assert cli.main(["scan", str(src), "--format", "svg", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("crnkit: parse error: svg scan output needs "
+                                           "a 2-species network\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("samples", ["400", "0"])
     def test_no_species_is_one_line_exit_one(self, tmp_path, samples):
         # no unit direction exists, so the scan refuses before drawing

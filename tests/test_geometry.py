@@ -34,8 +34,6 @@ from crnkit.geometry import (
     super_chain,
 )
 
-from crnkit.network import Complex, Reaction, ReactionNetwork, Species, reactant_polytope_vertices
-
 from conftest import HEXAGON, HEXAGON_Q2_INDEX, NETWORKS, load
 
 
@@ -322,41 +320,28 @@ class TestLPOracle:
         assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
 
 
-def _hull_vertex_oracle(points):
-    """Indices of the points that are no convex combination of the others."""
-    out = []
-    for i, p in enumerate(points):
-        others = [q for j, q in enumerate(points) if j != i]
-        ref = _linprog([0] * len(others),
-                       A_eq=np.array([*zip(*others), [1] * len(others)], dtype=float),
-                       b_eq=np.array([*p, 1], dtype=float), bounds=(0, None))
-        assert ref.status in (0, 2)
-        if ref.status == 2:
-            out.append(i)
-    return out
-
-
 class TestReactantPolytopeOracle:
-    @staticmethod
-    def network(sources):
-        n = len(sources[0])
-        sink = Complex(tuple(F(7) for _ in range(n)))
-        reactions = tuple(Reaction(Complex(tuple(map(F, s))), sink) for s in sources)
-        complexes = tuple(dict.fromkeys(c for r in reactions for c in (r.source, r.target)))
-        species = tuple(Species(f"S{i}", i) for i in range(n))
-        return ReactionNetwork(species, complexes, reactions)
+    """Hull membership, decided by lp_feasible_nonneg and by HiGHS: is each
+    distinct source a convex combination of the others?  The systems are
+    degenerate (repeated and collinear points give redundant rows)."""
 
-    def check(self, net):
-        sources = list(dict.fromkeys(r.source for r in net.reactions))
-        if len(sources) > 1:
-            sources = [sources[i] for i in _hull_vertex_oracle([s.coeffs for s in sources])]
-        assert reactant_polytope_vertices(net) == sources
+    @staticmethod
+    def check(points):
+        points = list(dict.fromkeys(points))
+        if len(points) < 2:  # a lone point has no others to combine
+            return
+        for i, p in enumerate(points):
+            others = points[:i] + points[i + 1:]
+            A, b = [*map(list, zip(*others)), [1] * len(others)], [*p, 1]
+            ref = _linprog([0] * len(others), A_eq=np.array(A, dtype=float),
+                           b_eq=np.array(b, dtype=float), bounds=(0, None))
+            assert ref.status in (0, 2)
+            assert lp_feasible_nonneg(A, b)[0] == (ref.status == 0)
 
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     def test_fixtures(self, name):
         net, _ = load(name)
-        if net.reactions:
-            self.check(net)
+        self.check([r.source.coeffs for r in net.reactions])
 
     def test_seeded_point_sets_with_repeats_and_collinear_points(self):
         rng = np.random.default_rng(31)
@@ -367,7 +352,7 @@ class TestReactantPolytopeOracle:
             if i % 2:  # collinear: on the line through pts[0] and pts[1]
                 d = tuple(b - a for a, b in zip(pts[0], pts[1]))
                 pts += [tuple(a + k * x for a, x in zip(pts[0], d)) for k in (-1, 2, F(1, 2))]
-            self.check(self.network(pts))
+            self.check(pts)
 
 
 def _sign(x):
@@ -446,10 +431,11 @@ class TestEnumerateFaces:
                 )
                 assert sv in enumerated
 
-    def test_limit_exceeded(self):
+    def test_limit_exceeded(self, monkeypatch):
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "3")
         normals = [fvec(1, i) for i in range(5)]
         with pytest.raises(LimitExceeded):
-            enumerate_faces(normals, limit=3)
+            enumerate_faces(normals)
 
     def test_env_var_limit(self, monkeypatch):
         monkeypatch.setenv("CRN_MAX_HYPERPLANES", "2")
@@ -581,12 +567,13 @@ class TestBitWordClosure:
         assert lineal >= 10
 
     @pytest.mark.parametrize("m", [32, 33, 64, 65, 70])
-    def test_across_word_boundaries(self, m):
+    def test_across_word_boundaries(self, m, monkeypatch):
         # m distinct lines through the origin of the plane cut 2m rays and
         # 2m sectors; past 32 hyperplanes a sign row takes a second word,
         # past 64 a third
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "100")
         normals = [(a, a * a + 1) for a in range(1, m + 1)]
-        faces = enumerate_faces(normals, limit=100)
+        faces = enumerate_faces(normals)
         assert len(faces) == 4 * m
         for signs, w in _rows(faces):
             assert tuple(_sign(sum(a * b for a, b in zip(h, w))) for h in normals) == signs

@@ -1,15 +1,15 @@
 """Network model and the line-oriented description format: parsing,
 serialization round-trips, stoichiometry, linkage structure, and the
-reactant polytope."""
+package's import surface."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import crnkit
 from crnkit import (
     Complex,
-    InvariantPolyhedron,
     ParseError,
     Reaction,
     ReactionNetwork,
@@ -18,7 +18,6 @@ from crnkit import (
     Tempering,
     linkage_classes,
     parse_network,
-    reactant_polytope_vertices,
     serialize_network,
     stoichiometric_subspace,
 )
@@ -259,7 +258,7 @@ class TestStructureOnce:
         # the same arrays for an instance built directly from the bases
         direct = StoichiometryInfo(st.H_basis, st.Hperp_basis, st.dimension)
         for info in (st, direct):
-            for get in (info.H_matrix, info.Hperp_matrix, info.orthonormal_H):
+            for get in (info.Hperp_matrix, info.orthonormal_H, info.orthonormal_Hperp):
                 M = get()
                 assert get() is M
                 assert not M.flags.writeable
@@ -303,43 +302,14 @@ class TestStructureOnce:
         assert 50 < wr < 250
 
 
-class TestReactantPolytope:
-    def test_triangle_sources_all_vertices(self):
-        net, _ = load("strong_not_wr")
-        verts = {v.coeffs for v in reactant_polytope_vertices(net)}
-        assert verts == {(F(0), F(0)), (F(2), F(0)), (F(0), F(2))}
-
-    def test_tetrahedron_sources_all_vertices(self):
-        net, _ = load("tetrahedron")
-        verts = reactant_polytope_vertices(net)
-        assert len(verts) == 4
-
-    def test_interior_source_not_vertex(self):
-        # (1,1) lies inside the triangle hull of (0,0), (3,0), (0,3)
-        net, _ = parse_network(
-            "species: A B\n3A -> A\nA + B -> 2A + 2B\n3B -> B\n0 -> A\n"
-        )
-        verts = {v.coeffs for v in reactant_polytope_vertices(net)}
-        assert (F(1), F(1)) not in verts
-        assert len(verts) == 3
-
-
-class TestInvariantPolyhedron:
-    def test_membership(self):
-        net, _ = load("ab_reversible")
-        st = stoichiometric_subspace(net)
-        poly = InvariantPolyhedron((1.0, 3.0), st)
-        assert poly.contains((2.0, 2.0))
-        assert poly.contains((0.0, 4.0))
-        assert not poly.contains((1.0, 1.0))
-        assert not poly.contains((5.0, -1.0))
-
-    def test_full_dimensional_orthant(self):
-        net, _ = load("reverse_lv")
-        st = stoichiometric_subspace(net)
-        poly = InvariantPolyhedron((1.0, 1.0), st)
-        assert poly.contains((17.0, 0.01))
-        assert not poly.contains((-0.5, 1.0))
+class TestPublicSurface:
+    def test_every_exported_name_resolves_once(self):
+        assert len(set(crnkit.__all__)) == len(crnkit.__all__)
+        for name in crnkit.__all__:
+            assert hasattr(crnkit, name), name
+        namespace = {}
+        exec("from crnkit import *", namespace)
+        assert set(crnkit.__all__) <= set(namespace)
 
 
 class TestModelValidation:
