@@ -13,6 +13,8 @@ import numpy as np
 
 from .network import StoichiometryInfo
 
+_MAX_ITER = 200  # Newton steps birch_point takes before it gives up
+
 
 class NoConvergence(Exception):
     """Iteration budget exhausted; carries the last iterate and residual."""
@@ -79,7 +81,7 @@ def grad_g_alpha(x, alpha) -> np.ndarray:
 # underflow to 0); a step to such a point fails the positivity guard
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
-                start_t=None, max_iter: int = 200) -> BirchSolution:
+                start_t=None) -> BirchSolution:
     """The unique point of (x0 + H) in the open orthant where log(x/alpha)
     is orthogonal to H.
 
@@ -88,8 +90,9 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
     point of the fibre on x0 + H minimizes the strictly convex dual
     phi(lambda) = sum(alpha * exp(Q lambda)) - <lambda, Q^T x0>, with
     gradient Q^T (x - x0) and Hessian Q^T diag(x) Q; it is found with damped
-    Newton steps and Armijo backtracking.  The residual reported is
-    max(||P_H log(x/alpha)||, ||A (x - x0)||) with A the conservation rows.
+    Newton steps and Armijo backtracking, halved until the step vanishes in
+    floating point.  The residual reported is max(||P_H log(x/alpha)||,
+    ||A (x - x0)||) with A the conservation rows.
 
     start_t, coordinates t along the orthonormal basis B of H, starts the
     walk from the fibre point whose log-ratio is the projection onto
@@ -99,10 +102,10 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
     alpha itself, with H = {0} it is x0.
 
     Raises:
-        NoConvergence: iteration cap exceeded, no step accepted, a
-            singular Hessian, or a step back to an earlier iterate (the
-            message gives the reason and the iteration; carries the last
-            iterate).
+        NoConvergence: 200 Newton steps taken, no step accepted, a
+            singular Hessian, a non-finite Newton step, or a step back to
+            an earlier iterate (the message gives the reason and the
+            iteration; carries the last iterate).
         ValueError: x0, alpha or tol not positive and finite, or x0 + B t
             not strictly positive.
     """
@@ -137,17 +140,19 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
                              last=tuple(x), residual=res)
 
     seen = {lam.tobytes()}
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         res = residual_of(x)
         if res <= tol:
             return BirchSolution(tuple(x), res, it)
-        if it == max_iter:
+        if it == _MAX_ITER:
             raise stop("the iteration cap was reached")
         g = Q.T @ (x - x0)
         try:
             step = np.linalg.solve(Q.T @ (Q * x[:, None]), -g)
         except np.linalg.LinAlgError:
             raise stop("the Hessian is singular") from None
+        if not np.all(np.isfinite(step)):
+            raise stop("the Newton step is not finite")
         total, pull = x.sum(), lam @ c
         f0 = total - pull
         slope = float(g @ step)
@@ -156,8 +161,7 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
         # is then accepted
         flat = 4 * np.spacing(max(total, abs(pull)))
         s = 1.0
-        while s >= 1e-18:
-            lam_n = lam + s * step
+        while not np.array_equal(lam_n := lam + s * step, lam):
             xn = alpha * np.exp(Q @ lam_n)
             if np.all((xn > 0) & (xn < np.inf)):
                 fn = xn.sum() - lam_n @ c

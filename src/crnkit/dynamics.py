@@ -31,7 +31,8 @@ class RatePolicy:
     constant-mid: interval midpoints, fixed in time.
     constant-sampled: one uniform draw per reaction at t = 0.
     piecewise-constant: fresh uniform draws every dt time units.
-    fixed: the supplied rates (validated against the tempering).
+    fixed: the supplied rates (validated against the tempering), the one
+    mode that takes rates.
     """
 
     mode: str
@@ -42,8 +43,9 @@ class RatePolicy:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.mode == "fixed" and self.rates is None:
-            raise ValueError("fixed policy needs rates")
+        if (self.mode == "fixed") != (self.rates is not None):
+            raise ValueError(f"the fixed policy needs rates and no other takes them, "
+                             f"got mode {self.mode!r} with rates {self.rates}")
         if self.mode == "piecewise-constant" and not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
@@ -125,6 +127,8 @@ _DP_ROWS = tuple(_DP_A[i, :i] for i in range(7))
 
 # an adaptive run stops at the boundary once a rejected step shrinks below this
 _H_MIN = 1e-12
+# a run stops with a step-limit event after this many steps, accepted or not
+_MAX_STEPS = 5_000_000
 
 
 def _float_bounds(tempering: Tempering):
@@ -150,7 +154,7 @@ def _positive_rates(k, n: int, name: str) -> np.ndarray:
     return k
 
 
-def _segments(policy: RatePolicy, tempering: Tempering, t_end: float, max_steps: int):
+def _segments(policy: RatePolicy, tempering: Tempering, t_end: float):
     """(start, end, rates) of each segment of the policy, drawn lazily after
     the policy's checks (see simulate): one segment on [0, t_end] but for
     piecewise-constant, whose segment i starts at i * dt (np.arange(0,
@@ -174,9 +178,9 @@ def _segments(policy: RatePolicy, tempering: Tempering, t_end: float, max_steps:
     # every segment but the last takes a step (one shorter than the end
     # tolerance of simulate needs dt < 1e-13 t_end), so such a run could
     # only end at the step limit
-    if t_end / dt - 2 > max_steps:
+    if t_end / dt - 2 > _MAX_STEPS:
         raise ValueError(f"piecewise-constant run of {t_end / dt:.3g} segments "
-                         f"exceeds max_steps = {max_steps}")
+                         f"exceeds the step limit of {_MAX_STEPS}")
     n = math.ceil(t_end / dt)  # np.arange's count
     for i in range(n):
         end = min((i + 1) * dt, t_end) if i + 1 < n else t_end
@@ -205,9 +209,7 @@ def _dp_step(net: ReactionNetwork, k: np.ndarray, x: np.ndarray, f: np.ndarray, 
 
 @np.errstate(all="ignore")
 def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePolicy,
-             x0, t_end: float, rtol: float = 1e-8, atol: float = 1e-10,
-             fixed_h: float | None = None, watch_box=None,
-             max_steps: int = 5_000_000) -> Trajectory:
+             x0, t_end: float, rtol: float = 1e-8, atol: float = 1e-10) -> Trajectory:
     """Integrate the mass-action system with rates selected by the policy.
 
     Embedded 5(4) pair with adaptive steps; a step is rejected when the
@@ -217,25 +219,21 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
     restored on every exit, so no stage enters an error state of its own
     and an undefined or overflowing value warns nowhere.  When a rejected
     step has shrunk below 1e-12, a boundary-approach event is emitted and
-    integration stops (states are never clamped).  Rates are constant
-    within each policy segment, the segments are drawn lazily as
-    integration reaches them, and each is logged with its start.  fixed_h
-    disables adaptivity (error control and rejection are skipped,
-    positivity still stops the run).  watch_box, if given as (lo, hi)
-    arrays, logs entered-set / left-set events.
+    integration stops (states are never clamped); after 5,000,000 steps a
+    step-limit event is emitted instead.  Rates are constant within each
+    policy segment, the segments are drawn lazily as integration reaches
+    them, and each is logged with its start.
 
     Raises:
-        ValueError: t_end, a tolerance, fixed_h or an x0 entry not positive
-        and finite; fixed rates not one finite positive rate per reaction or
+        ValueError: t_end, a tolerance or an x0 entry not positive and
+        finite; fixed rates not one finite positive rate per reaction or
         outside the tempering; a piecewise-constant run with more segments
-        than max_steps allows.
+        than the step limit allows.
     """
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
-    if fixed_h is not None and not 0 < fixed_h < np.inf:
-        raise ValueError(f"fixed_h must be positive and finite, got {fixed_h}")
     x = np.asarray(x0, dtype=float)
     if not np.all((x > 0) & (x < np.inf)):
         raise ValueError(f"x0 must be strictly positive and finite, got {x}")
@@ -245,32 +243,18 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
         raise ValueError("tempering length does not match reaction count")
 
     t = 0.0
-    h = fixed_h if fixed_h is not None else min(1e-3, t_end / 10)
-    times, states, rate_log, events = [], [], [], []
-    box = None if watch_box is None else [np.asarray(watch_box[i], float) for i in (0, 1)]
-    inside = False
-
-    def record(t, x):
-        nonlocal inside
-        times.append(t)
-        states.append(x)
-        if box is not None:
-            now_in = bool(np.all(x >= box[0]) and np.all(x <= box[1]))
-            if now_in != inside:
-                events.append({"type": "entered-set" if now_in else "left-set", "time": t})
-            inside = now_in
-
-    record(t, x)
+    h = min(1e-3, t_end / 10)
+    times, states, rate_log, events = [t], [x], [], []
     steps = 0
     stop = None
-    for start, end, k in _segments(policy, tempering, t_end, max_steps):
+    for start, end, k in _segments(policy, tempering, t_end):
         rate_log.append((start, tuple(float(v) for v in k)))
         f = _rhs(net, k, x)
         if f is None:
             stop = "boundary-approach"
         while stop is None and t < end - 1e-14 * max(1.0, end):
             steps += 1
-            if steps > max_steps:
+            if steps > _MAX_STEPS:
                 stop = "step-limit"
                 break
             h_try = min(h, end - t)
@@ -279,14 +263,14 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
                 x_new, K = step
                 sc = atol + rtol * np.maximum(x, x_new)
                 err = float(np.sqrt(((h_try * (_DP_E @ K) / sc) ** 2).mean()))
-            accept = step is not None and (fixed_h is not None or err <= 1.0)
+            accept = step is not None and err <= 1.0
             if accept:
                 t, x, f = t + h_try, x_new, K[6]  # FSAL: the last stage is f at x_new
-                record(t, x)
-            if fixed_h is None:
-                h = h_try * ((min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0)
-                             if step is not None else 0.5)
-            if not accept and (fixed_h is not None or h < _H_MIN):
+                times.append(t)
+                states.append(x)
+            h = h_try * ((min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0)
+                         if step is not None else 0.5)
+            if not accept and h < _H_MIN:
                 stop = "boundary-approach"
         if stop is not None:
             events.append({"type": stop, "time": t})

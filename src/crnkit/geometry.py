@@ -584,10 +584,12 @@ def enumerate_faces(normals) -> Faces:
     Raises:
         LimitExceeded: more distinct hyperplanes than the cap, the
             CRN_MAX_HYPERPLANES environment variable (default 20).
-        ValueError: CRN_MAX_HYPERPLANES is not an integer.
+        ValueError: CRN_MAX_HYPERPLANES is not an integer, or is negative.
     """
     normals = [primitive(a) for a in normals]
     limit = int(os.environ.get("CRN_MAX_HYPERPLANES", DEFAULT_HYPERPLANE_LIMIT))
+    if limit < 0:
+        raise ValueError(f"CRN_MAX_HYPERPLANES must be at least 0, got {limit}")
     if not normals:
         return Faces(np.zeros((1, 0), dtype=np.int8), np.ones((1, 1), dtype=np.int64))
     n = len(normals[0])

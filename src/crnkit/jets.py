@@ -314,12 +314,11 @@ def _worst_case_margin(net: ReactionNetwork, tempering: Tempering | None, W):
     the largest worst-case k_r <w, flux_r>.  Negative margins mean the sum
     is eventually negative along w; zero marks the transition.
 
-    W is one direction (a float comes back) or a matrix of direction rows
-    (an array comes back).  Float heights only shortlist the tier; exact
-    heights of the float direction decide it among the shortlisted sources.
+    W is a matrix of direction rows, one margin per row.  Float heights
+    only shortlist the tier; exact heights of the float direction decide it
+    among the shortlisted sources.
     """
-    W = np.asarray(W, dtype=float)
-    rows = W.reshape(-1, net.n_species)
+    rows = np.asarray(W, dtype=float)
     heights, coeffs, k_worst = _pull_terms(net, tempering, rows)
     # far wider than the rounding of a height, so the exact tier is inside
     slack = 1e-9 * (1 + np.abs(rows) @ np.abs(net.source_matrix()).T).max(axis=1)
@@ -331,8 +330,7 @@ def _worst_case_margin(net: ReactionNetwork, tempering: Tempering | None, W):
         vals = [sum(a * b for a, b in zip(w, sources[r])) for r in shortlist]
         top = max(vals)
         tier[d, shortlist] = [v == top for v in vals]
-    margins = np.max(np.where(tier, k_worst * coeffs, -np.inf), axis=1)
-    return margins if W.ndim == 2 else float(margins[0])
+    return np.max(np.where(tier, k_worst * coeffs, -np.inf), axis=1)
 
 
 def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,

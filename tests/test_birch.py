@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import crnkit.birch
 from crnkit import (
     NoConvergence,
     ToricRay,
@@ -194,7 +195,7 @@ class TestBirchPoint:
 
     def test_floor_failure_stops_when_an_iterate_repeats(self, monkeypatch):
         # the first failure of the sweep above cycles between two iterates at
-        # the rounding floor; it stops there, not at max_iter's 200 solves
+        # the rounding floor; it stops there, not at the cap's 200 solves
         solve = np.linalg.solve
         calls = []
 
@@ -214,6 +215,29 @@ class TestBirchPoint:
             pytest.fail("the sweep has no failure")
         assert len(calls) <= 20
 
+    @pytest.mark.parametrize("name", ["ab_reversible", "a_to_b", "double_reversible",
+                                      "futile_cycle"])
+    def test_tiny_entry_of_x0_solves(self, name):
+        # the first Newton step is about 1 / min x0 long; backtracking used to
+        # stop at a fixed floor on its length and accept nothing from these
+        net, _ = load(name)
+        st = stoichiometric_subspace(net)
+        alpha = np.ones(net.n_species)
+        for e in range(-320, -39, 4):
+            x0 = np.ones(net.n_species)
+            x0[0] = 10.0 ** e
+            sol = birch_point(st, x0, alpha)
+            assert sol.residual <= 1e-12
+            assert sol.iterations <= 12
+
+    def test_non_finite_newton_step_raises(self):
+        # a Hessian near 1e-6 against a gradient near 1e308 overflows the first
+        # step; halving an infinite step never reaches a vanished one
+        net, _ = load("ab_reversible")
+        st = stoichiometric_subspace(net)
+        with pytest.raises(NoConvergence, match="the Newton step is not finite at iteration 0"):
+            birch_point(st, (1e308, 1e-320), (1.0, 1.0))
+
     def test_start_outside_the_orthant_is_rejected(self):
         net, _ = load("ab_reversible")
         st = stoichiometric_subspace(net)
@@ -223,11 +247,12 @@ class TestBirchPoint:
             with pytest.raises(ValueError, match="starting point"):
                 birch_point(st, (1.0, 1.0), (1.0, 1.0), start_t=(t,))
 
-    def test_iteration_cap_raises_with_state(self):
+    def test_iteration_cap_raises_with_state(self, monkeypatch):
+        monkeypatch.setattr(crnkit.birch, "_MAX_ITER", 3)
         net, _ = load("ab_reversible")
         st = stoichiometric_subspace(net)
-        with pytest.raises(NoConvergence) as exc:
-            birch_point(st, (2.0, 2.0), (1.0, 3.0), tol=1e-30, max_iter=3)
+        with pytest.raises(NoConvergence, match="iteration cap was reached at iteration 3") as exc:
+            birch_point(st, (2.0, 2.0), (1.0, 3.0), tol=1e-30)
         assert exc.value.last is not None
         assert exc.value.residual is not None
 

@@ -317,6 +317,10 @@ class TestLimits:
         monkeypatch.setenv("CRN_MAX_HYPERPLANES", "3.5")
         with pytest.raises(ValueError):
             classify(net)
+        # a negative cap used to be taken as given and refuse every arrangement
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "-1")
+        with pytest.raises(ValueError, match="at least 0, got -1"):
+            classify(net)
 
     def test_sample_fallback_marks_inconclusive(self, monkeypatch):
         monkeypatch.setenv("CRN_MAX_HYPERPLANES", "2")

@@ -170,6 +170,8 @@ class TestExitCodes:
             (["jets", "{rlv}", "--frame=1,0;0,1", "--threshold=nan"], None),
             (["scan", "{outward}", "--x0=-1,-1", "--samples=50"], None),
             (["scan", "{outward}", "--x0=0,0", "--samples=50"], None),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--rates=1,1,1"], None),
+            (["classify", "{prism}"], {"CRN_MAX_HYPERPLANES": "-1"}),
         ],
         ids=["zero-direction", "negative-t-end", "fixed-rates-outside",
              "zero-dt", "zero-alpha", "steady-zero-x0", "zero-i-max",
@@ -179,7 +181,8 @@ class TestExitCodes:
              "negative-theta-points-default-max", "negative-samples", "nan-t-end",
              "infinite-t-end", "nan-dt", "nan-birch-tol", "negative-steady-tol",
              "nan-steady-tol", "zero-threshold", "negative-threshold",
-             "nan-threshold", "negative-scan-x0", "zero-scan-x0"],
+             "nan-threshold", "negative-scan-x0", "zero-scan-x0",
+             "rates-without-fixed-policy", "negative-hyperplane-env"],
     )
     def test_invalid_value_is_one_line_exit_one(self, argv, env, rlv_file, ab_file,
                                                  tmp_path):
@@ -222,7 +225,8 @@ class TestExitCodes:
             (["steady", "{rlv}", "--x0=1,1", "--k=1e-320,1,1"], 3),
             (["steady", "{triangle_out}", "--x0=1,1"], 3),
             (["birch", "{ab}", "--alpha=1,1", "--x0=1e307,1"], 3),
-            (["birch", "{ab}", "--alpha=1,1", "--x0=1e-320,1"], 3),
+            (["birch", "{ab}", "--alpha=1,1", "--x0=1e-320,1"], 0),
+            (["birch", "{ab}", "--alpha=1,1", "--x0=1e308,1e-320"], 3),
             (["jets", "{rlv}", "--frame=1e308,1e308"], 0),
             (["jets", "{rlv}", "--frame=1,1;1.7e308,1.7e308"], 1),
             (["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--alpha=1e-320,1",
@@ -230,6 +234,7 @@ class TestExitCodes:
         ],
         ids=["steady-subnormal-x0", "steady-huge-k", "steady-subnormal-k",
              "steady-runaway-flow", "birch-huge-x0", "birch-subnormal-x0",
+             "birch-infinite-step",
              "jets-huge-frame", "jets-nan-frame", "simulate-subnormal-alpha"],
     )
     def test_extreme_value_prints_at_most_one_line(self, argv, code, rlv_file, tmp_path):

@@ -71,13 +71,17 @@ class TestIntegratorAccuracy:
         assert abs(traj.states[-1][0] - 2.0 / 7.0) < 1e-8
 
     def test_fixed_step_order_at_least_four(self):
+        # the Dormand-Prince step alone, 1/h steps of size h to t = 1
         net, _ = parse_network("species: A B\nA -> B rate [1]\n")
+        k = np.ones(1)
         errs = []
         for h in (0.2, 0.1, 0.05):
-            traj = simulate(
-                net, None, RatePolicy("constant-mid"), (1.0, 1.0), 1.0, fixed_h=h
-            )
-            errs.append(abs(traj.states[-1][0] - np.exp(-1.0)))
+            x = np.array([1.0, 1.0])
+            f = mass_action_rhs(net, k, x)
+            for _ in range(round(1 / h)):
+                x, K = crnkit.dynamics._dp_step(net, k, x, f, h)
+                f = K[6]
+            errs.append(abs(x[0] - np.exp(-1.0)))
         slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(slopes) > 4.0
 
@@ -104,6 +108,13 @@ class TestRatePolicies:
         with pytest.raises(ValueError):
             RatePolicy("fixed")
 
+    @pytest.mark.parametrize("mode", ["constant-mid", "constant-sampled",
+                                      "piecewise-constant"])
+    def test_rates_only_with_the_fixed_policy(self, mode):
+        # rates under another mode used to be ignored without a word
+        with pytest.raises(ValueError, match="no other takes them"):
+            RatePolicy(mode, rates=(1.0, 1.0, 1.0))
+
     def test_fixed_rates_must_lie_in_tempering(self):
         net, temp = load("reverse_lv")
         with pytest.raises(ValueError):
@@ -121,15 +132,6 @@ class TestRatePolicies:
         net, _ = load("reverse_lv")
         with pytest.raises(ValueError, match="fixed rates must be 3 finite positive rates"):
             simulate(net, None, RatePolicy("fixed", rates=rates), (1.0, 1.0), 1.0)
-
-    @pytest.mark.parametrize("fixed_h", [0.0, -0.1, np.nan, np.inf])
-    def test_fixed_step_must_be_positive_and_finite(self, fixed_h):
-        # 0 used to repeat t = 0 up to the step limit, -0.1 integrated
-        # backwards and NaN stopped at once
-        net, _ = parse_network("species: A B\nA -> B\n")
-        with pytest.raises(ValueError, match="fixed_h must be positive and finite"):
-            simulate(net, None, RatePolicy("constant-mid"), (1.0, 1.0), 1.0,
-                     fixed_h=fixed_h, max_steps=100)
 
     def test_none_tempering_means_unit_rates(self):
         net, _ = load("reverse_lv")
@@ -174,11 +176,10 @@ class TestRatePolicies:
         # fourth start there begins no segment)
         net, temp = load("reverse_lv")
         traj = simulate(net, temp, RatePolicy("piecewise-constant", seed=2, dt=dt),
-                        (1.0, 1.0), t_end, fixed_h=dt)
+                        (1.0, 1.0), t_end)
         starts = [t0 for t0, _ in traj.rate_log]
         assert starts == list(np.arange(0.0, t_end, dt)[:n])
         assert len(starts) == n
-        assert len(traj.times) == n + 1  # one fixed step per segment
         assert traj.times[-1] == pytest.approx(t_end, abs=1e-15)
         assert traj.events == ()
 
@@ -224,45 +225,30 @@ class TestEvents:
         assert traj.times[-1] == pytest.approx(4.0, abs=1e-3)
         assert traj.states[-1][0] > 0
 
-    def test_watch_box_records_entry(self):
-        net, _ = load("reverse_lv")
-        traj = simulate(
-            net, None, RatePolicy("constant-mid"), (3.0, 3.0), 50.0,
-            watch_box=((0.5, 0.5), (1.5, 1.5)),
-        )
-        entered = [e for e in traj.events if e["type"] == "entered-set"]
-        assert len(entered) == 1
-        assert 0 < entered[0]["time"] < 50.0
-
-    def test_watch_box_start_inside(self):
-        net, _ = load("reverse_lv")
-        traj = simulate(
-            net, None, RatePolicy("constant-mid"), (1.0, 1.0), 1.0,
-            watch_box=((0.5, 0.5), (1.5, 1.5)),
-        )
-        assert traj.events[0] == {"type": "entered-set", "time": 0.0}
-
-    def test_step_limit_event(self):
+    def test_step_limit_event(self, monkeypatch):
+        # every step is accepted here, so the limit's 3 steps record 3 states
+        monkeypatch.setattr(crnkit.dynamics, "_MAX_STEPS", 3)
         net, _ = parse_network("species: A B\nA -> B rate [1]\n")
-        traj = simulate(
-            net, None, RatePolicy("constant-mid"), (1.0, 1.0), 1.0,
-            fixed_h=1e-3, max_steps=10,
-        )
-        kinds = [e["type"] for e in traj.events]
-        assert kinds == ["step-limit"]
-        assert traj.times[-1] == pytest.approx(0.01)
+        traj = simulate(net, None, RatePolicy("constant-mid"), (1.0, 1.0), 1.0)
+        assert traj.events == ({"type": "step-limit", "time": traj.times[-1]},)
+        assert len(traj.times) == 4
+        assert 0 < traj.times[-1] < 1.0
 
-    def test_segments_beyond_step_limit_rejected(self):
-        # 20 segments need at least 19 steps: rejected before any segment is
-        # built; 10 segments of one step each still finish
+    def test_segments_beyond_step_limit_rejected(self, monkeypatch):
+        # 20 segments need at least 19 steps: a limit of 17 rejects them
+        # before any segment is built, one of 18 lets the run start
         net, _ = load("reverse_lv")
-        with pytest.raises(ValueError, match="max_steps"):
-            simulate(net, None, RatePolicy("piecewise-constant", dt=0.05), (1.0, 1.0),
-                     1.0, fixed_h=0.05, max_steps=10)
-        traj = simulate(net, None, RatePolicy("piecewise-constant", dt=0.1), (1.0, 1.0),
-                        1.0, fixed_h=0.1, max_steps=10)
+        policy = RatePolicy("piecewise-constant", dt=0.05)
+        monkeypatch.setattr(crnkit.dynamics, "_MAX_STEPS", 17)
+        with pytest.raises(ValueError, match="exceeds the step limit of 17"):
+            simulate(net, None, policy, (1.0, 1.0), 1.0)
+        monkeypatch.setattr(crnkit.dynamics, "_MAX_STEPS", 18)
+        traj = simulate(net, None, policy, (1.0, 1.0), 1.0)
+        assert [e["type"] for e in traj.events] == ["step-limit"]
+        monkeypatch.undo()
+        traj = simulate(net, None, policy, (1.0, 1.0), 1.0)
         assert traj.events == ()
-        assert len(traj.rate_log) == 10
+        assert len(traj.rate_log) == 20
         assert traj.times[-1] == pytest.approx(1.0)
 
     def test_input_validation(self):
@@ -563,9 +549,9 @@ class TestErrorState:
     @pytest.mark.parametrize("call, raises", [
         (lambda net, temp: simulate(net, temp, RatePolicy("constant-mid"), (1.0, 1.0), 1.0),
          None),
-        (lambda net, temp: simulate(net, temp, RatePolicy("piecewise-constant", dt=0.05),
-                                    (1.0, 1.0), 1.0, fixed_h=0.05, max_steps=10),
-         "max_steps"),
+        (lambda net, temp: simulate(net, temp, RatePolicy("piecewise-constant", dt=1e-7),
+                                    (1.0, 1.0), 1.0),
+         "step limit"),
         (lambda net, temp: simulate(net, temp, RatePolicy("fixed", rates=(9.0, 1.0, 1.0)),
                                     (1.0, 1.0), 1.0),
          "outside the tempering"),

@@ -270,11 +270,11 @@ class TestWorstCaseMargin:
     def test_exceptional_directions_have_exact_zero_margin(self):
         net, temp = load("reverse_lv")
         for w in [(-1.0, 0.0), (0.0, -1.0), (S2, S2)]:
-            assert _worst_case_margin(net, temp, np.array(w)) == 0.0
+            assert _worst_case_margin(net, temp, np.array([w])).tolist() == [0.0]
 
     def test_generic_direction_is_strictly_negative(self):
         net, temp = load("reverse_lv")
-        assert _worst_case_margin(net, temp, np.array([0.6, -0.8])) < 0.0
+        assert _worst_case_margin(net, temp, np.array([[0.6, -0.8]]))[0] < 0.0
 
     def test_batched_margins_match_exact_restatement(self, rng):
         # over the sources of exactly maximal height along the float direction,
