@@ -6,7 +6,6 @@ for the behaviour of toric rays near the conservation subspace.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,20 +22,6 @@ class NoConvergence(Exception):
         super().__init__(message)
         self.last = last
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class ToricRay:
-    """The curve theta -> base * theta**direction (componentwise), theta >= 1;
-    theta = 1 gives the base point."""
-
-    base: tuple[float, ...]
-    direction: tuple[float, ...]
-
-    def point(self, theta: float) -> np.ndarray:
-        if theta < 1:
-            raise ValueError(f"theta must be >= 1, got {theta}")
-        return np.array(self.base) * theta ** np.array(self.direction)
 
 
 @dataclass(frozen=True)
@@ -184,51 +169,6 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
 # empirical verifiers
 
 
-def _project_onto_polyhedron(z, A, b):
-    """Euclidean projection onto {x >= 0, A x = b} by enumerating active
-    (zeroed) coordinate sets; returns (point, distance).  Exponential in the
-    dimension, meant for small systems."""
-    z = np.asarray(z, dtype=float)
-    n = len(z)
-    best = None
-    idx = list(range(n))
-    for k in range(n + 1):
-        for zeros in itertools.combinations(idx, k):
-            free = [i for i in idx if i not in zeros]
-            if not free:
-                x = np.zeros(n)
-                if A.shape[0] and np.linalg.norm(A @ x - b) > 1e-9:
-                    continue
-                cand = x
-            else:
-                Af = A[:, free] if A.shape[0] else np.zeros((0, len(free)))
-                # minimize ||xf - zf||^2 subject to Af xf = b
-                m = Af.shape[0]
-                KKT = np.block(
-                    [[np.eye(len(free)), Af.T], [Af, np.zeros((m, m))]]
-                )
-                rhs = np.concatenate([z[free], b])
-                try:
-                    sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
-                except np.linalg.LinAlgError:
-                    continue
-                xf = sol[: len(free)]
-                if np.any(xf < -1e-9):
-                    continue
-                if m and np.linalg.norm(Af @ xf - b) > 1e-7 * (1 + np.linalg.norm(b)):
-                    continue
-                cand = np.zeros(n)
-                cand[free] = np.maximum(xf, 0.0)
-            dist = float(np.linalg.norm(cand - z))
-            if best is None or dist < best[1]:
-                best = (cand, dist)
-        if best is not None and k >= 1:
-            # deeper active sets cannot improve once we have an interior hit
-            if best[1] == 0.0:
-                break
-    return best
-
-
 def _unit(v):
     nrm = np.linalg.norm(v)
     return v / nrm if nrm > 0 else v
@@ -238,6 +178,8 @@ def _direction_samples(stoich: StoichiometryInfo, n: int, count: int, rng):
     """Unit directions in and near H^perp (plus a few generic ones)."""
     if n == 0:  # no unit direction exists, so the draw below would never end
         raise ValueError("a network with no species has no direction to sample")
+    if not count >= 1:
+        raise ValueError(f"samples must be at least 1, got {count}")
     B = stoich.orthonormal_H()
     Qperp = stoich.orthonormal_Hperp()
     out = []
@@ -260,52 +202,66 @@ def _direction_samples(stoich: StoichiometryInfo, n: int, count: int, rng):
 # toric rays run over theta in [1, _THETA_MAX]; Birch points solved to _VERIFY_TOL
 _THETA_MAX = 1e6
 _VERIFY_TOL = 1e-10
+_MEMBERSHIP_BAND = 1e-3  # the relative miss of _in_band
 
 
+def _in_band(Z, A, b) -> np.ndarray:
+    """Whether each row z of Z has ||A z - b|| <= _MEMBERSHIP_BAND * (1 + ||z||),
+    computed as the relative miss; every row does when A has no rows."""
+    miss = np.linalg.norm(Z @ A.T - b, axis=1) / (1 + np.linalg.norm(Z, axis=1))
+    return miss <= _MEMBERSHIP_BAND
+
+
+def _toric_rays(alpha, directions, n_thetas):
+    """Per direction w, the thetas of the geometric grid of n_thetas points
+    on [1, _THETA_MAX] at which alpha * theta**w is finite, and those points
+    as rows; its callers hold np.errstate(over="ignore")."""
+    thetas = np.geomspace(1.0, _THETA_MAX, n_thetas)
+    for w in directions:
+        Z = alpha * thetas[:, None] ** w
+        finite = np.all(np.isfinite(Z), axis=1)
+        yield w, thetas[finite], Z[finite]
+
+
+@np.errstate(over="ignore")
 def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha, samples: int = 100,
                           o_radius: float = 0.5, seed: int = 0) -> dict:
     """Empirically check that toric rays from alpha in directions near
-    H^perp stay away from the invariant polyhedron outside a ball O around
-    the Birch point.
+    H^perp stay away from the invariant polyhedron P outside the ball O of
+    radius o_radius around the Birch point xhat.
 
-    For sampled (w, theta) the reported quantity is a valid lower bound on
-    the distance from alpha * theta**w to P minus O: the larger of the
-    distance to P and the distance to the complement of O.
+    A direction w's min_bound is the least, over 40 thetas geometric in
+    [1, 1e6], of max(||Q^T (z - x0)||, o_radius - ||z - xhat||) at z =
+    alpha * theta**w, Q an orthonormal basis of H^perp: z's distance to the
+    slice x0 + H, which contains P, or to the outside of O.  This lower
+    bound on the distance to P minus O takes polynomial time; a point with
+    bound 0 (on the slice and positive, so in P, and outside O) is a
+    violation.
 
     Returns:
-        dict with min_distance, per_direction list, violations (samples
-        landing in P outside O), and the Birch point used; verdict is
+        dict with min_distance (the least min_bound), per_direction,
+        violations, the Birch point used and o_radius; verdict is
         "empirical" by construction.
 
     Raises:
-        ValueError: a network with no species (no direction to sample).
+        ValueError: samples below 1, o_radius not positive and finite, or a
+            network with no species (no direction to sample).
     """
+    if not 0 < o_radius < np.inf:
+        raise ValueError(f"o_radius must be positive and finite, got {o_radius}")
     x0 = np.asarray(x0, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    n = len(x0)
+    dirs = _direction_samples(stoich, len(x0), samples, np.random.default_rng(seed))
     xhat = np.array(birch_point(stoich, x0, alpha, tol=_VERIFY_TOL).point)
-    A = stoich.Hperp_matrix()
-    b = A @ x0 if A.shape[0] else np.zeros(0)
-    rng = np.random.default_rng(seed)
-    thetas = np.geomspace(1.0, _THETA_MAX, 40)
+    Q = stoich.orthonormal_Hperp()
     per_direction = []
     violations = []
-    for w in _direction_samples(stoich, n, max(1, samples), rng):
-        dmin = np.inf
-        for theta in thetas:
-            z = alpha * theta ** w
-            if not np.all(np.isfinite(z)):
-                continue
-            proj = _project_onto_polyhedron(z, A, b)
-            dist_P = proj[1] if proj else np.inf
-            dist_notO = max(0.0, o_radius - float(np.linalg.norm(z - xhat)))
-            bound = max(dist_P, dist_notO)
-            if bound == 0.0:
-                violations.append({"w": [float(v) for v in w], "theta": float(theta)})
-            dmin = min(dmin, bound)
-        per_direction.append(
-            {"w": [float(v) for v in w], "min_bound": float(dmin)}
-        )
+    for w, thetas, Z in _toric_rays(alpha, dirs, 40):
+        bound = np.maximum(np.linalg.norm((Z - x0) @ Q, axis=1),
+                           o_radius - np.linalg.norm(Z - xhat, axis=1))
+        w = [float(v) for v in w]
+        violations += [{"w": w, "theta": float(t)} for t in thetas[bound == 0.0]]
+        per_direction.append({"w": w, "min_bound": float(bound.min(initial=np.inf))})
     return {
         "birch_point": [float(v) for v in xhat],
         "o_radius": o_radius,
@@ -316,44 +272,38 @@ def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha, samples: int = 1
     }
 
 
+@np.errstate(over="ignore")
 def estimate_mu(stoich: StoichiometryInfo, x0, alpha, o_radius: float,
-                samples: int = 400, seed: int = 0, membership_band: float = 1e-3) -> float:
+                samples: int = 400, seed: int = 0) -> float:
     """Lower-bound estimate of the uniform projection bound: the minimum of
     ||P_H w|| over sampled unit directions whose toric ray from alpha meets
     the invariant polyhedron outside the ball O of the given radius around
     the Birch point.
 
+    A ray, followed at 200 thetas geometric in [1, 1e6], meets it at a
+    point z in the membership band ||A z - b|| <= 1e-3 * (1 + ||z||), with
+    A z = b the conservation laws of x0 (any z without a law).
     Directions in H^perp never qualify (their rays meet P only at the Birch
     point, inside O), so they are excluded automatically.  The estimate is
     monotone nonincreasing in the sample count for a fixed seed and
     monotone nondecreasing in o_radius for fixed samples.
 
     Raises:
-        ValueError: a network with no species (no direction to sample).
+        ValueError: samples below 1, o_radius not positive and finite, or a
+            network with no species (no direction to sample).
     """
+    if not 0 < o_radius < np.inf:
+        raise ValueError(f"o_radius must be positive and finite, got {o_radius}")
     x0 = np.asarray(x0, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    n = len(x0)
+    dirs = _direction_samples(stoich, len(x0), samples, np.random.default_rng(seed))
     xhat = np.array(birch_point(stoich, x0, alpha).point)
     A = stoich.Hperp_matrix()
     b = A @ x0 if A.shape[0] else np.zeros(0)
     B = stoich.orthonormal_H()
-    rng = np.random.default_rng(seed)
-    thetas = np.geomspace(1.0, _THETA_MAX, 200)
     mu = np.inf
-    for w in _direction_samples(stoich, n, samples, rng):
-        Z = alpha[None, :] * thetas[:, None] ** w[None, :]
-        finite = np.all(np.isfinite(Z), axis=1)
-        Z = Z[finite]
-        if not len(Z):
-            continue
-        miss = (
-            np.linalg.norm(Z @ A.T - b, axis=1) / (1 + np.linalg.norm(Z, axis=1))
-            if A.shape[0]
-            else np.zeros(len(Z))
-        )
-        ok = (miss <= membership_band) & np.all(Z >= -1e-9, axis=1)
-        ok &= np.linalg.norm(Z - xhat, axis=1) >= o_radius
+    for w, _, Z in _toric_rays(alpha, dirs, 200):
+        ok = _in_band(Z, A, b) & (np.linalg.norm(Z - xhat, axis=1) >= o_radius)
         if np.any(ok):
             mu = min(mu, float(np.linalg.norm(B.T @ w)) if B.shape[1] else 0.0)
     return float(mu)

@@ -100,7 +100,10 @@ def _parse_vector(text: str, n: int, name: str) -> tuple[Fraction, ...]:
 
 def _parse_floats(text: str, n: int, name: str) -> np.ndarray:
     vals = _parse_vector(text, n, name)
-    return np.array([float(v) for v in vals])
+    try:
+        return np.array([float(v) for v in vals])
+    except OverflowError:  # a rational such as 1e400 parses but has no float
+        raise ParseError(f"{name}: {text} has an entry outside the float range")
 
 
 # ---------------------------------------------------------------------------

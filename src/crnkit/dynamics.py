@@ -46,7 +46,7 @@ class RatePolicy:
         if (self.mode == "fixed") != (self.rates is not None):
             raise ValueError(f"the fixed policy needs rates and no other takes them, "
                              f"got mode {self.mode!r} with rates {self.rates}")
-        if self.mode == "piecewise-constant" and not 0 < self.dt < np.inf:
+        if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .birch import _in_band
 from .classify import _Arrangement, _arrangement
 from .geometry import _components, primitive
 from .network import (
@@ -32,10 +33,8 @@ from .dynamics import _rowdot
 # within _TIE_TOL * max(1, largest |value|) of the maximum tie for the argmax
 _LEVEL_TOL = 1e-10
 _TIE_TOL = 1e-9
-# cutoff_scan: with two or more laws a point is eligible within the relative
-# miss _MEMBERSHIP_BAND; a scan takes at most _MAX_DIRECTION_SAMPLES samples
-# and _MAX_THETA_POINTS grid thetas (20x the CLI's default of 50)
-_MEMBERSHIP_BAND = 1e-3
+# cutoff_scan takes at most _MAX_DIRECTION_SAMPLES samples and
+# _MAX_THETA_POINTS grid thetas (20x the CLI's default of 50)
 _MAX_DIRECTION_SAMPLES = 10_000
 _MAX_THETA_POINTS = 1_000
 # extract_unit_jet: residuals and coefficients up to _ZERO_TOL count as zero,
@@ -346,8 +345,9 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     when theta**w lies in the invariant polyhedron of x0: always without
     conservation laws; with one law <a, theta**w> = b0, at the crossing
     theta refined by bisection between grid points (the grid alone almost
-    never lands on it); with two or more, within a relative-miss band,
-    which under-reports eligible points.
+    never lands on it); with two or more, within the membership band
+    ||A z - b|| <= 1e-3 * (1 + ||z||) that estimate_mu uses too, which
+    under-reports eligible points.
 
     theta_hat is the least grid theta from which on every eligible point
     is negative.  Violations that persist into the top two decades of the
@@ -424,8 +424,7 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
                 phis.append(np.where(finite, _rowdot(Z, A[0]) - b[0], np.inf))
                 eligible = np.abs(phis[-1]) <= 1e-9 * (1 + abs(b[0]))
             else:
-                miss = np.linalg.norm(Z @ A.T - b, axis=1) / (1 + np.linalg.norm(Z, axis=1))
-                eligible = finite & (miss <= _MEMBERSHIP_BAND)
+                eligible = finite & _in_band(Z, A, b)
             seen |= bool(np.any(eligible))
             S = _rowdot(theta ** heights, pulls)
             bad_theta[eligible & (S >= 0) & (S < np.inf)] = theta

@@ -1,4 +1,4 @@
-"""Free-energy function, Birch-point solver, toric rays, and the empirical
+"""Free-energy function, Birch-point solver, and the empirical
 boundary/projection-bound verifiers."""
 
 import itertools
@@ -10,7 +10,6 @@ import pytest
 import crnkit.birch
 from crnkit import (
     NoConvergence,
-    ToricRay,
     birch_point,
     estimate_mu,
     g_alpha,
@@ -257,21 +256,6 @@ class TestBirchPoint:
         assert exc.value.residual is not None
 
 
-class TestToricRay:
-    def test_base_point_at_one(self):
-        ray = ToricRay((2.0, 3.0), (1.0, -1.0))
-        assert np.allclose(ray.point(1.0), (2.0, 3.0))
-
-    def test_componentwise_powers(self):
-        ray = ToricRay((2.0, 3.0), (1.0, -1.0))
-        assert np.allclose(ray.point(10.0), (20.0, 0.3))
-
-    def test_rejects_theta_below_one(self):
-        ray = ToricRay((1.0,), (1.0,))
-        with pytest.raises(ValueError):
-            ray.point(0.5)
-
-
 class TestBoundaryVerifier:
     def test_reversible_pair_stays_clear(self):
         net, _ = load("ab_reversible")
@@ -289,6 +273,63 @@ class TestBoundaryVerifier:
         assert len(out["per_direction"]) == 25
         for entry in out["per_direction"]:
             assert entry["min_bound"] >= 0
+
+    def test_chain_bound_is_the_slice_distance(self):
+        # S0 <-> ... <-> S11 has the one law sum(x), so the slice distance is
+        # |sum z - sum x0| / sqrt(12); the 2**12 active sets of a projection
+        # onto P are not enumerated
+        n = 12
+        text = f"species: {' '.join(f'S{i}' for i in range(n))}\n" + "".join(
+            f"S{i} <-> S{i + 1}\n" for i in range(n - 1))
+        st = stoichiometric_subspace(parse_network(text)[0])
+        x0 = np.linspace(0.5, 2.0, n)
+        alpha = np.linspace(2.0, 0.5, n)
+        out = verify_birch_boundary(st, x0, alpha, o_radius=0.5)
+        xhat = np.array(out["birch_point"])
+        thetas = np.geomspace(1.0, crnkit.birch._THETA_MAX, 40)
+        assert len(out["per_direction"]) == 100
+        for entry in out["per_direction"]:
+            Z = alpha * thetas[:, None] ** np.array(entry["w"])
+            Z = Z[np.all(np.isfinite(Z), axis=1)]
+            slice_dist = np.abs(Z.sum(axis=1) - x0.sum()) / np.sqrt(n)
+            outside_o = np.maximum(0.0, 0.5 - np.linalg.norm(Z - xhat, axis=1))
+            expected = np.maximum(slice_dist, outside_o).min()
+            assert entry["min_bound"] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [(1.0, 3.0), (1.0, 1.0), (0.2, 5.0)])
+    def test_bound_stays_below_the_distance_to_the_segment(self, alpha):
+        # ab_reversible's P for x0 = (2, 2) is the segment x1 + x2 = 4, x >= 0;
+        # its points p(t) = (t, 4 - t) outside O are t in [0, t_hat - r] and
+        # [t_hat + r, 4], r = o_radius / sqrt(2)
+        net, _ = load("ab_reversible")
+        st = stoichiometric_subspace(net)
+        o_radius = 0.5
+        out = verify_birch_boundary(st, (2.0, 2.0), alpha, samples=60, o_radius=o_radius)
+        t_hat = out["birch_point"][0]
+        r = o_radius / np.sqrt(2)
+        pieces = [(lo, hi) for lo, hi in [(0.0, t_hat - r), (t_hat + r, 4.0)] if lo <= hi]
+        thetas = np.geomspace(1.0, crnkit.birch._THETA_MAX, 40)
+        for entry in out["per_direction"]:
+            Z = np.array(alpha) * thetas[:, None] ** np.array(entry["w"])
+            Z = Z[np.all(np.isfinite(Z), axis=1)]
+            t_star = (Z[:, 0] - Z[:, 1] + 4) / 2
+            dist = np.full(len(Z), np.inf)
+            for lo, hi in pieces:
+                t = np.clip(t_star, lo, hi)
+                dist = np.minimum(dist, np.hypot(Z[:, 0] - t, Z[:, 1] - (4 - t)))
+            assert entry["min_bound"] <= dist.min() * (1 + 1e-12) + 1e-12
+
+    @pytest.mark.parametrize("verifier", [verify_birch_boundary, estimate_mu])
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": 0}, {"samples": -3},
+        {"o_radius": 0.0}, {"o_radius": -1.0}, {"o_radius": np.nan}, {"o_radius": np.inf},
+    ], ids=["zero-samples", "negative-samples", "zero-radius", "negative-radius",
+            "nan-radius", "infinite-radius"])
+    def test_rejects_meaningless_sampling(self, verifier, kwargs):
+        net, _ = load("ab_reversible")
+        st = stoichiometric_subspace(net)
+        with pytest.raises(ValueError, match="samples|o_radius"):
+            verifier(st, (2.0, 2.0), (1.0, 3.0), **{"o_radius": 0.5, **kwargs})
 
     def test_rejects_a_network_with_no_species(self):
         # no unit direction exists, so the sampler would draw forever
@@ -318,28 +359,20 @@ class TestProjectionBound:
         mu = estimate_mu(st, (2.0, 2.0), (1.0, 1.0), o_radius=0.5)
         assert mu == np.inf
 
-    def test_monotone_in_ball_radius(self):
+    def test_monotone_in_ball_radius(self, monkeypatch):
+        monkeypatch.setattr(crnkit.birch, "_MEMBERSHIP_BAND", 0.1)
         net, _ = load("ab_reversible")
         st = stoichiometric_subspace(net)
-        lo = estimate_mu(
-            st, (2.0, 2.0), (1.0, 1.0), o_radius=0.25, membership_band=0.1
-        )
-        hi = estimate_mu(
-            st, (2.0, 2.0), (1.0, 1.0), o_radius=0.5, membership_band=0.1
-        )
+        lo = estimate_mu(st, (2.0, 2.0), (1.0, 1.0), o_radius=0.25)
+        hi = estimate_mu(st, (2.0, 2.0), (1.0, 1.0), o_radius=0.5)
         assert lo <= hi
         assert np.isfinite(hi) and hi > 0
 
-    def test_monotone_in_sample_count(self):
+    def test_monotone_in_sample_count(self, monkeypatch):
+        monkeypatch.setattr(crnkit.birch, "_MEMBERSHIP_BAND", 0.05)
         net, _ = load("ab_reversible")
         st = stoichiometric_subspace(net)
-        few = estimate_mu(
-            st, (2.0, 2.0), (1.0, 1.0), o_radius=0.5, samples=200,
-            membership_band=0.05,
-        )
-        many = estimate_mu(
-            st, (2.0, 2.0), (1.0, 1.0), o_radius=0.5, samples=400,
-            membership_band=0.05,
-        )
+        few = estimate_mu(st, (2.0, 2.0), (1.0, 1.0), o_radius=0.5, samples=200)
+        many = estimate_mu(st, (2.0, 2.0), (1.0, 1.0), o_radius=0.5, samples=400)
         assert many <= few
         assert many > 0

@@ -126,15 +126,32 @@ class TestExitCodes:
             ["steady", "{rlv}", "--x0=2,2", "--k=1,1"],
             ["classify", "{rlv}", "--direction=1"],
             ["birch", "{rlv}", "--x0=1,x", "--alpha=1,1"],
+            # a rational past the float range parses, but has no float
+            ["birch", "{rlv}", "--x0=1e400,1", "--alpha=1,1"],
+            ["birch", "{rlv}", "--x0=1,1", "--alpha=1,-1e400"],
+            ["simulate", "{rlv}", "--x0=1,1e400", "--t-end=1"],
+            ["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--alpha=1e400,1"],
+            ["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--policy=fixed",
+             "--rates=1,1e400,1"],
+            ["steady", "{rlv}", "--x0=1e400,1"],
+            ["steady", "{rlv}", "--x0=2,2", "--k=1,1,1e400"],
+            ["scan", "{rlv}", "--x0=1e400,1"],
+            ["jets", "{rlv}", "--frame=1,0;0,1e400"],
         ],
-        ids=["rates-count", "k-count", "direction-count", "unparsable-x0"],
+        ids=["rates-count", "k-count", "direction-count", "unparsable-x0",
+             "birch-x0-past-float", "birch-alpha-past-float", "simulate-x0-past-float",
+             "simulate-alpha-past-float", "rates-past-float", "steady-x0-past-float",
+             "k-past-float", "scan-x0-past-float", "frame-past-float"],
     )
     def test_bad_vector_is_one_line_parse_error(self, argv, rlv_file):
         out = run_cli([a.format(rlv=rlv_file) for a in argv])
         assert out.returncode == 1
+        assert "Traceback" not in out.stderr
         lines = out.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("crnkit: parse error: ")
+        if any("e400" in a for a in argv):
+            assert "has an entry outside the float range" in lines[0]
 
     @pytest.mark.parametrize(
         "argv, env",
@@ -172,6 +189,13 @@ class TestExitCodes:
             (["scan", "{outward}", "--x0=0,0", "--samples=50"], None),
             (["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--rates=1,1,1"], None),
             (["classify", "{prism}"], {"CRN_MAX_HYPERPLANES": "-1"}),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--dt=-1"], None),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--policy=constant-sampled",
+              "--dt=-1"], None),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--policy=piecewise-constant",
+              "--dt=-1"], None),
+            (["simulate", "{rlv}", "--x0=1,1", "--t-end=1", "--policy=fixed",
+              "--rates=1.5,1.5,1.5", "--dt=-1"], None),
         ],
         ids=["zero-direction", "negative-t-end", "fixed-rates-outside",
              "zero-dt", "zero-alpha", "steady-zero-x0", "zero-i-max",
@@ -182,7 +206,9 @@ class TestExitCodes:
              "infinite-t-end", "nan-dt", "nan-birch-tol", "negative-steady-tol",
              "nan-steady-tol", "zero-threshold", "negative-threshold",
              "nan-threshold", "negative-scan-x0", "zero-scan-x0",
-             "rates-without-fixed-policy", "negative-hyperplane-env"],
+             "rates-without-fixed-policy", "negative-hyperplane-env",
+             "negative-dt-constant-mid", "negative-dt-constant-sampled",
+             "negative-dt-piecewise-constant", "negative-dt-fixed"],
     )
     def test_invalid_value_is_one_line_exit_one(self, argv, env, rlv_file, ab_file,
                                                  tmp_path):

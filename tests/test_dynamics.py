@@ -115,6 +115,16 @@ class TestRatePolicies:
         with pytest.raises(ValueError, match="no other takes them"):
             RatePolicy(mode, rates=(1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("mode, rates", [("constant-mid", None),
+                                             ("constant-sampled", None),
+                                             ("piecewise-constant", None),
+                                             ("fixed", (1.5, 1.5, 1.5))])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_dt_checked_under_every_mode(self, mode, rates, dt):
+        # a bad dt under a mode that draws no segments used to pass unseen
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            RatePolicy(mode, dt=dt, rates=rates)
+
     def test_fixed_rates_must_lie_in_tempering(self):
         net, temp = load("reverse_lv")
         with pytest.raises(ValueError):
