@@ -13,6 +13,7 @@ import numpy as np
 from .network import StoichiometryInfo
 
 _MAX_ITER = 200  # Newton steps birch_point takes before it gives up
+_MAX_DIRECTION_SAMPLES = 10_000  # the verifiers' and cutoff_scan's samples, at most
 
 
 class NoConvergence(Exception):
@@ -77,7 +78,9 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
     gradient Q^T (x - x0) and Hessian Q^T diag(x) Q; it is found with damped
     Newton steps and Armijo backtracking, halved until the step vanishes in
     floating point.  The residual reported is max(||P_H log(x/alpha)||,
-    ||A (x - x0)||) with A the conservation rows.
+    ||A (x - x0)||) with A the conservation rows.  The walk stops where it is
+    at most tol and the miss ||A (x - x0)|| at most tol * min(1, ||A||_inf *
+    max x0), so a small x0 is met to tol relative.
 
     start_t, coordinates t along the orthonormal basis B of H, starts the
     walk from the fibre point whose log-ratio is the projection onto
@@ -106,12 +109,14 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
     Q = stoich.orthonormal_Hperp()
 
     def residual_of(x):
-        return max(np.linalg.norm(B.T @ np.log(x / alpha)), np.linalg.norm(A @ (x - x0)))
+        """(the reported residual, the miss ||A (x - x0)||)"""
+        miss = np.linalg.norm(A @ (x - x0))
+        return max(np.linalg.norm(B.T @ np.log(x / alpha)), miss), miss
 
     if B.shape[1] == 0:
-        return BirchSolution(tuple(x0), residual_of(x0), 0)
+        return BirchSolution(tuple(x0), residual_of(x0)[0], 0)
     if A.shape[0] == 0:
-        return BirchSolution(tuple(alpha), residual_of(alpha), 0)
+        return BirchSolution(tuple(alpha), residual_of(alpha)[0], 0)
 
     start = x0 if start_t is None else x0 + B @ np.asarray(start_t, dtype=float)
     if np.any(start <= 0):
@@ -124,10 +129,11 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
         return NoConvergence(f"no convergence to {tol}: {reason} at iteration {it}",
                              last=tuple(x), residual=res)
 
+    miss_tol = tol * min(1.0, np.abs(A).sum(axis=1).max() * x0.max())
     seen = {lam.tobytes()}
     for it in range(_MAX_ITER + 1):
-        res = residual_of(x)
-        if res <= tol:
+        res, miss = residual_of(x)
+        if res <= tol and miss <= miss_tol:
             return BirchSolution(tuple(x), res, it)
         if it == _MAX_ITER:
             raise stop("the iteration cap was reached")
@@ -151,7 +157,7 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
             if np.all((xn > 0) & (xn < np.inf)):
                 fn = xn.sum() - lam_n @ c
                 if fn <= f0 + 1e-4 * s * slope or (
-                    abs(fn - f0) <= flat and residual_of(xn) < res
+                    abs(fn - f0) <= flat and residual_of(xn)[0] < res
                 ):
                     break
             s *= 0.5
@@ -178,8 +184,8 @@ def _direction_samples(stoich: StoichiometryInfo, n: int, count: int, rng):
     """Unit directions in and near H^perp (plus a few generic ones)."""
     if n == 0:  # no unit direction exists, so the draw below would never end
         raise ValueError("a network with no species has no direction to sample")
-    if not count >= 1:
-        raise ValueError(f"samples must be at least 1, got {count}")
+    if not 1 <= count <= _MAX_DIRECTION_SAMPLES:
+        raise ValueError(f"samples must be 1 to {_MAX_DIRECTION_SAMPLES}, got {count}")
     B = stoich.orthonormal_H()
     Qperp = stoich.orthonormal_Hperp()
     out = []
@@ -244,8 +250,8 @@ def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha, samples: int = 1
         "empirical" by construction.
 
     Raises:
-        ValueError: samples below 1, o_radius not positive and finite, or a
-            network with no species (no direction to sample).
+        ValueError: samples outside 1..10,000, o_radius not positive and
+            finite, or a network with no species (no direction to sample).
     """
     if not 0 < o_radius < np.inf:
         raise ValueError(f"o_radius must be positive and finite, got {o_radius}")
@@ -289,8 +295,8 @@ def estimate_mu(stoich: StoichiometryInfo, x0, alpha, o_radius: float,
     monotone nondecreasing in o_radius for fixed samples.
 
     Raises:
-        ValueError: samples below 1, o_radius not positive and finite, or a
-            network with no species (no direction to sample).
+        ValueError: samples outside 1..10,000, o_radius not positive and
+            finite, or a network with no species (no direction to sample).
     """
     if not 0 < o_radius < np.inf:
         raise ValueError(f"o_radius must be positive and finite, got {o_radius}")
@@ -299,7 +305,7 @@ def estimate_mu(stoich: StoichiometryInfo, x0, alpha, o_radius: float,
     dirs = _direction_samples(stoich, len(x0), samples, np.random.default_rng(seed))
     xhat = np.array(birch_point(stoich, x0, alpha).point)
     A = stoich.Hperp_matrix()
-    b = A @ x0 if A.shape[0] else np.zeros(0)
+    b = A @ x0
     B = stoich.orthonormal_H()
     mu = np.inf
     for w, _, Z in _toric_rays(alpha, dirs, 200):

@@ -290,11 +290,6 @@ def conservation_residual(traj: Trajectory, stoich: StoichiometryInfo) -> float:
     return float(np.max(np.linalg.norm(diffs @ A.T, axis=1)))
 
 
-# ||f|| at an accepted steady state, as a share of the gross flux
-# sum_r k_r x^y_r ||y'_r - y_r||: genuine solutions on the fixtures measure
-# at most 4e-6, points where every term is merely small (next to the
-# boundary) 0.11 or more
-_CANCELLATION = 1e-3
 # pseudo-transient continuation in find_steady_state: at most this many
 # steps, accepted or retried, and its pseudo time step delta at most this.
 # Where ||F|| rises along the flow, switched evolution relaxation keeps delta
@@ -322,13 +317,14 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10) -> Steady
     point leaves the open orthant, a monomial is undefined, ||F|| is not
     finite or the solve is singular.  While J has a non-finite entry it is
     taken as 0 (an explicit flow step, delta starting at 1e-3).  At most
-    1,000 steps, nothing drawn at random.  The point where ||F|| <= tol
-    counts only where the reaction terms cancel (see _CANCELLATION), not
-    where they are all small.
+    1,000 steps, nothing drawn at random.  It stops where ||F|| <= tol *
+    min(1, gross), gross = sum_r k_r x^y_r ||y'_r - y_r|| >= ||F||: relative
+    below gross = 1, so terms that are all small but do not cancel never
+    pass, and absolute above.  So tol must lie in (0, 1).
 
     Raises:
-        ValueError: x0 or tol not positive and finite, or k not a finite
-        positive rate per reaction.
+        ValueError: x0 not positive and finite, tol not in (0, 1), or k not
+        a finite positive rate per reaction.
         NoConvergence: no positive steady state found (legitimately
         possible, e.g. any network whose rhs never vanishes); carries the
         last iterate and its ||F||.
@@ -336,8 +332,8 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10) -> Steady
     x0 = np.asarray(x0, dtype=float)
     if not np.all((x0 > 0) & (x0 < np.inf)):
         raise ValueError(f"x0 must be strictly positive and finite, got {x0}")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     k = _positive_rates(k, net.n_reactions, "k")
     B = stoichiometric_subspace(net).orthonormal_H()
     d = B.shape[1]
@@ -347,18 +343,19 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10) -> Steady
 
     S = net.source_matrix()
     FB = net.flux_matrix() @ B  # the reaction vectors in the basis B
+    lengths = np.linalg.norm(net.flux_matrix(), axis=1)
 
     def at(t):
-        """(x, w, F, ||F||) at x = x0 + B t, w the reaction terms k x^y and
-        F = B^T f = w @ FB, or None off the open orthant or where ||F|| is
-        not finite (an undefined monomial makes it so)."""
+        """(x, w, F, ||F||, gross) at x = x0 + B t: w = k x^y, F = B^T f =
+        w @ FB, gross = w @ ||flux rows||; None off the open orthant or where
+        ||F|| is not finite (an undefined monomial makes it so)."""
         x = x0 + B @ t
         if not np.all(x > 0):
             return None
         w = k * _monomials(net, x)
         F = w @ FB
         nrm = np.linalg.norm(F)
-        return (x, w, F, nrm) if np.isfinite(nrm) else None
+        return (x, w, F, nrm, w @ lengths) if np.isfinite(nrm) else None
 
     def jacobian(x, w):
         """B^T Df(x) B, or None where an entry is not finite."""
@@ -366,11 +363,11 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10) -> Steady
         return J if np.isfinite(J).all() else None
 
     t = np.zeros(d)
-    x, w, F, nrm = at(t) or (x0, None, None, np.inf)
+    x, w, F, nrm, gross = at(t) or (x0, None, None, np.inf, 1.0)
     J = None if w is None else jacobian(x, w)
     delta = 1e-3 if J is None else min(1 / np.linalg.norm(J), _DELTA_MAX)
     for _ in range(_PTC_STEPS):
-        if F is None or nrm <= tol:
+        if F is None or nrm <= tol * min(1, gross):
             break
         try:
             s = np.linalg.solve(np.eye(d) / delta - (0 if J is None else J), F)
@@ -383,12 +380,10 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10) -> Steady
             continue
         t = t + s
         delta = min(delta * nrm / trial[3], _DELTA_MAX)
-        x, w, F, nrm = trial
+        x, w, F, nrm, gross = trial
         J = jacobian(x, w)
-    if nrm <= tol:
-        residual = float(np.linalg.norm(w @ net.flux_matrix()))  # ||f||, as _rhs forms f
-        if residual <= _CANCELLATION * (w @ np.linalg.norm(net.flux_matrix(), axis=1)):
-            return SteadyState(tuple(x), residual)
+    if nrm <= tol * min(1, gross):
+        return SteadyState(tuple(x), float(np.linalg.norm(w @ net.flux_matrix())))  # ||f||
     raise NoConvergence(f"no positive steady state found from x0 = {x0}",
                         last=tuple(x), residual=float(nrm))
 

@@ -174,11 +174,9 @@ def gram_schmidt(vectors) -> list[RationalVector]:
 # maximal subsets
 
 
-def max_subset(Y, w, tol=0):
-    """Elements of Y attaining the maximum of <w, y>.
-
-    Works on exact rationals (tol=0, default) or floats with a tie
-    tolerance.  With w = 0 every element is maximal.
+def max_subset(Y, w):
+    """Elements of Y attaining the maximum of <w, y>, compared exactly
+    (floats tie only on equal dot products).  With w = 0 all are maximal.
 
     Raises:
         ValueError: if Y is empty.
@@ -188,13 +186,13 @@ def max_subset(Y, w, tol=0):
         raise ValueError("max_subset of an empty set")
     values = [sum(a * b for a, b in zip(w, y)) for y in Y]
     best = max(values)
-    return [y for y, v in zip(Y, values) if best - v <= tol]
+    return [y for y, v in zip(Y, values) if v == best]
 
 
-def super_chain(Q, frame, tol=0):
+def super_chain(Q, frame):
     """Nested maximal subsets Super_1 >= ... >= Super_l along a frame.
 
-    Super_0 = Q and Super_j = max_subset(Super_{j-1}, w_j).
+    Super_0 = Q and Super_j = max_subset(Super_{j-1}, w_j), compared exactly.
 
     Raises:
         ValueError: if Q is empty or a frame vector is zero.
@@ -207,7 +205,7 @@ def super_chain(Q, frame, tol=0):
     for w in frame:
         if all(not x for x in w):
             raise ValueError("zero vector in frame")
-        current = max_subset(current, w, tol=tol)
+        current = max_subset(current, w)
         chain.append(current)
     return chain
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .birch import _in_band
+from .birch import _MAX_DIRECTION_SAMPLES, _in_band
 from .classify import _Arrangement, _arrangement
 from .geometry import _components, primitive
 from .network import (
@@ -29,14 +29,11 @@ from .network import (
 )
 from .dynamics import _rowdot
 
-# |<w_j, flux>| up to _LEVEL_TOL counts as zero at frame level j; values
-# within _TIE_TOL * max(1, largest |value|) of the maximum tie for the argmax
+# |<w_j, flux>| up to _LEVEL_TOL counts as zero at frame level j; _TIE_TOL
+# scales the float argmax's ties (_ties)
 _LEVEL_TOL = 1e-10
 _TIE_TOL = 1e-9
-# cutoff_scan takes at most _MAX_DIRECTION_SAMPLES samples and
-# _MAX_THETA_POINTS grid thetas (20x the CLI's default of 50)
-_MAX_DIRECTION_SAMPLES = 10_000
-_MAX_THETA_POINTS = 1_000
+_MAX_THETA_POINTS = 1_000  # cutoff_scan's grid thetas, at most (20x the CLI's 50)
 # extract_unit_jet: residuals and coefficients up to _ZERO_TOL count as zero,
 # and every level needs _MIN_PER_LEVEL usable indices
 _ZERO_TOL = 1e-9
@@ -166,38 +163,35 @@ def jets_fundamental_check(Q, frame: Frame, schedule: JetSchedule, i_range) -> d
     and stabilized_at: the first i after which the argmax stays equal to
     the expectation through the end of i_range (None if it never does).
     """
-    Q = [tuple(float(x) for x in q) for q in Q]
-    if not Q:
+    V = np.array([[float(x) for x in q] for q in Q])
+    if not len(V):
         raise ValueError("empty point set")
-    V = np.array(Q)
-    expected = Q
+    expected = np.arange(len(V))
     for w in frame.vectors:
-        vals = [float(np.asarray(w) @ np.array(q)) for q in expected]
-        top = max(vals)
-        scale = max(1.0, max(abs(v) for v in vals))
-        expected = [q for q, v in zip(expected, vals) if top - v <= _TIE_TOL * scale]
-    expected_idx = {i for i, q in enumerate(Q) if q in [tuple(e) for e in expected]}
+        expected = expected[_ties(_rowdot(V[expected], np.array(w)))]
+    expected = set(expected.tolist())
     argmax_sets = []
-    i_list = list(i_range)
-    for i in i_list:
+    for i in i_range:
         # unnormalized combination: positive scaling never moves an argmax
         v = schedule.coefficients(i, len(frame)) @ np.array(frame.vectors)
-        vals = V @ v
-        top = float(vals.max())
-        scale = max(1.0, float(np.abs(vals).max()))
-        idx = {int(j) for j in np.nonzero(top - vals <= _TIE_TOL * scale)[0]}
-        argmax_sets.append((i, idx))
+        argmax_sets.append((i, set(_ties(V @ v).tolist())))
     stabilized_at = None
     for pos in range(len(argmax_sets)):
-        if all(s == expected_idx for _, s in argmax_sets[pos:]):
+        if all(s == expected for _, s in argmax_sets[pos:]):
             stabilized_at = argmax_sets[pos][0]
             break
     return {
-        "expected": sorted(expected_idx),
+        "expected": sorted(expected),
         "argmax_sets": [(i, sorted(s)) for i, s in argmax_sets],
         "stabilized_at": stabilized_at,
         "stabilized": stabilized_at is not None,
     }
+
+
+def _ties(vals: np.ndarray) -> np.ndarray:
+    """Indices of the values within _TIE_TOL * max(1, largest |value|) of the
+    maximum: the float argmax, ties included."""
+    return np.flatnonzero(vals.max() - vals <= _TIE_TOL * max(1.0, np.abs(vals).max()))
 
 
 def _pull_terms(net: ReactionNetwork, tempering: Tempering | None, W):
@@ -313,22 +307,15 @@ def _worst_case_margin(net: ReactionNetwork, tempering: Tempering | None, W):
     the largest worst-case k_r <w, flux_r>.  Negative margins mean the sum
     is eventually negative along w; zero marks the transition.
 
-    W is a matrix of direction rows, one margin per row.  Float heights
-    only shortlist the tier; exact heights of the float direction decide it
-    among the shortlisted sources.
+    W is a matrix of finite direction rows, one margin per row.  A row's
+    tier comes from the exact heights of primitive(row), a positive integer
+    multiple of the float direction, against the integer source rows.
     """
     rows = np.asarray(W, dtype=float)
-    heights, coeffs, k_worst = _pull_terms(net, tempering, rows)
-    # far wider than the rounding of a height, so the exact tier is inside
-    slack = 1e-9 * (1 + np.abs(rows) @ np.abs(net.source_matrix()).T).max(axis=1)
-    tier = heights >= (heights.max(axis=1) - slack)[:, None]
-    sources = net._exact[1]
-    for d in np.nonzero(tier.sum(axis=1) > 1)[0]:
-        w = primitive(rows[d].tolist())  # a positive multiple, as the sources are
-        shortlist = np.nonzero(tier[d])[0]
-        vals = [sum(a * b for a, b in zip(w, sources[r])) for r in shortlist]
-        top = max(vals)
-        tier[d, shortlist] = [v == top for v in vals]
+    _, coeffs, k_worst = _pull_terms(net, tempering, rows)
+    heights = (np.array([primitive(w) for w in rows.tolist()], dtype=object)
+               @ np.array(net._exact[1], dtype=object).T)
+    tier = heights == heights.max(axis=1)[:, None]
     return np.max(np.where(tier, k_worst * coeffs, -np.inf), axis=1)
 
 
@@ -405,7 +392,7 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     if not len(W):
         raise ValueError("the scan has no directions")
     A = stoichiometric_subspace(net).Hperp_matrix()
-    b = A @ x0 if A.shape[0] else np.zeros(0)
+    b = A @ x0
     heights, coeffs, k_worst = _pull_terms(net, tempering, W)
     pulls = k_worst * coeffs
     # bad_theta[di] = largest theta at which the worst-case sum is >= 0 at

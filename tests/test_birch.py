@@ -321,10 +321,10 @@ class TestBoundaryVerifier:
 
     @pytest.mark.parametrize("verifier", [verify_birch_boundary, estimate_mu])
     @pytest.mark.parametrize("kwargs", [
-        {"samples": 0}, {"samples": -3},
+        {"samples": 0}, {"samples": -3}, {"samples": 10_001},
         {"o_radius": 0.0}, {"o_radius": -1.0}, {"o_radius": np.nan}, {"o_radius": np.inf},
-    ], ids=["zero-samples", "negative-samples", "zero-radius", "negative-radius",
-            "nan-radius", "infinite-radius"])
+    ], ids=["zero-samples", "negative-samples", "too-many-samples", "zero-radius",
+            "negative-radius", "nan-radius", "infinite-radius"])
     def test_rejects_meaningless_sampling(self, verifier, kwargs):
         net, _ = load("ab_reversible")
         st = stoichiometric_subspace(net)

@@ -182,6 +182,8 @@ class TestExitCodes:
             (["birch", "{ab}", "--x0=1,1", "--alpha=1,1", "--tol=nan"], None),
             (["steady", "{rlv}", "--x0=2,2", "--tol=-1"], None),
             (["steady", "{rlv}", "--x0=2,2", "--tol=nan"], None),
+            (["steady", "{rlv}", "--x0=2,2", "--tol=1"], None),
+            (["steady", "{rlv}", "--x0=2,2", "--tol=2"], None),
             (["jets", "{rlv}", "--frame=1,0;0,1", "--threshold=0"], None),
             (["jets", "{rlv}", "--frame=1,0;0,1", "--threshold=-1"], None),
             (["jets", "{rlv}", "--frame=1,0;0,1", "--threshold=nan"], None),
@@ -204,7 +206,8 @@ class TestExitCodes:
              "negative-k", "zero-theta-points-default-max",
              "negative-theta-points-default-max", "negative-samples", "nan-t-end",
              "infinite-t-end", "nan-dt", "nan-birch-tol", "negative-steady-tol",
-             "nan-steady-tol", "zero-threshold", "negative-threshold",
+             "nan-steady-tol", "unit-steady-tol", "steady-tol-above-one",
+             "zero-threshold", "negative-threshold",
              "nan-threshold", "negative-scan-x0", "zero-scan-x0",
              "rates-without-fixed-policy", "negative-hyperplane-env",
              "negative-dt-constant-mid", "negative-dt-constant-sampled",
@@ -250,6 +253,7 @@ class TestExitCodes:
             (["steady", "{rlv}", "--x0=1,1", "--k=1e308,1e308,1e308"], 0),
             (["steady", "{rlv}", "--x0=1,1", "--k=1e-320,1,1"], 3),
             (["steady", "{triangle_out}", "--x0=1,1"], 3),
+            (["steady", "{rlv}", "--x0=1,3", "--tol=0.1"], 0),
             (["birch", "{ab}", "--alpha=1,1", "--x0=1e307,1"], 3),
             (["birch", "{ab}", "--alpha=1,1", "--x0=1e-320,1"], 0),
             (["birch", "{ab}", "--alpha=1,1", "--x0=1e308,1e-320"], 3),
@@ -259,7 +263,7 @@ class TestExitCodes:
               "--format=csv"], 0),
         ],
         ids=["steady-subnormal-x0", "steady-huge-k", "steady-subnormal-k",
-             "steady-runaway-flow", "birch-huge-x0", "birch-subnormal-x0",
+             "steady-runaway-flow", "steady-loose-tol", "birch-huge-x0", "birch-subnormal-x0",
              "birch-infinite-step",
              "jets-huge-frame", "jets-nan-frame", "simulate-subnormal-alpha"],
     )

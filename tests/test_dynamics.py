@@ -330,15 +330,16 @@ class TestSteadyState:
         out = find_steady_state(net, k, (0.5, 1.79, 0.55))
         assert self._cancellation(net, k, out.x) <= 1e-3
 
-    # tol bounds ||F|| absolutely, so the relative error grows where the
-    # equilibrium is small: pyramid's reach 0.06 on these starts
+    # tol bounds ||F|| relative to the gross flux where that is below 1, so
+    # the relative error stays small where the equilibrium is: pyramid's
+    # reach 0.06 on these starts
     @pytest.mark.parametrize("name, closed_form, rtol", [
         # 0 -> A, A -> 0, B -> 2B, 2B -> B
         ("birth_death", lambda k: (k[0] / k[1], k[2] / k[3]), 1e-9),
         # 2A -> A + B, A + B -> 2A, B -> 0, 0 -> 2B
         ("endo_not_strong", lambda k: (k[1] * 2 * k[3] / (k[2] * k[0]), 2 * k[3] / k[2]),
          1e-9),
-        ("pyramid", _pyramid_equilibrium, 1e-8),
+        ("pyramid", _pyramid_equilibrium, 1e-9),
     ], ids=["birth_death", "endo_not_strong", "pyramid"])
     def test_closed_form_equilibrium_from_seeded_starts(self, name, closed_form, rtol):
         # rates k1..kn in file order; each network has one stoichiometric
@@ -387,6 +388,17 @@ class TestSteadyState:
             alpha = find_steady_state(net, k, start).x
             want = birch_point(st, x0, alpha).point
             assert np.allclose(find_steady_state(net, k, x0).x, want, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_small_equilibrium_is_met_relatively(self, s):
+        # A <-> B at unit rates from (s, 3s): the steady state and the Birch
+        # point at alpha = 1 are both (2s, 2s), and neither solver may stop
+        # where only the absolute residual is below tol
+        net, _ = load("ab_reversible")
+        st = stoichiometric_subspace(net)
+        for x in (find_steady_state(net, (1.0, 1.0), (s, 3 * s)).x,
+                  birch_point(st, (s, 3 * s), (1.0, 1.0)).point):
+            assert np.allclose(x, (2 * s, 2 * s), rtol=1e-12, atol=0)
 
     def test_failure_is_bounded_and_deterministic(self, monkeypatch):
         # triangle_out's flow from (1, 1) runs off to infinity; the search

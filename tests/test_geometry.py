@@ -150,11 +150,11 @@ class TestExactElimination:
 
 class TestMaxSubset:
     def test_hexagon_w1_selects_right_edge(self):
-        top = max_subset(HEXAGON, (1.0, 0.0), tol=1e-9)
+        top = max_subset(HEXAGON, (1.0, 0.0))
         assert set(top) == {HEXAGON[1], HEXAGON[2]}
 
     def test_hexagon_chain_reaches_single_vertex(self):
-        chain = super_chain(HEXAGON, [(1.0, 0.0), (0.0, 1.0)], tol=1e-9)
+        chain = super_chain(HEXAGON, [(1.0, 0.0), (0.0, 1.0)])
         assert list(chain[-1]) == [HEXAGON[HEXAGON_Q2_INDEX]]
 
     def test_scale_invariance(self):

@@ -147,6 +147,14 @@ class TestIteratedArgmaxStabilization:
         assert out["stabilized"]
         assert out["argmax_sets"][-1][1] == [HEXAGON_Q2_INDEX]
 
+    def test_duplicated_point_keeps_both_indices(self):
+        pts = [HEXAGON[0], HEXAGON[HEXAGON_Q2_INDEX], HEXAGON[HEXAGON_Q2_INDEX]]
+        fr = make_frame((1.0, 0.0), (0.0, 1.0))
+        out = jets_fundamental_check(pts, fr, JetSchedule(), i_range=np.geomspace(1, 2000, 40))
+        assert out["expected"] == [1, 2]
+        assert out["stabilized"]
+        assert out["argmax_sets"][-1][1] == [1, 2]
+
     def test_small_mixture_matches_iterated_max_large_does_not(self):
         # at mixing weight 0.1 the perturbed direction picks the two-stage
         # argmax vertex; at weight 3 the single-direction argmax differs
@@ -289,8 +297,11 @@ class TestWorstCaseMargin:
             except LimitExceeded:
                 reps = []
             reps = [np.array([float(c) for c in v]) for v in reps if any(v)]
+            # the direction circle of the scan SVG, on the 2-species networks
+            angles = np.linspace(0, 2 * np.pi, 361 if net.n_species == 2 else 0)
             W = np.array(reps + [v / np.linalg.norm(v) for v in reps]
-                         + list(rng.standard_normal((40, net.n_species))))
+                         + list(rng.standard_normal((40, net.n_species)))
+                         + list(np.column_stack([np.cos(angles), np.sin(angles)])))
             got = _worst_case_margin(net, temp, W)
             assert got.shape == (len(W),)
             for w, margin in zip(W, got):
