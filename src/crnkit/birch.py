@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import StoichiometryInfo
+from .network import StoichiometryInfo, _positive
 
 _MAX_ITER = 200  # Newton steps birch_point takes before it gives up
 _MAX_DIRECTION_SAMPLES = 10_000  # the verifiers' and cutoff_scan's samples, at most
@@ -94,14 +94,11 @@ def birch_point(stoich: StoichiometryInfo, x0, alpha, tol: float = 1e-12,
             singular Hessian, a non-finite Newton step, or a step back to
             an earlier iterate (the message gives the reason and the
             iteration; carries the last iterate).
-        ValueError: x0, alpha or tol not positive and finite, or x0 + B t
-            not strictly positive.
+        ValueError: x0 or alpha not one positive finite value per species,
+            tol not positive and finite, or x0 + B t not strictly positive.
     """
-    x0 = np.asarray(x0, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if not (np.all((x0 > 0) & (x0 < np.inf)) and np.all((alpha > 0) & (alpha < np.inf))):
-        raise ValueError(f"x0 and alpha must be strictly positive and finite, "
-                         f"got x0 = {x0}, alpha = {alpha}")
+    x0 = _positive(x0, stoich.n_species, "x0")
+    alpha = _positive(alpha, stoich.n_species, "alpha")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     A = stoich.Hperp_matrix()
@@ -180,8 +177,9 @@ def _unit(v):
     return v / nrm if nrm > 0 else v
 
 
-def _direction_samples(stoich: StoichiometryInfo, n: int, count: int, rng):
+def _direction_samples(stoich: StoichiometryInfo, count: int, rng):
     """Unit directions in and near H^perp (plus a few generic ones)."""
+    n = stoich.n_species
     if n == 0:  # no unit direction exists, so the draw below would never end
         raise ValueError("a network with no species has no direction to sample")
     if not 1 <= count <= _MAX_DIRECTION_SAMPLES:
@@ -250,14 +248,15 @@ def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha, samples: int = 1
         "empirical" by construction.
 
     Raises:
-        ValueError: samples outside 1..10,000, o_radius not positive and
-            finite, or a network with no species (no direction to sample).
+        ValueError: x0 or alpha not one positive finite value per species,
+            samples outside 1..10,000, o_radius not positive and finite, or
+            a network with no species (no direction to sample).
     """
+    x0 = _positive(x0, stoich.n_species, "x0")
+    alpha = _positive(alpha, stoich.n_species, "alpha")
     if not 0 < o_radius < np.inf:
         raise ValueError(f"o_radius must be positive and finite, got {o_radius}")
-    x0 = np.asarray(x0, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    dirs = _direction_samples(stoich, len(x0), samples, np.random.default_rng(seed))
+    dirs = _direction_samples(stoich, samples, np.random.default_rng(seed))
     xhat = np.array(birch_point(stoich, x0, alpha, tol=_VERIFY_TOL).point)
     Q = stoich.orthonormal_Hperp()
     per_direction = []
@@ -295,14 +294,15 @@ def estimate_mu(stoich: StoichiometryInfo, x0, alpha, o_radius: float,
     monotone nondecreasing in o_radius for fixed samples.
 
     Raises:
-        ValueError: samples outside 1..10,000, o_radius not positive and
-            finite, or a network with no species (no direction to sample).
+        ValueError: x0 or alpha not one positive finite value per species,
+            samples outside 1..10,000, o_radius not positive and finite, or
+            a network with no species (no direction to sample).
     """
+    x0 = _positive(x0, stoich.n_species, "x0")
+    alpha = _positive(alpha, stoich.n_species, "alpha")
     if not 0 < o_radius < np.inf:
         raise ValueError(f"o_radius must be positive and finite, got {o_radius}")
-    x0 = np.asarray(x0, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    dirs = _direction_samples(stoich, len(x0), samples, np.random.default_rng(seed))
+    dirs = _direction_samples(stoich, samples, np.random.default_rng(seed))
     xhat = np.array(birch_point(stoich, x0, alpha).point)
     A = stoich.Hperp_matrix()
     b = A @ x0

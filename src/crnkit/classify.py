@@ -61,9 +61,11 @@ def is_w_endotactic(net: ReactionNetwork, w) -> tuple[bool, Reaction | None]:
         (True, None) or (False, violating_reaction).
 
     Raises:
-        ValueError: w is zero.
+        ValueError: w not one entry per species, or zero.
     """
     w = primitive(vec(w))  # a positive multiple: every sign and order is kept
+    if len(w) != net.n_species:
+        raise ValueError(f"direction w must have {net.n_species} entries, got {len(w)}")
     if not any(w):
         raise ValueError("direction w must be nonzero")
     _, sources, fluxes, _, _ = net._exact

@@ -26,7 +26,7 @@ from .dynamics import RatePolicy, find_steady_state, g_along, simulate
 from .geometry import LimitExceeded
 from .jets import (_MAX_THETA_POINTS, JetSchedule, _worst_case_margin, cutoff_scan,
                    domination_monitor, make_frame)
-from .network import ParseError, _unit_tempering, parse_network, stoichiometric_subspace
+from .network import ParseError, _tempering_of, parse_network, stoichiometric_subspace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,28 +135,23 @@ def cmd_birch(args) -> int:
     alpha = _parse_floats(args.alpha, net.n_species, "--alpha")
     sol = birch_point(stoich, x0, alpha, tol=args.tol)
     payload = _envelope("birch", args.seed)
-    payload["x0"] = [float(v) for v in x0]
-    payload["alpha"] = [float(v) for v in alpha]
-    payload["point"] = list(sol.point)
+    payload["x0"] = x0
+    payload["alpha"] = alpha
+    payload["point"] = sol.point
     payload["residual"] = sol.residual
     payload["iterations"] = sol.iterations
     _emit(payload, args.out)
     return 0
 
 
-def _rates(text: str, net, name: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in _parse_floats(text, net.n_reactions, name))
-
-
 def cmd_simulate(args) -> int:
     net, tempering = _load(args.file)
     x0 = _parse_floats(args.x0, net.n_species, "--x0")
-    rates = None if args.rates is None else _rates(args.rates, net, "--rates")
+    rates = (None if args.rates is None
+             else tuple(_parse_floats(args.rates, net.n_reactions, "--rates").tolist()))
     policy = RatePolicy(mode=args.policy, seed=args.seed, dt=args.dt, rates=rates)
     traj = simulate(net, tempering, policy, x0, args.t_end)
-    alpha = None
-    if args.alpha is not None:
-        alpha = _parse_floats(args.alpha, net.n_species, "--alpha")
+    alpha = None if args.alpha is None else _parse_floats(args.alpha, net.n_species, "--alpha")
     if args.format == "csv":
         _write_text(_trajectory_csv(net, traj, alpha), args.out)
         return 0
@@ -165,14 +160,12 @@ def cmd_simulate(args) -> int:
         return 0
     payload = _envelope("simulate", args.seed)
     payload["policy"] = policy.mode
-    payload["t_end"] = float(args.t_end)
-    payload["species"] = list(net.species_names)
-    payload["times"] = [float(t) for t in traj.times]
-    payload["states"] = [[float(v) for v in row] for row in traj.states]
-    payload["events"] = list(traj.events)
-    payload["rate_log"] = [
-        [float(t), [float(k) for k in ks]] for t, ks in traj.rate_log
-    ]
+    payload["t_end"] = args.t_end
+    payload["species"] = net.species_names
+    payload["times"] = traj.times
+    payload["states"] = traj.states
+    payload["events"] = traj.events
+    payload["rate_log"] = traj.rate_log
     _emit(payload, args.out)
     return 0
 
@@ -180,13 +173,8 @@ def cmd_simulate(args) -> int:
 def _trajectory_csv(net, traj, alpha=None) -> str:
     G = g_along(traj, net, alpha=alpha)
     cols = ["t"] + [f"x_{s}" for s in net.species_names] + ["g", "dg_dt"]
-    lines = [",".join(cols)]
-    for row_idx in range(len(traj.times)):
-        vals = [repr(float(traj.times[row_idx]))]
-        vals += [repr(float(v)) for v in traj.states[row_idx]]
-        vals += [repr(float(G[row_idx, 1])), repr(float(G[row_idx, 2]))]
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([traj.times, traj.states, G[:, 1:]]).tolist()
+    return "\n".join([",".join(cols)] + [",".join(map(repr, row)) for row in rows]) + "\n"
 
 
 def _svg_header(width: int, height: int) -> str:
@@ -200,8 +188,8 @@ def _svg_header(width: int, height: int) -> str:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _trajectory_svg(net, traj, width: int = 640, height: int = 480) -> str:
-    margin = 50.0
+def _trajectory_svg(net, traj) -> str:
+    width, height, margin = 640, 480, 50.0
     times = np.asarray(traj.times, dtype=float)
     states = np.asarray(traj.states, dtype=float)
     t_lo, t_hi = float(times[0]), float(times[-1])
@@ -246,27 +234,21 @@ def _trajectory_svg(net, traj, width: int = 640, height: int = 480) -> str:
 def cmd_steady(args) -> int:
     net, tempering = _load(args.file)
     x0 = _parse_floats(args.x0, net.n_species, "--x0")
-    if tempering is None:
-        tempering = _unit_tempering(net.n_reactions)
-    if args.k is not None:
-        k = _rates(args.k, net, "--k")
-    else:
-        k = tuple(tempering.midpoints())
+    k = (_tempering_of(net, tempering).midpoints() if args.k is None
+         else _parse_floats(args.k, net.n_reactions, "--k"))
     ss = find_steady_state(net, k, x0, tol=args.tol)
     payload = _envelope("steady", args.seed)
-    payload["k"] = list(k)
-    payload["x"] = [float(v) for v in ss.x]
-    payload["residual"] = float(ss.residual)
+    payload["k"] = k
+    payload["x"] = ss.x
+    payload["residual"] = ss.residual
     _emit(payload, args.out)
     return 0
 
 
 def cmd_scan(args) -> int:
     net, tempering = _load(args.file)
-    if args.x0 is not None:
-        x0 = _parse_floats(args.x0, net.n_species, "--x0")
-    else:
-        x0 = np.ones(net.n_species)
+    x0 = (np.ones(net.n_species) if args.x0 is None
+          else _parse_floats(args.x0, net.n_species, "--x0"))
     if not 1 < args.theta_max < np.inf:
         raise ValueError(f"--theta-max must be finite and above 1, got {args.theta_max}")
     if args.theta_points > _MAX_THETA_POINTS:  # before the grid it sizes is built
@@ -291,10 +273,11 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _scan_svg(net, tempering, report, width: int = 480, height: int = 480) -> str:
+def _scan_svg(net, tempering, report) -> str:
     """Direction-circle plot of the worst-case leading margin for 2-species
     networks, with near-zero clusters marked."""
-    cx, cy, r0 = width / 2, height / 2, min(width, height) / 2 - 40
+    width = height = 480
+    cx, cy, r0 = width / 2, height / 2, width / 2 - 40
     angles = np.linspace(0, 2 * np.pi, 361)
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
     margins = _worst_case_margin(net, tempering, circle)
@@ -335,7 +318,7 @@ def cmd_jets(args) -> int:
         net, frame, schedule, i_range=i_range, threshold=args.threshold
     )
     payload = _envelope("jets", args.seed)
-    payload["frame"] = [[float(v) for v in w] for w in frame.vectors]
+    payload["frame"] = frame.vectors
     payload["schedule"] = {"beta": args.schedule, "theta": args.theta_schedule}
     payload["reaction_classes"] = [
         {"kind": kind, "level": level} for kind, level in report.pop("classes")

@@ -17,7 +17,8 @@ from .network import (
     ReactionNetwork,
     StoichiometryInfo,
     Tempering,
-    _unit_tempering,
+    _positive,
+    _tempering_of,
     stoichiometric_subspace,
 )
 
@@ -97,12 +98,16 @@ def _rhs(net: ReactionNetwork, k: np.ndarray, x: np.ndarray) -> np.ndarray | Non
 def mass_action_rhs(net: ReactionNetwork, k, x) -> np.ndarray:
     """Sum over reactions of k_r * x**source_r * (target_r - source_r).
 
-    Monomials x**y are componentwise powers (0**0 = 1); states that make a
-    monomial undefined (zeros with negative exponents, negative coordinates
-    with fractional exponents) raise ValueError.
+    Monomials x**y are componentwise powers (0**0 = 1).  Any real rates are
+    taken; k not one rate per reaction, x not one entry per species, and
+    states that make a monomial undefined (zeros with negative exponents,
+    negative coordinates with fractional exponents) raise ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    f = _rhs(net, np.asarray(k, dtype=float), x)
+    k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
+    if k.shape != (net.n_reactions,) or x.shape != (net.n_species,):
+        raise ValueError(f"k and x must have {net.n_reactions} and {net.n_species} entries, "
+                         f"got shapes {k.shape} and {x.shape}")
+    f = _rhs(net, k, x)
     if f is None:
         raise ValueError(f"monomials undefined at x = {x}")
     return f
@@ -146,22 +151,15 @@ def _float_bounds(tempering: Tempering):
     return lo, hi
 
 
-def _positive_rates(k, n: int, name: str) -> np.ndarray:
-    """k as floats, or ValueError unless it is n finite positive rates."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (n,) or not np.all(np.isfinite(k) & (k > 0)):
-        raise ValueError(f"{name} must be {n} finite positive rates, got {k}")
-    return k
-
-
 def _segments(policy: RatePolicy, tempering: Tempering, t_end: float):
     """(start, end, rates) of each segment of the policy, drawn lazily after
     the policy's checks (see simulate): one segment on [0, t_end] but for
     piecewise-constant, whose segment i starts at i * dt (np.arange(0,
     t_end, dt) to the bit; a last start that rounds onto t_end is dropped)
-    and draws fresh uniform rates."""
+    and draws fresh uniform rates.  constant-sampled is its one-segment
+    case, dt = t_end."""
     if policy.mode == "fixed":
-        rates = _positive_rates(policy.rates, len(tempering), "fixed rates")
+        rates = _positive(policy.rates, len(tempering), "fixed rates")
         if not tempering.contains(rates):
             raise ValueError(f"fixed rates {policy.rates} outside the tempering")
         yield 0.0, t_end, rates
@@ -171,10 +169,7 @@ def _segments(policy: RatePolicy, tempering: Tempering, t_end: float):
         return
     lo, hi = _float_bounds(tempering)
     rng = np.random.default_rng(np.random.SeedSequence(policy.seed))
-    if policy.mode == "constant-sampled":
-        yield 0.0, t_end, lo + rng.random(len(lo)) * (hi - lo)
-        return
-    dt = policy.dt
+    dt = policy.dt if policy.mode == "piecewise-constant" else t_end
     # every segment but the last takes a step (one shorter than the end
     # tolerance of simulate needs dt < 1e-13 t_end), so such a run could
     # only end at the step limit
@@ -225,22 +220,18 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
     them, and each is logged with its start.
 
     Raises:
-        ValueError: t_end, a tolerance or an x0 entry not positive and
-        finite; fixed rates not one finite positive rate per reaction or
-        outside the tempering; a piecewise-constant run with more segments
-        than the step limit allows.
+        ValueError: t_end or a tolerance not positive and finite; x0 not one
+        positive finite value per species; the tempering (unit rates when
+        None) not one interval per reaction; fixed rates not one finite
+        positive rate per reaction or outside the tempering; a
+        piecewise-constant run with more segments than the step limit allows.
     """
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
-    x = np.asarray(x0, dtype=float)
-    if not np.all((x > 0) & (x < np.inf)):
-        raise ValueError(f"x0 must be strictly positive and finite, got {x}")
-    if tempering is None:
-        tempering = _unit_tempering(net.n_reactions)
-    if len(tempering) != net.n_reactions:
-        raise ValueError("tempering length does not match reaction count")
+    x = _positive(x0, net.n_species, "x0")
+    tempering = _tempering_of(net, tempering)
 
     t = 0.0
     h = min(1e-3, t_end / 10)
@@ -323,18 +314,16 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10) -> Steady
     pass, and absolute above.  So tol must lie in (0, 1).
 
     Raises:
-        ValueError: x0 not positive and finite, tol not in (0, 1), or k not
-        a finite positive rate per reaction.
+        ValueError: x0 not one positive finite value per species, tol not
+        in (0, 1), or k not one finite positive rate per reaction.
         NoConvergence: no positive steady state found (legitimately
         possible, e.g. any network whose rhs never vanishes); carries the
         last iterate and its ||F||.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all((x0 > 0) & (x0 < np.inf)):
-        raise ValueError(f"x0 must be strictly positive and finite, got {x0}")
+    x0 = _positive(x0, net.n_species, "x0")
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    k = _positive_rates(k, net.n_reactions, "k")
+    k = _positive(k, net.n_reactions, "k")
     B = stoichiometric_subspace(net).orthonormal_H()
     d = B.shape[1]
     if d == 0:
@@ -397,15 +386,15 @@ def g_along(traj: Trajectory, net: ReactionNetwork, alpha=None) -> np.ndarray:
     f taken at the rates of the segment holding t (Trajectory.rates_at).
 
     Raises:
-        ValueError: at the first sample where g_alpha, grad_g_alpha or
-        mass_action_rhs would raise (a coordinate at most 0, alpha not
-        positive, an undefined monomial).
+        ValueError: alpha not one positive finite value per species; at
+        the first sample where g_alpha, grad_g_alpha or mass_action_rhs
+        would raise (a coordinate at most 0, an undefined monomial).
     """
     X = traj.states
-    alpha = np.ones(X.shape[1]) if alpha is None else np.asarray(alpha, dtype=float)
+    alpha = np.ones(net.n_species) if alpha is None else _positive(alpha, net.n_species, "alpha")
     k = traj.rates_at(traj.times)
     mono = _monomials(net, X)
-    bad = ~np.all(np.isfinite(mono), axis=1) | np.any(X <= 0, axis=1) | np.any(alpha <= 0)
+    bad = ~np.all(np.isfinite(mono), axis=1) | np.any(X <= 0, axis=1)
     if np.any(bad):
         i = np.argmax(bad)
         # the per-sample checks, in their order, raise for the first bad sample

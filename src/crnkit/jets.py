@@ -24,7 +24,8 @@ from .network import (
     ReactionNetwork,
     Reaction,
     Tempering,
-    _unit_tempering,
+    _positive,
+    _tempering_of,
     stoichiometric_subspace,
 )
 from .dynamics import _rowdot
@@ -194,14 +195,12 @@ def _ties(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero(vals.max() - vals <= _TIE_TOL * max(1.0, np.abs(vals).max()))
 
 
-def _pull_terms(net: ReactionNetwork, tempering: Tempering | None, W):
+def _pull_terms(net: ReactionNetwork, tempering: Tempering, W):
     """The pull data of every direction row of W, each (directions x
     reactions): heights <w, y_r>, coefficients <w, flux_r>, and the
     tempering's worst-case rates (hi where the coefficient is positive, lo
-    elsewhere; unit rates without a tempering).  Each entry is the 1-D dot
-    product a single direction would give."""
-    if tempering is None:
-        tempering = _unit_tempering(net.n_reactions)
+    elsewhere) for a tempering from _tempering_of.  Each entry is the 1-D
+    dot product a single direction would give."""
     W = np.asarray(W, dtype=float)[:, None, :]
     heights = _rowdot(W, net.source_matrix())
     coeffs = _rowdot(W, net.flux_matrix())
@@ -244,7 +243,7 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
     sustaining = [i for i, c in enumerate(classes) if c.kind == "sustaining"]
     draining = [i for i, c in enumerate(classes) if c.kind == "draining"]
     heights, coeffs, _ = _pull_terms(
-        net, None, [schedule.direction(frame, i) for i in i_list])
+        net, _tempering_of(net, None), [schedule.direction(frame, i) for i in i_list])
     log_theta = np.array([schedule.log_theta(i) for i in i_list])
     # logs[r, col] = log |pull| of reaction r at the col-th jet point, -inf
     # where the pull vanishes (kept in log space so huge thetas never overflow;
@@ -312,7 +311,7 @@ def _worst_case_margin(net: ReactionNetwork, tempering: Tempering | None, W):
     multiple of the float direction, against the integer source rows.
     """
     rows = np.asarray(W, dtype=float)
-    _, coeffs, k_worst = _pull_terms(net, tempering, rows)
+    _, coeffs, k_worst = _pull_terms(net, _tempering_of(net, tempering), rows)
     heights = (np.array([primitive(w) for w in rows.tolist()], dtype=object)
                @ np.array(net._exact[1], dtype=object).T)
     tier = heights == heights.max(axis=1)[:, None]
@@ -348,15 +347,15 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     hyperplane limit there are no faces and no clusters.
 
     Raises:
-        ValueError: x0 not positive and finite; theta_grid empty, above
-        1,000 points, or a theta at most 1 or not finite; direction_samples
-        negative or above 10,000; no directions (no faces and no samples);
-        a network with no species.
+        ValueError: x0 not one positive finite value per species; the
+        tempering (unit rates when None) not one interval per reaction;
+        theta_grid empty, above 1,000 points, or a theta at most 1 or not
+        finite; direction_samples negative or above 10,000; no directions
+        (no faces and no samples); a network with no species.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all((x0 > 0) & np.isfinite(x0)):
-        raise ValueError(f"x0 must be positive and finite, got {x0}")
     n = net.n_species
+    x0 = _positive(x0, n, "x0")
+    tempering = _tempering_of(net, tempering)
     if n == 0:  # no unit direction exists, so the draw below would never end
         raise ValueError("a network with no species has no direction to scan")
     if theta_grid is None:

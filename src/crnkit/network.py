@@ -97,11 +97,6 @@ class Tempering:
 _UNIT_INTERVAL = (Fraction(1), Fraction(1))
 
 
-def _unit_tempering(n_reactions: int) -> Tempering:
-    """Every rate fixed at 1: the default wherever no tempering is given."""
-    return Tempering((_UNIT_INTERVAL,) * n_reactions)
-
-
 @dataclass(frozen=True)
 class ReactionNetwork:
     species: tuple[Species, ...]
@@ -193,6 +188,24 @@ class ReactionNetwork:
                            tuple(tuple(row_space_basis(
                                [row for row, (a, _) in zip(fluxes, edges) if a in members],
                                self.n_species)) for members in classes))
+
+
+def _positive(v, n: int, name: str) -> np.ndarray:
+    """v as n floats, or ValueError unless it is n finite positive values."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,) or not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError(f"{name} must be {n} finite positive values, got {v}")
+    return v
+
+
+def _tempering_of(net: ReactionNetwork, tempering: Tempering | None) -> Tempering:
+    """The tempering, every rate fixed at 1 when it is None (the one default
+    for unit rates); ValueError unless it has one interval per reaction."""
+    if tempering is None:
+        return Tempering((_UNIT_INTERVAL,) * net.n_reactions)
+    if len(tempering) != net.n_reactions:
+        raise ValueError(f"tempering must have {net.n_reactions} intervals, got {len(tempering)}")
+    return tempering
 
 
 def _over_lcm(rows) -> tuple[tuple[int, ...], ...]:
@@ -457,7 +470,10 @@ def _format_complex(cx: Complex, names: list[str]) -> str:
 
 def serialize_network(net: ReactionNetwork, tempering: Tempering | None = None) -> str:
     """Render a network (one line per reaction) so that parse_network
-    round-trips to an equal network and tempering."""
+    round-trips to an equal network and tempering; ValueError unless a
+    given tempering has one interval per reaction."""
+    if tempering is not None:
+        tempering = _tempering_of(net, tempering)
     names = net.species_names
     lines = ["species: " + " ".join(names)]
     for i, r in enumerate(net.reactions):

@@ -144,6 +144,16 @@ class TestBirchPoint:
         with pytest.raises(ValueError):
             birch_point(st, (1.0, 2.0), (1.0, 1.0), tol=0.0)
 
+    @pytest.mark.parametrize("x0, alpha, name", [
+        ((1.0, 3.0), (1.0,), "alpha"), ((1.0, 3.0), (1.0, 1.0, 1.0), "alpha"),
+        ((2.0,), (1.0, 1.0), "x0"), ((1.0, 1.0, 1.0), (1.0, 1.0), "x0"),
+    ], ids=["short-alpha", "long-alpha", "short-x0", "long-x0"])
+    def test_wrong_length_inputs_rejected(self, x0, alpha, name):
+        # a single alpha entry used to be broadcast: alpha = (1, 1) was solved
+        st = stoichiometric_subspace(load("ab_reversible")[0])
+        with pytest.raises(ValueError, match=f"{name} must be 2 finite positive values"):
+            birch_point(st, x0, alpha)
+
     def test_converges_where_rounding_stalls_armijo(self):
         # near the minimum the full Newton step lowers the residual but
         # raises g_alpha by rounding, which Armijo alone rejects forever
@@ -330,6 +340,17 @@ class TestBoundaryVerifier:
         st = stoichiometric_subspace(net)
         with pytest.raises(ValueError, match="samples|o_radius"):
             verifier(st, (2.0, 2.0), (1.0, 3.0), **{"o_radius": 0.5, **kwargs})
+
+    @pytest.mark.parametrize("verifier", [verify_birch_boundary, estimate_mu])
+    @pytest.mark.parametrize("x0, alpha, name", [
+        ((2.0, 2.0), (1.0,), "alpha"), ((2.0,), (1.0, 3.0), "x0"),
+    ], ids=["short-alpha", "short-x0"])
+    def test_wrong_length_inputs_rejected(self, verifier, x0, alpha, name):
+        # estimate_mu used to return inf for a single alpha entry, and the
+        # verifiers sized their directions from len(x0)
+        st = stoichiometric_subspace(load("ab_reversible")[0])
+        with pytest.raises(ValueError, match=f"{name} must be 2 finite positive values"):
+            verifier(st, x0, alpha, o_radius=0.5)
 
     def test_rejects_a_network_with_no_species(self):
         # no unit direction exists, so the sampler would draw forever

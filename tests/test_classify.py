@@ -74,6 +74,13 @@ class TestSingleDirection:
         with pytest.raises(ValueError):
             is_w_endotactic(net, (F(0), F(0)))
 
+    @pytest.mark.parametrize("w", [(1,), (1, 0, 5)], ids=["short", "long"])
+    def test_wrong_length_direction_rejected(self, w):
+        # zip used to truncate w, and both read as w-endotactic
+        net, _ = load("reverse_lv")
+        with pytest.raises(ValueError, match="direction w must have 2 entries"):
+            is_w_endotactic(net, w)
+
     def test_restated_definition_on_face_representatives(self, rng):
         # w-endotactic iff every draining reaction (positive flux component)
         # is strictly exceeded, in source height along w, by some sustaining

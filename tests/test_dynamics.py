@@ -50,6 +50,16 @@ class TestRightHandSide:
         with pytest.raises(ValueError):
             mass_action_rhs(net, (1.0, 1.0, 1.0), (-1.0, 1.0))
 
+    @pytest.mark.parametrize("k, x", [((2.0,), (1.0, 1.0)), ((1.0,) * 4, (1.0, 1.0)),
+                                      ((1.0,) * 3, (2.0,)), ((1.0,) * 3, (1.0,) * 3)],
+                             ids=["short-k", "long-k", "short-x", "long-x"])
+    def test_wrong_length_rates_or_state_rejected(self, k, x):
+        # a single rate or coordinate used to be broadcast; any real rates
+        # are still taken, so only the shapes are checked
+        net, _ = load("reverse_lv")
+        with pytest.raises(ValueError, match="k and x must have 3 and 2 entries"):
+            mass_action_rhs(net, k, x)
+
 
 class TestIntegratorAccuracy:
     def test_linear_decay_closed_form(self):
@@ -140,7 +150,7 @@ class TestRatePolicies:
         # not broadcast, and an infinite one is rejected before the exact
         # containment test
         net, _ = load("reverse_lv")
-        with pytest.raises(ValueError, match="fixed rates must be 3 finite positive rates"):
+        with pytest.raises(ValueError, match="fixed rates must be 3 finite positive values"):
             simulate(net, None, RatePolicy("fixed", rates=rates), (1.0, 1.0), 1.0)
 
     def test_none_tempering_means_unit_rates(self):
@@ -149,6 +159,18 @@ class TestRatePolicies:
             net, None, RatePolicy("constant-sampled", seed=9), (1.0, 1.0), 1.0
         )
         assert traj.rate_log == ((0.0, (1.0, 1.0, 1.0)),)
+
+    def test_constant_sampled_is_one_piecewise_segment(self):
+        # constant-sampled draws as piecewise-constant with dt = t_end: the
+        # same seed sequence and the same single draw, bit for bit
+        net, temp = load("reverse_lv")
+        sampled, piecewise = (
+            simulate(net, temp, RatePolicy(mode, seed=5, dt=dt), (2.0, 0.5), 3.0)
+            for mode, dt in (("constant-sampled", 0.1), ("piecewise-constant", 3.0)))
+        assert len(sampled.rate_log) == 1
+        assert sampled.rate_log == piecewise.rate_log
+        assert np.array_equal(sampled.times, piecewise.times)
+        assert np.array_equal(sampled.states, piecewise.states)
 
     def test_sampled_rates_pass_exact_containment(self):
         net, temp = load("reverse_lv")
@@ -267,6 +289,12 @@ class TestEvents:
             simulate(net, None, RatePolicy("constant-mid"), (0.0, 1.0), 1.0)
         with pytest.raises(ValueError):
             simulate(net, None, RatePolicy("constant-mid"), (1.0, 1.0), -1.0)
+
+    @pytest.mark.parametrize("x0", [(1.0,), (1.0, 1.0, 1.0)], ids=["short", "long"])
+    def test_wrong_length_x0_rejected(self, x0):
+        net, _ = load("reverse_lv")
+        with pytest.raises(ValueError, match=r"x0 must be 2 finite positive values"):
+            simulate(net, None, RatePolicy("constant-mid"), x0, 1.0)
 
 
 def _pyramid_equilibrium(k):
@@ -432,8 +460,15 @@ class TestSteadyState:
     @pytest.mark.parametrize("k", [(1.0, 1.0), (1.0, 0.0, 1.0), (1.0, np.inf, 1.0)])
     def test_rates_must_be_positive_per_reaction(self, k):
         net, _ = load("reverse_lv")
-        with pytest.raises(ValueError, match="positive rates"):
+        with pytest.raises(ValueError, match="k must be 3 finite positive values"):
             find_steady_state(net, k, (2.0, 2.0))
+
+    @pytest.mark.parametrize("x0", [(3.0,), (1.0, 1.0, 1.0)], ids=["short", "long"])
+    def test_wrong_length_x0_rejected(self, x0):
+        # a single x0 entry used to be broadcast: on A <-> B it returned (3, 3)
+        net, _ = load("ab_reversible")
+        with pytest.raises(ValueError, match="x0 must be 2 finite positive values"):
+            find_steady_state(net, (1.0, 1.0), x0)
 
 
 class TestFreeEnergyAlong:
@@ -470,7 +505,7 @@ class TestFreeEnergyAlong:
     @pytest.mark.parametrize("x, alpha, match", [
         ((1.0, 0.0), (1.0, 1.0), "gradient needs x > 0"),
         ((1.0, -1.0), (1.0, 1.0), "x must be nonnegative"),
-        ((1.0, 1.0), (1.0, 0.0), "alpha must be positive"),
+        ((1.0, 1.0), (1.0, 0.0), "alpha must be 2 finite positive values"),
     ])
     def test_first_bad_sample_raises_the_per_sample_error(self, x, alpha, match):
         net, _ = load("reverse_lv")
@@ -481,6 +516,13 @@ class TestFreeEnergyAlong:
             events=(),
         )
         with pytest.raises(ValueError, match=match):
+            g_along(traj, net, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [(2.0,), (1.0, 1.0, 1.0)], ids=["short", "long"])
+    def test_wrong_length_alpha_rejected(self, alpha):
+        net, _ = load("reverse_lv")
+        traj = simulate(net, None, RatePolicy("constant-mid"), (2.0, 0.5), 1.0)
+        with pytest.raises(ValueError, match="alpha must be 2 finite positive values"):
             g_along(traj, net, alpha=alpha)
 
     def test_along_simulated_trajectory(self):

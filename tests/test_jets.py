@@ -14,6 +14,7 @@ import pytest
 from crnkit import (
     Frame,
     JetSchedule,
+    Tempering,
     cutoff_scan,
     domination_monitor,
     extract_unit_jet,
@@ -549,6 +550,19 @@ class TestCutoffScan:
         # 0,0) no theta**w is eligible and the scan read that as a cutoff
         net, temp = parse_network("species: A B\nA -> B rate [1,2]\n")
         with pytest.raises(ValueError, match="x0"):
+            cutoff_scan(net, temp, x0, direction_samples=50)
+
+    @pytest.mark.parametrize("x0, intervals, match", [
+        ((1.0,), 2, "x0 must be 2 finite positive values"),
+        ((1.0, 1.0, 1.0), 2, "x0 must be 2 finite positive values"),
+        ((1.0, 1.0), 1, "tempering must have 2 intervals, got 1"),
+        ((1.0, 1.0), 3, "tempering must have 2 intervals, got 3"),
+    ], ids=["short-x0", "long-x0", "short-tempering", "long-tempering"])
+    def test_wrong_length_x0_or_tempering_rejected(self, x0, intervals, match):
+        # a one-interval tempering used to be applied to both reactions
+        net, _ = load("ab_reversible")
+        temp = Tempering(((Fraction(1), Fraction(2)),) * intervals)
+        with pytest.raises(ValueError, match=match):
             cutoff_scan(net, temp, x0, direction_samples=50)
 
     def test_no_eligible_point_reports_no_cutoff(self):

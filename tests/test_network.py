@@ -2,7 +2,10 @@
 serialization round-trips, stoichiometry, linkage structure, and the
 package's import surface."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +147,14 @@ class TestSerialization:
         assert net2 == net
         assert temp2 == temp
 
+    @pytest.mark.parametrize("intervals", [1, 3], ids=["short", "long"])
+    def test_wrong_length_tempering_rejected(self, intervals):
+        # a longer tempering used to lose its extra intervals without a word
+        net, _ = load("ab_reversible")
+        temp = Tempering(((F(1), F(2)),) * intervals)
+        with pytest.raises(ValueError, match=f"tempering must have 2 intervals, got {intervals}"):
+            serialize_network(net, temp)
+
     def test_formats_fractions(self):
         net, _ = parse_network("species: A B\n1/2A -> 3B\n")
         text = serialize_network(net)
@@ -168,6 +179,21 @@ class TestTempering:
             Tempering(((F(2), F(1)),))
         with pytest.raises(ValueError):
             Tempering(((F(0), F(1)),))
+
+
+class TestInputLengths:
+    def test_wrong_length_rejected_under_optimized_python(self):
+        # every per-species or per-reaction length check is a raise, not an
+        # assert: each entry point's wrong-length cases pass under -O too
+        here = Path(__file__).parent
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *(str(here / f"test_{name}.py")
+               for name in ("network", "classify", "dynamics", "birch", "jets")),
+             "-k", "wrong_length and not optimized"],
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stdout[-2000:]
+        assert "26 passed" in out.stdout, out.stdout[-2000:]
 
 
 class TestStoichiometry:
