@@ -38,12 +38,11 @@ def g_alpha(x, alpha) -> float:
     Continuous up to the boundary of the nonnegative orthant.
 
     Raises:
-        ValueError: alpha not strictly positive, or x negative.
+        ValueError: alpha not as many finite positive values as x, or x
+            negative.
     """
     x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = _positive(alpha, len(x), "alpha")
     if np.any(x < 0):
         raise ValueError(f"x must be nonnegative, got {x}")
     pos = x > 0
@@ -53,11 +52,10 @@ def g_alpha(x, alpha) -> float:
 
 
 def grad_g_alpha(x, alpha) -> np.ndarray:
-    """Componentwise log(x / alpha); requires x strictly positive."""
+    """Componentwise log(x / alpha); requires x strictly positive and alpha
+    as many finite positive values."""
     x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = _positive(alpha, len(x), "alpha")
     if np.any(x <= 0):
         raise ValueError(f"gradient needs x > 0, got {x}")
     return np.log(x / alpha)

@@ -77,7 +77,7 @@ def _monomials(net: ReactionNetwork, x: np.ndarray) -> np.ndarray:
     stack of states; non-finite where undefined.  Its callers' entry points
     (mass_action_rhs, simulate, find_steady_state, g_along) hold
     np.errstate(all="ignore"), so an undefined monomial warns nowhere."""
-    return np.power(x[..., None, :], net.source_matrix()).prod(axis=-1)
+    return np.multiply.reduce(np.power(x[..., None, :], net.source_matrix()), axis=-1)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,7 +253,8 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
             if step is not None:
                 x_new, K = step
                 sc = atol + rtol * np.maximum(x, x_new)
-                err = float(np.sqrt(((h_try * (_DP_E @ K) / sc) ** 2).mean()))
+                e = h_try * (_DP_E @ K) / sc
+                err = float(np.sqrt(np.add.reduce(e * e) / len(e)))  # RMS of the scaled error
             accept = step is not None and err <= 1.0
             if accept:
                 t, x, f = t + h_try, x_new, K[6]  # FSAL: the last stage is f at x_new

@@ -463,9 +463,22 @@ def _signs(words: np.ndarray, K: int) -> np.ndarray:
     return (bits[:, :, 0] - bits[:, :, 1]).reshape(n, 32 * W)[:, :K]
 
 
+def _canonical(words: np.ndarray) -> np.ndarray:
+    """Which rows of bit words (_words) are canonical, their first nonzero
+    sign +: the lowest support bit of the first nonzero word lies in the
+    positive half.  Of X and -X exactly one is canonical (rows are
+    nonzero)."""
+    w = words[:, 0] if words.shape[1] == 1 else \
+        words[np.arange(len(words)), (words != 0).argmax(axis=1)]
+    s = (w | w >> 32) & _LOW
+    return w & s & -s != 0
+
+
 def _closure(C: np.ndarray) -> np.ndarray:
     """Every nonzero covector, as distinct int8 rows composed from the
-    distinct cocircuit sign rows C.
+    distinct cocircuit sign rows C: the canonical half (first nonzero sign
+    +, _canonical), closed alone, followed by that half negated, since -X
+    is a covector iff X is.
 
     A row is held as bit words (_words), one word when K <= 32.  A face F
     of dimension above 1 is G o c for a facet G of it and a cocircuit c
@@ -474,8 +487,13 @@ def _closure(C: np.ndarray) -> np.ndarray:
     with a zero only with such cocircuits, and G o c is the bitwise or of
     the two rows.  Every other pair gives G itself or a face that some
     facet of it reaches with a conformal cocircuit, so no face is lost.
-    The rows are kept next to their keys (_keys); a round's compositions
-    are deduplicated by np.unique and set against the keys seen before."""
+    Only canonical rows are kept: a canonical F has a facet G nonzero at
+    F's first nonzero hyperplane (else so would be F, the cone its facets
+    span), and that G is canonical, so the frontier starts at the canonical
+    cocircuits, is composed with all of them, and drops the non-canonical
+    compositions.  The rows are kept next to their keys (_keys); a round's
+    compositions are deduplicated by np.unique and looked up among the
+    sorted keys seen before."""
     Cw = _words(C)
     # word planes, (words, cocircuits): the block tests or over the words
     Ct = Cw.T
@@ -483,7 +501,8 @@ def _closure(C: np.ndarray) -> np.ndarray:
     # every hyperplane: an essential arrangement has no hyperplane holding all cocircuits
     full = np.bitwise_or.reduce((Cw | Cw >> 32) & _LOW, axis=0)
     step = max(1, _BLOCK // (8 * len(Cw)))
-    F, rows, seen = Cw, [Cw], _keys(Cw)
+    F = Cw[_canonical(Cw)]
+    rows, seen = [F], np.sort(_keys(F))
     while len(F := F[((F | F >> 32) & _LOW != full).any(axis=1)]):  # the others are final
         fresh = []
         for i in range(0, len(F), step):
@@ -492,14 +511,16 @@ def _closure(C: np.ndarray) -> np.ndarray:
             opposed = functools.reduce(np.bitwise_or, (g & x for g, x in zip(G, Cx)))
             outside = functools.reduce(np.bitwise_or, (c & ~g for g, c in zip(G, Ct)))
             pair = np.flatnonzero((opposed == 0) & (outside != 0))
-            fresh.append(F[i + pair // len(Cw)] | Cw[pair % len(Cw)])
+            composed = F[i + pair // len(Cw)] | Cw[pair % len(Cw)]
+            fresh.append(composed[_canonical(composed)])
         fresh = np.concatenate(fresh)
         keys, first = np.unique(_keys(fresh), return_index=True)
-        new = ~np.isin(keys, seen, assume_unique=True)
+        new = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
         F = fresh[first[new]]
         rows.append(F)
-        seen = np.concatenate([seen, keys[new]])
-    return _signs(np.concatenate(rows), C.shape[1])
+        seen = np.sort(np.concatenate([seen, keys[new]]))
+    half = _signs(np.concatenate(rows), C.shape[1])
+    return np.concatenate([half, -half])
 
 
 def _components(S: np.ndarray) -> np.ndarray:
@@ -564,7 +585,10 @@ def enumerate_faces(normals) -> Faces:
     took.  The cocircuits are the cross products of the rank-(r-1) subsets
     of normals, eliminated together in blocks; the closure composes sign
     rows held 32 hyperplanes to a uint64 word and deduplicates them on one
-    key per row (the word itself up to 32 hyperplanes); and each block of
+    key per row (the word itself up to 32 hyperplanes); only the canonical
+    half of the faces (first nonzero sign +) is closed and represented,
+    and the other half is its negation, since the conformal cocircuits of
+    -X are those of X negated; and each block of
     at most _BLOCK bytes of conformality mask gives its conformal sums by
     one matmul.  Every integer stage runs in int64 when a stated bound
     (Hadamard's on the minors; r (#cocircuits) max|Z| max|P| on the sums)
@@ -620,7 +644,8 @@ def enumerate_faces(normals) -> Faces:
         faces = _closure(C)
         col, orient = np.array(where).T
         S = np.concatenate([faces[:, col] * orient.astype(np.int8), S])
-        W = np.concatenate([_representatives(faces, C, Z, P), W])
+        U = _representatives(faces[:len(faces) // 2], C, Z, P)  # the canonical half
+        W = np.concatenate([U, -U, W])
     # sign rows are distinct but for the lineality's two rays, which the
     # stable sort keeps in the order of their representatives
     order = np.lexsort(S.T[::-1])

@@ -82,7 +82,10 @@ class Tempering:
         return len(self.intervals)
 
     def contains(self, rates) -> bool:
-        return all(lo <= Fraction(k) <= hi for (lo, hi), k in zip(self.intervals, rates))
+        """Whether rates has one value per interval, each inside it."""
+        rates = tuple(rates)
+        return len(rates) == len(self.intervals) and \
+            all(lo <= Fraction(k) <= hi for (lo, hi), k in zip(self.intervals, rates))
 
     def midpoints(self) -> np.ndarray:
         return np.array([float((lo + hi) / 2) for lo, hi in self.intervals])

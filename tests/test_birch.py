@@ -65,6 +65,14 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             g_alpha((-0.5, 1.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("fn", [g_alpha, grad_g_alpha])
+    @pytest.mark.parametrize("alpha", [(2.0,), (2.0, 1.0, 1.0)], ids=["short", "long"])
+    def test_wrong_length_rejected(self, fn, alpha):
+        # a short alpha used to broadcast in grad_g_alpha and raise
+        # IndexError in g_alpha
+        with pytest.raises(ValueError, match="alpha must be 2 finite positive values"):
+            fn((1.0, 2.0), alpha)
+
     def test_gradient_matches_central_difference(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 5))

@@ -592,6 +592,44 @@ class TestBitWordClosure:
         assert _signs(_words(X), K).tolist() == X.tolist()
 
 
+class TestSignSymmetry:
+    """-X is a covector iff X is, so the closure closes the canonical half
+    (first nonzero sign +) and appends it negated, and the representative
+    of -X is minus that of X."""
+
+    @staticmethod
+    def check(normals):
+        C = _essential_cocircuits(normals)[0]
+        S = _closure(C)
+        half = S[:len(S) // 2]
+        assert len(S) == 2 * len(half) and np.array_equal(S[len(half):], -half)
+        assert (half[np.arange(len(half)), (half != 0).argmax(axis=1)] == 1).all()
+        assert {r.tobytes() for r in S} == {r.tobytes() for r in _closure_int8(C)}
+        faces = enumerate_faces(normals)
+        reps = {s.tobytes(): w for s, w in zip(faces.signs, faces.representatives.tolist())
+                if s.any()}
+        assert len(reps) == len(S)
+        for s, w in reps.items():
+            assert reps[(-np.frombuffer(s, dtype=np.int8)).tobytes()] == [-x for x in w]
+
+    def test_seeded_arrangements(self):
+        for normals in _seeded_arrangements():
+            if any(any(p) for p in normals):
+                self.check(normals)
+
+    @pytest.mark.parametrize("m", [32, 33, 64, 65, 70])
+    def test_across_word_boundaries(self, m, monkeypatch):
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "100")
+        self.check([(a, a * a + 1) for a in range(1, m + 1)])
+
+    def test_first_word_zero(self, monkeypatch):
+        # 32 planes through the z-axis, then three more: the two rays of the
+        # axis are zero on the whole first word, so the second word decides
+        # which of them is canonical
+        monkeypatch.setenv("CRN_MAX_HYPERPLANES", "100")
+        self.check([(a, a * a + 1, 0) for a in range(1, 33)] + [(b, 1, 2) for b in range(1, 4)])
+
+
 def _reference_faces(normals):
     """(signs, representative) of every face by the definition, on Python
     ints and Fractions: in the coordinates of the normals' reduced row
@@ -685,6 +723,7 @@ class TestIntegerStages:
         out = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
              f"{__file__}::TestIntegerStages", f"{__file__}::TestBitWordClosure",
+             f"{__file__}::TestSignSymmetry",
              "-k", "not optimized"],
             capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stdout[-2000:]

@@ -168,6 +168,11 @@ class TestTempering:
         assert temp.contains([F(2, 5)])
         assert not temp.contains([F(1, 3) - F(1, 10**12)])
 
+    @pytest.mark.parametrize("rates", [(1.5,), (1.5, 1.5, 1.5, 99)], ids=["short", "long"])
+    def test_wrong_length_rates_not_contained(self, rates):
+        # zip used to judge only the shorter prefix, and answered True
+        assert not Tempering(((F(1), F(2)),) * 3).contains(rates)
+
     def test_midpoints_lows_highs(self):
         temp = Tempering(((F(1), F(2)), (F(3), F(3))))
         assert np.allclose(temp.midpoints(), [1.5, 3.0])
@@ -193,7 +198,7 @@ class TestInputLengths:
              "-k", "wrong_length and not optimized"],
             capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stdout[-2000:]
-        assert "26 passed" in out.stdout, out.stdout[-2000:]
+        assert "32 passed" in out.stdout, out.stdout[-2000:]
 
 
 class TestStoichiometry:
