@@ -214,6 +214,20 @@ def _in_band(Z, A, b) -> np.ndarray:
     return miss <= _MEMBERSHIP_BAND
 
 
+def _ray_setup(stoich: StoichiometryInfo, x0, alpha, o_radius: float, samples: int,
+               seed: int):
+    """The checks and set-up both toric-ray verifiers share: x0 and alpha
+    as float vectors, the sampled directions, and the Birch point solved to
+    _VERIFY_TOL."""
+    x0 = _positive(x0, stoich.n_species, "x0")
+    alpha = _positive(alpha, stoich.n_species, "alpha")
+    if not 0 < o_radius < np.inf:
+        raise ValueError(f"o_radius must be positive and finite, got {o_radius}")
+    dirs = _direction_samples(stoich, samples, np.random.default_rng(seed))
+    xhat = np.array(birch_point(stoich, x0, alpha, tol=_VERIFY_TOL).point)
+    return x0, alpha, dirs, xhat
+
+
 def _toric_rays(alpha, directions, n_thetas):
     """Per direction w, the thetas of the geometric grid of n_thetas points
     on [1, _THETA_MAX] at which alpha * theta**w is finite, and those points
@@ -250,12 +264,7 @@ def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha, samples: int = 1
             samples outside 1..10,000, o_radius not positive and finite, or
             a network with no species (no direction to sample).
     """
-    x0 = _positive(x0, stoich.n_species, "x0")
-    alpha = _positive(alpha, stoich.n_species, "alpha")
-    if not 0 < o_radius < np.inf:
-        raise ValueError(f"o_radius must be positive and finite, got {o_radius}")
-    dirs = _direction_samples(stoich, samples, np.random.default_rng(seed))
-    xhat = np.array(birch_point(stoich, x0, alpha, tol=_VERIFY_TOL).point)
+    x0, alpha, dirs, xhat = _ray_setup(stoich, x0, alpha, o_radius, samples, seed)
     Q = stoich.orthonormal_Hperp()
     per_direction = []
     violations = []
@@ -296,12 +305,7 @@ def estimate_mu(stoich: StoichiometryInfo, x0, alpha, o_radius: float,
             samples outside 1..10,000, o_radius not positive and finite, or
             a network with no species (no direction to sample).
     """
-    x0 = _positive(x0, stoich.n_species, "x0")
-    alpha = _positive(alpha, stoich.n_species, "alpha")
-    if not 0 < o_radius < np.inf:
-        raise ValueError(f"o_radius must be positive and finite, got {o_radius}")
-    dirs = _direction_samples(stoich, samples, np.random.default_rng(seed))
-    xhat = np.array(birch_point(stoich, x0, alpha).point)
+    x0, alpha, dirs, xhat = _ray_setup(stoich, x0, alpha, o_radius, samples, seed)
     A = stoich.Hperp_matrix()
     b = A @ x0
     B = stoich.orthonormal_H()

@@ -69,16 +69,12 @@ def is_w_endotactic(net: ReactionNetwork, w) -> tuple[bool, Reaction | None]:
     if not any(w):
         raise ValueError("direction w must be nonzero")
     _, sources, fluxes, _, _ = net._exact
-    comps = [sum(a * b for a, b in zip(w, flux)) for flux in fluxes]
-    heights = [sum(a * b for a, b in zip(w, source)) for source in sources]
-    essential = [r for r, c in enumerate(comps) if c]
-    if not essential:
-        return True, None
-    top = max(heights[r] for r in essential)
-    for r in essential:
-        if heights[r] == top and comps[r] > 0:
-            return False, net.reactions[r]
-    return True, None
+    w = np.array(w, dtype=object)  # so each <w, row> is an exact Python int
+    P, Q = (np.array(rows, dtype=object).reshape(len(rows), len(w)) @ w
+            for rows in (fluxes, sources))
+    endo_viol, _, _ = _conditions(P[None], Q[None])
+    violating = np.flatnonzero(endo_viol[0])
+    return (False, net.reactions[violating[0]]) if len(violating) else (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +108,9 @@ class _Arrangement:
         i, j = np.triu_indices(len(distinct), 1)  # the pairs in combinations order
         eye = np.eye(len(distinct), dtype=np.int64)
         rank = (pair_signs > 0) @ eye[i] + (pair_signs < 0) @ eye[j]
-        self.endo_fail, self.strong_fail, self.top = _conditions(
+        endo_viol, self.strong_fail, self.top = _conditions(
             self.flux_signs, rank[:, list(source_of)])
+        self.endo_fail = endo_viol.any(axis=1)
 
     def least(self, mask) -> tuple[int, ...] | None:
         """The lexicographically least representative among the rows in
@@ -128,17 +125,19 @@ class _Arrangement:
 
 
 def _conditions(P: np.ndarray, Q: np.ndarray):
-    """Per direction w (a row), whether the endotactic and the strong
-    condition fail, and which reactions have a maximal source.  Column r
-    needs only the sign of <w, flux_r> in P and the order of <w, y_r> within
-    the row in Q, so any ordered dtype serves."""
+    """Per direction w (a row): which reactions violate the endotactic
+    condition (a w-essential reaction with a maximal source among the
+    w-essential ones and <w, flux> > 0), whether the strong condition fails,
+    and which reactions have a maximal source.  Column r needs only the sign
+    of <w, flux_r> in P and the order of <w, y_r> within the row in Q, so
+    any ordered dtype serves."""
     ess = P != 0
     floor = Q.min(initial=0)  # at most every entry
     supp = np.where(ess, Q, floor).max(axis=1, initial=floor)
-    endo_fail = np.any(ess & (P > 0) & (Q == supp[:, None]), axis=1)
+    endo_viol = ess & (P > 0) & (Q == supp[:, None])
     top = Q == Q.max(axis=1, initial=floor)[:, None]
     strong_fail = np.any(ess, axis=1) & ~np.any(top & (P < 0), axis=1)
-    return endo_fail, strong_fail, top
+    return endo_viol, strong_fail, top
 
 
 def _arrangement(net: ReactionNetwork, required: bool) -> _Arrangement | None:
@@ -327,6 +326,7 @@ def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0
             left -= len(W)
             rows = min(4 * rows, _BLOCK_ROWS)
             viol_endo, viol_strong, _ = _conditions(W @ F.T, W @ S.T)
+            viol_endo = viol_endo.any(axis=1)
             if endo_w is None and viol_endo.any():
                 endo_w = primitive(W[viol_endo.argmax()].tolist())
             if strong_w is None and viol_strong.any():

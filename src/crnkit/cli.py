@@ -1,11 +1,19 @@
 """Command-line front end: classify | birch | simulate | steady | scan | jets.
 
-Outputs are deterministic: identical (input, flags, seed) produce
-byte-identical JSON/CSV/SVG.  Every report embeds the tool name, version,
-schema version, and seed; nothing time- or host-dependent is emitted.
+One pipeline serves every subcommand: main parses the arguments, loads the
+network once, hands it to the subcommand, and writes what comes back.  A
+subcommand only builds its result: a payload dict, which main puts after
+the envelope and dumps as JSON, or the finished CSV or SVG text.  One
+writer sends either to stdout or to --out.
 
-Exit codes: 0 success, 1 parse/usage error or invalid value, 2 arrangement
-limit exceeded, 3 no convergence; every failure prints one line to stderr.
+Outputs are deterministic: identical (input, flags, seed) produce
+byte-identical JSON/CSV/SVG.  Every JSON report embeds the tool name,
+version, schema version, and seed; nothing time- or host-dependent is
+emitted.
+
+Exit codes: 0 success, 1 parse/usage error, invalid value or unwritable
+--out, 2 arrangement limit exceeded, 3 no convergence; every failure prints
+one line to stderr.
 """
 
 from __future__ import annotations
@@ -66,17 +74,17 @@ def _jsonify(obj):
     return obj
 
 
-def _emit(payload: dict, out_path: str | None):
-    text = json.dumps(_jsonify(payload), indent=2) + "\n"
-    _write_text(text, out_path)
-
-
-def _write_text(text: str, out_path: str | None):
+def _write(text: str, out_path: str | None):
+    """text to stdout (out_path None or "-") or to the file out_path;
+    ValueError, a one-line exit 1, when the file cannot be written."""
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror}")
 
 
 def _load(path: str):
@@ -109,43 +117,27 @@ def _parse_floats(text: str, n: int, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args) -> int:
-    net, _ = _load(args.file)
-    payload = _envelope("classify", args.seed)
-    payload["species"] = list(net.species_names)
-    if args.direction is not None:
-        w = _parse_vector(args.direction, net.n_species, "--direction")
-        ok, violation = is_w_endotactic(net, w)
-        payload["direction"] = [str(c) for c in w]
-        payload["w_endotactic"] = ok
-        payload["violating_reaction"] = (
-            None if violation is None else net.reactions.index(violation)
-        )
-    else:
+def cmd_classify(args, net, tempering) -> dict:
+    if args.direction is None:
         report = classify(net, sample_fallback=args.sample_fallback, seed=args.seed)
-        payload.update(report.to_dict())
-    _emit(payload, args.out)
-    return 0
+        return {"species": list(net.species_names), **report.to_dict()}
+    w = _parse_vector(args.direction, net.n_species, "--direction")
+    ok, violation = is_w_endotactic(net, w)
+    return {"species": list(net.species_names), "direction": [str(c) for c in w],
+            "w_endotactic": ok,
+            "violating_reaction": None if violation is None else net.reactions.index(violation)}
 
 
-def cmd_birch(args) -> int:
-    net, _ = _load(args.file)
+def cmd_birch(args, net, tempering) -> dict:
     stoich = stoichiometric_subspace(net)
     x0 = _parse_floats(args.x0, net.n_species, "--x0")
     alpha = _parse_floats(args.alpha, net.n_species, "--alpha")
     sol = birch_point(stoich, x0, alpha, tol=args.tol)
-    payload = _envelope("birch", args.seed)
-    payload["x0"] = x0
-    payload["alpha"] = alpha
-    payload["point"] = sol.point
-    payload["residual"] = sol.residual
-    payload["iterations"] = sol.iterations
-    _emit(payload, args.out)
-    return 0
+    return {"x0": x0, "alpha": alpha, "point": sol.point, "residual": sol.residual,
+            "iterations": sol.iterations}
 
 
-def cmd_simulate(args) -> int:
-    net, tempering = _load(args.file)
+def cmd_simulate(args, net, tempering) -> dict | str:
     x0 = _parse_floats(args.x0, net.n_species, "--x0")
     rates = (None if args.rates is None
              else tuple(_parse_floats(args.rates, net.n_reactions, "--rates").tolist()))
@@ -153,21 +145,12 @@ def cmd_simulate(args) -> int:
     traj = simulate(net, tempering, policy, x0, args.t_end)
     alpha = None if args.alpha is None else _parse_floats(args.alpha, net.n_species, "--alpha")
     if args.format == "csv":
-        _write_text(_trajectory_csv(net, traj, alpha), args.out)
-        return 0
+        return _trajectory_csv(net, traj, alpha)
     if args.format == "svg":
-        _write_text(_trajectory_svg(net, traj), args.out)
-        return 0
-    payload = _envelope("simulate", args.seed)
-    payload["policy"] = policy.mode
-    payload["t_end"] = args.t_end
-    payload["species"] = net.species_names
-    payload["times"] = traj.times
-    payload["states"] = traj.states
-    payload["events"] = traj.events
-    payload["rate_log"] = traj.rate_log
-    _emit(payload, args.out)
-    return 0
+        return _trajectory_svg(net, traj)
+    return {"policy": policy.mode, "t_end": args.t_end, "species": net.species_names,
+            "times": traj.times, "states": traj.states, "events": traj.events,
+            "rate_log": traj.rate_log}
 
 
 def _trajectory_csv(net, traj, alpha=None) -> str:
@@ -231,22 +214,15 @@ def _trajectory_svg(net, traj) -> str:
     return "".join(parts)
 
 
-def cmd_steady(args) -> int:
-    net, tempering = _load(args.file)
+def cmd_steady(args, net, tempering) -> dict:
     x0 = _parse_floats(args.x0, net.n_species, "--x0")
     k = (_tempering_of(net, tempering).midpoints() if args.k is None
          else _parse_floats(args.k, net.n_reactions, "--k"))
     ss = find_steady_state(net, k, x0, tol=args.tol)
-    payload = _envelope("steady", args.seed)
-    payload["k"] = k
-    payload["x"] = ss.x
-    payload["residual"] = ss.residual
-    _emit(payload, args.out)
-    return 0
+    return {"k": k, "x": ss.x, "residual": ss.residual}
 
 
-def cmd_scan(args) -> int:
-    net, tempering = _load(args.file)
+def cmd_scan(args, net, tempering) -> dict | str:
     x0 = (np.ones(net.n_species) if args.x0 is None
           else _parse_floats(args.x0, net.n_species, "--x0"))
     if not 1 < args.theta_max < np.inf:
@@ -264,13 +240,7 @@ def cmd_scan(args) -> int:
         direction_samples=args.samples,
         seed=args.seed,
     )
-    if args.format == "svg":
-        _write_text(_scan_svg(net, tempering, report), args.out)
-        return 0
-    payload = _envelope("scan", args.seed)
-    payload.update(report)
-    _emit(payload, args.out)
-    return 0
+    return _scan_svg(net, tempering, report) if args.format == "svg" else report
 
 
 def _scan_svg(net, tempering, report) -> str:
@@ -303,8 +273,7 @@ def _scan_svg(net, tempering, report) -> str:
     return "".join(parts)
 
 
-def cmd_jets(args) -> int:
-    net, _ = _load(args.file)
+def cmd_jets(args, net, tempering) -> dict:
     vecs = []
     for chunk in args.frame.split(";"):
         vecs.append(_parse_floats(chunk, net.n_species, "--frame"))
@@ -317,15 +286,13 @@ def cmd_jets(args) -> int:
     report = domination_monitor(
         net, frame, schedule, i_range=i_range, threshold=args.threshold
     )
-    payload = _envelope("jets", args.seed)
-    payload["frame"] = frame.vectors
-    payload["schedule"] = {"beta": args.schedule, "theta": args.theta_schedule}
-    payload["reaction_classes"] = [
-        {"kind": kind, "level": level} for kind, level in report.pop("classes")
-    ]
-    payload.update(report)
-    _emit(payload, args.out)
-    return 0
+    return {
+        "frame": frame.vectors,
+        "schedule": {"beta": args.schedule, "theta": args.theta_schedule},
+        "reaction_classes": [{"kind": kind, "level": level}
+                             for kind, level in report.pop("classes")],
+        **report,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +387,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_vectors(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        net, tempering = _load(args.file)
+        result = args.func(args, net, tempering)
+        if isinstance(result, dict):
+            result = json.dumps(_jsonify({**_envelope(args.subcommand, args.seed), **result}),
+                                indent=2) + "\n"
+        _write(result, args.out)
     except ParseError as exc:
         print(f"crnkit: parse error: {exc}", file=sys.stderr)
         return 1
@@ -435,6 +407,7 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"crnkit: no convergence: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -399,29 +399,35 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     # time, so no directions x thetas array is built
     bad_theta = np.full(len(W), -np.inf)
     seen = False  # any eligible point at all
-    phis = []  # one law: <a, theta**w> - b0 per grid theta, inf on overflow
+    # one law: phi = <a, theta**w> - b0 per direction (inf on overflow) at
+    # the previous grid theta only, and per grid interval holding sign
+    # changes of phi, (interval, directions, phi at the interval's low end)
+    prev = np.full(len(W), np.inf)
+    changes = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for theta in theta_grid:
+        for t, theta in enumerate(theta_grid):
             Z = theta ** W
             finite = np.all(np.isfinite(Z), axis=1)
             if A.shape[0] == 0:
                 eligible = True
             elif A.shape[0] == 1:
-                phis.append(np.where(finite, _rowdot(Z, A[0]) - b[0], np.inf))
-                eligible = np.abs(phis[-1]) <= 1e-9 * (1 + abs(b[0]))
+                phi = np.where(finite, _rowdot(Z, A[0]) - b[0], np.inf)
+                eligible = np.abs(phi) <= 1e-9 * (1 + abs(b[0]))
+                d = np.flatnonzero(np.isfinite(prev) & np.isfinite(phi) & (prev != 0)
+                                   & (phi != 0) & ~(prev * phi > 0))
+                if len(d):
+                    changes.append((np.full(len(d), t - 1), d, prev[d]))
+                prev = phi
             else:
                 eligible = finite & _in_band(Z, A, b)
             seen |= bool(np.any(eligible))
             S = _rowdot(theta ** heights, pulls)
             bad_theta[eligible & (S >= 0) & (S < np.inf)] = theta
-        if phis:
-            # bisect every sign change of phi between neighbouring grid thetas
-            phis = np.array(phis)  # thetas x directions, so one theta gives no pairs
-            va, vb = phis[:-1], phis[1:]
-            ti, di = np.nonzero(np.isfinite(va) & np.isfinite(vb) & (va != 0) & (vb != 0)
-                                & ~(va * vb > 0))
-            seen |= len(di) > 0
-            lo, hi, f_lo = theta_grid[ti], theta_grid[ti + 1], va[ti, di]
+        if changes:
+            # bisect every sign change at once
+            ti, di, f_lo = map(np.concatenate, zip(*changes))
+            seen = True
+            lo, hi = theta_grid[ti], theta_grid[ti + 1]
             for _ in range(80):
                 mid = np.sqrt(lo * hi)
                 Z = mid[:, None] ** W[di]

@@ -360,6 +360,15 @@ class TestBoundaryVerifier:
         with pytest.raises(ValueError, match=f"{name} must be 2 finite positive values"):
             verifier(st, x0, alpha, o_radius=0.5)
 
+    @pytest.mark.parametrize("x0", [(1e3, 3e3), (2e3, 1e3), (1e4, 3e4)])
+    def test_both_verifiers_solve_the_same_birch_point(self, x0):
+        # estimate_mu solved its Birch point to 1e-12 and stalled (exit 3)
+        # from these starts, where verify_birch_boundary's 1e-10 converges
+        st = stoichiometric_subspace(parse_network("species: A B\nA <-> B rate [1] [2]\n")[0])
+        xhat = verify_birch_boundary(st, x0, (1.0, 1.0), samples=20)["birch_point"]
+        assert np.allclose(xhat, [sum(x0) / 2] * 2)
+        assert estimate_mu(st, x0, (1.0, 1.0), o_radius=0.5, samples=20) >= 0
+
     def test_rejects_a_network_with_no_species(self):
         # no unit direction exists, so the sampler would draw forever
         st = stoichiometric_subspace(parse_network("0 -> 0")[0])

@@ -110,6 +110,13 @@ class TestSingleDirection:
                     if comps[d] > 0
                 )
                 assert is_w_endotactic(net, w)[0] == expected
+                # the violation reported is the first draining reaction
+                # whose source is highest among the w-essential reactions
+                top = max((h for h, c in zip(heights, comps) if c), default=None)
+                first = next((r for r, (h, c) in enumerate(zip(heights, comps))
+                              if c > 0 and h == top), None)
+                assert is_w_endotactic(net, w) == (
+                    (True, None) if first is None else (False, net.reactions[first]))
 
     def test_restated_strong_condition_on_face_representatives(self, rng):
         # w meets the strong condition iff it is orthogonal to every reaction

@@ -1,6 +1,7 @@
 """Command-line interface: envelope fields, exit codes, deterministic
 output, and the JSON / CSV / SVG formats."""
 
+import errno
 import json
 import os
 import subprocess
@@ -572,6 +573,21 @@ class TestJetsCommand:
         assert doc["all_dominated"] is False
 
 
+# one call per subcommand and output format, on the A <-> B network
+_FORMS = {
+    "classify": ["classify", "{file}"],
+    "classify-direction": ["classify", "{file}", "--direction", "1,-1"],
+    "birch": ["birch", "{file}", "--x0", "1,2", "--alpha", "2,1"],
+    "simulate": ["simulate", "{file}", "--x0", "1,2", "--t-end", "1"],
+    "simulate-csv": ["simulate", "{file}", "--x0", "1,2", "--t-end", "1", "--format", "csv"],
+    "simulate-svg": ["simulate", "{file}", "--x0", "1,2", "--t-end", "1", "--format", "svg"],
+    "steady": ["steady", "{file}", "--x0", "1,2"],
+    "scan": ["scan", "{file}", "--samples", "20", "--theta-points", "10"],
+    "scan-svg": ["scan", "{file}", "--samples", "20", "--theta-points", "10", "--format", "svg"],
+    "jets": ["jets", "{file}", "--frame", "1,1;-1,1", "--i-max", "50"],
+}
+
+
 class TestOutputFile:
     def test_out_writes_file(self, rlv_file, tmp_path):
         dest = tmp_path / "report.json"
@@ -580,3 +596,28 @@ class TestOutputFile:
         assert out.stdout == ""
         doc = json.loads(dest.read_text())
         assert doc["command"] == "classify"
+
+    @pytest.mark.parametrize("form", sorted(_FORMS))
+    def test_out_file_and_dash_write_the_stdout_bytes(self, form, ab_file, tmp_path, capsys):
+        # one writer serves every subcommand and format
+        argv = [a.format(file=ab_file) for a in _FORMS[form]]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        dest = tmp_path / "report"
+        assert cli.main([*argv, "--out", str(dest)]) == 0
+        assert capsys.readouterr().out == ""
+        assert dest.read_bytes() == stdout.encode()
+        assert cli.main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out == stdout
+
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    @pytest.mark.parametrize("form", sorted(_FORMS))
+    def test_unwritable_out_is_one_line_exit_one(self, form, where, ab_file, tmp_path,
+                                                 capsys):
+        # open() raised FileNotFoundError or IsADirectoryError: a traceback
+        dest, code = ((tmp_path / "missing" / "x", errno.ENOENT) if where == "missing-directory"
+                      else (tmp_path, errno.EISDIR))
+        argv = [a.format(file=ab_file) for a in _FORMS[form]]
+        assert cli.main([*argv, "--out", str(dest)]) == 1
+        assert capsys.readouterr() == ("", f"crnkit: error: cannot write {dest}: "
+                                           f"{os.strerror(code)}\n")

@@ -531,6 +531,21 @@ class TestCutoffScan:
         assert len(S) == 1876 and set(labels.tolist()) == {0}
         assert peak < 2e6
 
+    def test_one_law_scan_memory_does_not_grow_with_the_grid(self):
+        # the one-law scan used to keep phi for every grid theta, a thetas x
+        # directions array: 1,000 thetas took 17 times the memory of 50
+        net, temp = load("ab_reversible")
+        peaks = []
+        for points in (50, 1000):
+            tracemalloc.start()
+            try:
+                cutoff_scan(net, temp, (1.0, 1.0), theta_grid=np.geomspace(1.5, 1e6, points),
+                            direction_samples=2000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
     @pytest.mark.parametrize("grid", [[], [0.5, 2.0], [1.0, 10.0], [2.0, np.nan]])
     def test_rejects_thetas_at_most_one(self, grid):
         net, temp = load("reverse_lv")
