@@ -70,6 +70,8 @@ def _jsonify(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "iuf" and np.isfinite(obj).all():
+            return obj.tolist()  # Python ints and finite floats, as the loop gives
         return [_jsonify(v) for v in obj.tolist()]
     return obj
 

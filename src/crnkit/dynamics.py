@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -74,9 +76,10 @@ class SteadyState:
 
 def _monomials(net: ReactionNetwork, x: np.ndarray) -> np.ndarray:
     """x**y_r for every source y_r (0**0 = 1) of a state, or of each row of a
-    stack of states; non-finite where undefined.  Its callers' entry points
-    (mass_action_rhs, simulate, find_steady_state, g_along) hold
-    np.errstate(all="ignore"), so an undefined monomial warns nowhere."""
+    stack of states, in numpy; non-finite where undefined.  Only
+    find_steady_state's pseudo-transient loop calls it, for the reduced
+    field and its Jacobian, under np.errstate(all="ignore"); every other
+    field value is _field's."""
     return np.multiply.reduce(np.power(x[..., None, :], net.source_matrix()), axis=-1)
 
 
@@ -86,36 +89,80 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _rhs(net: ReactionNetwork, k: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """The mass-action field at x, or None where a monomial is undefined."""
-    mono = _monomials(net, x)
-    if not np.isfinite(mono).all():
-        return None
-    return (k * mono) @ net.flux_matrix()
+def _power(v: float, e) -> float:
+    """v**e for a source exponent e: math.pow where e is a float (not
+    integral); for an int e, repeated squaring and multiplication (v * v
+    for 2, v * (v * v) for 3), log2(e) steps and no pow."""
+    if e.__class__ is float:
+        return math.pow(v, e)
+    p, e = (v if e & 1 else 1.0), e >> 1
+    while e:
+        v *= v
+        if e & 1:
+            p *= v
+        e >>= 1
+    return p
 
 
-@np.errstate(all="ignore")
+# what _field raises where a monomial is undefined: math.pow's domain error
+# and overflow, and _field's own error for a non-finite monomial
+_UNDEFINED = (ValueError, OverflowError)
+
+
+def _field(terms, k, x) -> list[float]:
+    """The mass-action field at x in Python floats, from the network's
+    _mass_action_terms, the rates k and the state x as float sequences.
+
+    Each monomial is the product of its powers in species order, times k_r;
+    each component sums its reactions' terms in reaction order, left to
+    right, from 0.0.  So the result depends on IEEE arithmetic and, for
+    fractional exponents, math.pow, not on numpy's SIMD dispatch or a BLAS
+    kernel.  Raises ValueError or
+    OverflowError where a monomial is undefined or not finite (_UNDEFINED).
+    """
+    f = [0.0] * len(x)
+    for kr, source, flux in zip(k, *terms):
+        m = 1.0
+        for s, e in source:
+            v = x[s]
+            if e == 1:
+                m *= v
+            elif e == 2:  # _power's value, without the call
+                m *= v * v
+            else:
+                m *= _power(v, e)
+        if not isfinite(m):
+            raise ValueError("monomial not finite")
+        w = kr * m
+        for s, c in flux:
+            f[s] += w * c
+    return f
+
+
 def mass_action_rhs(net: ReactionNetwork, k, x) -> np.ndarray:
     """Sum over reactions of k_r * x**source_r * (target_r - source_r).
 
-    Monomials x**y are componentwise powers (0**0 = 1).  Any real rates are
-    taken; k not one rate per reaction, x not one entry per species, and
-    states that make a monomial undefined (zeros with negative exponents,
-    negative coordinates with fractional exponents) raise ValueError.
+    Monomials x**y are componentwise powers (0**0 = 1), evaluated by
+    _field, the field simulate steps on.  Any real rates are taken; k not
+    one rate per reaction, x not one entry per species, and states that
+    make a monomial undefined (zeros with negative exponents, negative
+    coordinates with fractional exponents) or not finite raise ValueError.
     """
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
     if k.shape != (net.n_reactions,) or x.shape != (net.n_species,):
         raise ValueError(f"k and x must have {net.n_reactions} and {net.n_species} entries, "
                          f"got shapes {k.shape} and {x.shape}")
-    f = _rhs(net, k, x)
-    if f is None:
-        raise ValueError(f"monomials undefined at x = {x}")
-    return f
+    try:
+        return np.array(_field(net._mass_action_terms, k.tolist(), x.tolist()))
+    except _UNDEFINED:
+        raise ValueError(f"monomials undefined at x = {x}") from None
 
 
 # Dormand-Prince 5(4) pair: row i of A weights the stages before stage i; the
 # last row doubles as the 5th-order weights (FSAL), and E is it minus the 4th-
 # order weights.  Within a segment the system is autonomous: no nodes c_i.
+# _dp5 writes these out as literals; the test suite's per-stage reference
+# loops over them
 _DP_A = np.array([
     [0, 0, 0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0, 0, 0],
@@ -127,13 +174,53 @@ _DP_A = np.array([
 ])
 _DP_E = _DP_A[6] - np.array(
     [5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-# stage i's weights _DP_A[i, :i], sliced once
-_DP_ROWS = tuple(_DP_A[i, :i] for i in range(7))
 
 # an adaptive run stops at the boundary once a rejected step shrinks below this
 _H_MIN = 1e-12
 # a run stops with a step-limit event after this many steps, accepted or not
 _MAX_STEPS = 5_000_000
+
+
+def _dp5(terms, k, x, f1, h, rtol, atol):
+    """One Dormand-Prince step of size h from x (f1 the field there), in
+    Python floats: (x_new, stages, err), err the RMS of the scaled error
+    estimate (0 for a state without species), or None unless every stage is
+    finite and x_new is positive and finite.
+
+    Each stage's state is x + h * (its weighted stages, summed left to
+    right), the 7th state is x_new, and the error terms add in stage order,
+    so every value is fixed by _field's and these float operations.  A
+    monomial that is
+    undefined or not finite at a stage's state ends the step there."""
+    try:
+        f2 = _field(terms, k, [a + h * (1 / 5 * p1) for a, p1 in zip(x, f1)])
+        f3 = _field(terms, k, [a + h * (3 / 40 * p1 + 9 / 40 * p2)
+                               for a, p1, p2 in zip(x, f1, f2)])
+        f4 = _field(terms, k, [a + h * (44 / 45 * p1 - 56 / 15 * p2 + 32 / 9 * p3)
+                               for a, p1, p2, p3 in zip(x, f1, f2, f3)])
+        f5 = _field(terms, k, [a + h * (19372 / 6561 * p1 - 25360 / 2187 * p2
+                                        + 64448 / 6561 * p3 - 212 / 729 * p4)
+                               for a, p1, p2, p3, p4 in zip(x, f1, f2, f3, f4)])
+        f6 = _field(terms, k, [a + h * (9017 / 3168 * p1 - 355 / 33 * p2 + 46732 / 5247 * p3
+                                        + 49 / 176 * p4 - 5103 / 18656 * p5)
+                               for a, p1, p2, p3, p4, p5 in zip(x, f1, f2, f3, f4, f5)])
+        x_new = [a + h * (35 / 384 * p1 + 500 / 1113 * p3 + 125 / 192 * p4
+                          - 2187 / 6784 * p5 + 11 / 84 * p6)
+                 for a, p1, p3, p4, p5, p6 in zip(x, f1, f3, f4, f5, f6)]
+        f7 = _field(terms, k, x_new)
+    except _UNDEFINED:
+        return None
+    if not all(map(isfinite, chain(f1, f2, f3, f4, f5, f6, f7))):
+        return None
+    acc = 0.0
+    for a, b, p1, p3, p4, p5, p6, p7 in zip(x, x_new, f1, f3, f4, f5, f6, f7):
+        if not (b > 0.0 and isfinite(b)):
+            return None
+        e = h * ((35 / 384 - 5179 / 57600) * p1 + (500 / 1113 - 7571 / 16695) * p3
+                 + (125 / 192 - 393 / 640) * p4 + (-2187 / 6784 + 92097 / 339200) * p5
+                 + (11 / 84 - 187 / 2100) * p6 - 1 / 40 * p7) / (atol + rtol * (a if a > b else b))
+        acc += e * e
+    return x_new, (f1, f2, f3, f4, f5, f6, f7), math.sqrt(acc / len(x)) if x else 0.0
 
 
 def _float_bounds(tempering: Tempering):
@@ -184,40 +271,20 @@ def _segments(policy: RatePolicy, tempering: Tempering, t_end: float):
             return
 
 
-def _dp_step(net: ReactionNetwork, k: np.ndarray, x: np.ndarray, f: np.ndarray, h: float):
-    """The 5th-order point of one Dormand-Prince step of size h from x (f the
-    field there) and the step's stages, or None unless every stage is
-    finite and the point is positive and finite.
-
-    The stages are formed unchecked under simulate's error state and tested
-    together with the point, once per step: an undefined monomial makes its
-    stage non-finite (inf * 0 is nan), so one test finds it."""
-    K = np.empty((7, len(x)))
-    K[0] = f
-    F = net.flux_matrix()
-    for i in range(1, 7):
-        K[i] = (k * _monomials(net, x + h * (_DP_ROWS[i] @ K[:i]))) @ F
-    x_new = x + h * (_DP_A[6] @ K)
-    ok = np.isfinite(K).all() and ((x_new > 0) & (x_new < np.inf)).all()
-    return (x_new, K) if ok else None
-
-
-@np.errstate(all="ignore")
 def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePolicy,
              x0, t_end: float, rtol: float = 1e-8, atol: float = 1e-10) -> Trajectory:
     """Integrate the mass-action system with rates selected by the policy.
 
-    Embedded 5(4) pair with adaptive steps; a step is rejected when the
-    error estimate exceeds one or when a stage is undefined or the new
-    point is not positive and finite (_dp_step tests all of that once per
-    step).  The whole run holds np.errstate(all="ignore"), entered once and
-    restored on every exit, so no stage enters an error state of its own
-    and an undefined or overflowing value warns nowhere.  When a rejected
-    step has shrunk below 1e-12, a boundary-approach event is emitted and
-    integration stops (states are never clamped); after 5,000,000 steps a
-    step-limit event is emitted instead.  Rates are constant within each
-    policy segment, the segments are drawn lazily as integration reaches
-    them, and each is logged with its start.
+    Embedded 5(4) pair with adaptive steps, stepped in Python floats by
+    _dp5; a step is rejected when the error estimate exceeds one or when a
+    stage is undefined or not finite or the new point is not positive and
+    finite.  When a rejected step has shrunk below 1e-12, a
+    boundary-approach event is emitted and integration stops (states are
+    never clamped); after 5,000,000 steps a step-limit event is emitted
+    instead.  Rates are constant within each policy segment, the segments
+    are drawn lazily as integration reaches them, and each is logged with
+    its start.  Accepted times and states go into float arrays that double
+    when full and are trimmed at the end.
 
     Raises:
         ValueError: t_end or a tolerance not positive and finite; x0 not one
@@ -230,18 +297,24 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
-    x = _positive(x0, net.n_species, "x0")
+    x = _positive(x0, net.n_species, "x0").tolist()
     tempering = _tempering_of(net, tempering)
+    terms = net._mass_action_terms
 
     t = 0.0
     h = min(1e-3, t_end / 10)
-    times, states, rate_log, events = [t], [x], [], []
+    times, states = np.empty(256), np.empty((256, len(x)))
+    times[0], states[0] = t, x
+    count = 1
+    rate_log, events = [], []
     steps = 0
     stop = None
     for start, end, k in _segments(policy, tempering, t_end):
-        rate_log.append((start, tuple(float(v) for v in k)))
-        f = _rhs(net, k, x)
-        if f is None:
+        k = k.tolist()
+        rate_log.append((start, tuple(k)))
+        try:
+            f = _field(terms, k, x)
+        except _UNDEFINED:
             stop = "boundary-approach"
         while stop is None and t < end - 1e-14 * max(1.0, end):
             steps += 1
@@ -249,17 +322,17 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
                 stop = "step-limit"
                 break
             h_try = min(h, end - t)
-            step = _dp_step(net, k, x, f, h_try)
+            step = _dp5(terms, k, x, f, h_try, rtol, atol)
             if step is not None:
-                x_new, K = step
-                sc = atol + rtol * np.maximum(x, x_new)
-                e = h_try * (_DP_E @ K) / sc
-                err = float(np.sqrt(np.add.reduce(e * e) / len(e)))  # RMS of the scaled error
+                x_new, stages, err = step
             accept = step is not None and err <= 1.0
             if accept:
-                t, x, f = t + h_try, x_new, K[6]  # FSAL: the last stage is f at x_new
-                times.append(t)
-                states.append(x)
+                t, x, f = t + h_try, x_new, stages[6]  # FSAL: the last stage is f at x_new
+                if count == len(times):
+                    times = np.concatenate((times, np.empty_like(times)))
+                    states = np.concatenate((states, np.empty_like(states)))
+                times[count], states[count] = t, x
+                count += 1
             h = h_try * ((min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0)
                          if step is not None else 0.5)
             if not accept and h < _H_MIN:
@@ -267,7 +340,7 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
         if stop is not None:
             events.append({"type": stop, "time": t})
             break
-    return Trajectory(np.array(times), np.array(states), tuple(rate_log), tuple(events))
+    return Trajectory(times[:count].copy(), states[:count].copy(), tuple(rate_log), tuple(events))
 
 
 def conservation_residual(traj: Trajectory, stoich: StoichiometryInfo) -> float:
@@ -328,8 +401,7 @@ def find_steady_state(net: ReactionNetwork, k, x0, tol: float = 1e-10) -> Steady
     B = stoichiometric_subspace(net).orthonormal_H()
     d = B.shape[1]
     if d == 0:
-        f = _rhs(net, k, x0)
-        return SteadyState(tuple(x0), float(np.linalg.norm(f)))
+        return SteadyState(tuple(x0), float(np.linalg.norm(mass_action_rhs(net, k, x0))))
 
     S = net.source_matrix()
     FB = net.flux_matrix() @ B  # the reaction vectors in the basis B
@@ -394,14 +466,20 @@ def g_along(traj: Trajectory, net: ReactionNetwork, alpha=None) -> np.ndarray:
     X = traj.states
     alpha = np.ones(net.n_species) if alpha is None else _positive(alpha, net.n_species, "alpha")
     k = traj.rates_at(traj.times)
-    mono = _monomials(net, X)
-    bad = ~np.all(np.isfinite(mono), axis=1) | np.any(X <= 0, axis=1)
+    # mass_action_rhs's field, one sample at a time, up to the first sample
+    # where a monomial is undefined
+    terms, f = net._mass_action_terms, []
+    for ki, xi in zip(k.tolist(), X.tolist()):
+        try:
+            f.append(_field(terms, ki, xi))
+        except _UNDEFINED:
+            break
+    bad = np.any(X <= 0, axis=1)
+    bad[len(f):] = True
     if np.any(bad):
         i = np.argmax(bad)
         # the per-sample checks, in their order, raise for the first bad sample
         mass_action_rhs(net, k[i], X[i]), g_alpha(X[i], alpha), grad_g_alpha(X[i], alpha)
-    # one vector @ matrix product per sample, as _rhs computes f
-    f = ((k * mono)[:, None, :] @ net.flux_matrix())[:, 0, :]
     log_ratio = np.log(X / alpha)
     g = -X.sum(axis=1) + np.sum(X * log_ratio, axis=1)
-    return np.column_stack([traj.times, g, _rowdot(log_ratio, f)])
+    return np.column_stack([traj.times, g, _rowdot(log_ratio, np.array(f))])

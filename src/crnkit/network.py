@@ -150,6 +150,20 @@ class ReactionNetwork:
         return Y, F
 
     @cached_property
+    def _mass_action_terms(self):
+        """(sources, fluxes), one entry per reaction: the nonzero source
+        coefficients as (species, exponent) pairs, an int exponent where it
+        is integral and a float otherwise, and the nonzero reaction-vector
+        entries as (species, float coefficient) pairs; the sparse rows that
+        dynamics._field reads."""
+        sources = tuple(tuple((i, int(c) if c.denominator == 1 else float(c))
+                              for i, c in enumerate(r.source.coeffs) if c)
+                        for r in self.reactions)
+        fluxes = tuple(tuple((i, float(c)) for i, c in enumerate(r.flux) if c)
+                       for r in self.reactions)
+        return sources, fluxes
+
+    @cached_property
     def _exact(self):
         """(edges, sources, fluxes, source_of, distinct): each reaction's
         (source, target) complex index; the source rows and the reaction

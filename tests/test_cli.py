@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import network_text
@@ -377,6 +378,27 @@ class TestBirchAndSteady:
         )
         assert doc["k"] == [0.5, 1.0, 1.0]
         assert doc["residual"] < 1e-10
+
+
+class TestJsonify:
+    @pytest.mark.parametrize("arr", [
+        np.array([0.1, 1e-300, -2.5, 1.7976931348623157e308]),
+        np.array([[1.0, 2.0], [3.5, -0.0]]),
+        np.array([[3, -4], [0, 2 ** 62]]),
+        np.array([], dtype=float),
+    ], ids=["floats", "2-d", "ints", "empty"])
+    def test_finite_arrays_print_as_the_per_value_path(self, arr):
+        assert cli._jsonify(arr) == arr.tolist()
+        assert (json.dumps(cli._jsonify(arr), indent=2)
+                == json.dumps([cli._jsonify(v) for v in arr], indent=2))
+
+    @pytest.mark.parametrize("arr, want", [
+        (np.array([1.0, np.nan, np.inf, -np.inf]), '[1.0, "nan", "inf", "-inf"]'),
+        (np.array([[0.5, np.inf], [np.nan, 2.0]]), '[[0.5, "inf"], ["nan", 2.0]]'),
+    ], ids=["1-d", "2-d"])
+    def test_non_finite_entries_print_as_strings(self, arr, want):
+        # an array with one non-finite entry takes the per-value path
+        assert json.dumps(cli._jsonify(arr)) == want
 
 
 class TestSimulateCommand:

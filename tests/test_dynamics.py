@@ -2,6 +2,7 @@
 rate-selection policies and event logging, steady-state search, and the
 free-energy log along trajectories."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,17 @@ class TestRightHandSide:
         with pytest.raises(ValueError):
             mass_action_rhs(net, (1.0, 1.0, 1.0), (-1.0, 1.0))
 
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 7, 8, 13, 64])
+    def test_integer_powers_by_repeated_multiplication(self, e):
+        # repeated squaring and multiplication: v * v and v * (v * v) for 2
+        # and 3, and within e rounding errors of the exact power
+        power = crnkit.dynamics._power
+        for v in np.random.default_rng(e).uniform(0.1, 3.0, 50).tolist():
+            got = power(v, e)
+            assert got == {1: v, 2: v * v, 3: v * (v * v)}.get(e, got)
+            exact = Fraction(v) ** e
+            assert abs(Fraction(got) - exact) <= e * 2.0 ** -53 * exact
+
     @pytest.mark.parametrize("k, x", [((2.0,), (1.0, 1.0)), ((1.0,) * 4, (1.0, 1.0)),
                                       ((1.0,) * 3, (2.0,)), ((1.0,) * 3, (1.0,) * 3)],
                              ids=["short-k", "long-k", "short-x", "long-x"])
@@ -83,17 +95,49 @@ class TestIntegratorAccuracy:
     def test_fixed_step_order_at_least_four(self):
         # the Dormand-Prince step alone, 1/h steps of size h to t = 1
         net, _ = parse_network("species: A B\nA -> B rate [1]\n")
-        k = np.ones(1)
+        terms, k = net._mass_action_terms, [1.0]
         errs = []
         for h in (0.2, 0.1, 0.05):
-            x = np.array([1.0, 1.0])
-            f = mass_action_rhs(net, k, x)
+            x = [1.0, 1.0]
+            f = crnkit.dynamics._field(terms, k, x)
             for _ in range(round(1 / h)):
-                x, K = crnkit.dynamics._dp_step(net, k, x, f, h)
+                x, K, _ = crnkit.dynamics._dp5(terms, k, x, f, h, 1e-8, 1e-10)
                 f = K[6]
             errs.append(abs(x[0] - np.exp(-1.0)))
         slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(slopes) > 4.0
+
+    @pytest.mark.parametrize("name", ["reverse_lv", "triangle_out", "futile_cycle"])
+    def test_simulate_steps_on_mass_action_rhs(self, name, monkeypatch):
+        # every field value simulate takes, at a segment start or a stage,
+        # is mass_action_rhs at that state and those rates, to the byte
+        # (triangle_out has fractional exponents, futile_cycle five species)
+        net, temp = load(name)
+        field, calls = crnkit.dynamics._field, []
+
+        def recorded(terms, k, x):
+            f = field(terms, k, x)
+            calls.append((list(k), list(x), f))
+            return f
+
+        monkeypatch.setattr(crnkit.dynamics, "_field", recorded)
+        traj = simulate(net, temp, RatePolicy("piecewise-constant", seed=3, dt=0.5),
+                        np.linspace(0.5, 2.0, net.n_species), 2.0)
+        monkeypatch.undo()
+        assert len(calls) >= 6 * (len(traj.times) - 1) + len(traj.rate_log)
+        for k, x, f in calls:
+            assert np.array(f).tobytes() == mass_action_rhs(net, k, x).tobytes()
+
+    def test_species_free_network_reaches_t_end(self, monkeypatch):
+        # the RMS error over no components is 0: it was 0/0 = nan, so no
+        # step was accepted and the run went on to the step limit at t = 0
+        monkeypatch.setattr(crnkit.dynamics, "_MAX_STEPS", 1000)
+        net, _ = parse_network("0 -> 0\n")
+        traj = simulate(net, None, RatePolicy("constant-mid"), (), 10.0)
+        assert traj.events == ()
+        assert traj.times[-1] == pytest.approx(10.0, abs=1e-13)
+        assert len(traj.times) <= 10
+        assert traj.states.shape == (len(traj.times), 0)
 
     def test_conservation_along_trajectory(self):
         net, temp = load("futile_cycle")
@@ -446,6 +490,15 @@ class TestSteadyState:
                 find_steady_state(net, np.ones(3), (1.0, 1.0))
         assert counts[0] == counts[1] <= 2 * crnkit.dynamics._PTC_STEPS
 
+    def test_no_reaction_vectors_with_an_undefined_monomial_raises(self):
+        # no stoichiometric subspace: the residual is ||f(x0)||, and an
+        # overflowing monomial there used to end in a TypeError
+        net, _ = parse_network("species: A\n2A -> 2A\n")
+        out = find_steady_state(net, (1.0,), (2.0,))
+        assert out.x == (2.0,) and out.residual == 0.0
+        with pytest.raises(ValueError, match="monomials undefined"):
+            find_steady_state(net, (1.0,), (1e200,))
+
     def test_failure_carries_the_last_iterate(self):
         net, _ = load("a_to_b")
         with pytest.raises(NoConvergence) as info:
@@ -534,8 +587,9 @@ class TestFreeEnergyAlong:
 
 
 def _per_stage_dp_step(net, k, x, f, h):
-    """Reference for _dp_step: each stage's monomials are tested as soon as
-    they are formed, and the step ends at the first undefined one."""
+    """The numpy Dormand-Prince step that _dp5 replaced: each stage's
+    monomials are tested as soon as they are formed, and the step ends at
+    the first undefined one."""
     A = crnkit.dynamics._DP_A
     K = np.empty((7, len(x)))
     K[0] = f
@@ -547,6 +601,42 @@ def _per_stage_dp_step(net, k, x, f, h):
         K[i] = (k * mono) @ net.flux_matrix()
     x_new = x + h * (A[6] @ K)
     return (x_new, K) if np.all((x_new > 0) & (x_new < np.inf)) else None
+
+
+def _weighted(weights, stages, j):
+    """Component j of the stages weighted by weights, summed left to right
+    over the nonzero weights."""
+    total = 0.0
+    for w, stage in zip(weights, stages):
+        if w:
+            total += w * stage[j]
+    return total
+
+
+def _per_stage_scalar_step(terms, k, x, f, h, rtol, atol):
+    """Reference for _dp5, looping over the tableau _DP_A and _DP_E where
+    _dp5 writes each weight out: stage i is _field at x + h * (row i of _DP_A
+    times the earlier stages), and the step ends at the first stage that is
+    undefined or not finite."""
+    A, E = crnkit.dynamics._DP_A.tolist(), crnkit.dynamics._DP_E.tolist()
+    K = [f]
+    for i in range(7):
+        if i:
+            state = [x[j] + h * _weighted(A[i], K, j) for j in range(len(x))]
+            try:
+                K.append(crnkit.dynamics._field(terms, k, state))
+            except crnkit.dynamics._UNDEFINED:
+                return None
+        if not all(math.isfinite(v) for v in K[i]):
+            return None
+    x_new = state  # the last stage is taken at the new point
+    if not all(0 < v < math.inf for v in x_new):
+        return None
+    acc = 0.0
+    for j in range(len(x)):
+        e = h * _weighted(E, K, j) / (atol + rtol * max(x[j], x_new[j]))
+        acc += e * e
+    return x_new, K, math.sqrt(acc / len(x)) if x else 0.0
 
 
 # the fixtures, and a half-order source: a stage that turns a coordinate
@@ -562,23 +652,30 @@ step_size = st.one_of(st.floats(1e-6, 1.0), st.floats(1.0, 1e4))
 
 
 def _assert_same_step(net, k, x, h):
-    """Whether the step from x is accepted, after asserting that _dp_step
-    and the reference agree to the byte; None where the field at x is
+    """Whether the step from x is accepted, after asserting that _dp5 and
+    the scalar reference agree to the byte; None where the field at x is
     undefined (simulate stops there before it steps)."""
-    k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        f = crnkit.dynamics._rhs(net, k, x)
-        if f is None:
-            return None
-        want = _per_stage_dp_step(net, k, x, f, h)
-        got = crnkit.dynamics._dp_step(net, k, x, f, h)
+    terms, k, x = net._mass_action_terms, [float(v) for v in k], [float(v) for v in x]
+    try:
+        f = crnkit.dynamics._field(terms, k, x)
+    except crnkit.dynamics._UNDEFINED:
+        return None
+    want = _per_stage_scalar_step(terms, k, x, f, h, 1e-8, 1e-10)
+    got = crnkit.dynamics._dp5(terms, k, x, f, h, 1e-8, 1e-10)
     if want is None:
         assert got is None
     else:
         assert got is not None
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+        assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+        assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
     return want is not None
+
+
+# how far the numpy step's new point and stages may lie from _dp5's, relative
+# to the vector's largest entry; over the 400 draws below the largest
+# distance is 2.3e-14
+_NUMPY_RTOL = 1e-12
 
 
 class TestStepOracle:
@@ -592,6 +689,33 @@ class TestStepOracle:
             data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)),
             data.draw(st.lists(coordinate, min_size=n, max_size=n)),
             data.draw(step_size))
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(text=st.sampled_from(STEP_NETWORKS), data=st.data())
+    def test_step_agrees_with_the_numpy_step(self, text, data):
+        # draws from the strategies of the test above, against the numpy
+        # step that _dp5 replaced: that one rounds differently (numpy's pow, BLAS sums), but
+        # it accepts and rejects the same steps, and each of its stages and
+        # its new point lie within _NUMPY_RTOL of _dp5's, relative to their
+        # largest entry
+        net, _ = parse_network(text)
+        m, n = net.n_reactions, net.n_species
+        k = data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
+        x = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+        h = data.draw(step_size)
+        terms = net._mass_action_terms
+        try:
+            f = crnkit.dynamics._field(terms, k, x)
+        except crnkit.dynamics._UNDEFINED:
+            return
+        got = crnkit.dynamics._dp5(terms, k, x, f, h, 1e-8, 1e-10)
+        with np.errstate(all="ignore"):
+            want = _per_stage_dp_step(net, np.array(k), np.array(x), np.array(f), h)
+        assert (got is None) == (want is None)
+        if got is not None:
+            for a, b in zip([got[0], *got[1]], [want[0], *want[1]]):
+                assert np.max(np.abs(np.subtract(a, b)), initial=0) <= (
+                    _NUMPY_RTOL * np.max(np.abs(b), initial=0))
 
     @pytest.mark.parametrize("text, x, h, accepted", [
         ("species: A B\nA -> B\n", (1.0, 1.0), 3.0, True),
