@@ -32,8 +32,8 @@ from .birch import NoConvergence, birch_point
 from .classify import classify, is_w_endotactic
 from .dynamics import RatePolicy, find_steady_state, g_along, simulate
 from .geometry import LimitExceeded
-from .jets import (_MAX_THETA_POINTS, JetSchedule, _worst_case_margin, cutoff_scan,
-                   domination_monitor, make_frame)
+from .jets import (_MAX_THETA_POINTS, JetSchedule, _index_grid, _theta_grid,
+                   _worst_case_margin, cutoff_scan, domination_monitor, make_frame)
 from .network import ParseError, _tempering_of, parse_network, stoichiometric_subspace
 
 
@@ -91,10 +91,12 @@ def _write(text: str, out_path: str | None):
 
 def _load(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # whatever the locale's encoding
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 ({exc.reason})")
     return parse_network(text)
 
 
@@ -238,7 +240,7 @@ def cmd_scan(args, net, tempering) -> dict | str:
         net,
         tempering,
         x0,
-        theta_grid=np.geomspace(1.5, args.theta_max, args.theta_points),
+        theta_grid=_theta_grid(args.theta_max, args.theta_points),
         direction_samples=args.samples,
         seed=args.seed,
     )
@@ -283,11 +285,8 @@ def cmd_jets(args, net, tempering) -> dict:
     schedule = JetSchedule(beta_kind=args.schedule, theta_kind=args.theta_schedule)
     if not 1 <= args.i_max < np.inf:
         raise ValueError(f"--i-max must be finite and at least 1, got {args.i_max}")
-    with np.errstate(over="ignore"):  # geomspace overflows inside near the float max
-        i_range = np.unique(np.rint(np.geomspace(1, args.i_max, 60)))
-    report = domination_monitor(
-        net, frame, schedule, i_range=i_range, threshold=args.threshold
-    )
+    report = domination_monitor(net, frame, schedule, i_range=_index_grid(args.i_max),
+                                threshold=args.threshold)
     return {
         "frame": frame.vectors,
         "schedule": {"beta": args.schedule, "theta": args.theta_schedule},

@@ -207,6 +207,12 @@ def _pull_terms(net: ReactionNetwork, tempering: Tempering, W):
     return heights, coeffs, np.where(coeffs > 0, tempering.highs(), tempering.lows())
 
 
+def _index_grid(i_max: float = 5000.0) -> np.ndarray:
+    """domination_monitor's indices: 60 geometric steps from 1 to i_max, rounded, once each."""
+    with np.errstate(over="ignore"):  # geomspace overflows inside near the float max
+        return np.unique(np.rint(np.geomspace(1, i_max, 60)))
+
+
 def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule,
                        i_range=None, threshold: float = 1e3) -> dict:
     """For every draining reaction, look for a sustaining reaction whose
@@ -224,7 +230,7 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
         threshold not positive and finite.
     """
     if i_range is None:
-        i_range = np.unique(np.rint(np.geomspace(1, 5000, 60)))
+        i_range = _index_grid()
     i_list = [float(i) for i in i_range]
     if not i_list or not all(1 <= i < math.inf for i in i_list):
         raise ValueError(f"i_range must be nonempty, finite and at least 1, got {i_range}")
@@ -318,6 +324,11 @@ def _worst_case_margin(net: ReactionNetwork, tempering: Tempering | None, W):
     return np.max(np.where(tier, k_worst * coeffs, -np.inf), axis=1)
 
 
+def _theta_grid(theta_max: float = 1e6, points: int = 50) -> np.ndarray:
+    """cutoff_scan's grid: points thetas geometrically spaced from 1.5 to theta_max."""
+    return np.geomspace(1.5, theta_max, points)
+
+
 def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
                 theta_grid=None, direction_samples: int = 400, seed: int = 0) -> dict:
     """Scan directions for a uniform cutoff theta beyond which the
@@ -359,7 +370,7 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     if n == 0:  # no unit direction exists, so the draw below would never end
         raise ValueError("a network with no species has no direction to scan")
     if theta_grid is None:
-        theta_grid = np.geomspace(1.5, 1e6, 50)
+        theta_grid = _theta_grid()
     theta_grid = np.asarray(sorted(theta_grid), dtype=float)
     if (not 0 < len(theta_grid) <= _MAX_THETA_POINTS
             or not np.all((theta_grid > 1) & np.isfinite(theta_grid))):

@@ -284,205 +284,175 @@ class LinkageInfo:
 # ---------------------------------------------------------------------------
 # parsing
 
-_NUMBER = re.compile(r"(\d+/\d+|\d+\.\d+|\.\d+|\d+)")
-_SCI = re.compile(r"(\d+\.?\d*|\.\d+)[eE][+-]?\d+")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INTERVAL = re.compile(r"\[\s*([^\],]+?)\s*(?:,\s*([^\],]+?)\s*)?\]")
+# one token after optional blanks: sci is matched only to be refused, rate is
+# the keyword only where '[' follows, and bad is a character that starts no token
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<sci>(?:\d+\.?\d*|\.\d+)[eE][+-]?\d+)
+  | (?P<number>\d+/\d+|\d+\.\d+|\.\d+|\d+)
+  | (?P<rate>rate(?=\s*\[))
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct><?->|[+*\[\],:])
+  | (?P<bad>\S))""", re.VERBOSE)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _parse_side(text: str, line_no: int, col0: int, species_order: list[str],
-                fixed: bool) -> dict[str, Fraction]:
-    """Parse one side of a reaction into a species -> coefficient map."""
-    stripped = text.strip()
-    if stripped == "0":
-        return {}
-    if not stripped:
-        raise ParseError("empty complex", line_no, col0 + 1)
-    coeffs: dict[str, Fraction] = {}
-    for term in stripped.split("+"):
-        pos = col0 + text.find(term)
-        term_s = term.strip()
-        if not term_s:
-            raise ParseError("empty term in complex", line_no, pos + 1)
-        if _SCI.match(term_s):
-            raise ParseError(
-                f"scientific notation not allowed in {term_s!r}", line_no, pos + 1
-            )
-        m = _NUMBER.match(term_s)
-        if m:
-            coeff = Fraction(m.group(1))
-            rest = term_s[m.end():].lstrip()
-            if rest.startswith("*"):
-                rest = rest[1:].lstrip()
-        else:
-            coeff = Fraction(1)
-            rest = term_s
-        name_m = _NAME.fullmatch(rest)
-        if name_m is None:
-            raise ParseError(f"cannot read term {term_s!r}", line_no, pos + 1)
-        name = name_m.group(0)
-        if fixed and name not in species_order:
-            raise ParseError(f"unknown species {name!r}", line_no, pos + 1)
-        if name not in species_order:
-            species_order.append(name)
-        coeffs[name] = coeffs.get(name, Fraction(0)) + coeff
-    return coeffs
+def _scan(line: str) -> list[tuple[str, str, int]]:
+    """(kind, text, 1-based column) of every token, then ("end", "", len + 1)."""
+    tokens = []
+    for m in _TOKEN.finditer(line):
+        kind = m.lastgroup
+        tokens.append((kind, m[kind], m.start(kind) + 1))
+    tokens.append(("end", "", len(line) + 1))
+    return tokens
 
 
-def _parse_number(text: str, line_no: int, col: int) -> Fraction:
-    t = text.strip()
-    if _SCI.fullmatch(t):
-        raise ParseError(f"scientific notation not allowed in {t!r}", line_no, col)
+def _unexpected(token, line_no: int, expected: str) -> ParseError:
+    kind, text, col = token
+    if kind == "sci":
+        return ParseError(f"scientific notation not allowed in {text!r}", line_no, col)
+    got = "end of line" if kind == "end" else repr(text)
+    return ParseError(f"expected {expected}, got {got}", line_no, col)
+
+
+def _number(token, line_no: int) -> Fraction:
+    """The one number rule, for coefficients and rate endpoints: an integer,
+    p/q or a finite decimal, read exactly."""
+    kind, text, col = token
+    if kind != "number":
+        raise _unexpected(token, line_no, "a number")
     try:
-        return Fraction(t)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"cannot read number {t!r}", line_no, col) from None
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", line_no, col) from None
+    except ValueError:  # an integer past int's digit limit
+        raise ParseError(f"cannot read number {text!r}", line_no, col) from None
 
 
-def _parse_intervals(text: str, line_no: int, col0: int):
-    out = []
-    pos = 0
-    while pos < len(text):
-        chunk = text[pos:]
-        if not chunk.strip():
-            break
-        m = _INTERVAL.match(chunk.lstrip())
-        if m is None:
-            raise ParseError(
-                f"expected interval like [lo,hi], got {chunk.strip()!r}",
-                line_no,
-                col0 + pos + 1,
-            )
-        lo = _parse_number(m.group(1), line_no, col0 + pos + 1)
-        hi = _parse_number(m.group(2), line_no, col0 + pos + 1) if m.group(2) else lo
-        if not (0 < lo <= hi):
-            raise ParseError(
-                f"interval must satisfy 0 < lo <= hi, got [{lo},{hi}]",
-                line_no,
-                col0 + pos + 1,
-            )
-        out.append((lo, hi))
-        pos += len(chunk) - len(chunk.lstrip()) + m.end()
-    return out
+def _read_complex(tokens, i: int, line_no: int, names: dict[str, int],
+                  fixed: bool) -> tuple[dict[int, Fraction], int]:
+    """The complex from tokens[i] on ('0' alone is the empty one), as {species
+    index: coefficient}, and the index after it; a new name joins names unless fixed."""
+    if tokens[i][1] == "0" and tokens[i + 1][0] != "name" and tokens[i + 1][1] != "*":
+        return {}, i + 1
+    coeffs: dict[int, Fraction] = {}
+    while True:
+        coeff = _ONE
+        if tokens[i][0] == "number":
+            coeff = _number(tokens[i], line_no)
+            i += 2 if tokens[i + 1][1] == "*" else 1
+        kind, name, col = tokens[i]
+        if kind != "name":
+            raise _unexpected(tokens[i], line_no, "a species")
+        index = names.get(name)
+        if index is None:
+            if fixed:
+                raise ParseError(f"unknown species {name!r}", line_no, col)
+            index = names[name] = len(names)
+        coeffs[index] = coeffs.get(index, _ZERO) + coeff
+        if tokens[i + 1][1] != "+":
+            return coeffs, i + 1
+        i += 2
+
+
+def _read_interval(tokens, i: int, line_no: int) -> tuple[tuple[Fraction, Fraction], int]:
+    """The interval [lo] or [lo,hi] opened at tokens[i], and the index past its ']'."""
+    lo = hi = _number(tokens[i + 1], line_no)
+    end = i + 2
+    if tokens[end][1] == ",":
+        hi = _number(tokens[end + 1], line_no)
+        end += 2
+    if tokens[end][1] != "]":
+        raise _unexpected(tokens[end], line_no, "']'")
+    if not 0 < lo <= hi:
+        raise ParseError(f"interval must satisfy 0 < lo <= hi, got [{lo},{hi}]",
+                         line_no, tokens[i][2])
+    return (lo, hi), end + 1
 
 
 def parse_network(text: str) -> tuple[ReactionNetwork, Tempering | None]:
     """Parse the line-oriented network format.
 
-    Grammar (UTF-8, '#' starts a comment):
+    Grammar ('#' starts a comment):
 
         species: A B C              # optional, fixes species order
         2A + B -> C  rate [1,2]     # rate interval optional
         A <-> B      rate [1] [3,3] # reversible: one interval per direction
 
     A complex is ``0`` or a '+'-separated sum of ``coeff*Name`` terms; the
-    ``*`` is optional and coefficients may be integers, fractions ``p/q``,
-    or finite decimals (read exactly).  ``<->`` expands to two reactions,
-    forward first.  If any reaction carries a rate interval, a Tempering is
-    returned with unspecified reactions defaulting to [1, 1].
+    ``*`` is optional.  One number rule serves coefficients and interval
+    endpoints: an integer, a fraction ``p/q`` or a finite decimal, read
+    exactly (no sign, no exponent).  ``rate`` is the keyword only where
+    '[' follows it, and a species name elsewhere.  ``<->`` expands to two
+    reactions, forward first.  If any reaction carries a rate interval, a
+    Tempering is returned with unspecified reactions defaulting to [1, 1].
 
     Returns:
         (network, tempering) with tempering None when no rates appear.
 
     Raises:
-        ParseError: with 1-based line and column of the offending token.
+        ParseError: with the 1-based line and the column of the offending
+        token (one past the line's end when the line ends too soon).
     """
-    species_order: list[str] = []
+    names: dict[str, int] = {}  # species index by name, in the header's or first-use order
     fixed = False
-    raw: list[tuple[dict, dict, object]] = []  # (lhs, rhs, intervals-or-None)
-    any_rate = False
-    for line_no, full_line in enumerate(text.splitlines(), start=1):
-        line = full_line.split("#", 1)[0]
-        if not line.strip():
+    raw: list[tuple[dict, dict, tuple | None]] = []  # (lhs, rhs, interval)
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = _scan(line.partition("#")[0])
+        if len(tokens) == 1:
             continue
-        if line.strip().startswith("species:"):
+        if tokens[0][1] == "species" and tokens[1][1] == ":":
             if raw or fixed:
-                raise ParseError(
-                    "species header must precede all reactions",
-                    line_no,
-                    line.find("species:") + 1,
-                )
-            names = line.strip()[len("species:"):].split()
-            if not names:
-                raise ParseError("empty species header", line_no, 1)
-            for name in names:
-                if not _NAME.fullmatch(name):
-                    raise ParseError(f"bad species name {name!r}", line_no, 1)
-                if name in species_order:
-                    raise ParseError(f"duplicate species {name!r}", line_no, 1)
-                species_order.append(name)
+                raise ParseError("species header must precede all reactions", line_no,
+                                 tokens[0][2])
+            if len(tokens) == 3:
+                raise ParseError("empty species header", line_no, tokens[2][2])
+            for token in tokens[2:-1]:
+                if token[0] != "name":
+                    raise _unexpected(token, line_no, "a species name")
+                if token[1] in names:
+                    raise ParseError(f"duplicate species {token[1]!r}", line_no, token[2])
+                names[token[1]] = len(names)
             fixed = True
             continue
-        reversible = "<->" in line
-        arrow = "<->" if reversible else "->"
-        if "->" not in line:
-            raise ParseError("expected '->' or '<->'", line_no, 1)
-        lhs_text, rhs_full = line.split(arrow, 1)
-        rate_m = re.search(r"\brate\b", rhs_full)
-        if rate_m:
-            rhs_text = rhs_full[: rate_m.start()]
-            intervals = _parse_intervals(
-                rhs_full[rate_m.end():],
-                line_no,
-                len(lhs_text) + len(arrow) + rate_m.end(),
-            )
-            if not intervals:
-                raise ParseError("'rate' with no interval", line_no,
-                                 len(lhs_text) + len(arrow) + rate_m.start() + 1)
-            want = 2 if reversible else 1
-            if len(intervals) > want:
-                raise ParseError(
-                    f"expected at most {want} interval(s), got {len(intervals)}",
-                    line_no,
-                    len(lhs_text) + len(arrow) + rate_m.start() + 1,
-                )
-            if reversible and len(intervals) == 1:
-                intervals = [intervals[0], intervals[0]]
-            any_rate = True
-        else:
-            rhs_text = rhs_full
-            intervals = None
-        lhs = _parse_side(lhs_text, line_no, 0, species_order, fixed)
-        rhs = _parse_side(rhs_text, line_no, len(lhs_text) + len(arrow), species_order, fixed)
+        lhs, i = _read_complex(tokens, 0, line_no, names, fixed)
+        arrow = tokens[i][1]
+        if arrow not in ("->", "<->"):
+            raise _unexpected(tokens[i], line_no, "'->' or '<->'")
+        rhs, i = _read_complex(tokens, i + 1, line_no, names, fixed)
+        intervals = []
+        if tokens[i][0] == "rate":  # '[' follows, so at least one interval
+            want = 2 if arrow == "<->" else 1
+            i += 1
+            while tokens[i][1] == "[":
+                if len(intervals) == want:
+                    raise ParseError(f"expected at most {want} interval(s)", line_no,
+                                     tokens[i][2])
+                interval, i = _read_interval(tokens, i, line_no)
+                intervals.append(interval)
+        if tokens[i][0] != "end":
+            raise _unexpected(tokens[i], line_no, "'+', 'rate [lo,hi]' or end of line")
         raw.append((lhs, rhs, intervals[0] if intervals else None))
-        if reversible:
-            raw.append((rhs, lhs, intervals[1] if intervals else None))
+        if arrow == "<->":
+            raw.append((rhs, lhs, intervals[-1] if intervals else None))
     if not raw:
         raise ParseError("no reactions found", max(1, text.count("\n") + 1), 1)
 
-    species = tuple(Species(name, i) for i, name in enumerate(species_order))
-
-    def to_complex(side: dict) -> Complex:
-        return Complex(tuple(side.get(name, Fraction(0)) for name in species_order))
-
-    complexes: list[Complex] = []
-    seen: set[Complex] = set()
-    reactions = []
-    intervals_out = []
-    for lhs, rhs, interval in raw:
-        src, tgt = to_complex(lhs), to_complex(rhs)
-        for c in (src, tgt):
-            if c not in seen:
-                seen.add(c)
-                complexes.append(c)
-        reactions.append(Reaction(src, tgt))
-        intervals_out.append(interval if interval else _UNIT_INTERVAL)
-    net = ReactionNetwork(species, tuple(complexes), tuple(reactions))
-    tempering = Tempering(tuple(intervals_out)) if any_rate else None
-    return net, tempering
-
-
-def _format_coeff(c: Fraction) -> str:
-    return str(c)  # Fraction renders as 'p' or 'p/q'
+    n = len(names)
+    reactions = tuple(Reaction(*(Complex(tuple(side.get(j, _ZERO) for j in range(n)))
+                                 for side in (lhs, rhs)))
+                      for lhs, rhs, _ in raw)
+    complexes = tuple(dict.fromkeys(c for r in reactions for c in (r.source, r.target)))
+    net = ReactionNetwork(tuple(Species(name, j) for j, name in enumerate(names)),
+                          complexes, reactions)
+    given = [interval for *_, interval in raw]
+    if not any(given):
+        return net, None
+    return net, Tempering(tuple(interval or _UNIT_INTERVAL for interval in given))
 
 
 def _format_complex(cx: Complex, names: list[str]) -> str:
-    terms = []
-    for c, name in zip(cx.coeffs, names):
-        if c == 0:
-            continue
-        terms.append(name if c == 1 else f"{_format_coeff(c)}{name}")
-    return " + ".join(terms) if terms else "0"
+    terms = [name if c == 1 else f"{c}{name}" for c, name in zip(cx.coeffs, names) if c]
+    return " + ".join(terms) or "0"
 
 
 def serialize_network(net: ReactionNetwork, tempering: Tempering | None = None) -> str:
@@ -497,7 +467,7 @@ def serialize_network(net: ReactionNetwork, tempering: Tempering | None = None) 
         line = f"{_format_complex(r.source, names)} -> {_format_complex(r.target, names)}"
         if tempering is not None:
             lo, hi = tempering.intervals[i]
-            line += f" rate [{_format_coeff(lo)},{_format_coeff(hi)}]"
+            line += f" rate [{lo},{hi}]"
         lines.append(line)
     return "\n".join(lines) + "\n"
 

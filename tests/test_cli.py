@@ -12,6 +12,7 @@ import pytest
 
 from conftest import network_text
 from crnkit import cli
+from crnkit.jets import _index_grid, _theta_grid
 
 
 # seconds before a CLI run counts as hung and fails its test; the slowest
@@ -111,6 +112,27 @@ class TestExitCodes:
     def test_missing_file_is_one(self):
         out = run_cli(["classify", "/nonexistent/net.crn"])
         assert out.returncode == 1
+
+    @pytest.mark.parametrize("content, message", [
+        (b"species: A B\n1/0A -> B\n", "line 2, column 1: zero denominator in '1/0'"),
+        (b"species: A B\nA -> B # \xff\n", "not UTF-8"),
+    ], ids=["zero-denominator", "not-utf8"])
+    def test_bad_file_is_one_line_parse_error(self, content, message, tmp_path):
+        p = tmp_path / "bad.crn"
+        p.write_bytes(content)
+        out = run_cli(["classify", str(p)])
+        assert out.returncode == 1
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("crnkit: parse error: ") and message in lines[0]
+
+    def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        p = tmp_path / "utf8.crn"
+        p.write_text("# réseau, Größe\nspecies: A B\nA -> B\n", encoding="utf-8")
+        out = run_cli(["classify", str(p)], env_extra={
+            "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["species"] == ["A", "B"]
 
     def test_boundary_point_is_not_a_steady_state(self, tmp_path):
         p = tmp_path / "a_to_b.crn"
@@ -550,6 +572,15 @@ class TestScanCommand:
         doc = json.loads(run_cli(["scan", ab_file, "--theta-points=1"]).stdout)
         assert doc["theta_grid"] == [1.5]
         assert len(doc["near_zero_clusters"]) == 2
+
+    def test_default_flags_give_the_library_grids(self):
+        # jets owns both grid rules: the CLI's default flags give the grids
+        # cutoff_scan and domination_monitor use when given none
+        parser = cli.build_parser()
+        scan = parser.parse_args(["scan", "net.crn"])
+        jets = parser.parse_args(["jets", "net.crn", "--frame", "1,0"])
+        assert np.array_equal(_theta_grid(scan.theta_max, scan.theta_points), _theta_grid())
+        assert np.array_equal(_index_grid(jets.i_max), _index_grid())
 
     def test_svg_margin_chart(self, rlv_file):
         out = run_cli(

@@ -137,6 +137,50 @@ class TestParsing:
         net, _ = parse_network("species: A B\nA -> B\nB -> A\n")
         assert len(net.complexes) == 2
 
+    @pytest.mark.parametrize("text, column", [
+        ("1/0 A -> B", 1),
+        ("A -> 2/0B", 6),
+        ("A -> B rate [1,3/0]", 16),
+    ], ids=["coefficient", "product", "endpoint"])
+    def test_zero_denominator_is_a_parse_error(self, text, column):
+        # a coefficient p/0 used to end in ZeroDivisionError
+        with pytest.raises(ParseError, match="zero denominator") as err:
+            parse_network(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    @pytest.mark.parametrize("text, column", [
+        ("A + + B -> 0", 5),
+        ("A ++ B -> 0", 4),
+        ("0 -> A ++ B", 9),
+        ("A -> B  rate  [ 1/0 ]", 17),
+        ("A -> B rate [2,1]", 13),
+        ("A -> B rate [1] [2]", 17),
+        ("species: A\nA -> 2 * B", 10),
+        ("A -> B $", 8),
+        ("A + B  ", 8),
+    ], ids=["empty-term", "empty-term-unspaced", "empty-term-product", "interval-number",
+            "inverted-interval", "extra-interval", "unknown-species", "stray-character",
+            "no-arrow"])
+    def test_error_column_is_the_offending_token(self, text, column):
+        # the column of the token itself, or one past the end of a line that
+        # ends too soon; not the start of its term or the blank before it
+        with pytest.raises(ParseError) as err:
+            parse_network(text)
+        assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
+
+    def test_rate_is_a_species_unless_an_interval_follows(self):
+        net, temp = parse_network("A -> rate\n")
+        assert net.species_names == ["A", "rate"]
+        assert temp is None
+        net, temp = parse_network("species: rate A\nrate -> rate rate [2]\n")
+        assert net.reactions[0].target.coeffs == (F(1), F(0))
+        assert temp.intervals == ((F(2), F(2)),)
+
+    def test_zero_complex_with_a_rate(self):
+        net, temp = parse_network("0 -> 0 rate [1/4]\n")
+        assert net.species == () and len(net.complexes) == 1
+        assert temp.intervals == ((F(1, 4), F(1, 4)),)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("name", sorted(NETWORKS))

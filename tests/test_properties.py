@@ -1,7 +1,8 @@
 """Derandomized property tests: the Birch residual meets its tolerance on
 random slices of the small fixtures, serialization round-trips through the
-parser, every sampler witness is a genuine violation, and rate-weighted pulls
-sum to the mass-action field along toric rays."""
+parser, the parser reads any line or locates its error, every sampler
+witness is a genuine violation, and rate-weighted pulls sum to the
+mass-action field along toric rays."""
 
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from crnkit import (  # noqa: E402
     Complex,
+    ParseError,
     Reaction,
     ReactionNetwork,
     Species,
@@ -78,6 +80,32 @@ def networks(draw):
 def test_parse_inverts_serialize(net_and_tempering):
     net, tempering = net_and_tempering
     assert parse_network(serialize_network(net, tempering)) == (net, tempering)
+
+
+# network-file tokens, among them rate as a name, a zero denominator and
+# scientific notation, with blanks, comments and line breaks
+file_token = st.sampled_from(["A", "S1", "rate", "species", "0", "2", "1/2", "3/0", "0.25",
+                              "1e3", "->", "<->", "+", "*", "[", "]", ",", ":", "#",
+                              " ", "  ", "\n"])
+
+
+@st.composite
+def spliced_files(draw):
+    """A serialized network with up to three tokens spliced in anywhere."""
+    text = serialize_network(*draw(networks()))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + "".join(draw(st.lists(file_token, max_size=3))) + text[at:]
+
+
+@PROPERTY
+@given(spliced_files() | st.lists(file_token, max_size=30).map("".join))
+def test_parser_returns_a_network_or_locates_its_error(text):
+    try:
+        parse_network(text)
+    except ParseError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
 
 
 @PROPERTY
