@@ -154,7 +154,7 @@ def cmd_simulate(args, net, tempering) -> dict | str:
         return _trajectory_svg(net, traj)
     return {"policy": policy.mode, "t_end": args.t_end, "species": net.species_names,
             "times": traj.times, "states": traj.states, "events": traj.events,
-            "rate_log": traj.rate_log}
+            "rate_log": tuple(traj.rate_log)}
 
 
 def _trajectory_csv(net, traj, alpha=None) -> str:

@@ -7,10 +7,9 @@ states, and free-energy evaluation along trajectories.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import isfinite
 
 import numpy as np
 
@@ -53,19 +52,60 @@ class RatePolicy:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
+@dataclass(frozen=True, eq=False)
+class RateLog(Sequence):
+    """A trajectory's rate segments as float arrays: each segment's start
+    (ascending) and its rates, one row per segment.  It reads as the tuple
+    of (start, rates tuple) pairs, and equals any sequence of equal pairs."""
+
+    starts: np.ndarray
+    rates: np.ndarray
+
+    @classmethod
+    def of(cls, pairs) -> RateLog:
+        pairs = tuple(pairs)
+        return cls(np.array([t0 for t0, _ in pairs], dtype=float),
+                   np.array([k for _, k in pairs], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(self.starts[i].tolist(), map(tuple, self.rates[i].tolist())))
+        return float(self.starts[i]), tuple(self.rates[i].tolist())
+
+    def __iter__(self):
+        return zip(self.starts.tolist(), map(tuple, self.rates.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class Trajectory:
+    """Accepted times and states, and the rate segments (a sequence of
+    (start, rates) pairs given for rate_log is stored as a RateLog)."""
+
     times: np.ndarray
     states: np.ndarray
-    rate_log: tuple[tuple[float, tuple[float, ...]], ...]
+    rate_log: RateLog
     events: tuple[dict, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.rate_log, RateLog):
+            object.__setattr__(self, "rate_log", RateLog.of(self.rate_log))
+
+    def _segment(self, t):
+        """Index of the last segment starting at or before t (0 for t before
+        the first), one per time for an array of times."""
+        return np.maximum(np.searchsorted(self.rate_log.starts, t, side="right") - 1, 0)
 
     def rates_at(self, t) -> np.ndarray:
         """Rates of the last segment starting at or before t (the first
         segment's for t before it), one row per time for an array of times;
         segment starts are ascending."""
-        i = np.searchsorted([t0 for t0, _ in self.rate_log], t, side="right")
-        return np.array([k for _, k in self.rate_log])[np.maximum(i - 1, 0)]
+        return np.take(self.rate_log.rates, self._segment(t), axis=0)
 
 
 @dataclass(frozen=True)
@@ -79,7 +119,7 @@ def _monomials(net: ReactionNetwork, x: np.ndarray) -> np.ndarray:
     stack of states, in numpy; non-finite where undefined.  Only
     find_steady_state's pseudo-transient loop calls it, for the reduced
     field and its Jacobian, under np.errstate(all="ignore"); every other
-    field value is _field's."""
+    field value is the generated field's (_kernel_source)."""
     return np.multiply.reduce(np.power(x[..., None, :], net.source_matrix()), axis=-1)
 
 
@@ -104,56 +144,28 @@ def _power(v: float, e) -> float:
     return p
 
 
-# what _field raises where a monomial is undefined: math.pow's domain error
-# and overflow, and _field's own error for a non-finite monomial
+# what the field raises where a monomial is undefined: math.pow's domain
+# error and overflow, and its own error for a non-finite monomial
 _UNDEFINED = (ValueError, OverflowError)
-
-
-def _field(terms, k, x) -> list[float]:
-    """The mass-action field at x in Python floats, from the network's
-    _mass_action_terms, the rates k and the state x as float sequences.
-
-    Each monomial is the product of its powers in species order, times k_r;
-    each component sums its reactions' terms in reaction order, left to
-    right, from 0.0.  So the result depends on IEEE arithmetic and, for
-    fractional exponents, math.pow, not on numpy's SIMD dispatch or a BLAS
-    kernel.  Raises ValueError or
-    OverflowError where a monomial is undefined or not finite (_UNDEFINED).
-    """
-    f = [0.0] * len(x)
-    for kr, source, flux in zip(k, *terms):
-        m = 1.0
-        for s, e in source:
-            v = x[s]
-            if e == 1:
-                m *= v
-            elif e == 2:  # _power's value, without the call
-                m *= v * v
-            else:
-                m *= _power(v, e)
-        if not isfinite(m):
-            raise ValueError("monomial not finite")
-        w = kr * m
-        for s, c in flux:
-            f[s] += w * c
-    return f
 
 
 def mass_action_rhs(net: ReactionNetwork, k, x) -> np.ndarray:
     """Sum over reactions of k_r * x**source_r * (target_r - source_r).
 
-    Monomials x**y are componentwise powers (0**0 = 1), evaluated by
-    _field, the field simulate steps on.  Any real rates are taken; k not
-    one rate per reaction, x not one entry per species, and states that
-    make a monomial undefined (zeros with negative exponents, negative
-    coordinates with fractional exponents) or not finite raise ValueError.
+    Monomials x**y are componentwise powers (0**0 = 1), evaluated by the
+    network's generated field (_kernel_source), the one simulate steps on.
+    Any real rates are taken; k not one rate per reaction, x not one entry
+    per species, and states that make a monomial undefined (zeros with
+    negative exponents, negative coordinates with fractional exponents) or
+    not finite raise ValueError.
     """
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
     if k.shape != (net.n_reactions,) or x.shape != (net.n_species,):
         raise ValueError(f"k and x must have {net.n_reactions} and {net.n_species} entries, "
                          f"got shapes {k.shape} and {x.shape}")
+    field, _ = net._mass_action_kernel(k.tolist())
     try:
-        return np.array(_field(net._mass_action_terms, k.tolist(), x.tolist()))
+        return np.array(field(*x.tolist()))
     except _UNDEFINED:
         raise ValueError(f"monomials undefined at x = {x}") from None
 
@@ -161,8 +173,8 @@ def mass_action_rhs(net: ReactionNetwork, k, x) -> np.ndarray:
 # Dormand-Prince 5(4) pair: row i of A weights the stages before stage i; the
 # last row doubles as the 5th-order weights (FSAL), and E is it minus the 4th-
 # order weights.  Within a segment the system is autonomous: no nodes c_i.
-# _dp5 writes these out as literals; the test suite's per-stage reference
-# loops over them
+# _DP_STATES and _DP_ERROR write these out as literals; the test suite's
+# per-stage reference loops over them
 _DP_A = np.array([
     [0, 0, 0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0, 0, 0],
@@ -175,66 +187,125 @@ _DP_A = np.array([
 _DP_E = _DP_A[6] - np.array(
     [5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
+# one species' component of the states of stages 2-7 (the 7th is the new
+# point b) and of the scaled error estimate: {a} is x's component, {pi}
+# stage i's; weighted stages are summed left to right
+_DP_STATES = (
+    "{a} + h * (1 / 5 * {p1})",
+    "{a} + h * (3 / 40 * {p1} + 9 / 40 * {p2})",
+    "{a} + h * (44 / 45 * {p1} - 56 / 15 * {p2} + 32 / 9 * {p3})",
+    "{a} + h * (19372 / 6561 * {p1} - 25360 / 2187 * {p2} + 64448 / 6561 * {p3}"
+    " - 212 / 729 * {p4})",
+    "{a} + h * (9017 / 3168 * {p1} - 355 / 33 * {p2} + 46732 / 5247 * {p3}"
+    " + 49 / 176 * {p4} - 5103 / 18656 * {p5})",
+    "{a} + h * (35 / 384 * {p1} + 500 / 1113 * {p3} + 125 / 192 * {p4}"
+    " - 2187 / 6784 * {p5} + 11 / 84 * {p6})",
+)
+_DP_ERROR = ("h * ((35 / 384 - 5179 / 57600) * {p1} + (500 / 1113 - 7571 / 16695) * {p3}"
+             " + (125 / 192 - 393 / 640) * {p4} + (-2187 / 6784 + 92097 / 339200) * {p5}"
+             " + (11 / 84 - 187 / 2100) * {p6} - 1 / 40 * {p7})"
+             " / (atol + rtol * ({a} if {a} > {b} else {b}))")
+
 # an adaptive run stops at the boundary once a rejected step shrinks below this
 _H_MIN = 1e-12
 # a run stops with a step-limit event after this many steps, accepted or not
 _MAX_STEPS = 5_000_000
 
 
-def _dp5(terms, k, x, f1, h, rtol, atol):
-    """One Dormand-Prince step of size h from x (f1 the field there), in
-    Python floats: (x_new, stages, err), err the RMS of the scaled error
-    estimate (0 for a state without species), or None unless every stage is
-    finite and x_new is positive and finite.
+def _seq(names) -> str:
+    """A tuple display of the names, also an assignment target ("()" for none)."""
+    return "(" + "".join(f"{v}, " for v in names) + ")"
 
-    Each stage's state is x + h * (its weighted stages, summed left to
-    right), the 7th state is x_new, and the error terms add in stage order,
-    so every value is fixed by _field's and these float operations.  A
-    monomial that is
-    undefined or not finite at a stage's state ends the step there."""
-    try:
-        f2 = _field(terms, k, [a + h * (1 / 5 * p1) for a, p1 in zip(x, f1)])
-        f3 = _field(terms, k, [a + h * (3 / 40 * p1 + 9 / 40 * p2)
-                               for a, p1, p2 in zip(x, f1, f2)])
-        f4 = _field(terms, k, [a + h * (44 / 45 * p1 - 56 / 15 * p2 + 32 / 9 * p3)
-                               for a, p1, p2, p3 in zip(x, f1, f2, f3)])
-        f5 = _field(terms, k, [a + h * (19372 / 6561 * p1 - 25360 / 2187 * p2
-                                        + 64448 / 6561 * p3 - 212 / 729 * p4)
-                               for a, p1, p2, p3, p4 in zip(x, f1, f2, f3, f4)])
-        f6 = _field(terms, k, [a + h * (9017 / 3168 * p1 - 355 / 33 * p2 + 46732 / 5247 * p3
-                                        + 49 / 176 * p4 - 5103 / 18656 * p5)
-                               for a, p1, p2, p3, p4, p5 in zip(x, f1, f2, f3, f4, f5)])
-        x_new = [a + h * (35 / 384 * p1 + 500 / 1113 * p3 + 125 / 192 * p4
-                          - 2187 / 6784 * p5 + 11 / 84 * p6)
-                 for a, p1, p3, p4, p5, p6 in zip(x, f1, f3, f4, f5, f6)]
-        f7 = _field(terms, k, x_new)
-    except _UNDEFINED:
-        return None
-    if not all(map(isfinite, chain(f1, f2, f3, f4, f5, f6, f7))):
-        return None
-    acc = 0.0
-    for a, b, p1, p3, p4, p5, p6, p7 in zip(x, x_new, f1, f3, f4, f5, f6, f7):
-        if not (b > 0.0 and isfinite(b)):
-            return None
-        e = h * ((35 / 384 - 5179 / 57600) * p1 + (500 / 1113 - 7571 / 16695) * p3
-                 + (125 / 192 - 393 / 640) * p4 + (-2187 / 6784 + 92097 / 339200) * p5
-                 + (11 / 84 - 187 / 2100) * p6 - 1 / 40 * p7) / (atol + rtol * (a if a > b else b))
-        acc += e * e
-    return x_new, (f1, f2, f3, f4, f5, f6, f7), math.sqrt(acc / len(x)) if x else 0.0
+
+def _kernel_source(net: ReactionNetwork) -> str:
+    """Source of bind(k), which gives (field, step) for the network at the
+    rates k, written out as straight-line Python from its _mass_action_terms.
+
+    field(x0, ..., x_{n-1}) is the mass-action field as a tuple: for each
+    reaction in order, its monomial m is the product of its powers in
+    species order (x_s for exponent 1, x_s * x_s for 2, _power otherwise),
+    ValueError unless m is finite, and w = k_r * m is added to each
+    component it moves, w * c, in reaction order after a first 0.0 + w * c
+    (so no component is -0.0).  step(x, K1, h, rtol, atol) is one
+    Dormand-Prince step of size h from x, K1 the field there: (x_new,
+    stages K1..K7, err), err the RMS of the scaled error estimate (0 for a
+    state without species), or None where a stage is undefined or not
+    finite or x_new is not positive and finite.  Each stage state and the
+    error terms are _DP_STATES and _DP_ERROR per species, so every value is
+    fixed by IEEE arithmetic and math.pow.
+
+    The source holds only index-built names, int exponents and the repr of
+    finite floats (network float views refuse coefficients past the float
+    range), never a species name; it has one statement per factor, per term
+    and per species, so no expression deepens with the network's size, and
+    no assert, so python -O runs the same code.
+    """
+    sources, fluxes = net._mass_action_terms
+    n = net.n_species
+    out = ["def bind(k):", f"    {_seq(f'k{r}' for r in range(len(sources)))} = k",
+           f"    def field({', '.join(f'x{s}' for s in range(n))}):"]
+    started = set()
+    for r, (source, flux) in enumerate(zip(sources, fluxes)):
+        factors = [f"x{s}" if e == 1 else f"x{s} * x{s}" if e == 2 else f"_power(x{s}, {e!r})"
+                   for s, e in source]
+        out.append(f"        m = {factors[0] if factors else '1.0'}")
+        out += [f"        m *= {v}" for v in factors[1:]]
+        # m - m is 0.0, which is false, exactly when m is finite
+        out += ["        if m - m:", "            raise ValueError",
+                f"        w = k{r} * m"]
+        for s, c in flux:
+            out.append(f"        f{s} {'+=' if s in started else '= 0.0 +'} w * {c!r}")
+            started.add(s)
+    out += [f"        f{s} = 0.0" for s in range(n) if s not in started]
+    out.append(f"        return {_seq(f'f{s}' for s in range(n))}")
+
+    def stage(i):
+        return _seq(f"p{i}_{j}" for j in range(n))
+
+    def names(j):
+        return {"a": f"a{j}", "b": f"b{j}", **{f"p{i}": f"p{i}_{j}" for i in range(1, 8)}}
+
+    out += ["    def step(x, K1, h, rtol, atol):",
+            f"        {_seq(f'a{j}' for j in range(n))} = x", f"        {stage(1)} = K1",
+            "        try:"]
+    for i, state in enumerate(_DP_STATES[:5], start=2):
+        args = ", ".join(state.format(**names(j)) for j in range(n))
+        out += [f"            K{i} = field({args})", f"            {stage(i)} = K{i}"]
+    out += [f"            b{j} = {_DP_STATES[5].format(**names(j))}" for j in range(n)]
+    out += [f"            K7 = field({', '.join(f'b{j}' for j in range(n))})",
+            f"            {stage(7)} = K7",
+            "        except _UNDEFINED:", "            return None"]
+    # a stage not finite, or x_new not positive and finite (x - x as above)
+    rejects = [f"p{i}_{j} - p{i}_{j}" for i in range(1, 8) for j in range(n)]
+    rejects += [f"not b{j} > 0.0 or b{j} - b{j}" for j in range(n)]
+    if rejects:
+        out += [f"        if {' or '.join(rejects)}:", "            return None"]
+    out.append("        acc = 0.0")
+    for j in range(n):
+        out += [f"        e = {_DP_ERROR.format(**names(j))}", "        acc += e * e"]
+    out += [f"        return {_seq(f'b{j}' for j in range(n))}, (K1, K2, K3, K4, K5, K6, K7), "
+            + (f"sqrt(acc / {n})" if n else "0.0"),
+            "    return field, step", ""]
+    return "\n".join(out)
+
+
+def _compile_kernel(net: ReactionNetwork):
+    """bind(k) for the network, compiled from _kernel_source; built once per
+    network, on first use, by ReactionNetwork._mass_action_kernel."""
+    namespace = {"_power": _power, "_UNDEFINED": _UNDEFINED, "sqrt": math.sqrt}
+    exec(compile(_kernel_source(net), "<crnkit mass-action kernel>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def _float_bounds(tempering: Tempering):
     """Float interval endpoints guaranteed to lie inside the exact rational
     intervals, so sampled rates pass exact containment checks."""
-    lo = np.empty(len(tempering))
-    hi = np.empty(len(tempering))
+    lo, hi = tempering.lows(), tempering.highs()
     for i, (l, h) in enumerate(tempering.intervals):
-        lf, hf = float(l), float(h)
-        if Fraction(lf) < l:
-            lf = np.nextafter(lf, np.inf)
-        if Fraction(hf) > h:
-            hf = np.nextafter(hf, -np.inf)
-        lo[i], hi[i] = lf, hf
+        if Fraction(lo[i]) < l:
+            lo[i] = np.nextafter(lo[i], np.inf)
+        if Fraction(hi[i]) > h:
+            hi[i] = np.nextafter(hi[i], -np.inf)
     return lo, hi
 
 
@@ -276,15 +347,17 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
     """Integrate the mass-action system with rates selected by the policy.
 
     Embedded 5(4) pair with adaptive steps, stepped in Python floats by
-    _dp5; a step is rejected when the error estimate exceeds one or when a
+    the network's generated step (_kernel_source), bound to each segment's
+    rates once; a step is rejected when the error estimate exceeds one or when a
     stage is undefined or not finite or the new point is not positive and
     finite.  When a rejected step has shrunk below 1e-12, a
     boundary-approach event is emitted and integration stops (states are
     never clamped); after 5,000,000 steps a step-limit event is emitted
     instead.  Rates are constant within each policy segment, the segments
     are drawn lazily as integration reaches them, and each is logged with
-    its start.  Accepted times and states go into float arrays that double
-    when full and are trimmed at the end.
+    its start.  Accepted times and states, and the segments' starts and
+    rates, go into float arrays that double when full and are trimmed at
+    the end.
 
     Raises:
         ValueError: t_end or a tolerance not positive and finite; x0 not one
@@ -299,21 +372,26 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
     x = _positive(x0, net.n_species, "x0").tolist()
     tempering = _tempering_of(net, tempering)
-    terms = net._mass_action_terms
+    bind = net._mass_action_kernel
 
     t = 0.0
     h = min(1e-3, t_end / 10)
     times, states = np.empty(256), np.empty((256, len(x)))
     times[0], states[0] = t, x
     count = 1
-    rate_log, events = [], []
+    starts, rates = np.empty(16), np.empty((16, net.n_reactions))
+    segments = 0
+    events = []
     steps = 0
     stop = None
     for start, end, k in _segments(policy, tempering, t_end):
-        k = k.tolist()
-        rate_log.append((start, tuple(k)))
+        if segments == len(starts):
+            starts, rates = _doubled(starts), _doubled(rates)
+        starts[segments], rates[segments] = start, k
+        segments += 1
+        field, dp5 = bind(k.tolist())
         try:
-            f = _field(terms, k, x)
+            f = field(*x)
         except _UNDEFINED:
             stop = "boundary-approach"
         while stop is None and t < end - 1e-14 * max(1.0, end):
@@ -322,15 +400,14 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
                 stop = "step-limit"
                 break
             h_try = min(h, end - t)
-            step = _dp5(terms, k, x, f, h_try, rtol, atol)
+            step = dp5(x, f, h_try, rtol, atol)
             if step is not None:
                 x_new, stages, err = step
             accept = step is not None and err <= 1.0
             if accept:
                 t, x, f = t + h_try, x_new, stages[6]  # FSAL: the last stage is f at x_new
                 if count == len(times):
-                    times = np.concatenate((times, np.empty_like(times)))
-                    states = np.concatenate((states, np.empty_like(states)))
+                    times, states = _doubled(times), _doubled(states)
                 times[count], states[count] = t, x
                 count += 1
             h = h_try * ((min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0)
@@ -340,7 +417,13 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
         if stop is not None:
             events.append({"type": stop, "time": t})
             break
-    return Trajectory(times[:count].copy(), states[:count].copy(), tuple(rate_log), tuple(events))
+    return Trajectory(times[:count].copy(), states[:count].copy(),
+                      RateLog(starts[:segments].copy(), rates[:segments].copy()), tuple(events))
+
+
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """a followed by as many uninitialised rows."""
+    return np.concatenate((a, np.empty_like(a)))
 
 
 def conservation_residual(traj: Trajectory, stoich: StoichiometryInfo) -> float:
@@ -465,13 +548,15 @@ def g_along(traj: Trajectory, net: ReactionNetwork, alpha=None) -> np.ndarray:
     """
     X = traj.states
     alpha = np.ones(net.n_species) if alpha is None else _positive(alpha, net.n_species, "alpha")
-    k = traj.rates_at(traj.times)
-    # mass_action_rhs's field, one sample at a time, up to the first sample
-    # where a monomial is undefined
-    terms, f = net._mass_action_terms, []
-    for ki, xi in zip(k.tolist(), X.tolist()):
+    rates, segment = traj.rate_log.rates.tolist(), traj._segment(traj.times).tolist()
+    # mass_action_rhs's field, bound once per segment, one sample at a time
+    # up to the first sample where a monomial is undefined
+    bind, f, bound = net._mass_action_kernel, [], None
+    for i, xi in zip(segment, X.tolist()):
+        if i != bound:
+            (field, _), bound = bind(rates[i]), i
         try:
-            f.append(_field(terms, ki, xi))
+            f.append(field(*xi))
         except _UNDEFINED:
             break
     bad = np.any(X <= 0, axis=1)
@@ -479,7 +564,8 @@ def g_along(traj: Trajectory, net: ReactionNetwork, alpha=None) -> np.ndarray:
     if np.any(bad):
         i = np.argmax(bad)
         # the per-sample checks, in their order, raise for the first bad sample
-        mass_action_rhs(net, k[i], X[i]), g_alpha(X[i], alpha), grad_g_alpha(X[i], alpha)
+        mass_action_rhs(net, rates[segment[i]], X[i])
+        g_alpha(X[i], alpha), grad_g_alpha(X[i], alpha)
     log_ratio = np.log(X / alpha)
     g = -X.sum(axis=1) + np.sum(X * log_ratio, axis=1)
     return np.column_stack([traj.times, g, _rowdot(log_ratio, np.array(f))])

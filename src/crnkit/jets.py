@@ -24,6 +24,8 @@ from .network import (
     ReactionNetwork,
     Reaction,
     Tempering,
+    _floats,
+    _in_float_range,
     _positive,
     _tempering_of,
     stoichiometric_subspace,
@@ -136,8 +138,8 @@ def pull(reaction: Reaction, w, theta: float) -> float:
     if theta <= 1:
         raise ValueError(f"theta must exceed 1, got {theta}")
     w = np.asarray(w, dtype=float)
-    flux = np.array([float(c) for c in reaction.flux])
-    src = np.array([float(c) for c in reaction.source.coeffs])
+    flux = _floats(reaction.flux, "a stoichiometric coefficient")
+    src = _floats(reaction.source.coeffs, "a stoichiometric coefficient")
     return float((w @ flux) * theta ** (w @ src))
 
 
@@ -145,7 +147,7 @@ def level_and_type(reaction: Reaction, frame: Frame) -> ReactionJetClass:
     """Least frame level whose inner product with the reaction vector is
     nonzero decides the class: negative = sustaining, positive = draining,
     all zero = inessential."""
-    return _level_and_type(np.array([float(c) for c in reaction.flux]), frame)
+    return _level_and_type(_floats(reaction.flux, "a stoichiometric coefficient"), frame)
 
 
 def _level_and_type(flux: np.ndarray, frame: Frame) -> ReactionJetClass:
@@ -394,7 +396,8 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     arr = _arrangement(net, required=False)
     # one unit row per face: its representative v times 1/|v| truncated to
     # 53 - bit_length(max |v_i|) bits, so each entry, sign and tie is exact
-    R = np.zeros((0, n)) if arr is None else arr.reps.astype(float)
+    with _in_float_range("a face representative"):
+        R = np.zeros((0, n)) if arr is None else arr.reps.astype(float)
     bits = np.maximum(53 - np.frexp(np.abs(R).max(axis=1))[1], 1)
     mant, exp = np.frexp(1 / np.sqrt(_rowdot(R, R)))
     faces = R * np.ldexp(np.floor(np.ldexp(mant, bits)), exp - bits)[:, None]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -41,6 +42,10 @@ class Species:
     index: int
 
 
+# the absent coefficient and the implicit one, shared by every parsed complex
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 @dataclass(frozen=True)
 class Complex:
     """A formal nonnegative rational combination of species."""
@@ -49,11 +54,16 @@ class Complex:
 
     def __post_init__(self):
         for c in self.coeffs:
-            if c < 0:
+            if c is not _ZERO and c < 0:  # parsed complexes share _ZERO: no comparison
                 raise ValueError(f"complex coefficients must be nonnegative, got {self.coeffs}")
+        # the dataclass hash, taken once: a Fraction's hash takes a modular inverse
+        object.__setattr__(self, "_hash", hash((self.coeffs,)))
 
     def __len__(self):
         return len(self.coeffs)
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -88,13 +98,13 @@ class Tempering:
             all(lo <= Fraction(k) <= hi for (lo, hi), k in zip(self.intervals, rates))
 
     def midpoints(self) -> np.ndarray:
-        return np.array([float((lo + hi) / 2) for lo, hi in self.intervals])
+        return _floats(((lo + hi) / 2 for lo, hi in self.intervals), "a rate interval endpoint")
 
     def lows(self) -> np.ndarray:
-        return np.array([float(lo) for lo, _ in self.intervals])
+        return _floats((lo for lo, _ in self.intervals), "a rate interval endpoint")
 
     def highs(self) -> np.ndarray:
-        return np.array([float(hi) for _, hi in self.intervals])
+        return _floats((hi for _, hi in self.intervals), "a rate interval endpoint")
 
 
 _UNIT_INTERVAL = (Fraction(1), Fraction(1))
@@ -115,12 +125,16 @@ class ReactionNetwork:
                 raise ValueError(f"species {s.name} has index {s.index}, expected {i}")
         n = len(self.species)
         for c in self.complexes:
-            if len(c) != n:
+            if len(c.coeffs) != n:
                 raise ValueError(f"complex {c.coeffs} has length {len(c)}, expected {n}")
         known = set(self.complexes)
         for r in self.reactions:
             if r.source not in known or r.target not in known:
                 raise ValueError("reaction endpoints must be listed in complexes")
+
+    def __getstate__(self):
+        # the compiled kernel is no picklable object: a copy compiles its own
+        return {k: v for k, v in self.__dict__.items() if k != "_mass_action_kernel"}
 
     @property
     def n_species(self) -> int:
@@ -144,8 +158,9 @@ class ReactionNetwork:
 
     @cached_property
     def _float_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        Y = np.array([[float(c) for c in r.source.coeffs] for r in self.reactions])
-        F = np.array([[float(c) for c in r.flux] for r in self.reactions])
+        with _in_float_range("a stoichiometric coefficient"):
+            Y = np.array([[float(c) for c in r.source.coeffs] for r in self.reactions])
+            F = np.array([[float(c) for c in r.flux] for r in self.reactions])
         Y.flags.writeable = F.flags.writeable = False
         return Y, F
 
@@ -155,13 +170,22 @@ class ReactionNetwork:
         coefficients as (species, exponent) pairs, an int exponent where it
         is integral and a float otherwise, and the nonzero reaction-vector
         entries as (species, float coefficient) pairs; the sparse rows that
-        dynamics._field reads."""
-        sources = tuple(tuple((i, int(c) if c.denominator == 1 else float(c))
-                              for i, c in enumerate(r.source.coeffs) if c)
-                        for r in self.reactions)
-        fluxes = tuple(tuple((i, float(c)) for i, c in enumerate(r.flux) if c)
-                       for r in self.reactions)
+        _mass_action_kernel is written out from."""
+        with _in_float_range("a stoichiometric coefficient"):
+            sources = tuple(tuple((i, int(c) if c.denominator == 1 else float(c))
+                                  for i, c in enumerate(r.source.coeffs) if c)
+                            for r in self.reactions)
+            fluxes = tuple(tuple((i, float(c)) for i, c in enumerate(r.flux) if c)
+                           for r in self.reactions)
         return sources, fluxes
+
+    @cached_property
+    def _mass_action_kernel(self):
+        """bind(k) -> (field, step): the mass-action field and the
+        Dormand-Prince step at the rates k, generated and compiled from
+        _mass_action_terms on first use (dynamics._kernel_source)."""
+        from .dynamics import _compile_kernel
+        return _compile_kernel(self)
 
     @cached_property
     def _exact(self):
@@ -225,6 +249,23 @@ def _tempering_of(net: ReactionNetwork, tempering: Tempering | None) -> Temperin
     return tempering
 
 
+@contextmanager
+def _in_float_range(what: str):
+    """The one rule for a network's float views: an exact entry past the
+    float range (float() overflows) is a ValueError naming what holds it,
+    one line at the CLI, not an OverflowError."""
+    try:
+        yield
+    except OverflowError:
+        raise ValueError(f"{what} is outside the float range") from None
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """The exact values as a float array, under _in_float_range(what)."""
+    with _in_float_range(what):
+        return np.array([float(v) for v in values])
+
+
 def _over_lcm(rows) -> tuple[tuple[int, ...], ...]:
     lcm = math.lcm(*(x.denominator for row in rows for x in row))
     return tuple(tuple(int(x * lcm) for x in row) for row in rows)
@@ -262,8 +303,9 @@ class StoichiometryInfo:
     @cached_property
     def _float_bases(self) -> tuple[np.ndarray, ...]:
         n = self.n_species
-        H, Hperp = (np.array([[float(x) for x in v] for v in basis], dtype=float)
-                    .reshape(len(basis), n) for basis in (self.H_basis, self.Hperp_basis))
+        with _in_float_range("a stoichiometric basis vector"):
+            H, Hperp = (np.array([[float(x) for x in v] for v in basis], dtype=float)
+                        .reshape(len(basis), n) for basis in (self.H_basis, self.Hperp_basis))
         Q, Qperp = (np.linalg.qr(M.T)[0][:, :len(M)] if len(M) else np.zeros((n, 0))
                     for M in (H, Hperp))
         for M in (Hperp, Q, Qperp):
@@ -293,7 +335,6 @@ _TOKEN = re.compile(r"""\s*(?:
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct><?->|[+*\[\],:])
   | (?P<bad>\S))""", re.VERBOSE)
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _scan(line: str) -> list[tuple[str, str, int]]:
@@ -438,12 +479,17 @@ def parse_network(text: str) -> tuple[ReactionNetwork, Tempering | None]:
         raise ParseError("no reactions found", max(1, text.count("\n") + 1), 1)
 
     n = len(names)
-    reactions = tuple(Reaction(*(Complex(tuple(side.get(j, _ZERO) for j in range(n)))
-                                 for side in (lhs, rhs)))
-                      for lhs, rhs, _ in raw)
-    complexes = tuple(dict.fromkeys(c for r in reactions for c in (r.source, r.target)))
+    # each distinct complex once, in order of first appearance, and the one
+    # object every reaction with it holds
+    distinct: dict[Complex, Complex] = {}
+
+    def complex_of(side):
+        cx = Complex(tuple(side.get(j, _ZERO) for j in range(n)))
+        return distinct.setdefault(cx, cx)
+
+    reactions = tuple(Reaction(complex_of(lhs), complex_of(rhs)) for lhs, rhs, _ in raw)
     net = ReactionNetwork(tuple(Species(name, j) for j, name in enumerate(names)),
-                          complexes, reactions)
+                          tuple(distinct), reactions)
     given = [interval for *_, interval in raw]
     if not any(given):
         return net, None

@@ -126,6 +126,31 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("crnkit: parse error: ") and message in lines[0]
 
+    @pytest.mark.parametrize("text, what", [
+        ("species: A B\n1" + "0" * 400 + "A -> B\n", None),
+        ("species: A B\nA -> B rate [1" + "0" * 400 + "]\n", "a rate interval endpoint"),
+    ], ids=["coefficient", "rate"])
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["simulate", "--x0=1,1", "--t-end=1"],
+        ["simulate", "--x0=1,1", "--t-end=1", "--policy=piecewise-constant"],
+        ["steady", "--x0=1,1"], ["birch", "--x0=1,1", "--alpha=1,1"], ["scan", "--x0=1,1"],
+        ["jets", "--frame=1,0"],
+    ], ids=["classify", "simulate", "simulate-sampled", "steady", "birch", "scan", "jets"])
+    def test_value_past_the_float_range_is_one_line_exit_one(self, argv, text, what, tmp_path,
+                                                             capsys):
+        # the exact classification reads no float; a float layer that needs
+        # the value refuses the network in one line where it converts it
+        p = tmp_path / "huge.crn"
+        p.write_text(text)
+        code = cli.main([argv[0], str(p), *argv[1:]])
+        err = capsys.readouterr().err
+        if argv[0] == "classify" or (what and argv[0] in ("birch", "jets")):
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1 and len(err.splitlines()) == 1
+            assert err.startswith("crnkit: error: ") and "is outside the float range" in err
+            assert what is None or what in err
+
     def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
         p = tmp_path / "utf8.crn"
         p.write_text("# réseau, Größe\nspecies: A B\nA -> B\n", encoding="utf-8")

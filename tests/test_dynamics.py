@@ -2,7 +2,14 @@
 rate-selection policies and event logging, steady-state search, and the
 free-energy log along trajectories."""
 
+import ast
+import dataclasses
+import io
+import keyword
 import math
+import pickle
+import re
+import tokenize
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +23,7 @@ from crnkit import (
     Tempering,
     Trajectory,
     birch_point,
+    classify,
     conservation_residual,
     find_steady_state,
     g_along,
@@ -95,38 +103,45 @@ class TestIntegratorAccuracy:
     def test_fixed_step_order_at_least_four(self):
         # the Dormand-Prince step alone, 1/h steps of size h to t = 1
         net, _ = parse_network("species: A B\nA -> B rate [1]\n")
-        terms, k = net._mass_action_terms, [1.0]
+        field, step = net._mass_action_kernel([1.0])
         errs = []
         for h in (0.2, 0.1, 0.05):
             x = [1.0, 1.0]
-            f = crnkit.dynamics._field(terms, k, x)
+            f = field(*x)
             for _ in range(round(1 / h)):
-                x, K, _ = crnkit.dynamics._dp5(terms, k, x, f, h, 1e-8, 1e-10)
+                x, K, _ = step(x, f, h, 1e-8, 1e-10)
                 f = K[6]
             errs.append(abs(x[0] - np.exp(-1.0)))
         slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(slopes) > 4.0
 
     @pytest.mark.parametrize("name", ["reverse_lv", "triangle_out", "futile_cycle"])
-    def test_simulate_steps_on_mass_action_rhs(self, name, monkeypatch):
-        # every field value simulate takes, at a segment start or a stage,
-        # is mass_action_rhs at that state and those rates, to the byte
+    def test_simulate_replays_on_the_reference_step(self, name, monkeypatch):
+        # simulate with the network's kernel swapped for the oracle field and
+        # the per-stage reference step gives the same trajectory to the byte
         # (triangle_out has fractional exponents, futile_cycle five species)
         net, temp = load(name)
-        field, calls = crnkit.dynamics._field, []
+        terms, calls = net._mass_action_terms, []
 
-        def recorded(terms, k, x):
-            f = field(terms, k, x)
-            calls.append((list(k), list(x), f))
-            return f
+        def reference(k):
+            calls.append(k)
+            return (lambda *x: _loop_field(terms, k, x),
+                    lambda x, f, h, rtol, atol: _per_stage_scalar_step(terms, k, x, f, h,
+                                                                       rtol, atol))
 
-        monkeypatch.setattr(crnkit.dynamics, "_field", recorded)
-        traj = simulate(net, temp, RatePolicy("piecewise-constant", seed=3, dt=0.5),
-                        np.linspace(0.5, 2.0, net.n_species), 2.0)
+        policy = RatePolicy("piecewise-constant", seed=3, dt=0.5)
+        x0 = np.linspace(0.5, 2.0, net.n_species)
+        got = simulate(net, temp, policy, x0, 2.0)
+        monkeypatch.setitem(net.__dict__, "_mass_action_kernel", reference)
+        want = simulate(net, temp, policy, x0, 2.0)
         monkeypatch.undo()
-        assert len(calls) >= 6 * (len(traj.times) - 1) + len(traj.rate_log)
-        for k, x, f in calls:
-            assert np.array(f).tobytes() == mass_action_rhs(net, k, x).tobytes()
+        assert len(calls) == len(want.rate_log) == 4
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.rate_log == want.rate_log and got.events == want.events
+        for k, x in zip(want.rates_at(want.times), want.states):
+            assert mass_action_rhs(net, k, x).tobytes() == np.array(
+                _loop_field(terms, k.tolist(), x.tolist())).tobytes()
 
     def test_species_free_network_reaches_t_end(self, monkeypatch):
         # the RMS error over no components is 0: it was 0/0 = nan, so no
@@ -243,6 +258,24 @@ class TestRatePolicies:
             (1.0, 1.0), 2.0,
         )
         assert runs[0].rate_log != other.rate_log
+
+    def test_rate_log_is_held_in_arrays(self):
+        # a start array and a rates array, grown past their first 16 rows;
+        # the log reads as its (start, rates) pairs, and a Trajectory given
+        # the pairs holds the same arrays
+        net, temp = load("reverse_lv")
+        traj = simulate(net, temp, RatePolicy("piecewise-constant", seed=7, dt=0.05),
+                        (1.0, 1.0), 2.0)
+        log = traj.rate_log
+        assert log.starts.dtype == log.rates.dtype == np.float64
+        assert log.rates.shape == (len(log), 3) and len(log) > 16
+        pairs = tuple((t0, tuple(k)) for t0, k in zip(log.starts.tolist(), log.rates.tolist()))
+        assert tuple(log) == pairs and log == pairs and pairs == log
+        assert log[1:] == pairs[1:] and log[-1] == pairs[-1]
+        rebuilt = dataclasses.replace(traj, rate_log=pairs)
+        assert isinstance(rebuilt.rate_log, crnkit.dynamics.RateLog)
+        assert rebuilt.rate_log.starts.tobytes() == log.starts.tobytes()
+        assert rebuilt.rate_log.rates.tobytes() == log.rates.tobytes()
 
     @pytest.mark.parametrize("t_end, dt, n", [(0.1 + 0.2, 0.1, 3), (0.7, 0.1, 7),
                                               (0.05, 0.1, 1), (2.0, 1 / 3, 6)])
@@ -587,9 +620,9 @@ class TestFreeEnergyAlong:
 
 
 def _per_stage_dp_step(net, k, x, f, h):
-    """The numpy Dormand-Prince step that _dp5 replaced: each stage's
-    monomials are tested as soon as they are formed, and the step ends at
-    the first undefined one."""
+    """The numpy Dormand-Prince step that the scalar step replaced: each
+    stage's monomials are tested as soon as they are formed, and the step
+    ends at the first undefined one."""
     A = crnkit.dynamics._DP_A
     K = np.empty((7, len(x)))
     K[0] = f
@@ -603,6 +636,25 @@ def _per_stage_dp_step(net, k, x, f, h):
     return (x_new, K) if np.all((x_new > 0) & (x_new < np.inf)) else None
 
 
+def _loop_field(terms, k, x):
+    """The oracle field, a loop over the network's sparse terms: each
+    monomial is the product of its powers in species order (x * x for
+    exponent 2, dynamics._power beyond), times k_r, added to each component
+    in reaction order from 0.0; ValueError or OverflowError where a
+    monomial is undefined or not finite."""
+    f = [0.0] * len(x)
+    for kr, source, flux in zip(k, *terms):
+        m = 1.0
+        for s, e in source:
+            m *= x[s] if e == 1 else x[s] * x[s] if e == 2 else crnkit.dynamics._power(x[s], e)
+        if not math.isfinite(m):
+            raise ValueError("monomial not finite")
+        w = kr * m
+        for s, c in flux:
+            f[s] += w * c
+    return f
+
+
 def _weighted(weights, stages, j):
     """Component j of the stages weighted by weights, summed left to right
     over the nonzero weights."""
@@ -614,17 +666,17 @@ def _weighted(weights, stages, j):
 
 
 def _per_stage_scalar_step(terms, k, x, f, h, rtol, atol):
-    """Reference for _dp5, looping over the tableau _DP_A and _DP_E where
-    _dp5 writes each weight out: stage i is _field at x + h * (row i of _DP_A
-    times the earlier stages), and the step ends at the first stage that is
-    undefined or not finite."""
+    """Reference for the generated step, looping over the tableau _DP_A and
+    _DP_E where the step writes each weight out: stage i is _loop_field at
+    x + h * (row i of _DP_A times the earlier stages), and the step ends at
+    the first stage that is undefined or not finite."""
     A, E = crnkit.dynamics._DP_A.tolist(), crnkit.dynamics._DP_E.tolist()
     K = [f]
     for i in range(7):
         if i:
             state = [x[j] + h * _weighted(A[i], K, j) for j in range(len(x))]
             try:
-                K.append(crnkit.dynamics._field(terms, k, state))
+                K.append(_loop_field(terms, k, state))
             except crnkit.dynamics._UNDEFINED:
                 return None
         if not all(math.isfinite(v) for v in K[i]):
@@ -639,9 +691,36 @@ def _per_stage_scalar_step(terms, k, x, f, h, rtol, atol):
     return x_new, K, math.sqrt(acc / len(x)) if x else 0.0
 
 
-# the fixtures, and a half-order source: a stage that turns a coordinate
-# negative makes its monomial undefined (nan), not merely negative
-STEP_NETWORKS = [*NETWORKS.values(), "species: A B\n1/2A -> B\nB -> A\n"]
+def _random_network(n, m, seed):
+    """n species, m reactions, two species per complex with coefficients
+    1-3, a quarter of the source coefficients halved."""
+    rng = np.random.default_rng(seed)
+    lines = ["species: " + " ".join(f"S{i}" for i in range(n))]
+    for _ in range(m):
+        sides = []
+        for side in ("source", "target"):
+            terms = [(int(c), int(s)) for c, s in zip(rng.integers(1, 4, 2),
+                                                      rng.choice(n, 2, replace=False))]
+            sides.append(" + ".join(
+                f"{c}/2S{s}" if side == "source" and rng.random() < 0.25 else f"{c}S{s}"
+                for c, s in terms))
+        lines.append(" -> ".join(sides))
+    return "\n".join(lines) + "\n"
+
+
+# a source of 300 species: its monomial is 300 statements, not one expression
+WIDE_SOURCE = ("species: " + " ".join(f"S{i}" for i in range(300)) + "\n"
+               + " + ".join(f"{1 + i % 3}S{i}" for i in range(300)) + " -> S0\nS0 -> S1\n")
+# the fixtures, a half-order source (a stage that turns a coordinate negative
+# makes its monomial undefined, not merely negative) and a network without
+# species
+STEP_NETWORKS = [*NETWORKS.values(), "species: A B\n1/2A -> B\nB -> A\n", "0 -> 0\n"]
+WIDE_NETWORKS = {"40x80": _random_network(40, 80, 40),
+                 "half-order-pair": "species: A B\n1/2A + 1/2B -> A\nA -> B\n",
+                 "300-species": WIDE_SOURCE}
+KERNEL_CASES = {**dict(zip([*NETWORKS, "half-order", "no-species"], STEP_NETWORKS)),
+                **WIDE_NETWORKS,
+                "huge-coefficient": "species: A B\n1/3A -> 2B\n1" + "0" * 300 + "B -> A\n"}
 coordinate = st.one_of(
     st.floats(1e-3, 1e3),  # interior
     st.floats(5e-324, 1e-30),  # next to the boundary
@@ -652,16 +731,21 @@ step_size = st.one_of(st.floats(1e-6, 1.0), st.floats(1.0, 1e4))
 
 
 def _assert_same_step(net, k, x, h):
-    """Whether the step from x is accepted, after asserting that _dp5 and
-    the scalar reference agree to the byte; None where the field at x is
-    undefined (simulate stops there before it steps)."""
+    """Whether the step from x is accepted, after asserting that the
+    network's generated field and step agree with _loop_field and the
+    per-stage reference to the byte; None where the field at x is undefined
+    (simulate stops there before it steps)."""
     terms, k, x = net._mass_action_terms, [float(v) for v in k], [float(v) for v in x]
+    field, step = net._mass_action_kernel(k)
     try:
-        f = crnkit.dynamics._field(terms, k, x)
+        f = _loop_field(terms, k, x)
     except crnkit.dynamics._UNDEFINED:
+        with pytest.raises(crnkit.dynamics._UNDEFINED):
+            field(*x)
         return None
+    assert np.array(field(*x)).tobytes() == np.array(f).tobytes()
     want = _per_stage_scalar_step(terms, k, x, f, h, 1e-8, 1e-10)
-    got = crnkit.dynamics._dp5(terms, k, x, f, h, 1e-8, 1e-10)
+    got = step(x, f, h, 1e-8, 1e-10)
     if want is None:
         assert got is None
     else:
@@ -672,9 +756,16 @@ def _assert_same_step(net, k, x, h):
     return want is not None
 
 
-# how far the numpy step's new point and stages may lie from _dp5's, relative
-# to the vector's largest entry; over the 400 draws below the largest
-# distance is 2.3e-14
+def _draw_step(text, data):
+    net, _ = parse_network(text)
+    m, n = net.n_reactions, net.n_species
+    return (net, data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)),
+            data.draw(st.lists(coordinate, min_size=n, max_size=n)), data.draw(step_size))
+
+
+# how far the numpy step's new point and stages may lie from the generated
+# step's, relative to the vector's largest entry; over the 400 draws below
+# the largest distance is 2.3e-14
 _NUMPY_RTOL = 1e-12
 
 
@@ -682,33 +773,29 @@ class TestStepOracle:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(text=st.sampled_from(STEP_NETWORKS), data=st.data())
     def test_step_matches_per_stage_reference(self, text, data):
-        net, _ = parse_network(text)
-        m, n = net.n_reactions, net.n_species
-        _assert_same_step(
-            net,
-            data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)),
-            data.draw(st.lists(coordinate, min_size=n, max_size=n)),
-            data.draw(step_size))
+        _assert_same_step(*_draw_step(text, data))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(text=st.sampled_from(list(WIDE_NETWORKS.values())), data=st.data())
+    def test_wide_networks_match_per_stage_reference(self, text, data):
+        # 40 species x 80 reactions, half-order sources, a 300-species source
+        _assert_same_step(*_draw_step(text, data))
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(text=st.sampled_from(STEP_NETWORKS), data=st.data())
     def test_step_agrees_with_the_numpy_step(self, text, data):
         # draws from the strategies of the test above, against the numpy
-        # step that _dp5 replaced: that one rounds differently (numpy's pow, BLAS sums), but
-        # it accepts and rejects the same steps, and each of its stages and
-        # its new point lie within _NUMPY_RTOL of _dp5's, relative to their
-        # largest entry
-        net, _ = parse_network(text)
-        m, n = net.n_reactions, net.n_species
-        k = data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
-        x = data.draw(st.lists(coordinate, min_size=n, max_size=n))
-        h = data.draw(step_size)
-        terms = net._mass_action_terms
+        # step that the scalar step replaced: that one rounds differently
+        # (numpy's pow, BLAS sums), but it accepts and rejects the same
+        # steps, and each of its stages and its new point lie within
+        # _NUMPY_RTOL of the generated step's, relative to their largest entry
+        net, k, x, h = _draw_step(text, data)
+        field, step = net._mass_action_kernel(k)
         try:
-            f = crnkit.dynamics._field(terms, k, x)
+            f = field(*x)
         except crnkit.dynamics._UNDEFINED:
             return
-        got = crnkit.dynamics._dp5(terms, k, x, f, h, 1e-8, 1e-10)
+        got = step(x, f, h, 1e-8, 1e-10)
         with np.errstate(all="ignore"):
             want = _per_stage_dp_step(net, np.array(k), np.array(x), np.array(f), h)
         assert (got is None) == (want is None)
@@ -725,10 +812,84 @@ class TestStepOracle:
         # a stage: negative under a half-order source (nan); overflowing (inf)
         ("species: A B\n1/2A -> B\nB -> A\n", (1e-3, 1.0), 10.0, False),
         ("species: A B\n2A -> B\nB -> A\n", (1e100, 1.0), 1e-3, False),
+        # a monomial that underflows: its terms are 0.0 * c, and no component is -0.0
+        ("species: A B\n2A -> B\n", (1e-200, 1.0), 1.0, True),
     ])
     def test_step_matches_per_stage_reference_at_each_outcome(self, text, x, h, accepted):
         net, _ = parse_network(text)
         assert _assert_same_step(net, np.ones(net.n_reactions), x, h) == accepted
+
+
+def _ast_depth(node) -> int:
+    return 1 + max(map(_ast_depth, ast.iter_child_nodes(node)), default=0)
+
+
+# every name the generated source may hold: its own, and index-built ones
+_KERNEL_NAMES = re.compile(r"(bind|k|field|step|x|h|rtol|atol|m|w|e|acc|sqrt|_power|_UNDEFINED"
+                           r"|ValueError|[xfkab]\d+|p[1-7]_\d+|K[1-7])")
+
+
+class TestGeneratedKernel:
+    def test_source_never_holds_a_species_name(self):
+        # the same reactions under species named __import__, lambda and x0
+        # (x0 at index 2) give the same source as under S0, S1, S2
+        body = "{0} + 2{1} -> {2}\n3{2} -> {0}\n1/2{1} -> 0\n"
+        odd, _ = parse_network("species: __import__ lambda x0\n"
+                               + body.format("__import__", "lambda", "x0"))
+        plain, _ = parse_network("species: S0 S1 S2\n" + body.format("S0", "S1", "S2"))
+        source = crnkit.dynamics._kernel_source(odd)
+        assert source == crnkit.dynamics._kernel_source(plain)
+        assert "__import__" not in source and "lambda" not in source
+
+    @pytest.mark.parametrize("text", KERNEL_CASES.values(), ids=KERNEL_CASES)
+    def test_source_holds_indices_int_exponents_and_finite_floats(self, text):
+        # names are the kernel's own or index-built; numbers are ints or
+        # the repr of finite floats; no strings, and no assert, so python -O
+        # runs the same code
+        net, _ = parse_network(text)
+        source = crnkit.dynamics._kernel_source(net)
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME and not keyword.iskeyword(token.string):
+                assert _KERNEL_NAMES.fullmatch(token.string), token
+            elif token.type == tokenize.NUMBER:
+                value = token.string
+                assert value.isdigit() or (math.isfinite(float(value))
+                                           and repr(float(value)) == value)
+            else:
+                assert token.type != tokenize.STRING, token
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(source)))
+
+    def test_compilation_depth_does_not_grow_with_the_network(self):
+        # one statement per factor, term and species: a 300-species source
+        # and 40 x 80 nest no deeper than 2 x 3
+        depths = [_ast_depth(ast.parse(crnkit.dynamics._kernel_source(parse_network(text)[0])))
+                  for text in ["species: A B\n2A -> B\nA + B -> 0\n1/2B -> A\n",
+                               *WIDE_NETWORKS.values()]]
+        assert len(set(depths)) == 1
+
+    def test_network_with_a_kernel_pickles(self):
+        # the copy leaves the compiled kernel behind and builds its own
+        net, temp = load("reverse_lv")
+        traj = simulate(net, temp, RatePolicy("piecewise-constant", dt=0.25), (2.0, 0.5), 1.0)
+        copy = pickle.loads(pickle.dumps(net))
+        assert copy == net and "_mass_action_kernel" not in vars(copy)
+        again = simulate(copy, temp, RatePolicy("piecewise-constant", dt=0.25), (2.0, 0.5), 1.0)
+        assert again.states.tobytes() == traj.states.tobytes()
+
+    def test_built_once_per_network_and_never_by_parse_classify_or_steady(self, monkeypatch):
+        compile_kernel, built = crnkit.dynamics._compile_kernel, []
+        monkeypatch.setattr(crnkit.dynamics, "_compile_kernel",
+                            lambda net: built.append(net) or compile_kernel(net))
+        net, temp = parse_network(NETWORKS["reverse_lv"])
+        classify(net)
+        find_steady_state(net, (1.0, 1.0, 1.0), (2.0, 0.5))
+        assert stoichiometric_subspace(net).dimension > 0 and built == []
+        assert "_mass_action_kernel" not in vars(net)
+        traj = simulate(net, temp, RatePolicy("piecewise-constant", dt=0.25), (2.0, 0.5), 1.0)
+        simulate(net, None, RatePolicy("constant-mid"), (2.0, 0.5), 1.0)
+        g_along(traj, net)
+        mass_action_rhs(net, (1.0, 1.0, 1.0), (2.0, 0.5))
+        assert built == [net]
 
 
 class TestErrorState:

@@ -377,6 +377,29 @@ class TestStructureOnce:
         assert 50 < wr < 250
 
 
+class TestFloatRange:
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize("view", [
+        lambda net: net.source_matrix(),
+        lambda net: net._mass_action_terms,
+        lambda net: stoichiometric_subspace(net).orthonormal_H(),
+        lambda net: crnkit.pull(net.reactions[0], (1.0, 0.0), 2.0),
+        lambda net: crnkit.level_and_type(net.reactions[0], crnkit.make_frame((1.0, 0.0))),
+    ], ids=["matrices", "terms", "bases", "pull", "level"])
+    def test_coefficient_past_it_is_a_value_error(self, view):
+        # the exact network stands; each float view of it refuses it in one line
+        net, _ = parse_network(f"species: A B\n{self.HUGE}A -> B\n")
+        with pytest.raises(ValueError, match="^a stoichiometric .* is outside the float range$"):
+            view(net)
+
+    @pytest.mark.parametrize("view", ["midpoints", "lows", "highs"])
+    def test_rate_endpoint_past_it_is_a_value_error(self, view):
+        _, temp = parse_network(f"species: A B\nA -> B rate [{self.HUGE}]\n")
+        with pytest.raises(ValueError, match="^a rate interval endpoint is outside the float range$"):
+            getattr(temp, view)()
+
+
 class TestPublicSurface:
     def test_every_exported_name_resolves_once(self):
         assert len(set(crnkit.__all__)) == len(crnkit.__all__)
@@ -393,6 +416,18 @@ class TestModelValidation:
         tgt = Complex((F(1), F(1)))
         assert Reaction(src, tgt).flux == (F(-1), F(1))
 
-    def test_negative_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            Complex((F(-1), F(0)))
+    @pytest.mark.parametrize("coeffs", [(F(-1), F(0)), (F(0), F(-1, 2)), (0, -1), (F(0), -0.5)])
+    def test_negative_coefficient_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="complex coefficients must be nonnegative"):
+            Complex(coeffs)
+
+    def test_parsed_reactions_hold_the_network_complexes(self):
+        # one object per distinct complex, in order of first appearance,
+        # hashed as the dataclass hashes it
+        net, _ = parse_network("species: A B\nA <-> B\nB -> 2A\n2A -> 0\n0 -> A\n")
+        assert [c.coeffs for c in net.complexes] == [(1, 0), (0, 1), (2, 0), (0, 0)]
+        for r in net.reactions:
+            assert any(r.source is c for c in net.complexes)
+            assert any(r.target is c for c in net.complexes)
+        for c in net.complexes:
+            assert hash(c) == hash((c.coeffs,)) == hash(Complex(c.coeffs))
