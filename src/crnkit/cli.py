@@ -3,8 +3,12 @@
 One pipeline serves every subcommand: main parses the arguments, loads the
 network once, hands it to the subcommand, and writes what comes back.  A
 subcommand only builds its result: a payload dict, which main puts after
-the envelope and dumps as JSON, or the finished CSV or SVG text.  One
-writer sends either to stdout or to --out.
+the envelope and writes as JSON, or the finished CSV or SVG text.  Every
+JSON report goes through one writer, _json_text: the bytes of
+json.dumps(report, indent=2), with numeric arrays and the rate log laid
+out whole from numpy and every key and scalar formatted by json's C
+encoder in one call.  The SVG plot formats its points from whole arrays.
+One function sends the text to stdout or to --out.
 
 Outputs are deterministic: identical (input, flags, seed) produce
 byte-identical JSON/CSV/SVG.  Every JSON report embeds the tool name,
@@ -30,7 +34,7 @@ import numpy as np
 from . import __version__, SCHEMA_VERSION
 from .birch import NoConvergence, birch_point
 from .classify import classify, is_w_endotactic
-from .dynamics import RatePolicy, find_steady_state, g_along, simulate
+from .dynamics import RateLog, RatePolicy, find_steady_state, g_along, simulate
 from .geometry import LimitExceeded
 from .jets import (_MAX_THETA_POINTS, JetSchedule, _index_grid, _theta_grid,
                    _worst_case_margin, cutoff_scan, domination_monitor, make_frame)
@@ -55,6 +59,10 @@ def _envelope(command: str, seed: int) -> dict:
 
 
 def _jsonify(obj):
+    """obj as a JSON value: dict keys as strings, Fractions as strings,
+    numpy scalars as Python ones and non-finite floats as "nan", "inf" and
+    "-inf".  A finite int or float array, and a RateLog of finite values,
+    stay as they are, for _json_text to write straight from numpy."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -71,9 +79,78 @@ def _jsonify(obj):
         return obj
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "iuf" and np.isfinite(obj).all():
-            return obj.tolist()  # Python ints and finite floats, as the loop gives
+            return obj
         return [_jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, RateLog):
+        finite = np.isfinite(obj.starts).all() and np.isfinite(obj.rates).all()
+        return obj if finite else _jsonify(tuple(obj))
     return obj
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2) for a JSON value in which any list may also
+    be a finite int or float array, written as its tolist(), or a RateLog,
+    written as its (start, rates) pairs; dict keys must be strings.
+
+    The layout is written as a %-template with a %s for each key and
+    scalar (_walk), a whole array or run of scalars at a time, and the keys
+    and scalars are formatted by one call of json's C encoder, with NUL as
+    its item separator: json escapes NUL inside a string, so splitting at
+    it gives each item's text as json.dumps writes it."""
+    layout, items = [], []
+    _walk(obj, 0, layout, items)
+    return "".join(layout) % tuple(_ITEM_TEXTS(items)[1:-1].split("\0") if items else ())
+
+
+_ITEM_TEXTS = json.JSONEncoder(separators=("\0", ": ")).encode
+_SCALARS = (str, int, float, type(None))
+
+
+def _walk(obj, depth: int, layout: list, items: list):
+    """Append obj's layout at this depth to layout, and its keys and
+    scalars, in order, to items."""
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(obj, _SCALARS):
+        layout.append("%s")
+        items.append(obj)
+    elif isinstance(obj, dict):
+        sep = "{" + pad
+        for key, value in obj.items():
+            layout.append(sep + "%s: ")
+            items.append(key)
+            _walk(value, depth + 1, layout, items)
+            sep = "," + pad
+        layout.append(pad[:-2] + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        if all(isinstance(v, _SCALARS) for v in obj):  # a run of scalars
+            layout.append(_layout((len(obj),), depth))
+            items += obj
+        else:
+            sep = "[" + pad
+            for value in obj:
+                layout.append(sep)
+                _walk(value, depth + 1, layout, items)
+                sep = "," + pad
+            layout.append(pad[:-2] + "]")
+    elif isinstance(obj, np.ndarray):
+        layout.append(_layout(obj.shape, depth))
+        items += obj.ravel().tolist()
+    elif isinstance(obj, RateLog):
+        pair = f"[{pad}  %s,{pad}  {_layout(obj.rates.shape[1:], depth + 2)}{pad}]"
+        layout.append(_layout(obj.starts.shape, depth, pair))
+        items += np.column_stack((obj.starts, obj.rates)).ravel().tolist()
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _layout(shape, depth: int, item: str = "%s") -> str:
+    """The indent=2 layout, at this depth, of an array of this shape whose
+    every item is written as the template item."""
+    for d in reversed(range(depth, depth + len(shape))):
+        pad = "\n" + "  " * (d + 1)
+        n = shape[d - depth]
+        item = f"[{pad}{(',' + pad).join([item] * n)}{pad[:-2]}]" if n else "[]"
+    return item
 
 
 def _write(text: str, out_path: str | None):
@@ -154,7 +231,7 @@ def cmd_simulate(args, net, tempering) -> dict | str:
         return _trajectory_svg(net, traj)
     return {"policy": policy.mode, "t_end": args.t_end, "species": net.species_names,
             "times": traj.times, "states": traj.states, "events": traj.events,
-            "rate_log": tuple(traj.rate_log)}
+            "rate_log": traj.rate_log}
 
 
 def _trajectory_csv(net, traj, alpha=None) -> str:
@@ -184,11 +261,9 @@ def _trajectory_svg(net, traj) -> str:
     span_t = (t_hi - t_lo) or 1.0
     span_x = (x_hi - x_lo) or 1.0
 
-    def sx(t):
-        return margin + (t - t_lo) / span_t * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - (v - x_lo) / span_x * (height - 2 * margin)
+    # the pixel coordinates of every point, each as the scalar arithmetic gives it
+    xs = (margin + (times - t_lo) / span_t * (width - 2 * margin)).tolist()
+    ys = height - margin - (states - x_lo) / span_x * (height - 2 * margin)
 
     parts = [_svg_header(width, height)]
     parts.append(
@@ -203,15 +278,14 @@ def _trajectory_svg(net, traj) -> str:
     )
     for s_idx, name in enumerate(net.species_names):
         color = _SVG_COLORS[s_idx % len(_SVG_COLORS)]
-        pts = " ".join(
-            f"{sx(times[i]):.2f},{sy(states[i, s_idx]):.2f}" for i in range(len(times))
-        )
+        y = ys[:, s_idx].tolist()
+        pts = " ".join(map("{:.2f},{:.2f}".format, xs, y))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>\n'
         )
         parts.append(
-            f'<text x="{width - margin + 4}" y="{sy(states[-1, s_idx]) + 4:.2f}" '
+            f'<text x="{width - margin + 4}" y="{y[-1] + 4:.2f}" '
             f'font-size="12" fill="{color}">{name}</text>\n'
         )
     parts.append("</svg>\n")
@@ -391,8 +465,7 @@ def main(argv=None) -> int:
         net, tempering = _load(args.file)
         result = args.func(args, net, tempering)
         if isinstance(result, dict):
-            result = json.dumps(_jsonify({**_envelope(args.subcommand, args.seed), **result}),
-                                indent=2) + "\n"
+            result = _json_text(_jsonify({**_envelope(args.subcommand, args.seed), **result})) + "\n"
         _write(result, args.out)
     except ParseError as exc:
         print(f"crnkit: parse error: {exc}", file=sys.stderr)

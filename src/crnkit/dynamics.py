@@ -6,7 +6,9 @@ states, and free-energy evaluation along trajectories.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,6 +212,10 @@ _DP_ERROR = ("h * ((35 / 384 - 5179 / 57600) * {p1} + (500 / 1113 - 7571 / 16695
 _H_MIN = 1e-12
 # a run stops with a step-limit event after this many steps, accepted or not
 _MAX_STEPS = 5_000_000
+# piecewise-constant rates are drawn in blocks of segments: the first block
+# has _FIRST_BLOCK rows and each next one twice the last, up to _RATE_BLOCK
+_FIRST_BLOCK = 16
+_RATE_BLOCK = 1024
 
 
 def _seq(names) -> str:
@@ -290,10 +296,16 @@ def _kernel_source(net: ReactionNetwork) -> str:
 
 
 def _compile_kernel(net: ReactionNetwork):
-    """bind(k) for the network, compiled from _kernel_source; built once per
-    network, on first use, by ReactionNetwork._mass_action_kernel."""
+    """bind(k) for the network, compiled from _kernel_source; called once
+    per network, on first use, by ReactionNetwork._mass_action_kernel.
+    Networks with the same source share one compiled bind (_compiled)."""
+    return _compiled(_kernel_source(net))
+
+
+@functools.lru_cache(maxsize=16)  # bind holds no network state, only its source's
+def _compiled(source: str):
     namespace = {"_power": _power, "_UNDEFINED": _UNDEFINED, "sqrt": math.sqrt}
-    exec(compile(_kernel_source(net), "<crnkit mass-action kernel>", "exec"), namespace)
+    exec(compile(source, "<crnkit mass-action kernel>", "exec"), namespace)
     return namespace["bind"]
 
 
@@ -310,20 +322,24 @@ def _float_bounds(tempering: Tempering):
 
 
 def _segments(policy: RatePolicy, tempering: Tempering, t_end: float):
-    """(start, end, rates) of each segment of the policy, drawn lazily after
-    the policy's checks (see simulate): one segment on [0, t_end] but for
-    piecewise-constant, whose segment i starts at i * dt (np.arange(0,
+    """(start, end, rates list) of each segment of the policy, drawn lazily
+    after the policy's checks (see simulate): one segment on [0, t_end] but
+    for piecewise-constant, whose segment i starts at i * dt (np.arange(0,
     t_end, dt) to the bit; a last start that rounds onto t_end is dropped)
     and draws fresh uniform rates.  constant-sampled is its one-segment
-    case, dt = t_end."""
+    case, dt = t_end.  Rates are drawn a block of segments at a time, one
+    rng.random((rows, r)) call per block, which equals drawing each row in
+    turn.  Blocks double from _FIRST_BLOCK rows up to _RATE_BLOCK, so the
+    rows drawn ahead of the run are at most _RATE_BLOCK, and at most
+    _FIRST_BLOCK more than the segments it has reached."""
     if policy.mode == "fixed":
         rates = _positive(policy.rates, len(tempering), "fixed rates")
         if not tempering.contains(rates):
             raise ValueError(f"fixed rates {policy.rates} outside the tempering")
-        yield 0.0, t_end, rates
+        yield 0.0, t_end, rates.tolist()
         return
     if policy.mode == "constant-mid":
-        yield 0.0, t_end, tempering.midpoints()
+        yield 0.0, t_end, tempering.midpoints().tolist()
         return
     lo, hi = _float_bounds(tempering)
     rng = np.random.default_rng(np.random.SeedSequence(policy.seed))
@@ -335,11 +351,15 @@ def _segments(policy: RatePolicy, tempering: Tempering, t_end: float):
         raise ValueError(f"piecewise-constant run of {t_end / dt:.3g} segments "
                          f"exceeds the step limit of {_MAX_STEPS}")
     n = math.ceil(t_end / dt)  # np.arange's count
-    for i in range(n):
-        end = min((i + 1) * dt, t_end) if i + 1 < n else t_end
-        yield i * dt, end, lo + rng.random(len(lo)) * (hi - lo)
-        if end == t_end:
-            return
+    i, rows = 0, _FIRST_BLOCK
+    while True:
+        for k in (lo + rng.random((min(rows, n - i), len(lo))) * (hi - lo)).tolist():
+            end = min((i + 1) * dt, t_end) if i + 1 < n else t_end
+            yield i * dt, end, k
+            if end == t_end:
+                return
+            i += 1
+        rows = min(2 * rows, _RATE_BLOCK)
 
 
 def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePolicy,
@@ -354,10 +374,10 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
     boundary-approach event is emitted and integration stops (states are
     never clamped); after 5,000,000 steps a step-limit event is emitted
     instead.  Rates are constant within each policy segment, the segments
-    are drawn lazily as integration reaches them, and each is logged with
-    its start.  Accepted times and states, and the segments' starts and
-    rates, go into float arrays that double when full and are trimmed at
-    the end.
+    are drawn lazily, a block at a time, as integration reaches them
+    (_segments), and each is logged with its start.  Accepted times and
+    states, and the segments' starts and rates, are appended to
+    array('d') buffers, and the returned arrays view those buffers.
 
     Raises:
         ValueError: t_end or a tolerance not positive and finite; x0 not one
@@ -376,54 +396,48 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
 
     t = 0.0
     h = min(1e-3, t_end / 10)
-    times, states = np.empty(256), np.empty((256, len(x)))
-    times[0], states[0] = t, x
-    count = 1
-    starts, rates = np.empty(16), np.empty((16, net.n_reactions))
-    segments = 0
-    events = []
+    times, states = array("d", (t,)), array("d", x)
+    starts, rates = array("d"), array("d")
+    store_t, store_x = times.append, states.extend
     steps = 0
     stop = None
     for start, end, k in _segments(policy, tempering, t_end):
-        if segments == len(starts):
-            starts, rates = _doubled(starts), _doubled(rates)
-        starts[segments], rates[segments] = start, k
-        segments += 1
-        field, dp5 = bind(k.tolist())
+        starts.append(start)
+        rates.extend(k)
+        field, dp5 = bind(k)
         try:
             f = field(*x)
         except _UNDEFINED:
             stop = "boundary-approach"
-        while stop is None and t < end - 1e-14 * max(1.0, end):
+            break
+        before_end = end - 1e-14 * max(1.0, end)
+        while t < before_end:
             steps += 1
             if steps > _MAX_STEPS:
                 stop = "step-limit"
                 break
             h_try = min(h, end - t)
             step = dp5(x, f, h_try, rtol, atol)
-            if step is not None:
+            if step is None:
+                h = h_try * 0.5
+            else:
                 x_new, stages, err = step
-            accept = step is not None and err <= 1.0
-            if accept:
-                t, x, f = t + h_try, x_new, stages[6]  # FSAL: the last stage is f at x_new
-                if count == len(times):
-                    times, states = _doubled(times), _doubled(states)
-                times[count], states[count] = t, x
-                count += 1
-            h = h_try * ((min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0)
-                         if step is not None else 0.5)
-            if not accept and h < _H_MIN:
+                h = h_try * (min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0)
+                if err <= 1.0:
+                    t, x, f = t + h_try, x_new, stages[6]  # FSAL: the last stage is f at x_new
+                    store_t(t)
+                    store_x(x)
+                    continue
+            if h < _H_MIN:  # a rejected step has shrunk too far
                 stop = "boundary-approach"
+                break
         if stop is not None:
-            events.append({"type": stop, "time": t})
             break
-    return Trajectory(times[:count].copy(), states[:count].copy(),
-                      RateLog(starts[:segments].copy(), rates[:segments].copy()), tuple(events))
-
-
-def _doubled(a: np.ndarray) -> np.ndarray:
-    """a followed by as many uninitialised rows."""
-    return np.concatenate((a, np.empty_like(a)))
+    # the returned arrays view the buffers: no copy is made
+    return Trajectory(np.frombuffer(times), np.frombuffer(states).reshape(len(times), len(x)),
+                      RateLog(np.frombuffer(starts),
+                              np.frombuffer(rates).reshape(len(starts), net.n_reactions)),
+                      () if stop is None else ({"type": stop, "time": t},))
 
 
 def conservation_residual(traj: Trajectory, stoich: StoichiometryInfo) -> float:

@@ -4,14 +4,19 @@ output, and the JSON / CSV / SVG formats."""
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import network_text
-from crnkit import cli
+from conftest import NETWORKS, load, network_text
+from crnkit import RatePolicy, cli, simulate
+from crnkit.dynamics import RateLog
 from crnkit.jets import _index_grid, _theta_grid
 
 
@@ -435,9 +440,11 @@ class TestJsonify:
         np.array([], dtype=float),
     ], ids=["floats", "2-d", "ints", "empty"])
     def test_finite_arrays_print_as_the_per_value_path(self, arr):
-        assert cli._jsonify(arr) == arr.tolist()
-        assert (json.dumps(cli._jsonify(arr), indent=2)
-                == json.dumps([cli._jsonify(v) for v in arr], indent=2))
+        # a finite array is kept for the writer, which prints it as
+        # json.dumps prints the per-value path's lists
+        assert cli._jsonify(arr) is arr
+        assert (cli._json_text(cli._jsonify(arr))
+                == json.dumps(cli._jsonify(arr.tolist()), indent=2))
 
     @pytest.mark.parametrize("arr, want", [
         (np.array([1.0, np.nan, np.inf, -np.inf]), '[1.0, "nan", "inf", "-inf"]'),
@@ -446,6 +453,123 @@ class TestJsonify:
     def test_non_finite_entries_print_as_strings(self, arr, want):
         # an array with one non-finite entry takes the per-value path
         assert json.dumps(cli._jsonify(arr)) == want
+
+
+def _plain(obj):
+    """The writer's input as json.dumps takes it: arrays as their tolist(),
+    a RateLog as its [start, rates] pairs."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, RateLog):
+        return [[start, list(rates)] for start, rates in obj]
+    return obj
+
+
+def _payloads(name):
+    """Every subcommand's JSON report on one fixture, as main hands it to
+    the writer, for the subcommands that give one there."""
+    n = load(name)[0].n_species
+    x0 = ",".join(f"{v:g}" for v in np.linspace(0.5, 2.0, n))
+    frame = ";".join(",".join("1" if i == j else "0" for i in range(n)) for j in range(n))
+    for argv in (["classify"], ["classify", "--direction=" + ",".join(["1"] + ["-1"] * (n - 1))],
+                 ["birch", f"--x0={x0}", "--alpha=" + ",".join(["1"] * n)],
+                 ["simulate", f"--x0={x0}", "--t-end=2", "--policy=piecewise-constant",
+                  "--dt=0.25", "--seed=3"],
+                 ["steady", f"--x0={x0}"], ["scan", "--samples=40", "--theta-points=6"],
+                 ["jets", f"--frame={frame}", "--i-max=50"]):
+        args = cli.build_parser().parse_args([argv[0], "unused.crn", *argv[1:]])
+        try:
+            payload = args.func(args, *load(name))
+        except (ValueError, cli.LimitExceeded, cli.NoConvergence):
+            continue
+        yield argv[0], cli._jsonify({**cli._envelope(args.subcommand, args.seed), **payload})
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
+_TEXT = st.text(st.characters() | st.sampled_from('"\\{}[]%:,\0\n\x1f\x7fé\u2028☃\U0001f600'),
+                max_size=6)
+_ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.int64, np.uint64]),
+                     hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                     elements={"allow_nan": False, "allow_infinity": False})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | _FLOATS | _TEXT | _ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=16)
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_every_report_on_the_fixtures_equals_json_dumps(self, name):
+        kinds = []
+        for kind, obj in _payloads(name):
+            assert cli._json_text(obj) == json.dumps(_plain(obj), indent=2), kind
+            kinds.append(kind)
+        assert {"classify", "simulate", "scan", "jets"} <= set(kinds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON)
+    def test_equals_json_dumps_on_json_values(self, value):
+        assert cli._json_text(value) == json.dumps(_plain(value), indent=2)
+
+    @pytest.mark.parametrize("value", [{"a": Fraction(1, 2)}, [1.5, {2, 3}], {"a": [b""]}])
+    def test_refuses_what_json_dumps_refuses(self, value):
+        for write in (lambda v: json.dumps(v, indent=2), cli._json_text):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                write(value)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (2, 0, 2), (), (2, 1, 3)])
+    def test_empty_and_nested_arrays(self, shape):
+        for arr in (np.arange(np.prod(shape), dtype=float).reshape(shape) / 3,
+                    np.arange(np.prod(shape)).reshape(shape) - 2 ** 62):
+            value = {"a": arr, "b": [arr, {"c": arr}]}
+            assert cli._json_text(value) == json.dumps(_plain(value), indent=2)
+
+    @pytest.mark.parametrize("segments, r", [(0, 3), (1, 0), (3, 1), (4, 3)])
+    def test_rate_log_is_written_as_its_pairs(self, segments, r):
+        log = RateLog(np.arange(segments) / 7, np.arange(segments * r).reshape(segments, r) / 3)
+        value = {"rate_log": log, "events": ({"type": "step-limit", "time": 0.5},)}
+        assert cli._jsonify(value)["rate_log"] is log
+        assert cli._json_text(value) == json.dumps(_plain(value), indent=2)
+        assert cli._json_text(value) == json.dumps(cli._jsonify({**value, "rate_log": tuple(log)}),
+                                                   indent=2)
+
+
+def _reference_points(traj, s_idx):
+    # the per-point formula: numpy scalars through sx and sy, two f-strings
+    width, height, margin = 640, 480, 50.0
+    times, states = traj.times, traj.states
+    t_lo, t_hi = float(times[0]), float(times[-1])
+    x_lo, x_hi = 0.0, float(states.max()) or 1.0
+    span_t, span_x = (t_hi - t_lo) or 1.0, (x_hi - x_lo) or 1.0
+
+    def sx(t):
+        return margin + (t - t_lo) / span_t * (width - 2 * margin)
+
+    def sy(v):
+        return height - margin - (v - x_lo) / span_x * (height - 2 * margin)
+
+    pts = " ".join(f"{sx(times[i]):.2f},{sy(states[i, s_idx]):.2f}" for i in range(len(times)))
+    return pts, f"{sy(states[-1, s_idx]) + 4:.2f}"
+
+
+class TestTrajectorySvg:
+    @pytest.mark.parametrize("name", ["reverse_lv", "futile_cycle", "triangle_out", "prism"])
+    @pytest.mark.parametrize("policy", [RatePolicy("constant-mid"),
+                                        RatePolicy("piecewise-constant", seed=4, dt=0.3)],
+                             ids=["mid", "piecewise"])
+    def test_points_equal_the_per_point_reference(self, name, policy):
+        net, temp = load(name)
+        traj = simulate(net, temp, policy, np.linspace(0.2, 3.0, net.n_species), 3.0)
+        svg = cli._trajectory_svg(net, traj)
+        points = re.findall(r'<polyline points="([^"]*)"', svg)
+        labels = re.findall(r'<text x="594.0" y="([^"]*)"', svg)
+        assert len(points) == len(labels) == net.n_species
+        for s_idx in range(net.n_species):
+            assert (points[s_idx], labels[s_idx]) == _reference_points(traj, s_idx)
 
 
 class TestSimulateCommand:

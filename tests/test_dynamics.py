@@ -10,6 +10,7 @@ import math
 import pickle
 import re
 import tokenize
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -292,6 +293,72 @@ class TestRatePolicies:
         assert traj.times[-1] == pytest.approx(t_end, abs=1e-15)
         assert traj.events == ()
 
+    @pytest.mark.parametrize("blocks", [None, (1, 4), (3, 5)], ids=["default", "1-4", "3-5"])
+    @pytest.mark.parametrize("mode, t_end, dt, n", [
+        ("constant-sampled", 5.0, 0.1, 1),
+        ("piecewise-constant", 0.05, 0.1, 1),
+        ("piecewise-constant", 0.1 + 0.2, 0.1, 3),  # a last start that rounds onto t_end
+        ("piecewise-constant", 1.6, 0.1, 16),
+        ("piecewise-constant", 1.7, 0.1, 17),
+        ("piecewise-constant", 3000.0, 1.0, 3000),  # a partial last block
+    ], ids=["sampled", "one", "rounds-onto-t_end", "16", "17", "3000"])
+    @pytest.mark.parametrize("r", [1, 3, 7])
+    def test_block_draws_equal_one_segment_at_a_time(self, mode, t_end, dt, n, r, blocks,
+                                                     monkeypatch):
+        # the rates of each block are the rows one draw per segment gives, to
+        # the byte, whatever the block sizes; so are the starts and ends
+        if blocks is not None:
+            monkeypatch.setattr(crnkit.dynamics, "_FIRST_BLOCK", blocks[0])
+            monkeypatch.setattr(crnkit.dynamics, "_RATE_BLOCK", blocks[1])
+        tempering = Tempering(tuple((Fraction(i + 1, 3), Fraction(2 * i + 3, 2))
+                                    for i in range(r)))
+        for seed in (0, 1, 7, 2 ** 40):
+            policy = RatePolicy(mode, seed=seed, dt=dt)
+            got = list(crnkit.dynamics._segments(policy, tempering, t_end))
+            want = list(_one_segment_at_a_time(policy, tempering, t_end))
+            assert len(got) == len(want) == n
+            for (start, end, k), (start_1, end_1, k_1) in zip(got, want):
+                assert (start, end) == (start_1, end_1)
+                assert np.array(k).tobytes() == k_1.tobytes()
+
+    def test_memory_never_grows_with_segments_not_reached(self):
+        # a policy of 4,000,000 segments whose run stops at the boundary in
+        # its first: one segment is logged, and the run's peak stays below
+        # one block's worth of rates, far from 4,000,000 rows
+        net, temp = parse_network("species: A B\n1/2A -> 0 rate [1,2]\n"
+                                  "1/2B -> 0 rate [1,2]\nA -> B rate [1,2]\n")
+        policy = RatePolicy("piecewise-constant", seed=1, dt=10.0)
+        simulate(net, temp, policy, (1.0, 1.0), 1.0)  # compiles the kernel outside the count
+        tracemalloc.start()
+        try:
+            traj = simulate(net, temp, policy, (1.0, 1.0), 4e7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e["type"] for e in traj.events] == ["boundary-approach"]
+        assert len(traj.rate_log) == 1 and traj.times[-1] < 10.0
+        assert peak < crnkit.dynamics._RATE_BLOCK * net.n_reactions * 8
+
+    def test_returned_arrays_are_the_buffers(self, monkeypatch):
+        # times, states and the rate log view the buffers the run filled: no
+        # trimmed copy sits next to them, so the peak stays near their size
+        # (a copy at the end of the run made it twice that); blocks of 16
+        # rows keep the drawn rows' share of the peak small
+        monkeypatch.setattr(crnkit.dynamics, "_RATE_BLOCK", 16)
+        net, temp = load("reverse_lv")
+        policy = RatePolicy("piecewise-constant", seed=1, dt=1e-2)
+        simulate(net, temp, policy, (1.0, 1.0), 0.05)  # compiles the kernel outside the count
+        tracemalloc.start()
+        try:
+            traj = simulate(net, temp, policy, (1.0, 1.0), 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (traj.times, traj.states, traj.rate_log.starts, traj.rate_log.rates)
+        assert len(traj.rate_log) == 2_000
+        assert not any(a.flags.owndata for a in arrays)
+        assert peak < 1.25 * sum(a.nbytes for a in arrays)
+
     def test_rates_at_lookup(self):
         net, temp = load("reverse_lv")
         traj = simulate(
@@ -321,6 +388,19 @@ class TestRatePolicies:
         probes = [-1.0, *starts, *np.nextafter(starts, -np.inf), 1.25, 2.0, 9.0]
         for t in probes:
             assert tuple(traj.rates_at(t)) == scan(traj.rate_log, t)
+
+
+def _one_segment_at_a_time(policy, tempering, t_end):
+    # the draws as made before blocks: one rng.random(r) per segment
+    lo, hi = crnkit.dynamics._float_bounds(tempering)
+    rng = np.random.default_rng(np.random.SeedSequence(policy.seed))
+    dt = policy.dt if policy.mode == "piecewise-constant" else t_end
+    n = math.ceil(t_end / dt)
+    for i in range(n):
+        end = min((i + 1) * dt, t_end) if i + 1 < n else t_end
+        yield i * dt, end, lo + rng.random(len(lo)) * (hi - lo)
+        if end == t_end:
+            return
 
 
 class TestEvents:
@@ -890,6 +970,24 @@ class TestGeneratedKernel:
         g_along(traj, net)
         mass_action_rhs(net, (1.0, 1.0, 1.0), (2.0, 0.5))
         assert built == [net]
+
+    def test_one_source_compiles_once_per_process(self):
+        # networks with one source (the same text, or the same reactions
+        # under other species names) share one compiled bind; the cache
+        # keeps a fixed number of sources
+        compiled = crnkit.dynamics._compiled
+        compiled.cache_clear()
+        body = "{0} + 2{1} -> {2}\n3{2} -> {0}\n1/2{1} -> 0\n"
+        nets = [parse_network(f"species: {a} {b} {c}\n" + body.format(a, b, c))[0]
+                for a, b, c in (("A", "B", "C"), ("A", "B", "C"), ("x0", "y", "lambda"))]
+        assert all(net._mass_action_kernel is nets[0]._mass_action_kernel for net in nets)
+        assert compiled.cache_info().misses == 1
+        size = compiled.cache_info().maxsize
+        for i in range(size + 3):
+            parse_network(f"species: A\n{i + 2}A -> 0\n")[0]._mass_action_kernel
+        assert compiled.cache_info().currsize == size
+        again = parse_network(body.format("A", "B", "C"))[0]._mass_action_kernel
+        assert again is not nets[0]._mass_action_kernel  # compiled again once evicted
 
 
 class TestErrorState:
