@@ -4,11 +4,12 @@ One pipeline serves every subcommand: main parses the arguments, loads the
 network once, hands it to the subcommand, and writes what comes back.  A
 subcommand only builds its result: a payload dict, which main puts after
 the envelope and writes as JSON, or the finished CSV or SVG text.  Every
-JSON report goes through one writer, _json_text: the bytes of
-json.dumps(report, indent=2), with numeric arrays and the rate log laid
-out whole from numpy and every key and scalar formatted by json's C
-encoder in one call.  The SVG plot formats its points from whole arrays.
-One function sends the text to stdout or to --out.
+JSON report goes through one writer, _json_text, in one walk: the bytes
+of json.dumps(report, indent=2), non-finite floats written as "nan", "inf"
+and "-inf", with numeric arrays and the rate log laid out whole from numpy
+and every key and scalar formatted by json's C encoder in one call.  The
+SVG plot formats its points from whole arrays.  One function sends the
+text to stdout or to --out.
 
 Outputs are deterministic: identical (input, flags, seed) produce
 byte-identical JSON/CSV/SVG.  Every JSON report embeds the tool name,
@@ -58,51 +59,32 @@ def _envelope(command: str, seed: int) -> dict:
     }
 
 
-def _jsonify(obj):
-    """obj as a JSON value: dict keys as strings, Fractions as strings,
-    numpy scalars as Python ones and non-finite floats as "nan", "inf" and
-    "-inf".  A finite int or float array, and a RateLog of finite values,
-    stay as they are, for _json_text to write straight from numpy."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float):
-        if obj != obj:
-            return "nan"
-        if obj in (float("inf"), float("-inf")):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "iuf" and np.isfinite(obj).all():
-            return obj
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, RateLog):
-        finite = np.isfinite(obj.starts).all() and np.isfinite(obj.rates).all()
-        return obj if finite else _jsonify(tuple(obj))
-    return obj
-
-
 def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2) for a JSON value in which any list may also
-    be a finite int or float array, written as its tolist(), or a RateLog,
-    written as its (start, rates) pairs; dict keys must be strings.
+    """json.dumps(obj, indent=2) for a report, in one walk: dict keys are
+    written as str(key), numpy scalars as their item(), non-finite floats
+    as the strings "nan", "inf" and "-inf", and any list may also be an
+    int or float array, written as its tolist(), or a RateLog, written as
+    its (start, rates) pairs.
 
     The layout is written as a %-template with a %s for each key and
     scalar (_walk), a whole array or run of scalars at a time, and the keys
     and scalars are formatted by one call of json's C encoder, with NUL as
     its item separator: json escapes NUL inside a string, so splitting at
-    it gives each item's text as json.dumps writes it."""
+    it gives each item's text as json.dumps writes it.  Only when that call
+    meets a non-finite float is it made again, allowing them, and their
+    bare texts mapped to strings."""
     layout, items = [], []
     _walk(obj, 0, layout, items)
-    return "".join(layout) % tuple(_ITEM_TEXTS(items)[1:-1].split("\0") if items else ())
+    try:
+        texts = _ITEM_TEXTS(items)[1:-1].split("\0") if items else ()
+    except ValueError:  # a non-finite float
+        texts = [_NON_FINITE.get(t, t) for t in _ITEM_TEXTS_NAN(items)[1:-1].split("\0")]
+    return "".join(layout) % tuple(texts)
 
 
-_ITEM_TEXTS = json.JSONEncoder(separators=("\0", ": ")).encode
+_ITEM_TEXTS = json.JSONEncoder(separators=("\0", ": "), allow_nan=False).encode
+_ITEM_TEXTS_NAN = json.JSONEncoder(separators=("\0", ": ")).encode
+_NON_FINITE = {"NaN": '"nan"', "Infinity": '"inf"', "-Infinity": '"-inf"'}
 _SCALARS = (str, int, float, type(None))
 
 
@@ -117,7 +99,7 @@ def _walk(obj, depth: int, layout: list, items: list):
         sep = "{" + pad
         for key, value in obj.items():
             layout.append(sep + "%s: ")
-            items.append(key)
+            items.append(str(key))
             _walk(value, depth + 1, layout, items)
             sep = "," + pad
         layout.append(pad[:-2] + "}" if obj else "{}")
@@ -139,6 +121,9 @@ def _walk(obj, depth: int, layout: list, items: list):
         pair = f"[{pad}  %s,{pad}  {_layout(obj.rates.shape[1:], depth + 2)}{pad}]"
         layout.append(_layout(obj.starts.shape, depth, pair))
         items += np.column_stack((obj.starts, obj.rates)).ravel().tolist()
+    elif isinstance(obj, np.generic):
+        layout.append("%s")
+        items.append(obj.item())
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -178,7 +163,8 @@ def _load(path: str):
 
 
 def _parse_vector(text: str, n: int, name: str) -> tuple[Fraction, ...]:
-    parts = [p.strip() for p in text.split(",")]
+    # a blank value has no entries, as a network without species needs
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
     if len(parts) != n:
         raise ParseError(f"{name} needs {n} comma-separated values, got {len(parts)}")
     try:
@@ -257,7 +243,7 @@ def _trajectory_svg(net, traj) -> str:
     times = np.asarray(traj.times, dtype=float)
     states = np.asarray(traj.states, dtype=float)
     t_lo, t_hi = float(times[0]), float(times[-1])
-    x_lo, x_hi = 0.0, float(states.max()) or 1.0
+    x_lo, x_hi = 0.0, float(states.max(initial=0.0)) or 1.0
     span_t = (t_hi - t_lo) or 1.0
     span_x = (x_hi - x_lo) or 1.0
 
@@ -465,7 +451,7 @@ def main(argv=None) -> int:
         net, tempering = _load(args.file)
         result = args.func(args, net, tempering)
         if isinstance(result, dict):
-            result = _json_text(_jsonify({**_envelope(args.subcommand, args.seed), **result})) + "\n"
+            result = _json_text({**_envelope(args.subcommand, args.seed), **result}) + "\n"
         _write(result, args.out)
     except ParseError as exc:
         print(f"crnkit: parse error: {exc}", file=sys.stderr)

@@ -165,7 +165,7 @@ def mass_action_rhs(net: ReactionNetwork, k, x) -> np.ndarray:
     if k.shape != (net.n_reactions,) or x.shape != (net.n_species,):
         raise ValueError(f"k and x must have {net.n_reactions} and {net.n_species} entries, "
                          f"got shapes {k.shape} and {x.shape}")
-    field, _ = net._mass_action_kernel(k.tolist())
+    field, _ = _kernel(net.n_species, net._mass_action_terms)(k.tolist())
     try:
         return np.array(field(*x.tolist()))
     except _UNDEFINED:
@@ -223,9 +223,10 @@ def _seq(names) -> str:
     return "(" + "".join(f"{v}, " for v in names) + ")"
 
 
-def _kernel_source(net: ReactionNetwork) -> str:
-    """Source of bind(k), which gives (field, step) for the network at the
-    rates k, written out as straight-line Python from its _mass_action_terms.
+def _kernel_source(n: int, terms) -> str:
+    """Source of bind(k), which gives (field, step) at the rates k for a
+    network of n species with these ReactionNetwork._mass_action_terms,
+    written out as straight-line Python.
 
     field(x0, ..., x_{n-1}) is the mass-action field as a tuple: for each
     reaction in order, its monomial m is the product of its powers in
@@ -246,8 +247,7 @@ def _kernel_source(net: ReactionNetwork) -> str:
     and per species, so no expression deepens with the network's size, and
     no assert, so python -O runs the same code.
     """
-    sources, fluxes = net._mass_action_terms
-    n = net.n_species
+    sources, fluxes = terms
     out = ["def bind(k):", f"    {_seq(f'k{r}' for r in range(len(sources)))} = k",
            f"    def field({', '.join(f'x{s}' for s in range(n))}):"]
     started = set()
@@ -295,17 +295,16 @@ def _kernel_source(net: ReactionNetwork) -> str:
     return "\n".join(out)
 
 
-def _compile_kernel(net: ReactionNetwork):
-    """bind(k) for the network, compiled from _kernel_source; called once
-    per network, on first use, by ReactionNetwork._mass_action_kernel.
-    Networks with the same source share one compiled bind (_compiled)."""
-    return _compiled(_kernel_source(net))
-
-
-@functools.lru_cache(maxsize=16)  # bind holds no network state, only its source's
-def _compiled(source: str):
+@functools.lru_cache(maxsize=16)
+def _kernel(n: int, terms):
+    """bind(k) for networks of n species with these _mass_action_terms,
+    compiled from _kernel_source on a miss: the one kernel cache, per
+    process, so networks with the same terms share one bind, and a hit
+    costs a hash of the terms.  Equal terms write equal sources: exponents
+    are ints exactly where integral, and coefficients nonzero floats.
+    simulate, mass_action_rhs and g_along look it up once per call."""
     namespace = {"_power": _power, "_UNDEFINED": _UNDEFINED, "sqrt": math.sqrt}
-    exec(compile(source, "<crnkit mass-action kernel>", "exec"), namespace)
+    exec(compile(_kernel_source(n, terms), "<crnkit mass-action kernel>", "exec"), namespace)
     return namespace["bind"]
 
 
@@ -392,7 +391,7 @@ def simulate(net: ReactionNetwork, tempering: Tempering | None, policy: RatePoli
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
     x = _positive(x0, net.n_species, "x0").tolist()
     tempering = _tempering_of(net, tempering)
-    bind = net._mass_action_kernel
+    bind = _kernel(net.n_species, net._mass_action_terms)
 
     t = 0.0
     h = min(1e-3, t_end / 10)
@@ -565,7 +564,7 @@ def g_along(traj: Trajectory, net: ReactionNetwork, alpha=None) -> np.ndarray:
     rates, segment = traj.rate_log.rates.tolist(), traj._segment(traj.times).tolist()
     # mass_action_rhs's field, bound once per segment, one sample at a time
     # up to the first sample where a monomial is undefined
-    bind, f, bound = net._mass_action_kernel, [], None
+    bind, f, bound = _kernel(net.n_species, net._mass_action_terms), [], None
     for i, xi in zip(segment, X.tolist()):
         if i != bound:
             (field, _), bound = bind(rates[i]), i

@@ -5,7 +5,10 @@ weak reversibility, stoichiometric subspace).
 Stoichiometric coefficients are exact rationals throughout.  Derived
 structure (integer rows and distinct sources for every exact decider, float
 matrices, the stoichiometric subspace, linkage classes) is computed once per
-network on first use and shared; arrays are read-only.
+network on first use and shared; arrays are read-only.  The compiled
+mass-action kernel is not among them: dynamics keeps one per process for
+each (n_species, _mass_action_terms), so a network holds plain, picklable
+data only.
 """
 
 from __future__ import annotations
@@ -132,10 +135,6 @@ class ReactionNetwork:
             if r.source not in known or r.target not in known:
                 raise ValueError("reaction endpoints must be listed in complexes")
 
-    def __getstate__(self):
-        # the compiled kernel is no picklable object: a copy compiles its own
-        return {k: v for k, v in self.__dict__.items() if k != "_mass_action_kernel"}
-
     @property
     def n_species(self) -> int:
         return len(self.species)
@@ -170,7 +169,8 @@ class ReactionNetwork:
         coefficients as (species, exponent) pairs, an int exponent where it
         is integral and a float otherwise, and the nonzero reaction-vector
         entries as (species, float coefficient) pairs; the sparse rows that
-        _mass_action_kernel is written out from."""
+        the mass-action kernel is written out from, and its cache key with
+        n_species (dynamics._kernel)."""
         with _in_float_range("a stoichiometric coefficient"):
             sources = tuple(tuple((i, int(c) if c.denominator == 1 else float(c))
                                   for i, c in enumerate(r.source.coeffs) if c)
@@ -178,14 +178,6 @@ class ReactionNetwork:
             fluxes = tuple(tuple((i, float(c)) for i, c in enumerate(r.flux) if c)
                            for r in self.reactions)
         return sources, fluxes
-
-    @cached_property
-    def _mass_action_kernel(self):
-        """bind(k) -> (field, step): the mass-action field and the
-        Dormand-Prince step at the rates k, generated and compiled from
-        _mass_action_terms on first use (dynamics._kernel_source)."""
-        from .dynamics import _compile_kernel
-        return _compile_kernel(self)
 
     @cached_property
     def _exact(self):

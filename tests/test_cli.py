@@ -440,32 +440,46 @@ class TestJsonify:
         np.array([], dtype=float),
     ], ids=["floats", "2-d", "ints", "empty"])
     def test_finite_arrays_print_as_the_per_value_path(self, arr):
-        # a finite array is kept for the writer, which prints it as
-        # json.dumps prints the per-value path's lists
-        assert cli._jsonify(arr) is arr
-        assert (cli._json_text(cli._jsonify(arr))
-                == json.dumps(cli._jsonify(arr.tolist()), indent=2))
+        # the writer lays a finite array out whole, as json.dumps prints
+        # its per-value list
+        assert cli._json_text(arr) == json.dumps(_reference(arr.tolist()), indent=2)
 
     @pytest.mark.parametrize("arr, want", [
         (np.array([1.0, np.nan, np.inf, -np.inf]), '[1.0, "nan", "inf", "-inf"]'),
         (np.array([[0.5, np.inf], [np.nan, 2.0]]), '[[0.5, "inf"], ["nan", 2.0]]'),
     ], ids=["1-d", "2-d"])
     def test_non_finite_entries_print_as_strings(self, arr, want):
-        # an array with one non-finite entry takes the per-value path
-        assert json.dumps(cli._jsonify(arr)) == want
+        assert json.dumps(json.loads(cli._json_text(arr))) == want
+        assert cli._json_text(arr) == json.dumps(_reference(arr), indent=2)
+
+    def test_strings_that_spell_non_finite_floats_stay_strings(self):
+        value = ["NaN", np.float64("nan"), "Infinity", np.inf, "-Infinity", -np.inf]
+        assert cli._json_text(value) == json.dumps(
+            ["NaN", "nan", "Infinity", "inf", "-Infinity", "-inf"], indent=2)
 
 
-def _plain(obj):
-    """The writer's input as json.dumps takes it: arrays as their tolist(),
-    a RateLog as its [start, rates] pairs."""
+def _reference(obj):
+    """obj as json.dumps(..., indent=2) is to write it for a report: dict
+    keys as strings, numpy scalars as Python ones, non-finite floats as
+    "nan", "inf" and "-inf", arrays as their tolist() and a RateLog as its
+    [start, rates] pairs (the converter that the writer once ran before
+    its layout walk, less its Fraction branch: no report holds one)."""
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
+        return {str(k): _reference(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [_reference(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        if obj != obj:
+            return "nan"
+        if obj in (float("inf"), float("-inf")):
+            return "inf" if obj > 0 else "-inf"
+        return obj
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _reference(obj.tolist())
     if isinstance(obj, RateLog):
-        return [[start, list(rates)] for start, rates in obj]
+        return _reference([[start, rates] for start, rates in obj])
     return obj
 
 
@@ -486,18 +500,26 @@ def _payloads(name):
             payload = args.func(args, *load(name))
         except (ValueError, cli.LimitExceeded, cli.NoConvergence):
             continue
-        yield argv[0], cli._jsonify({**cli._envelope(args.subcommand, args.seed), **payload})
+        yield argv[0], {**cli._envelope(args.subcommand, args.seed), **payload}
 
 
 _FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
 _TEXT = st.text(st.characters() | st.sampled_from('"\\{}[]%:,\0\n\x1f\x7fé\u2028☃\U0001f600'),
-                max_size=6)
-_ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.int64, np.uint64]),
-                     hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
-                     elements={"allow_nan": False, "allow_infinity": False})
+                max_size=6) | st.sampled_from(["NaN", "Infinity", "-Infinity"])
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+_ARRAYS = (hnp.arrays(st.sampled_from([np.float64, np.int64, np.uint64]), _SHAPES,
+                      elements={"allow_nan": False, "allow_infinity": False})
+           | hnp.arrays(np.float64, _SHAPES))  # nan and inf among the entries
+_NUMPY_SCALARS = (_FLOATS.map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+                  | st.booleans().map(np.bool_))
+_RATE_LOGS = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda shape: st.builds(RateLog, hnp.arrays(np.float64, shape[0]),
+                            hnp.arrays(np.float64, shape)))
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | _FLOATS | _TEXT | _ARRAYS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | _FLOATS | _TEXT | _ARRAYS
+    | _NUMPY_SCALARS | _RATE_LOGS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_TEXT | st.integers(-9, 9), inner, max_size=4)),
     max_leaves=16)
 
 
@@ -506,14 +528,14 @@ class TestJsonWriter:
     def test_every_report_on_the_fixtures_equals_json_dumps(self, name):
         kinds = []
         for kind, obj in _payloads(name):
-            assert cli._json_text(obj) == json.dumps(_plain(obj), indent=2), kind
+            assert cli._json_text(obj) == json.dumps(_reference(obj), indent=2), kind
             kinds.append(kind)
         assert {"classify", "simulate", "scan", "jets"} <= set(kinds)
 
     @settings(max_examples=200, deadline=None)
     @given(_JSON)
     def test_equals_json_dumps_on_json_values(self, value):
-        assert cli._json_text(value) == json.dumps(_plain(value), indent=2)
+        assert cli._json_text(value) == json.dumps(_reference(value), indent=2)
 
     @pytest.mark.parametrize("value", [{"a": Fraction(1, 2)}, [1.5, {2, 3}], {"a": [b""]}])
     def test_refuses_what_json_dumps_refuses(self, value):
@@ -526,16 +548,14 @@ class TestJsonWriter:
         for arr in (np.arange(np.prod(shape), dtype=float).reshape(shape) / 3,
                     np.arange(np.prod(shape)).reshape(shape) - 2 ** 62):
             value = {"a": arr, "b": [arr, {"c": arr}]}
-            assert cli._json_text(value) == json.dumps(_plain(value), indent=2)
+            assert cli._json_text(value) == json.dumps(_reference(value), indent=2)
 
     @pytest.mark.parametrize("segments, r", [(0, 3), (1, 0), (3, 1), (4, 3)])
     def test_rate_log_is_written_as_its_pairs(self, segments, r):
         log = RateLog(np.arange(segments) / 7, np.arange(segments * r).reshape(segments, r) / 3)
         value = {"rate_log": log, "events": ({"type": "step-limit", "time": 0.5},)}
-        assert cli._jsonify(value)["rate_log"] is log
-        assert cli._json_text(value) == json.dumps(_plain(value), indent=2)
-        assert cli._json_text(value) == json.dumps(cli._jsonify({**value, "rate_log": tuple(log)}),
-                                                   indent=2)
+        assert cli._json_text(value) == json.dumps(_reference(value), indent=2)
+        assert cli._json_text(value) == cli._json_text({**value, "rate_log": tuple(log)})
 
 
 def _reference_points(traj, s_idx):
@@ -640,28 +660,77 @@ class TestSimulateCommand:
         )
         assert out.returncode == 1
 
-    def test_csv_identical_under_optimized_python(self, rlv_file, tmp_path):
+    def test_csv_identical_under_optimized_python(self, rlv_file, ab_file, tmp_path):
         # asserts stripped by -O must not guard anything the integrator, the
-        # steady-state search or the scan's zero-margin components need
+        # steady-state search, the scan's zero-margin components or any
+        # other subcommand needs: every subcommand and format, called
+        # in-process, one interpreter per flag set
         tetrahedron = tmp_path / "tetrahedron.crn"
         tetrahedron.write_text(network_text("tetrahedron"))
         futile_cycle = tmp_path / "futile_cycle.crn"
         futile_cycle.write_text(network_text("futile_cycle"))
-        for args, head in (
-            (["simulate", rlv_file, "--x0=0.05,20", "--t-end=20",
-              "--policy=piecewise-constant", "--seed=3", "--format=csv"], b"t,"),
-            (["steady", str(tetrahedron), "--x0=0.5,1.79,0.55"], b"{"),
-            (["scan", str(futile_cycle)], b"{"),
-        ):
-            plain, optimized = [
-                subprocess.run([sys.executable, *flags, "-m", "crnkit.cli", *args],
-                               capture_output=True, timeout=_TIMEOUT)
-                for flags in ([], ["-O"])]
-            for out in (plain, optimized):
-                assert out.returncode == 0
-                assert out.stderr == b""
-            assert optimized.stdout == plain.stdout
-            assert plain.stdout.startswith(head)
+        sim = ["simulate", rlv_file, "--x0=0.05,20", "--t-end=20",
+               "--policy=piecewise-constant", "--seed=3"]
+        calls = (
+            (["classify", rlv_file], "{"),
+            (["classify", rlv_file, "--direction=1,0"], "{"),
+            (["birch", ab_file, "--x0=2,2", "--alpha=1,3"], "{"),
+            (sim, "{"), ([*sim, "--format=csv"], "t,"), ([*sim, "--format=svg"], "<svg"),
+            (["steady", str(tetrahedron), "--x0=0.5,1.79,0.55"], "{"),
+            (["scan", str(futile_cycle)], "{"),
+            (["scan", rlv_file, "--format=svg"], "<svg"),
+            (["jets", rlv_file, "--frame=0,-1;-1,0"], "{"),
+        )
+        plain, optimized = [
+            subprocess.run([sys.executable, *flags, "-c", _IN_PROCESS,
+                            json.dumps([argv for argv, _ in calls])],
+                           capture_output=True, text=True, timeout=_TIMEOUT)
+            for flags in ([], ["-O"])]
+        for out in (plain, optimized):
+            assert out.returncode == 0
+            assert out.stderr == ""
+        assert optimized.stdout == plain.stdout
+        outputs = json.loads(plain.stdout)
+        assert len(outputs) == len(calls)
+        for (argv, head), (code, text) in zip(calls, outputs):
+            assert code == 0 and text.startswith(head), argv
+
+
+# calls cli.main on each argv of the JSON list in argv[1], and prints the
+# list of [exit code, stdout text] pairs as JSON
+_IN_PROCESS = """
+import contextlib, io, json, sys
+from crnkit import cli
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    outputs.append([code, out.getvalue()])
+json.dump(outputs, sys.stdout)
+"""
+
+
+class TestEmptyVectors:
+    @pytest.mark.parametrize("argv, head", [
+        (["simulate", "--x0=", "--t-end=1"], "{"),
+        (["simulate", "--x0=", "--t-end=1", "--format=csv"], "t,g,dg_dt\n0.0,"),
+        (["simulate", "--x0=", "--t-end=1", "--format=svg"], "<svg"),
+        (["steady", "--x0="], "{"),
+        (["birch", "--x0=", "--alpha="], "{"),
+    ], ids=["simulate-json", "simulate-csv", "simulate-svg", "steady", "birch"])
+    def test_species_free_network_gives_a_report(self, argv, head, tmp_path, capsys):
+        # an empty vector value has no entries, as a network without species needs
+        path = tmp_path / "empty.crn"
+        path.write_text("0 -> 0\n")
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+        out = capsys.readouterr()
+        assert out.out.startswith(head) and out.err == ""
+
+    def test_empty_or_blank_value_is_no_entries(self, rlv_file, capsys):
+        assert cli._parse_vector("", 0, "--x0") == cli._parse_vector(" ", 0, "--x0") == ()
+        assert cli.main(["simulate", rlv_file, "--x0=", "--t-end=1"]) == 1
+        assert capsys.readouterr().err == (
+            "crnkit: parse error: --x0 needs 2 comma-separated values, got 0\n")
 
 
 class TestScanCommand:

@@ -39,6 +39,16 @@ from crnkit import (
 from conftest import NETWORKS, load
 
 
+def _bind(net):
+    """The network's bind(k), looked up in the process's kernel cache."""
+    return crnkit.dynamics._kernel(net.n_species, net._mass_action_terms)
+
+
+def _source(net):
+    """The source the network's bind(k) is compiled from."""
+    return crnkit.dynamics._kernel_source(net.n_species, net._mass_action_terms)
+
+
 class TestRightHandSide:
     def test_equilibrium_of_lotka_volterra_variant(self):
         net, _ = load("reverse_lv")
@@ -104,7 +114,7 @@ class TestIntegratorAccuracy:
     def test_fixed_step_order_at_least_four(self):
         # the Dormand-Prince step alone, 1/h steps of size h to t = 1
         net, _ = parse_network("species: A B\nA -> B rate [1]\n")
-        field, step = net._mass_action_kernel([1.0])
+        field, step = _bind(net)([1.0])
         errs = []
         for h in (0.2, 0.1, 0.05):
             x = [1.0, 1.0]
@@ -118,7 +128,7 @@ class TestIntegratorAccuracy:
 
     @pytest.mark.parametrize("name", ["reverse_lv", "triangle_out", "futile_cycle"])
     def test_simulate_replays_on_the_reference_step(self, name, monkeypatch):
-        # simulate with the network's kernel swapped for the oracle field and
+        # simulate with the kernel lookup swapped for the oracle field and
         # the per-stage reference step gives the same trajectory to the byte
         # (triangle_out has fractional exponents, futile_cycle five species)
         net, temp = load(name)
@@ -133,7 +143,7 @@ class TestIntegratorAccuracy:
         policy = RatePolicy("piecewise-constant", seed=3, dt=0.5)
         x0 = np.linspace(0.5, 2.0, net.n_species)
         got = simulate(net, temp, policy, x0, 2.0)
-        monkeypatch.setitem(net.__dict__, "_mass_action_kernel", reference)
+        monkeypatch.setattr(crnkit.dynamics, "_kernel", lambda n, terms: reference)
         want = simulate(net, temp, policy, x0, 2.0)
         monkeypatch.undo()
         assert len(calls) == len(want.rate_log) == 4
@@ -816,7 +826,7 @@ def _assert_same_step(net, k, x, h):
     per-stage reference to the byte; None where the field at x is undefined
     (simulate stops there before it steps)."""
     terms, k, x = net._mass_action_terms, [float(v) for v in k], [float(v) for v in x]
-    field, step = net._mass_action_kernel(k)
+    field, step = _bind(net)(k)
     try:
         f = _loop_field(terms, k, x)
     except crnkit.dynamics._UNDEFINED:
@@ -870,7 +880,7 @@ class TestStepOracle:
         # steps, and each of its stages and its new point lie within
         # _NUMPY_RTOL of the generated step's, relative to their largest entry
         net, k, x, h = _draw_step(text, data)
-        field, step = net._mass_action_kernel(k)
+        field, step = _bind(net)(k)
         try:
             f = field(*x)
         except crnkit.dynamics._UNDEFINED:
@@ -917,8 +927,8 @@ class TestGeneratedKernel:
         odd, _ = parse_network("species: __import__ lambda x0\n"
                                + body.format("__import__", "lambda", "x0"))
         plain, _ = parse_network("species: S0 S1 S2\n" + body.format("S0", "S1", "S2"))
-        source = crnkit.dynamics._kernel_source(odd)
-        assert source == crnkit.dynamics._kernel_source(plain)
+        source = _source(odd)
+        assert source == _source(plain)
         assert "__import__" not in source and "lambda" not in source
 
     @pytest.mark.parametrize("text", KERNEL_CASES.values(), ids=KERNEL_CASES)
@@ -927,7 +937,7 @@ class TestGeneratedKernel:
         # the repr of finite floats; no strings, and no assert, so python -O
         # runs the same code
         net, _ = parse_network(text)
-        source = crnkit.dynamics._kernel_source(net)
+        source = _source(net)
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.NAME and not keyword.iskeyword(token.string):
                 assert _KERNEL_NAMES.fullmatch(token.string), token
@@ -942,52 +952,66 @@ class TestGeneratedKernel:
     def test_compilation_depth_does_not_grow_with_the_network(self):
         # one statement per factor, term and species: a 300-species source
         # and 40 x 80 nest no deeper than 2 x 3
-        depths = [_ast_depth(ast.parse(crnkit.dynamics._kernel_source(parse_network(text)[0])))
+        depths = [_ast_depth(ast.parse(_source(parse_network(text)[0])))
                   for text in ["species: A B\n2A -> B\nA + B -> 0\n1/2B -> A\n",
                                *WIDE_NETWORKS.values()]]
         assert len(set(depths)) == 1
 
     def test_network_with_a_kernel_pickles(self):
-        # the copy leaves the compiled kernel behind and builds its own
+        # the network holds no compiled kernel: the copy looks up the same one
         net, temp = load("reverse_lv")
         traj = simulate(net, temp, RatePolicy("piecewise-constant", dt=0.25), (2.0, 0.5), 1.0)
         copy = pickle.loads(pickle.dumps(net))
-        assert copy == net and "_mass_action_kernel" not in vars(copy)
+        assert copy == net
         again = simulate(copy, temp, RatePolicy("piecewise-constant", dt=0.25), (2.0, 0.5), 1.0)
         assert again.states.tobytes() == traj.states.tobytes()
 
     def test_built_once_per_network_and_never_by_parse_classify_or_steady(self, monkeypatch):
-        compile_kernel, built = crnkit.dynamics._compile_kernel, []
-        monkeypatch.setattr(crnkit.dynamics, "_compile_kernel",
-                            lambda net: built.append(net) or compile_kernel(net))
+        kernel_source, built = crnkit.dynamics._kernel_source, []
+        monkeypatch.setattr(crnkit.dynamics, "_kernel_source",
+                            lambda n, terms: built.append(terms) or kernel_source(n, terms))
+        crnkit.dynamics._kernel.cache_clear()
         net, temp = parse_network(NETWORKS["reverse_lv"])
         classify(net)
         find_steady_state(net, (1.0, 1.0, 1.0), (2.0, 0.5))
         assert stoichiometric_subspace(net).dimension > 0 and built == []
-        assert "_mass_action_kernel" not in vars(net)
         traj = simulate(net, temp, RatePolicy("piecewise-constant", dt=0.25), (2.0, 0.5), 1.0)
         simulate(net, None, RatePolicy("constant-mid"), (2.0, 0.5), 1.0)
         g_along(traj, net)
         mass_action_rhs(net, (1.0, 1.0, 1.0), (2.0, 0.5))
-        assert built == [net]
+        assert built == [net._mass_action_terms]
+
+    def test_cache_hit_generates_no_source(self, monkeypatch):
+        # a hit costs a hash of the terms: a freshly parsed network whose
+        # terms are cached writes out no kernel source
+        net, temp = load("futile_cycle")
+        simulate(net, temp, RatePolicy("constant-mid"), np.ones(5), 1.0)
+        built = []
+        monkeypatch.setattr(crnkit.dynamics, "_kernel_source",
+                            lambda n, terms: built.append(terms))
+        again, _ = load("futile_cycle")
+        simulate(again, temp, RatePolicy("constant-mid"), np.ones(5), 1.0)
+        mass_action_rhs(again, np.ones(again.n_reactions), np.ones(5))
+        assert built == []
 
     def test_one_source_compiles_once_per_process(self):
-        # networks with one source (the same text, or the same reactions
+        # networks with the same terms (the same text, or the same reactions
         # under other species names) share one compiled bind; the cache
-        # keeps a fixed number of sources
-        compiled = crnkit.dynamics._compiled
-        compiled.cache_clear()
+        # keeps a fixed number of kernels
+        kernel = crnkit.dynamics._kernel
+        kernel.cache_clear()
         body = "{0} + 2{1} -> {2}\n3{2} -> {0}\n1/2{1} -> 0\n"
         nets = [parse_network(f"species: {a} {b} {c}\n" + body.format(a, b, c))[0]
                 for a, b, c in (("A", "B", "C"), ("A", "B", "C"), ("x0", "y", "lambda"))]
-        assert all(net._mass_action_kernel is nets[0]._mass_action_kernel for net in nets)
-        assert compiled.cache_info().misses == 1
-        size = compiled.cache_info().maxsize
+        first = _bind(nets[0])
+        assert all(_bind(net) is first for net in nets)
+        assert kernel.cache_info().misses == 1
+        size = kernel.cache_info().maxsize
         for i in range(size + 3):
-            parse_network(f"species: A\n{i + 2}A -> 0\n")[0]._mass_action_kernel
-        assert compiled.cache_info().currsize == size
-        again = parse_network(body.format("A", "B", "C"))[0]._mass_action_kernel
-        assert again is not nets[0]._mass_action_kernel  # compiled again once evicted
+            _bind(parse_network(f"species: A\n{i + 2}A -> 0\n")[0])
+        assert kernel.cache_info().currsize == size
+        again = _bind(parse_network(body.format("A", "B", "C"))[0])
+        assert again is not first  # compiled again once evicted
 
 
 class TestErrorState:
