@@ -178,7 +178,7 @@ def _unit(v):
 def _direction_samples(stoich: StoichiometryInfo, count: int, rng):
     """Unit directions in and near H^perp (plus a few generic ones)."""
     n = stoich.n_species
-    if n == 0:  # no unit direction exists, so the draw below would never end
+    if n == 0:  # no unit direction exists
         raise ValueError("a network with no species has no direction to sample")
     if not 1 <= count <= _MAX_DIRECTION_SAMPLES:
         raise ValueError(f"samples must be 1 to {_MAX_DIRECTION_SAMPLES}, got {count}")
@@ -186,18 +186,17 @@ def _direction_samples(stoich: StoichiometryInfo, count: int, rng):
     Qperp = stoich.orthonormal_Hperp()
     out = []
     eps_grid = [0.0, 1e-3, 1e-2, 1e-1, 0.3, 1.0]
-    while len(out) < count:
+    for k in range(count):
         if Qperp.shape[1]:
             u = Qperp @ rng.standard_normal(Qperp.shape[1])
             u = _unit(u)
-            v = B @ rng.standard_normal(B.shape[1]) if B.shape[1] else np.zeros(n)
+            v = B @ rng.standard_normal(B.shape[1])  # with H = {0}: 0, and no draw
             v = _unit(v)
-            eps = eps_grid[len(out) % len(eps_grid)]
+            eps = eps_grid[k % len(eps_grid)]
             w = _unit(u + eps * v)
         else:
             w = _unit(rng.standard_normal(n))
-        if np.linalg.norm(w) > 0:
-            out.append(w)
+        out.append(w)
     return out
 
 
@@ -313,5 +312,5 @@ def estimate_mu(stoich: StoichiometryInfo, x0, alpha, o_radius: float,
     for w, _, Z in _toric_rays(alpha, dirs, 200):
         ok = _in_band(Z, A, b) & (np.linalg.norm(Z - xhat, axis=1) >= o_radius)
         if np.any(ok):
-            mu = min(mu, float(np.linalg.norm(B.T @ w)) if B.shape[1] else 0.0)
+            mu = min(mu, float(np.linalg.norm(B.T @ w)))
     return float(mu)

@@ -24,6 +24,7 @@ one line to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -359,6 +360,14 @@ def cmd_jets(args, net, tempering) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """--seed's type: numpy's generators take nonnegative integers only."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+
+
 @functools.cache  # once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crnkit", description=__doc__.splitlines()[0])
@@ -367,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("file", help="network description file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("classify", help="decide endotactic classes")

@@ -445,8 +445,6 @@ def conservation_residual(traj: Trajectory, stoich: StoichiometryInfo) -> float:
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
     A = stoich.Hperp_matrix()
-    if A.shape[0] == 0:
-        return 0.0
     diffs = traj.states - traj.states[0]
     return float(np.max(np.linalg.norm(diffs @ A.T, axis=1)))
 

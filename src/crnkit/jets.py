@@ -90,8 +90,8 @@ class JetSchedule:
 
     beta_kind "power" is the default hierarchy beta_j(i) = i**(-(j-1));
     "decaying" is the stress schedule beta_j(i) = exp(-(j-1) i^2) whose
-    theta(i)**beta_2(i) stays bounded.  theta_kind "exp" is theta(i) = e^i;
-    "slow" is theta(i) = 1 + 1/i.
+    theta(i)**beta_2(i) stays bounded.  theta_kind "exp" is log theta(i) =
+    i; "slow" is log theta(i) = log(1 + 1/i).
     """
 
     beta_kind: str = "power"
@@ -113,9 +113,6 @@ class JetSchedule:
         if self.theta_kind == "exp":
             return float(i)
         return math.log1p(1.0 / float(i))
-
-    def theta(self, i: float) -> float:
-        return math.exp(self.log_theta(i))
 
     def coefficients(self, i: float, ell: int) -> np.ndarray:
         return np.array([self.beta(j, i) for j in range(1, ell + 1)])
@@ -163,8 +160,8 @@ def jets_fundamental_check(Q, frame: Frame, schedule: JetSchedule, i_range) -> d
     maximal subset along the frame.
 
     Returns a report with the expected index set, the per-i argmax sets,
-    and stabilized_at: the first i after which the argmax stays equal to
-    the expectation through the end of i_range (None if it never does).
+    and stabilized_at: the first i from which on every argmax equals the
+    expectation, found in one backward scan (None if the last one differs).
     """
     V = np.array([[float(x) for x in q] for q in Q])
     if not len(V):
@@ -179,10 +176,10 @@ def jets_fundamental_check(Q, frame: Frame, schedule: JetSchedule, i_range) -> d
         v = schedule.coefficients(i, len(frame)) @ np.array(frame.vectors)
         argmax_sets.append((i, set(_ties(V @ v).tolist())))
     stabilized_at = None
-    for pos in range(len(argmax_sets)):
-        if all(s == expected for _, s in argmax_sets[pos:]):
-            stabilized_at = argmax_sets[pos][0]
+    for i, s in reversed(argmax_sets):
+        if s != expected:
             break
+        stabilized_at = i
     return {
         "expected": sorted(expected),
         "argmax_sets": [(i, sorted(s)) for i, s in argmax_sets],
@@ -223,9 +220,9 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
     Ratios are tracked in log10; a draining reaction counts as dominated
     when its best ratio is strictly increasing over the last decade of the
     index range and ends above the threshold.  This is finite-range
-    evidence, not a proof.  When w_1 is orthogonal to the stoichiometric
-    subspace a warning is attached (domination can legitimately fail
-    there).
+    evidence, not a proof; without a sustaining reaction there is no
+    partner.  When w_1 is orthogonal to the stoichiometric subspace a
+    warning is attached (domination can legitimately fail there).
 
     Raises:
         ValueError: i_range empty, or an index below 1 or not finite; a
@@ -240,7 +237,7 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     B = stoichiometric_subspace(net).orthonormal_H()
     w1 = frame.w1
-    proj = float(np.linalg.norm(B.T @ w1)) if B.shape[1] else 0.0
+    proj = float(np.linalg.norm(B.T @ w1))
     warning = None
     if proj < 1e-9:
         warning = (
@@ -261,17 +258,16 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
     late = np.array(i_list) >= i_list[-1] / 10
     entries = []
     for d in draining:
+        entry = {
+            "draining": d,
+            "partner": None,
+            "series": [],
+            "increasing_last_decade": False,
+            "terminal_ratio_log10": -np.inf,
+            "dominated": False,
+        }
+        entries.append(entry)
         if not sustaining:
-            entries.append(
-                {
-                    "draining": d,
-                    "partner": None,
-                    "series": [],
-                    "increasing_last_decade": False,
-                    "terminal_ratio_log10": -np.inf,
-                    "dominated": False,
-                }
-            )
             continue
         with np.errstate(invalid="ignore"):
             series = logs[sustaining] - logs[d]
@@ -285,15 +281,12 @@ def domination_monitor(net: ReactionNetwork, frame: Frame, schedule: JetSchedule
         log10r = np.clip(series[j] / math.log(10), -1e300, 1e300)
         increasing = np.all(np.diff(log10r[late]) > 0)
         terminal = float(log10r[-1])
-        entries.append(
-            {
-                "draining": d,
-                "partner": sustaining[j],
-                "series": [[i, float(v)] for i, v in zip(i_list, log10r)],
-                "increasing_last_decade": bool(increasing),
-                "terminal_ratio_log10": terminal,
-                "dominated": bool(increasing and terminal > math.log10(threshold)),
-            }
+        entry.update(
+            partner=sustaining[j],
+            series=[[i, float(v)] for i, v in zip(i_list, log10r)],
+            increasing_last_decade=bool(increasing),
+            terminal_ratio_log10=terminal,
+            dominated=bool(increasing and terminal > math.log10(threshold)),
         )
     return {
         "warning": warning,
@@ -510,16 +503,17 @@ def extract_unit_jet(sequence) -> tuple[list[int], Frame]:
     if not W:
         raise ValueError("empty sequence")
     n = len(W[0])
-    active = list(range(len(W)))
-    residuals = {i: W[i].copy() for i in active}
+    active = np.arange(len(W))
+    residuals = np.array(W)  # by row, sqrt(_rowdot(r, r)) is np.linalg.norm(r)
     frame_vecs: list[np.ndarray] = []
     while len(frame_vecs) < n:
-        nonzero = [i for i in active if np.linalg.norm(residuals[i]) > _ZERO_TOL]
-        if not nonzero:
+        R = residuals[active]
+        nonzero = active[np.sqrt(_rowdot(R, R)) > _ZERO_TOL]
+        if not len(nonzero):
             break
         anchor = residuals[nonzero[-1]]
         anchor = anchor / np.linalg.norm(anchor)
-        keep = [i for i in nonzero if float(residuals[i] @ anchor) > _ZERO_TOL]
+        keep = nonzero[_rowdot(residuals[nonzero], anchor) > _ZERO_TOL]
         if len(keep) < _MIN_PER_LEVEL:
             raise ValueError(
                 f"only {len(keep)} usable directions at level "
@@ -527,16 +521,14 @@ def extract_unit_jet(sequence) -> tuple[list[int], Frame]:
             )
         frame_vecs.append(anchor)
         active = keep
-        for i in active:
-            r = residuals[i]
-            residuals[i] = r - float(r @ anchor) * anchor
+        residuals[active] -= _rowdot(residuals[active], anchor)[:, None] * anchor
     if not frame_vecs:
         raise ValueError("no accumulation direction above tolerance")
     V = np.array(frame_vecs)
-    betas = {i: V @ W[i] for i in active}
+    betas = {i: V @ W[i] for i in active.tolist()}
     ell = len(frame_vecs)
     kept: list[int] = []
-    for i in active:
+    for i in active.tolist():
         b = betas[i]
         if np.any(b[:ell] <= _ZERO_TOL):
             continue

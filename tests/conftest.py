@@ -157,6 +157,41 @@ HEXAGON = [
 HEXAGON_Q2_INDEX = 1
 
 
+def _complex_text(coeffs) -> str:
+    return " + ".join(f"{c}S{i}" if c > 1 else f"S{i}" for i, c in enumerate(coeffs) if c) or "0"
+
+
+def weakly_reversible_family(seed: int, species: tuple[int, int], count: int):
+    """count seeded networks of species[0] to species[1] species that are
+    weakly reversible by construction, with alternately one linkage class
+    and two.  Each class is a directed cycle through k distinct random
+    complexes (coefficients 0..2; k from 2 to 4 below four species, else 3
+    or 4) plus up to k - 1 random chords.
+
+    Yields (text, classes, broken): the network file, its number of
+    linkage classes, and the file less one reaction of the first cycle.
+    """
+    rng = np.random.default_rng(seed)
+    for member in range(count):
+        n = int(rng.integers(species[0], species[1] + 1))
+        classes = 1 + member % 2
+        sizes = rng.integers(2 if n < 4 else 3, 5, classes)
+        points = rng.choice(3 ** n, int(sizes.sum()), replace=False)
+        names = [_complex_text(np.unravel_index(p, (3,) * n)) for p in points]
+        lines, start = [], 0
+        for k in sizes.tolist():
+            cycle = list(range(start, start + k))
+            start += k
+            edges = [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
+            for _ in range(int(rng.integers(0, k))):
+                a, b = rng.choice(cycle, 2, replace=False).tolist()
+                if (a, b) not in edges:
+                    edges.append((a, b))
+            lines += [f"{names[a]} -> {names[b]}\n" for a, b in edges]
+        header = f"species: {' '.join(f'S{i}' for i in range(n))}\n"
+        yield header + "".join(lines), classes, header + "".join(lines[1:])
+
+
 def network_text(name: str) -> str:
     return NETWORKS[ALIASES.get(name, name)]
 

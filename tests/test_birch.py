@@ -25,6 +25,8 @@ from conftest import load
 
 
 F = Fraction
+# A + B -> B + A has reaction vector 0: H = {0} and H^perp = R^2
+ZERO_SUBSPACE = parse_network("species: A B\nA + B -> B + A\n")[0]
 
 
 def random_stoichiometry(rng, n):
@@ -375,6 +377,21 @@ class TestBoundaryVerifier:
         with pytest.raises(ValueError, match="no species"):
             verify_birch_boundary(st, (), ())
 
+    def test_zero_subspace_directions_are_draws_of_h_perp(self):
+        # with H = {0} the Birch point is x0, and each direction is one unit
+        # draw of H^perp = R^2: the draw along H has length 0 and takes
+        # nothing from the generator
+        st = stoichiometric_subspace(ZERO_SUBSPACE)
+        out = verify_birch_boundary(st, (2.0, 1.0), (1.0, 3.0), samples=12, seed=5)
+        assert out["birch_point"] == [2.0, 1.0]
+        assert out["violations"] == []
+        assert out["min_distance"] > 0
+        rng = np.random.default_rng(5)
+        Q = st.orthonormal_Hperp()
+        for entry in out["per_direction"]:
+            u = Q @ rng.standard_normal(2)
+            assert np.allclose(entry["w"], u / np.linalg.norm(u), rtol=0, atol=1e-15)
+
 
 class TestProjectionBound:
     def test_rejects_a_network_with_no_species(self):
@@ -388,6 +405,15 @@ class TestProjectionBound:
         st = stoichiometric_subspace(net)
         mu = estimate_mu(st, (2.0, 2.0), (1.0, 3.0), o_radius=0.5)
         assert mu == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_subspace_bound_is_zero(self):
+        # with H = {0} every direction projects to length 0 on H; from
+        # x0 = alpha = 1e-3 the ray's first grid steps lie in the band and
+        # outside a ball of radius 1e-5
+        st = stoichiometric_subspace(ZERO_SUBSPACE)
+        x0 = (1e-3, 1e-3)
+        assert estimate_mu(st, x0, x0, o_radius=1e-5, samples=20) == 0.0
+        assert estimate_mu(st, (2.0, 1.0), (1.0, 3.0), o_radius=0.5, samples=20) == np.inf
 
     def test_narrow_band_yields_conservative_infinity(self):
         # the sampled ray grid has measure-zero overlap with the affine

@@ -30,7 +30,7 @@ from crnkit import (
 from crnkit.geometry import enumerate_faces, max_subset, primitive
 from crnkit.network import Complex, Reaction, ReactionNetwork, Species
 
-from conftest import CLASSIFICATION, load, network_text
+from conftest import CLASSIFICATION, load, network_text, weakly_reversible_family
 
 classify_module = importlib.import_module("crnkit.classify")
 geometry_module = importlib.import_module("crnkit.geometry")
@@ -414,6 +414,51 @@ class TestInvariances:
             except LimitExceeded:
                 continue
             count += 1
+
+
+# (seed, species range, members): each family takes about 0.5 s, and puts
+# some of its two-class members past the default cap of 20 hyperplanes
+_FAMILIES = pytest.mark.parametrize("seed, species, count", [(5, (2, 3), 300), (6, (4, 5), 80)],
+                                    ids=["2-3-species", "4-5-species"])
+
+
+class TestKnownVerdictFamilies:
+    """Weakly reversible networks are endotactic (Craciun, Nazarov & Pantea,
+    SIAM J. Appl. Math. 73, 2013), and strongly endotactic when they have
+    one linkage class (the source paper's extension of Anderson, SIAM J.
+    Appl. Math. 71, 2011)."""
+
+    @_FAMILIES
+    def test_verdicts_are_the_theorems(self, seed, species, count):
+        past = 0
+        for text, classes, _ in weakly_reversible_family(seed, species, count):
+            net = parse_network(text)[0]
+            try:
+                report = classify(net)
+            except LimitExceeded:
+                past += 1
+                report = classify(net, sample_fallback=True, seed=seed)
+            assert report.weakly_reversible and report.endotactic, text
+            if classes == 1:
+                assert report.strongly_endotactic and report.witness is None, text
+        assert 0 < past < count
+
+    @_FAMILIES
+    def test_sampler_never_contradicts_with_a_cycle_reaction_deleted(self, seed, species,
+                                                                      count):
+        changed = 0
+        for _, _, broken in weakly_reversible_family(seed, species, count):
+            net = parse_network(broken)[0]
+            try:
+                exact = classify(net)
+            except LimitExceeded:
+                continue
+            sampled = sample_classify(net, seed=seed)
+            assert sampled["endotactic"] or not exact.endotactic, broken
+            assert (sampled["endotactic"] and sampled["strongly_endotactic"]
+                    or not exact.strongly_endotactic), broken
+            changed += not exact.endotactic
+        assert changed
 
 
 class TestSampler:

@@ -283,6 +283,35 @@ class TestExitCodes:
         assert lines[0].startswith("crnkit: error: ")
 
     @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["classify", "--seed=-1"], "-1"),
+            (["classify", "--sample-fallback", "--seed", "-1"], "-1"),
+            (["birch", "--x0=1,1", "--alpha=1,1", "--seed=-1"], "-1"),
+            (["simulate", "--x0=1,1", "--t-end=1", "--seed=-1"], "-1"),
+            (["simulate", "--x0=1,1", "--t-end=1", "--policy=piecewise-constant",
+              "--seed", "-2"], "-2"),
+            (["steady", "--x0=2,2", "--seed=-1"], "-1"),
+            (["scan", "--seed=-1"], "-1"),
+            (["jets", "--frame=1,0;0,1", "--seed=-1"], "-1"),
+            (["scan", "--seed=1.5"], "1.5"),
+        ],
+        ids=["classify", "classify-sample-fallback", "birch", "simulate-constant-mid",
+             "simulate-piecewise-constant", "steady", "scan", "jets", "fractional-seed"],
+    )
+    def test_negative_seed_is_one_line_exit_one_while_parsing(self, argv, value, tmp_path,
+                                                              capsys):
+        # numpy's generators refuse a negative seed with a message that names
+        # no flag, and some subcommands used to echo it; the file is never read
+        missing = str(tmp_path / "missing.crn")
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([argv[0], missing, *argv[1:]])
+        assert exit_.value.code == 1
+        assert capsys.readouterr() == (
+            "", f"crnkit {argv[0]}: error: argument --seed: must be a nonnegative "
+                f"integer, got '{value}'\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["steady", "{rlv}", "--x0", "1e300,1e300"],
@@ -463,9 +492,11 @@ def _reference(obj):
     keys as strings, numpy scalars as Python ones, non-finite floats as
     "nan", "inf" and "-inf", arrays as their tolist() and a RateLog as its
     [start, rates] pairs (the converter that the writer once ran before
-    its layout walk, less its Fraction branch: no report holds one)."""
+    its layout walk, less its Fraction branch: no report holds one).  An
+    int key stays an int, which json.dumps writes as str(key) itself: an
+    int and a str key that write alike stay two entries, as in the writer."""
     if isinstance(obj, dict):
-        return {str(k): _reference(v) for k, v in obj.items()}
+        return {(k if type(k) is int else str(k)): _reference(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_reference(v) for v in obj]
     if isinstance(obj, np.generic):

@@ -173,6 +173,14 @@ class TestIntegratorAccuracy:
         )
         assert conservation_residual(traj, st) < 1e-8
 
+    def test_conservation_residual_without_laws_is_zero(self):
+        # reverse_lv has no conservation law: A has no rows
+        net, temp = load("reverse_lv")
+        st = stoichiometric_subspace(net)
+        traj = simulate(net, temp, RatePolicy("constant-mid"), (1.0, 2.0), 5.0)
+        assert st.Hperp_matrix().shape == (0, 2)
+        assert conservation_residual(traj, st) == 0.0
+
     def test_states_stay_positive(self):
         net, _ = load("reverse_lv")
         traj = simulate(

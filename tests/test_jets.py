@@ -77,7 +77,7 @@ class TestSchedules:
 
     def test_slow_theta(self):
         sch = JetSchedule(theta_kind="slow")
-        assert sch.theta(4.0) == pytest.approx(1.25)
+        assert math.exp(sch.log_theta(4.0)) == pytest.approx(1.25)
 
     def test_direction_tends_to_leading_vector(self):
         fr = make_frame((0.0, -1.0), (-1.0, 0.0))
@@ -196,6 +196,22 @@ class TestIteratedArgmaxStabilization:
             assert out["argmax_sets"][-1][1] == exact_idx
 
 
+    # <w(i), q> along e1 + e2 / i: q0 = (2, 0) wins for i > 2, q1 = (1, 2)
+    # below, and they tie at i = 2; the frame's expectation is {0}
+    @pytest.mark.parametrize("i_range, stabilized_at", [
+        ([], None), ([1, 1.5], None), ([3, 4, 10], 3), ([1, 2, 3, 10], 3),
+        ([3, 1, 5, 10], 5), ([3, 10, 1], None),
+    ], ids=["empty", "never", "from-the-first", "after-a-tie", "after-a-relapse",
+            "relapse-at-the-end"])
+    def test_stabilized_at_starts_the_last_run_of_expected_sets(self, i_range, stabilized_at):
+        fr = make_frame((1.0, 0.0), (0.0, 1.0))
+        out = jets_fundamental_check([(2.0, 0.0), (1.0, 2.0)], fr, JetSchedule(), i_range)
+        assert out["expected"] == [0]
+        assert [i for i, _ in out["argmax_sets"]] == list(i_range)
+        assert out["stabilized_at"] == stabilized_at
+        assert out["stabilized"] is (stabilized_at is not None)
+
+
 class TestDominationMonitor:
     def test_strongly_endotactic_case_dominates(self):
         net, _ = load("reverse_lv")
@@ -259,6 +275,38 @@ class TestDominationMonitor:
             ]
             assert max(scaled) / min(scaled) < 3.0
 
+
+    def test_zero_subspace_warns_with_no_entries(self):
+        # A + B -> B + A has reaction vector 0, so H = {0}: w1 projects to
+        # length 0 and the one reaction is inessential
+        net, _ = parse_network("species: A B\nA + B -> B + A\n")
+        out = domination_monitor(net, make_frame((1.0, 0.0), (0.0, 1.0)), JetSchedule())
+        assert out["warning"] is not None
+        assert out["classes"] == [("inessential", None)]
+        assert out["entries"] == []
+        assert out["all_dominated"]
+
+    def test_draining_without_sustaining_has_no_partner(self):
+        net, _ = parse_network("species: A B\nA -> 2A\nB -> 2B\n")
+        out = domination_monitor(net, make_frame((1.0, 0.0), (0.0, 1.0)), JetSchedule(),
+                                 i_range=[1, 10, 100])
+        assert out["warning"] is None
+        assert out["classes"] == [("draining", 1), ("draining", 2)]
+        assert out["entries"] == [
+            {"draining": d, "partner": None, "series": [], "increasing_last_decade": False,
+             "terminal_ratio_log10": -np.inf, "dominated": False} for d in (0, 1)]
+        assert [list(e) for e in out["entries"]] == [list(out["entries"][0])] * 2
+        assert list(out["entries"][0]) == ["draining", "partner", "series",
+                                           "increasing_last_decade", "terminal_ratio_log10",
+                                           "dominated"]
+        assert not out["all_dominated"]
+
+    def test_entry_keys_keep_their_order_with_a_partner(self):
+        net, _ = load("reverse_lv")
+        out = domination_monitor(net, make_frame((0.0, -1.0), (-1.0, 0.0)), JetSchedule())
+        for entry in out["entries"]:
+            assert list(entry) == ["draining", "partner", "series", "increasing_last_decade",
+                                   "terminal_ratio_log10", "dominated"]
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_threshold_not_positive_and_finite(self, threshold):
