@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import StoichiometryInfo, _positive
+from .network import StoichiometryInfo, _positive, _seed_of
 
 _MAX_ITER = 200  # Newton steps birch_point takes before it gives up
 _MAX_DIRECTION_SAMPLES = 10_000  # the verifiers' and cutoff_scan's samples, at most
@@ -222,7 +222,7 @@ def _ray_setup(stoich: StoichiometryInfo, x0, alpha, o_radius: float, samples: i
     alpha = _positive(alpha, stoich.n_species, "alpha")
     if not 0 < o_radius < np.inf:
         raise ValueError(f"o_radius must be positive and finite, got {o_radius}")
-    dirs = _direction_samples(stoich, samples, np.random.default_rng(seed))
+    dirs = _direction_samples(stoich, samples, np.random.default_rng(_seed_of(seed)))
     xhat = np.array(birch_point(stoich, x0, alpha, tol=_VERIFY_TOL).point)
     return x0, alpha, dirs, xhat
 
@@ -260,8 +260,9 @@ def verify_birch_boundary(stoich: StoichiometryInfo, x0, alpha, samples: int = 1
 
     Raises:
         ValueError: x0 or alpha not one positive finite value per species,
-            samples outside 1..10,000, o_radius not positive and finite, or
-            a network with no species (no direction to sample).
+            samples outside 1..10,000, o_radius not positive and finite,
+            seed not a nonnegative integer, or a network with no species
+            (no direction to sample).
     """
     x0, alpha, dirs, xhat = _ray_setup(stoich, x0, alpha, o_radius, samples, seed)
     Q = stoich.orthonormal_Hperp()
@@ -301,8 +302,9 @@ def estimate_mu(stoich: StoichiometryInfo, x0, alpha, o_radius: float,
 
     Raises:
         ValueError: x0 or alpha not one positive finite value per species,
-            samples outside 1..10,000, o_radius not positive and finite, or
-            a network with no species (no direction to sample).
+            samples outside 1..10,000, o_radius not positive and finite,
+            seed not a nonnegative integer, or a network with no species
+            (no direction to sample).
     """
     x0, alpha, dirs, xhat = _ray_setup(stoich, x0, alpha, o_radius, samples, seed)
     A = stoich.Hperp_matrix()

@@ -40,7 +40,8 @@ from .dynamics import RateLog, RatePolicy, find_steady_state, g_along, simulate
 from .geometry import LimitExceeded
 from .jets import (_MAX_THETA_POINTS, JetSchedule, _index_grid, _theta_grid,
                    _worst_case_margin, cutoff_scan, domination_monitor, make_frame)
-from .network import ParseError, _tempering_of, parse_network, stoichiometric_subspace
+from .network import (ParseError, _seed_of, _tempering_of, parse_network,
+                      stoichiometric_subspace)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -361,10 +362,9 @@ def cmd_jets(args, net, tempering) -> dict:
 
 
 def _seed(text: str) -> int:
-    """--seed's type: numpy's generators take nonnegative integers only."""
+    """--seed's type: an integer under the library's seed rule (_seed_of)."""
     with contextlib.suppress(ValueError):
-        if int(text) >= 0:
-            return int(text)
+        return _seed_of(int(text))
     raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
 
 

@@ -21,6 +21,7 @@ from .network import (
     StoichiometryInfo,
     Tempering,
     _positive,
+    _seed_of,
     _tempering_of,
     stoichiometric_subspace,
 )
@@ -37,6 +38,11 @@ class RatePolicy:
     piecewise-constant: fresh uniform draws every dt time units.
     fixed: the supplied rates (validated against the tempering), the one
     mode that takes rates.
+
+    Raises:
+        ValueError: an unknown mode; rates given to a mode other than
+        fixed, or missing for it; dt not positive and finite; seed not a
+        nonnegative integer.
     """
 
     mode: str
@@ -52,6 +58,7 @@ class RatePolicy:
                              f"got mode {self.mode!r} with rates {self.rates}")
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _seed_of(self.seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,11 +11,12 @@ stage is int64 when a stated bound on its values is below 2**63 and
 Python ints otherwise; the conformal sums run first in float64, a BLAS
 matmul, when their bound is below 2**53, so that every value is an
 integer float64 holds exactly (float64 -> int64 -> Python ints), and no
-other floating point is used.  The closure and the face incidence work on
-sign rows packed 32 hyperplanes to a uint64 word (positive set in the low
-half, negative set in the high half), one word per row up to 32
-hyperplanes, and every pass works in blocks of at most _BLOCK bytes per
-temporary.
+other floating point is used.  The closure, the representatives and the
+face incidence work on sign rows packed 32 hyperplanes to a uint64 word
+(positive set in the low half, negative set in the high half), one word
+per row up to 32 hyperplanes: the cocircuits are packed once and their
+words, and the closure's, carried to the representatives.  Every pass
+works in blocks of at most _BLOCK bytes per temporary.
 Fractions are built only for rational results (nullspace and row-space
 vectors, LP points)."""
 
@@ -78,10 +79,9 @@ def primitive(u) -> tuple[int, ...]:
     return tuple(a // g for a in u) if g > 1 else u
 
 
-def _canonical_hyperplane(u) -> tuple[int, ...]:
-    # primitive vector with first nonzero entry positive (keys a hyperplane,
-    # forgetting orientation)
-    p = primitive(u)
+def _oriented(p: tuple[int, ...]) -> tuple[int, ...]:
+    # p or -p, whichever has its first nonzero entry positive: a primitive
+    # p's canonical form, which keys a hyperplane forgetting orientation
     return p if next((a for a in p if a), 0) >= 0 else tuple(-x for x in p)
 
 
@@ -97,7 +97,11 @@ def _echelon(rows) -> tuple[list[tuple[int, ...]], list[int]]:
     made primitive once, then eliminated by cross-multiplication and one gcd
     per updated row.  Returns its nonzero rows, each primitive with a
     positive pivot and zeros in the other pivot columns, and their pivots."""
-    M = [primitive(row) for row in rows]
+    return _reduce([primitive(row) for row in rows])
+
+
+def _reduce(M: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """_echelon of a list of primitive integer rows, reduced in place."""
     pivots: list[int] = []
     for c in range(len(M[0]) if M else 0):
         r = len(pivots)
@@ -420,8 +424,10 @@ def _cross_products(A: np.ndarray) -> np.ndarray:
 def _cocircuits(H: np.ndarray):
     """Cocircuits of an essential arrangement (K x r integer normals of
     rank r) in both orientations, from the cross products of the
-    rank-(r-1) subsets of normals: distinct sign rows (int8) and their
-    primitive generators.  int64 when Hadamard's bound on the elimination's
+    rank-(r-1) subsets of normals: distinct sign rows (int8), their
+    primitive generators, and the sign rows as bit words (_words), sorted
+    by key (_keys), the one packing the closure and the representatives
+    read.  int64 when Hadamard's bound on the elimination's
     differences of products of two minors, 2 max|h|^(2(r-1)), is below
     2**63 (it also bounds each sign product |<z, h>| <= |z| |h|), else
     Python ints."""
@@ -434,8 +440,9 @@ def _cocircuits(H: np.ndarray):
                         for i in range(0, len(subsets), step)])
     Z = np.vstack([Z, -Z])
     C = np.sign(Z @ H.T).astype(np.int8)
-    _, first = np.unique(_keys(_words(C)), return_index=True)
-    return C[first], Z[first]
+    Cw = _words(C)
+    _, first = np.unique(_keys(Cw), return_index=True)
+    return C[first], Z[first], Cw[first]
 
 
 _LOW = np.uint64(0xFFFFFFFF)  # a word's positive half
@@ -474,13 +481,14 @@ def _canonical(words: np.ndarray) -> np.ndarray:
     return w & s & -s != 0
 
 
-def _closure(C: np.ndarray) -> np.ndarray:
-    """Every nonzero covector, as distinct int8 rows composed from the
-    distinct cocircuit sign rows C: the canonical half (first nonzero sign
-    +, _canonical), closed alone, followed by that half negated, since -X
-    is a covector iff X is.
+def _closure(Cw: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonzero covector over K hyperplanes, composed from the distinct
+    cocircuit sign rows Cw, as bit words (_words).  Returns (faces, half):
+    faces the distinct int8 rows, the canonical half (first nonzero sign +,
+    _canonical), closed alone, followed by that half negated, since -X is
+    a covector iff X is; half the canonical half's bit words, in order.
 
-    A row is held as bit words (_words), one word when K <= 32.  A face F
+    A row is held as bit words, one word when K <= 32.  A face F
     of dimension above 1 is G o c for a facet G of it and a cocircuit c
     conformal to F: c opposes no sign of G and is nonzero somewhere G is
     zero, that is, has a bit outside G's.  So each round pairs the new rows
@@ -491,10 +499,9 @@ def _closure(C: np.ndarray) -> np.ndarray:
     F's first nonzero hyperplane (else so would be F, the cone its facets
     span), and that G is canonical, so the frontier starts at the canonical
     cocircuits, is composed with all of them, and drops the non-canonical
-    compositions.  The rows are kept next to their keys (_keys); a round's
-    compositions are deduplicated by np.unique and looked up among the
-    sorted keys seen before."""
-    Cw = _words(C)
+    compositions.  A round's compositions are deduplicated by one sort of
+    their _keys, the distinct keys read back as the new rows' words, and
+    looked up among the sorted keys seen before."""
     # word planes, (words, cocircuits): the block tests or over the words
     Ct = Cw.T
     Cx = Ct << 32 | Ct >> 32  # signs swapped
@@ -514,13 +521,19 @@ def _closure(C: np.ndarray) -> np.ndarray:
             composed = F[i + pair // len(Cw)] | Cw[pair % len(Cw)]
             fresh.append(composed[_canonical(composed)])
         fresh = np.concatenate(fresh)
-        keys, first = np.unique(_keys(fresh), return_index=True)
+        # one sort (np.unique of one-word keys builds a hash table, raising
+        # the peak RSS); the distinct keys are the new rows' words
+        keys = np.sort(_keys(fresh))
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
         new = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
-        F = fresh[first[new]]
+        F = np.ascontiguousarray(keys[new]).view(np.uint64).reshape(-1, fresh.shape[1])
         rows.append(F)
         seen = np.sort(np.concatenate([seen, keys[new]]))
-    half = _signs(np.concatenate(rows), C.shape[1])
-    return np.concatenate([half, -half])
+    half = np.concatenate(rows)
+    faces = _signs(half, K)
+    return np.concatenate([faces, -faces]), half
 
 
 def _components(S: np.ndarray) -> np.ndarray:
@@ -543,11 +556,13 @@ def _components(S: np.ndarray) -> np.ndarray:
     return parent
 
 
-def _representatives(S: np.ndarray, C: np.ndarray, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+def _representatives(Sw: np.ndarray, Cw: np.ndarray, Z: np.ndarray,
+                     P: np.ndarray) -> np.ndarray:
     """Each face's representative: the primitive sum of its conformal
-    cocircuits, mapped back by the essential basis P.  Per block of sign
-    rows, one conformality mask (c's positive and negative sets inside the
-    face's, that is s.c == |c|_1, tested on bit words) and one mask @ Z.
+    cocircuits, mapped back by the essential basis P, from the faces' and
+    the cocircuits' sign rows as bit words, Sw and Cw (_words).  Per block
+    of faces, one conformality mask (c's positive and negative sets inside
+    the face's, that is s.c == |c|_1) and one mask @ Z.
     The sums run in float64, a BLAS matmul, when #cocircuits max|Z| is
     below 2**53: every product and partial sum is then an integer below
     2**53, exact whatever the order, and they are read back as int64.
@@ -558,10 +573,10 @@ def _representatives(S: np.ndarray, C: np.ndarray, Z: np.ndarray, P: np.ndarray)
     dtype = _int_dtype(r * count * zmax * int(np.abs(P).max()))
     Z = Z.astype(np.float64 if count * zmax < 2**53 else dtype)
     P = P.astype(dtype)
-    Ct, Sx = _words(C).T, ~_words(S)  # Sx: where each face is not positive, not negative
+    Ct, Sx = Cw.T, ~Sw  # Sx: where each face is not positive, not negative
     step = max(1, _BLOCK // (8 * count))
     U = []
-    for i in range(0, len(S), step):
+    for i in range(0, len(Sw), step):
         outside = functools.reduce(np.bitwise_or, (c & x[:, None]
                                                    for c, x in zip(Ct, Sx[i:i + step].T)))
         U.append((outside == 0).astype(Z.dtype) @ Z)
@@ -584,8 +599,10 @@ def enumerate_faces(normals) -> Faces:
     primitive sum, mapped back, represents it whatever order the closure
     took.  The cocircuits are the cross products of the rank-(r-1) subsets
     of normals, eliminated together in blocks; the closure composes sign
-    rows held 32 hyperplanes to a uint64 word and deduplicates them on one
-    key per row (the word itself up to 32 hyperplanes); only the canonical
+    rows held 32 hyperplanes to a uint64 word, packed once from the
+    cocircuits and read by the representatives as they are, and
+    deduplicates them on one key per row (the word itself up to 32
+    hyperplanes); each normal is made primitive once; only the canonical
     half of the faces (first nonzero sign +) is closed and represented,
     and the other half is its negation, since the conformal cocircuits of
     -X are those of X negated; and each block of
@@ -619,7 +636,7 @@ def enumerate_faces(normals) -> Faces:
     hyper_index: dict[tuple[int, ...], int] = {}
     where = []  # per input normal: (hyperplane, orientation 0 if zero)
     for p in normals:
-        canon = _canonical_hyperplane(p)
+        canon = _oriented(p)
         where.append((hyper_index.setdefault(canon, len(hyper_index)), 1 if p == canon else -1)
                      if any(p) else (0, 0))
     hypers = list(hyper_index)
@@ -629,7 +646,7 @@ def enumerate_faces(normals) -> Faces:
                             f"(set CRN_MAX_HYPERPLANES to raise it)")
 
     # essential coordinates: the row space of the normals (r x n)
-    R, pivots = _echelon(hypers)
+    R, pivots = _reduce(list(hypers))  # each already primitive
     # lineality: directions on which every normal vanishes, the nullspace;
     # a line gives both rays, in the order of their representatives
     lin = _null_generators(R, pivots, n)
@@ -640,11 +657,11 @@ def enumerate_faces(normals) -> Faces:
     W = W.reshape(len(rays), n)
     if K:
         P = np.array(R, dtype=object)
-        C, Z = _cocircuits(np.array(hypers, dtype=object) @ P.T)
-        faces = _closure(C)
+        _, Z, Cw = _cocircuits(np.array(hypers, dtype=object) @ P.T)
+        faces, half = _closure(Cw, K)
         col, orient = np.array(where).T
         S = np.concatenate([faces[:, col] * orient.astype(np.int8), S])
-        U = _representatives(faces[:len(faces) // 2], C, Z, P)  # the canonical half
+        U = _representatives(half, Cw, Z, P)  # the canonical half
         W = np.concatenate([U, -U, W])
     # sign rows are distinct but for the lineality's two rays, which the
     # stable sort keeps in the order of their representatives

@@ -27,6 +27,7 @@ from .network import (
     _floats,
     _in_float_range,
     _positive,
+    _seed_of,
     _tempering_of,
     stoichiometric_subspace,
 )
@@ -356,8 +357,9 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
         ValueError: x0 not one positive finite value per species; the
         tempering (unit rates when None) not one interval per reaction;
         theta_grid empty, above 1,000 points, or a theta at most 1 or not
-        finite; direction_samples negative or above 10,000; no directions
-        (no faces and no samples); a network with no species.
+        finite; direction_samples negative or above 10,000; seed not a
+        nonnegative integer; no directions (no faces and no samples); a
+        network with no species.
     """
     n = net.n_species
     x0 = _positive(x0, n, "x0")
@@ -376,7 +378,7 @@ def cutoff_scan(net: ReactionNetwork, tempering: Tempering | None, x0,
     if direction_samples > _MAX_DIRECTION_SAMPLES:
         raise ValueError(f"direction_samples must be at most {_MAX_DIRECTION_SAMPLES}, "
                          f"got {direction_samples}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_of(seed))
     # one draw of the rows still missing, a row of norm at most 1e-12
     # dropped and redrawn after the others: the directions of one
     # standard_normal(n) call per sample

@@ -14,8 +14,9 @@ data only.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -229,6 +230,16 @@ def _positive(v, n: int, name: str) -> np.ndarray:
     if v.shape != (n,) or not np.all(np.isfinite(v) & (v > 0)):
         raise ValueError(f"{name} must be {n} finite positive values, got {v}")
     return v
+
+
+def _seed_of(seed) -> int:
+    """seed as an int, or ValueError unless it is a nonnegative integer
+    (a Python or numpy int): the one seed rule, as numpy's generators take
+    no other."""
+    with suppress(TypeError):
+        if operator.index(seed) >= 0:
+            return operator.index(seed)
+    raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _tempering_of(net: ReactionNetwork, tempering: Tempering | None) -> Tempering:

@@ -14,10 +14,10 @@ import pytest
 from crnkit.geometry import (
     Faces,
     LimitExceeded,
-    _canonical_hyperplane,
     _closure,
     _cocircuits,
     _echelon,
+    _oriented,
     _signs,
     _simplex,
     _words,
@@ -521,7 +521,7 @@ def _essential_cocircuits(normals):
     # the cocircuits enumerate_faces closes, sign rows and generators: one
     # per distinct hyperplane, in the essential coordinates of the normals'
     # row space
-    hypers = list(dict.fromkeys(_canonical_hyperplane(p) for p in normals if any(p)))
+    hypers = list(dict.fromkeys(_oriented(primitive(p)) for p in normals if any(p)))
     R, _ = _echelon(hypers)
     return _cocircuits(np.array(hypers, dtype=object) @ np.array(R, dtype=object).T)
 
@@ -558,8 +558,8 @@ class TestBitWordClosure:
             if not any(any(p) for p in normals):
                 continue
             lineal += rank(normals) < len(normals[0])
-            C = _essential_cocircuits(normals)[0]
-            S = _closure(C)
+            C, _, Cw = _essential_cocircuits(normals)
+            S = _closure(Cw, C.shape[1])[0]
             assert S.dtype == np.int8 and S.shape[1] == C.shape[1]
             rows = {r.tobytes() for r in S}
             assert len(rows) == len(S)
@@ -599,8 +599,8 @@ class TestSignSymmetry:
 
     @staticmethod
     def check(normals):
-        C = _essential_cocircuits(normals)[0]
-        S = _closure(C)
+        C, _, Cw = _essential_cocircuits(normals)
+        S = _closure(Cw, C.shape[1])[0]
         half = S[:len(S) // 2]
         assert len(S) == 2 * len(half) and np.array_equal(S[len(half):], -half)
         assert (half[np.arange(len(half)), (half != 0).argmax(axis=1)] == 1).all()

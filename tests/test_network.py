@@ -319,6 +319,45 @@ class TestLinkage:
         assert rank(combined) == st.dimension
 
 
+# each library entry point that takes a seed, called with it on reverse_lv;
+# past the cap, classify samples with it
+_SEED_ENTRY_POINTS = {
+    "sample_classify": lambda net, temp, seed: crnkit.sample_classify(net, 100, seed=seed),
+    "classify": lambda net, temp, seed: crnkit.classify(net, seed=seed),
+    "cutoff_scan": lambda net, temp, seed: crnkit.cutoff_scan(
+        net, temp, [1.0] * net.n_species, theta_grid=[2.0], direction_samples=5, seed=seed),
+    "simulate": lambda net, temp, seed: crnkit.simulate(
+        net, temp, crnkit.RatePolicy("piecewise-constant", seed=seed, dt=0.5),
+        [1.0] * net.n_species, 1.0),
+    "verify_birch_boundary": lambda net, temp, seed: crnkit.verify_birch_boundary(
+        crnkit.stoichiometric_subspace(net), [1.0] * net.n_species, [1.0] * net.n_species,
+        samples=5, seed=seed),
+    "estimate_mu": lambda net, temp, seed: crnkit.estimate_mu(
+        crnkit.stoichiometric_subspace(net), [1.0] * net.n_species, [1.0] * net.n_species,
+        0.5, samples=5, seed=seed),
+}
+
+
+class TestSeedRule:
+    """One rule for seeds at every library entry point: a nonnegative
+    integer, else a one-line ValueError that names the argument."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("entry", sorted(_SEED_ENTRY_POINTS))
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, entry, seed):
+        net, temp = load("reverse_lv")
+        with pytest.raises(ValueError) as err:
+            _SEED_ENTRY_POINTS[entry](net, temp, seed)
+        assert str(err.value) == f"seed must be a nonnegative integer, got {seed!r}"
+
+    @pytest.mark.parametrize("entry", sorted(_SEED_ENTRY_POINTS))
+    def test_numpy_integer_seed_is_the_same_seed(self, entry):
+        net, temp = load("reverse_lv")
+        want = _SEED_ENTRY_POINTS[entry](net, temp, 3)
+        got = _SEED_ENTRY_POINTS[entry](net, temp, np.int64(3))
+        assert repr(got) == repr(want)
+
+
 class TestStructureOnce:
     def test_same_objects_on_every_call(self):
         net, _ = load("futile_cycle")
