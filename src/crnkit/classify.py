@@ -69,11 +69,10 @@ def is_w_endotactic(net: ReactionNetwork, w) -> tuple[bool, Reaction | None]:
         raise ValueError(f"direction w must have {net.n_species} entries, got {len(w)}")
     if not any(w):
         raise ValueError("direction w must be nonzero")
-    _, sources, fluxes, _, _ = net._exact
-    w = np.array(w, dtype=object)  # so each <w, row> is an exact Python int
-    P, Q = (np.array(rows, dtype=object).reshape(len(rows), len(w)) @ w
-            for rows in (fluxes, sources))
-    endo_viol, _, _ = _conditions(P[:, None], Q[:, None])
+    bound = max(map(abs, w))
+    S, F = _integer_rows(net, bound)
+    W = np.array([w], dtype=_int_dtype(bound))
+    endo_viol, _, _ = _conditions(F @ W.T, S @ W.T)
     violating = np.flatnonzero(endo_viol[:, 0])
     return (False, net.reactions[violating[0]]) if len(violating) else (True, None)
 
@@ -87,7 +86,7 @@ def arrangement_normals(net: ReactionNetwork) -> list[tuple[int, ...]]:
     tuples: all reaction vectors, then all differences of distinct source
     complexes (in order of first appearance), each a positive multiple of
     the rational vector."""
-    _, _, fluxes, _, distinct = net._exact
+    _, _, fluxes, distinct = net._exact
     return [*fluxes, *(tuple(x - y for x, y in zip(a, b))
                        for a, b in itertools.combinations(distinct, 2))]
 
@@ -95,23 +94,20 @@ def arrangement_normals(net: ReactionNetwork) -> list[tuple[int, ...]]:
 class _Arrangement:
     """The arrangement's faces as arrays (LimitExceeded past
     CRN_MAX_HYPERPLANES): sign rows and representatives, in enumerate_faces's
-    order, and what _conditions finds on each, read from the sign rows alone:
-    the flux signs, and each reaction's source rank (how many distinct
-    sources lie strictly below it along the face), which orders the sources
-    as <w, y> does.  No rational arithmetic and no object runs per face.
-    top, like signs, has a row per face."""
+    order, and what _conditions finds on each: the flux signs from the sign
+    rows, and the source heights <w, y> at each face's representative w,
+    which lies inside the face and so orders the sources as its pair signs
+    do.  top, like signs, has a row per face."""
 
     def __init__(self, net: ReactionNetwork):
-        _, _, _, source_of, distinct = net._exact
         faces = enumerate_faces(arrangement_normals(net))
         self.signs, self.reps = faces.signs, faces.representatives
         self.flux_signs = self.signs[:, :net.n_reactions]
-        pair_signs = self.signs[:, net.n_reactions:]  # sign <w, y_i - y_j> for i < j
-        i, j = np.triu_indices(len(distinct), 1)  # the pairs in combinations order
-        eye = np.eye(len(distinct), dtype=np.int64)
-        rank = (pair_signs > 0) @ eye[i] + (pair_signs < 0) @ eye[j]
-        endo_viol, self.strong_fail, top = _conditions(
-            self.flux_signs.T, rank[:, list(source_of)].T)
+        S, _ = _integer_rows(net, int(np.abs(self.reps).max()))
+        # without reactions the one face's placeholder representative has
+        # no sources to order (and not n entries)
+        heights = S @ self.reps.T if net.reactions else np.zeros((0, len(self.reps)), np.int64)
+        endo_viol, self.strong_fail, top = _conditions(self.flux_signs.T, heights)
         self.endo_fail, self.top = endo_viol.any(axis=0), top.T
 
     def least(self, mask) -> tuple[int, ...] | None:
@@ -124,6 +120,19 @@ class _Arrangement:
         for column in self.reps.T:
             rows = rows[column[rows] == column[rows].min()]
         return tuple(self.reps[rows[0]].tolist())
+
+
+def _integer_rows(net: ReactionNetwork, w_bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, F): the source rows and the reaction vectors of net._exact as
+    (R, n) integer matrices, (0, n) without reactions; S @ W.T and F @ W.T
+    are every <w, y_r> and <w, flux_r> of the direction rows W, exactly (a
+    positive multiple each, so every sign and order is kept).  Each matrix
+    is int64 when w_bound, a bound on every |w_i|, times its largest row l1
+    norm is below 2**63, and Python ints otherwise (geometry._int_dtype)."""
+    def matrix(rows):
+        norm = max((sum(map(abs, r)) for r in rows), default=0)
+        return np.array(rows, dtype=_int_dtype(w_bound * norm)).reshape(len(rows), net.n_species)
+    return tuple(map(matrix, net._exact[1:3]))
 
 
 def _conditions(P: np.ndarray, Q: np.ndarray):
@@ -289,14 +298,6 @@ _BLOCK_ROWS = 4096
 _MAX_SAMPLES = 1_000_000
 
 
-def _integer_scaled(rows) -> np.ndarray:
-    """Integer rows as int64 when every <w, v> of a sampled direction fits
-    in int64, else as exact Python ints."""
-    if not rows:
-        return np.zeros((0, 0), dtype=np.int64)
-    return np.array(rows, dtype=_int_dtype(_W_MAX * max(sum(map(abs, r)) for r in rows)))
-
-
 def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0) -> dict:
     """Probe the endotactic and strong conditions with random integer
     directions and exact integer arithmetic.
@@ -323,9 +324,7 @@ def sample_classify(net: ReactionNetwork, n_samples: int = 10_000, seed: int = 0
         raise ValueError(f"n_samples must be at most {_MAX_SAMPLES}, got {n_samples}")
     rng = np.random.default_rng(seed)
     n = net.n_species
-    _, sources, fluxes, _, _ = net._exact
-    F = _integer_scaled(fluxes)  # R x n
-    S = _integer_scaled(sources)
+    S, F = _integer_rows(net, _W_MAX)
     half = n_samples // 2
     endo_w = strong_w = None
     for bound, left in ((9, half), (_W_MAX, n_samples - half)):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .birch import _MAX_DIRECTION_SAMPLES, _in_band
-from .classify import _Arrangement, _arrangement
-from .geometry import _components, primitive
+from .classify import _Arrangement, _arrangement, _integer_rows
+from .geometry import _components, _int_dtype, primitive
 from .network import (
     ReactionNetwork,
     Reaction,
@@ -314,8 +314,10 @@ def _worst_case_margin(net: ReactionNetwork, tempering: Tempering | None, W):
     """
     rows = np.asarray(W, dtype=float)
     _, coeffs, k_worst = _pull_terms(net, _tempering_of(net, tempering), rows)
-    heights = (np.array([primitive(w) for w in rows.tolist()], dtype=object)
-               @ np.array(net._exact[1], dtype=object).T)
+    prim = [primitive(w) for w in rows.tolist()]
+    bound = max((abs(x) for w in prim for x in w), default=0)
+    S, _ = _integer_rows(net, bound)
+    heights = np.array(prim, dtype=_int_dtype(bound)).reshape(rows.shape) @ S.T
     tier = heights == heights.max(axis=1)[:, None]
     return np.max(np.where(tier, k_worst * coeffs, -np.inf), axis=1)
 

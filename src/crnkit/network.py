@@ -182,19 +182,16 @@ class ReactionNetwork:
 
     @cached_property
     def _exact(self):
-        """(edges, sources, fluxes, source_of, distinct): each reaction's
-        (source, target) complex index; the source rows and the reaction
-        vectors as Python-int tuples, each matrix times the lcm of its own
-        denominators (a positive multiple, so every sign and order of
-        <w, row> is kept); each reaction's index into distinct, the distinct
-        source rows in order of first appearance."""
+        """(edges, sources, fluxes, distinct): each reaction's (source,
+        target) complex index; the source rows and the reaction vectors as
+        Python-int tuples, each matrix times the lcm of its own denominators
+        (a positive multiple, so every sign and order of <w, row> is kept);
+        the distinct source rows in order of first appearance."""
         index = {c: i for i, c in enumerate(self.complexes)}
         edges = tuple((index[r.source], index[r.target]) for r in self.reactions)
         sources = _over_lcm([r.source.coeffs for r in self.reactions])
         fluxes = _over_lcm([r.flux for r in self.reactions])
-        distinct: dict[tuple[int, ...], int] = {}
-        source_of = tuple(distinct.setdefault(row, len(distinct)) for row in sources)
-        return edges, sources, fluxes, source_of, tuple(distinct)
+        return edges, sources, fluxes, tuple(dict.fromkeys(sources))
 
     @cached_property
     def _stoichiometry(self) -> StoichiometryInfo:
@@ -204,7 +201,7 @@ class ReactionNetwork:
     @cached_property
     def _linkage(self) -> LinkageInfo:
         n = len(self.complexes)
-        edges, _, fluxes, _, _ = self._exact
+        edges, _, fluxes, _ = self._exact
         # one Warshall closure of both, on bitset rows: bit j of row i says i reaches j
         directed, linked = reach = [[1 << i for i in range(n)] for _ in range(2)]
         for rows, arcs in zip(reach, (edges, edges + tuple((b, a) for a, b in edges))):

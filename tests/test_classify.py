@@ -30,7 +30,8 @@ from crnkit import (
 from crnkit.geometry import enumerate_faces, max_subset, primitive
 from crnkit.network import Complex, Reaction, ReactionNetwork, Species
 
-from conftest import CLASSIFICATION, load, network_text, weakly_reversible_family
+from conftest import CLASSIFICATION, NETWORKS, load, network_text, weakly_reversible_family
+from test_geometry import _seeded_arrangements, _straddling
 
 classify_module = importlib.import_module("crnkit.classify")
 geometry_module = importlib.import_module("crnkit.geometry")
@@ -390,13 +391,20 @@ class TestInvariances:
                 continue
 
     def test_strong_implies_endotactic(self, rng):
-        for _ in range(25):
-            net = random_network(rng)
+        # random draws are seldom strongly endotactic; the single-class
+        # members of a weakly reversible family are, by the theorem
+        nets = [random_network(rng) for _ in range(25)]
+        nets += [parse_network(text)[0] for text, classes, _
+                 in weakly_reversible_family(5, (2, 3), 20) if classes == 1]
+        held = 0
+        for net in nets:
             try:
                 if is_strongly_endotactic(net)[0]:
+                    held += 1
                     assert is_endotactic(net)[0]
             except LimitExceeded:
                 continue
+        assert held
 
     def test_weakly_reversible_implies_endotactic(self, rng):
         # reversible-pair networks are weakly reversible, hence endotactic
@@ -485,6 +493,18 @@ class TestSampler:
         w = tuple(F(int(v)) for v in sampled["endo_witness"])
         assert not is_w_endotactic(net, w)[0]
 
+    def test_no_reactions_agree_with_classify(self):
+        # the sampler once multiplied (0, 0) rows by n-entry directions
+        net = ReactionNetwork((Species("A", 0), Species("B", 1)), (), ())
+        report = classify(net)
+        assert report.endotactic and report.strongly_endotactic
+        for seed in range(3):
+            assert sample_classify(net, n_samples=200, seed=seed) == {
+                "endotactic": True, "endo_witness": None,
+                "strongly_endotactic": True, "strong_witness": None}
+        for w in [(1, 0), (-3, 2), (2**70, -1)]:
+            assert is_w_endotactic(net, w) == (True, None)
+
 
 # one common denominator puts these coefficients past int64: converting the
 # first raised OverflowError, and <w, v> wrapped silently on the second
@@ -515,10 +535,54 @@ class TestSamplerPastInt64:
         # 60 |v|_1 of the scaled flux of 1/1033B -> A + B passes 2^63, while
         # every scaled source stays below it
         net, _ = parse_network(WIDE_COEFFICIENT_NETWORKS[1])
-        assert classify_module._integer_scaled(net._exact[2]).dtype == object
-        assert classify_module._integer_scaled(net._exact[1]).dtype == np.int64
+        sources, fluxes = classify_module._integer_rows(net, classify_module._W_MAX)
+        assert fluxes.dtype == object
+        assert sources.dtype == np.int64
         net, _ = load("triangle_out")
-        assert classify_module._integer_scaled(net._exact[2]).dtype == np.int64
+        assert classify_module._integer_rows(net, classify_module._W_MAX)[1].dtype == np.int64
+
+
+class TestIntegerRows:
+    """The one integer product against a per-direction Fraction statement:
+    S @ W.T and F @ W.T are every <w, y_r> and <w, flux_r> times one
+    positive multiple per matrix, so every sign and order is kept."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), R=st.integers(0, 5), N=st.integers(0, 6),
+           big=st.booleans())
+    def test_products_are_the_rational_inner_products(self, data, n, R, N, big):
+        # small ranges tie often; big puts the products past int64, onto
+        # the Python-int path
+        scale = 2**40 if big else 1
+        coeff = st.fractions(0, 2, max_denominator=3).map(lambda q: scale * q)
+        row = st.lists(coeff, min_size=n, max_size=n)
+        pairs = data.draw(st.lists(st.tuples(row, row), min_size=R, max_size=R))
+        reactions = tuple(Reaction(Complex(tuple(a)), Complex(tuple(b))) for a, b in pairs)
+        complexes = tuple(dict.fromkeys(c for r in reactions for c in (r.source, r.target)))
+        net = ReactionNetwork(tuple(Species(f"S{i}", i) for i in range(n)), complexes, reactions)
+        W = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                               min_size=N, max_size=N))
+        zero = data.draw(st.lists(st.booleans(), min_size=N, max_size=N))
+        W = [[0 if z else scale * x for x in w] for w, z in zip(W, zero)]
+        w_bound = 2 * scale
+        got = classify_module._integer_rows(net, w_bound)
+        rational = ([r.source.coeffs for r in reactions], [r.flux for r in reactions])
+        for M, rows, exact in zip(got, rational, net._exact[1:3]):
+            norm = max((sum(map(abs, e)) for e in exact), default=0)
+            assert M.shape == (R, n)
+            assert M.dtype == (np.int64 if w_bound * norm < 2**63 else object)
+            P = M @ np.array(W, dtype=M.dtype).reshape(N, n).T
+            assert P.shape == (R, N)
+            ratios = set()
+            for j, w in enumerate(W):
+                for r, y in enumerate(rows):
+                    want = sum((F(a) * b for a, b in zip(w, y)), F(0))
+                    assert (P[r, j] == 0) == (want == 0)
+                    if want:
+                        ratios.add(F(int(P[r, j])) / want)
+            assert len(ratios) <= 1 and all(q > 0 for q in ratios)
+            if big and ratios:
+                assert M.dtype == object and max(abs(int(x)) for x in P.flat) >= 2**63
 
 
 def _sample_classify_oneshot(net, n_samples=10_000, seed=0):
@@ -527,8 +591,7 @@ def _sample_classify_oneshot(net, n_samples=10_000, seed=0):
     condition."""
     rng = np.random.default_rng(seed)
     n = net.n_species
-    F = classify_module._integer_scaled(net._exact[2])  # R x n
-    S = classify_module._integer_scaled(net._exact[1])
+    S, F = classify_module._integer_rows(net, classify_module._W_MAX)  # R x n
     half = n_samples // 2
     W = np.vstack(
         [
@@ -608,7 +671,7 @@ class TestBlockedSampler:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_same_result_as_oneshot_on_object_rows(self, n_samples, seed):
         net, _ = parse_network(WIDE_COEFFICIENT_NETWORKS[1])
-        assert classify_module._integer_scaled(net._exact[2]).dtype == object
+        assert classify_module._integer_rows(net, classify_module._W_MAX)[1].dtype == object
         assert (sample_classify(net, n_samples=n_samples, seed=seed)
                 == _sample_classify_oneshot(net, n_samples=n_samples, seed=seed))
 
@@ -729,6 +792,80 @@ class TestArrangement:
         assert sizes == [report.face_count]
 
 
+def _pair_sign_verdicts(net, signs):
+    """endo_fail, strong_fail and top as _Arrangement first read them, from
+    the sign rows alone: each reaction's source rank (how many distinct
+    sources lie strictly below it along the face) from the pair signs."""
+    _, sources, _, distinct = net._exact
+    source_of = [distinct.index(row) for row in sources]
+    flux_signs = signs[:, :net.n_reactions]
+    pair_signs = signs[:, net.n_reactions:]  # sign <w, y_i - y_j> for i < j
+    i, j = np.triu_indices(len(distinct), 1)  # the pairs in combinations order
+    eye = np.eye(len(distinct), dtype=np.int64)
+    rank = (pair_signs > 0) @ eye[i] + (pair_signs < 0) @ eye[j]
+    endo_viol, strong_fail, top = classify_module._conditions(flux_signs.T,
+                                                              rank[:, source_of].T)
+    return endo_viol.any(axis=0), strong_fail, top.T
+
+
+def _network_of(fluxes, seed):
+    """A network whose reaction vectors are the given integer rows, its
+    sources drawn from three seeded base complexes lifted by the largest
+    |entry| so that every target is nonnegative."""
+    n = len(fluxes[0])
+    lift = max(abs(x) for v in fluxes for x in v)
+    bases = np.random.default_rng(seed).integers(0, 3, (3, n)).tolist()
+    reactions = []
+    for k, v in enumerate(fluxes):
+        source = [lift + b for b in bases[k % 3]]
+        reactions.append(Reaction(Complex(tuple(map(F, source))),
+                                  Complex(tuple(F(y + x) for y, x in zip(source, v)))))
+    complexes = tuple(dict.fromkeys(c for r in reactions for c in (r.source, r.target)))
+    return ReactionNetwork(tuple(Species(f"S{i}", i) for i in range(n)), complexes,
+                           tuple(reactions))
+
+
+def _large_coefficient_networks():
+    # the straddling arrangements and the wide 7-normal ones of
+    # test_geometry, as reaction vectors: the largest have Python-int
+    # representatives, and so Python-int source heights
+    for n, exponents in ((2, range(28, 35)), (3, range(26, 33))):
+        for e in exponents:
+            yield _network_of(_straddling(n, e), e)
+    for scale in (10**3, 10**5, 10**7):
+        rng = np.random.default_rng(7)
+        yield _network_of([tuple(int(v) for v in rng.integers(-scale, scale + 1, 4))
+                           for _ in range(7)], scale)
+
+
+class TestArrangementVerdicts:
+    """_Arrangement's verdicts, read from the source heights at each face's
+    representative, against the pair-sign ranks they replaced."""
+
+    @staticmethod
+    def _check(net):
+        arr = classify_module._Arrangement(net)
+        want = _pair_sign_verdicts(net, arr.signs)
+        for got, ref in zip((arr.endo_fail, arr.strong_fail, arr.top), want):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+        return arr
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_fixtures(self, name):
+        self._check(load(name)[0])
+
+    def test_seeded_arrangements(self):
+        for seed, normals in enumerate(_seeded_arrangements()):
+            self._check(_network_of(normals, seed))
+
+    def test_large_coefficients(self):
+        dtypes = {self._check(net).reps.dtype for net in _large_coefficient_networks()}
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+    def test_no_reactions(self):
+        self._check(ReactionNetwork((Species("A", 0), Species("B", 1)), (), ()))
+
+
 def _fraction_view(net):
     """The network's rows restated in Fractions: sources, fluxes, distinct
     sources in order of first appearance, and the arrangement normals."""
@@ -748,7 +885,7 @@ class TestIntegerView:
                              + [parse_network(text)[0] for text in WIDE_COEFFICIENT_NETWORKS],
                              ids=[*sorted(CLASSIFICATION), "wide0", "wide1"])
     def test_rows_distinct_sources_and_normals(self, net):
-        edges, sources, fluxes, source_of, distinct = net._exact
+        edges, sources, fluxes, distinct = net._exact
         want_sources, want_fluxes, want_distinct, want_normals = _fraction_view(net)
         assert [(net.complexes[a], net.complexes[b]) for a, b in edges] == [
             (r.source, r.target) for r in net.reactions]
@@ -758,7 +895,7 @@ class TestIntegerView:
             assert list(cached) == [tuple(int(x * lcm) for x in row) for row in rows]
         lcm = math.lcm(*(x.denominator for row in want_sources for x in row))
         assert [tuple(F(x, lcm) for x in row) for row in distinct] == want_distinct
-        assert [distinct[k] for k in source_of] == list(sources)
+        assert set(distinct) == set(sources) and len(set(distinct)) == len(distinct)
         normals = arrangement_normals(net)
         assert len(normals) == len(want_normals)
         for got, want in zip(normals, want_normals):

@@ -518,7 +518,7 @@ class TestCutoffScan:
         # then union-find over every incident pair of zero faces; checked
         # again with one row per block of every face pass
         def reference(net):
-            _, sources, fluxes, _, _ = net._exact
+            _, sources, fluxes, _ = net._exact
             zero = []
             faces = enumerate_faces(arrangement_normals(net))
             for signs, w in zip(faces.signs.tolist(), faces.representatives.tolist()):
